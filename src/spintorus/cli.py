@@ -1,9 +1,9 @@
 """Command line interface: spectra, rates, splitting searches, validation.
 
-Exit codes: 0 success, 1 internal failure or failed validation suite,
-2 positive-definiteness failure of the deformation weight, 3 invalid input
-(bad config, malformed factor file, out-of-range cluster index, violated
-precondition).
+Exit codes: 0 success, 1 internal failure (a solver failure is reported as
+one ``error:`` line) or failed validation suite, 2 positive-definiteness
+failure of the deformation weight, 3 invalid input (bad config, malformed
+factor file, out-of-range cluster index, violated precondition).
 
 Configuration can come from flags or a single JSON config file
 (``--config``); explicit flags override file entries.  JSON artifacts are
@@ -460,6 +460,9 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         for label, gap in exc.rate_table:
             print(f"  {label}: min rate gap {gap:.3e}", file=sys.stderr)
+        return EXIT_FAILURE
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

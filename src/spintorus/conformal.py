@@ -340,10 +340,17 @@ def required_band(mode_set):
 
 def assemble_multiplication(mode_set, coeff_lookup):
     """Galerkin matrix of multiplication by a function with the given
-    coefficient lookup (callable on an integer difference array)."""
+    coefficient lookup (callable on an integer difference array).
+
+    The scalar block is symmetrized first and then placed on both spin
+    components, which is its Kronecker product with I_2.
+    """
     vals = coeff_lookup(mode_set.mode_diffs)
-    out = np.kron(vals, np.eye(2, dtype=np.complex128))
-    return 0.5 * (out + out.conj().T)
+    vals = 0.5 * (vals + vals.conj().T)
+    out = np.zeros((mode_set.dim, mode_set.dim), dtype=np.complex128)
+    out[0::2, 0::2] = vals
+    out[1::2, 1::2] = vals
+    return out
 
 
 def factor_multiplication_matrix(factor, mode_set):
@@ -366,7 +373,9 @@ def assemble_B(factor, t, mode_set, tol=1e-12):
     Entries are ``B[kappa, kappa'] = exp_hat(kappa - kappa') I_2`` (mode
     differences are always integer vectors).  Emits a warning outside the
     accepted deformation range and raises PositiveDefiniteError when the
-    Cholesky factorization fails.
+    Cholesky factorization fails.  Since ``B = B_s (x) I_2``, B is positive
+    definite exactly when its scalar block ``B_s = B[::2, ::2]`` is, so the
+    factorization runs on that block.
     """
     if abs(t) * factor.oscillation() > T_RANGE_LIMIT:
         warnings.warn(
@@ -386,7 +395,7 @@ def assemble_B(factor, t, mode_set, tol=1e-12):
         ) from exc
     B = assemble_multiplication(mode_set, exp.lookup)
     try:
-        np.linalg.cholesky(B)
+        np.linalg.cholesky(B[::2, ::2])
     except np.linalg.LinAlgError as exc:
         raise PositiveDefiniteError(
             f"Galerkin weight for t={t} is not positive definite"
@@ -420,13 +429,27 @@ def build_deformed_operator(factor, t, mode_set):
 
 
 def deformed_spectrum(
-    factor, t, mode_set, tau_rel=None, keep_vectors=True, keep_B=True
+    factor,
+    t,
+    mode_set,
+    tau_rel=None,
+    keep_vectors=True,
+    keep_B=True,
+    subset_by_index=None,
+    subset_by_value=None,
 ):
     """Solve the deformed eigenproblem and cluster the spectrum.
 
     At t = 0 the weight matrix is the exact identity and the flat spectrum is
     reproduced exactly.  The default clustering tolerance is the degeneracy
     tolerance at t = 0 and the split-detection tolerance otherwise.
+
+    ``subset_by_index`` / ``subset_by_value`` restrict the solve to a window
+    of eigenpairs (see ``eigensolver.solve_gen_hermitian``); every returned
+    pair still passes the residual bound.  Clusters are then formed from the
+    window alone, so a cluster cut by either window edge is incomplete:
+    callers read only clusters they know to lie strictly inside.  Without a
+    window the whole spectrum is solved.
     """
     if tau_rel is None:
         tau_rel = (
@@ -437,7 +460,10 @@ def deformed_spectrum(
     op = build_deformed_operator(factor, t, mode_set)
     identity_B = t == 0 or factor.is_zero
     w, V, residual_max = eigensolver.solve_gen_hermitian(
-        op.A, None if identity_B else op.B
+        op.A,
+        None if identity_B else op.B,
+        subset_by_index=subset_by_index,
+        subset_by_value=subset_by_value,
     )
     meta = {
         "delta": list(mode_set.spin_structure.delta),

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 
 from .errors import PositiveDefiniteError
 
@@ -126,15 +125,24 @@ def canonicalize_phases(V, tol=1e-8):
     return V
 
 
-def solve_gen_hermitian(A, B=None, residual_bound=RESIDUAL_BOUND):
+def solve_gen_hermitian(
+    A, B=None, residual_bound=RESIDUAL_BOUND, subset_by_index=None, subset_by_value=None
+):
     """Solve A x = lambda B x for Hermitian A and Hermitian PD B.
 
     Returns ascending eigenvalues, B-orthonormal phase-canonicalized
     eigenvectors, and the largest per-vector residual
     ``||A x - lambda B x||_2`` (with ``||x||_B = 1``).
 
+    ``subset_by_index`` (inclusive ``[lo, hi]``) or ``subset_by_value``
+    (half-open ``(lo, hi]``) restricts the solve to a window of eigenpairs;
+    both are passed unchanged to ``scipy.linalg.eigh``, which then uses its
+    windowed driver.  Phase canonicalization and the residual bound apply to
+    every returned pair either way.
+
     Raises PositiveDefiniteError when B fails its Cholesky factorization and
-    RuntimeError when the residual bound is violated.
+    RuntimeError for any other solver failure (for example eigenvectors of
+    the windowed driver that do not converge) or a violated residual bound.
     """
     A = np.asarray(A)
     if B is not None:
@@ -142,13 +150,15 @@ def solve_gen_hermitian(A, B=None, residual_bound=RESIDUAL_BOUND):
         if B.shape != A.shape:
             raise ValueError("A and B must have matching shapes")
     try:
-        w, V = scipy.linalg.eigh(A, B)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises below
-        raise PositiveDefiniteError(str(exc)) from exc
-    except scipy.linalg.LinAlgError as exc:
-        raise PositiveDefiniteError(
-            f"weight matrix is not positive definite: {exc}"
-        ) from exc
+        w, V = scipy.linalg.eigh(
+            A, B, subset_by_index=subset_by_index, subset_by_value=subset_by_value
+        )
+    except np.linalg.LinAlgError as exc:
+        if "not positive definite" in str(exc):
+            raise PositiveDefiniteError(
+                f"weight matrix is not positive definite: {exc}"
+            ) from exc
+        raise RuntimeError(f"eigensolver failed: {exc}") from exc
     V = canonicalize_phases(V)
     R = A @ V - (B @ V if B is not None else V) * w[None, :]
     residuals = np.linalg.norm(R, axis=0)
@@ -238,7 +248,7 @@ class CurveFamily:
             "t_values": [float(t) for t in self.t_values],
             "trajectories": [[float(v) for v in row] for row in self.trajectories],
             "overlaps": [[float(v) for v in row] for row in self.overlaps],
-            "flagged": list(self.flagged),
+            "flagged": [bool(f) for f in self.flagged],
             "ambiguous": bool(self.ambiguous),
         }
 
@@ -325,6 +335,8 @@ def match_curves(
         perm = _greedy_assign(scores)
         step = scores[np.arange(n), perm]
         if step.min() < ambiguous_threshold:
+            from scipy.optimize import linear_sum_assignment
+
             rows, cols = linear_sum_assignment(-scores)
             perm = cols[np.argsort(rows)]
             step = scores[np.arange(n), perm]

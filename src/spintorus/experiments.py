@@ -155,10 +155,16 @@ class SplitCertificate:
 def _verify_split(cluster, factor, report, t, position_tol):
     """Solve at the verification t and match sub-clusters to predictions."""
     ms = cluster.mode_set
-    res = deformed_spectrum(
-        factor, t, ms, tau_rel=eigensolver.TAU_REL_SPLIT, keep_vectors=False, keep_B=False
-    )
     lo, hi = flat_cluster_window(ms, cluster.lam)
+    res = deformed_spectrum(
+        factor,
+        t,
+        ms,
+        tau_rel=eigensolver.TAU_REL_SPLIT,
+        keep_vectors=False,
+        keep_B=False,
+        subset_by_value=(lo, hi),
+    )
     sub = [c for c in res.clusters if lo < c.lam < hi]
     if sum(c.mult_c for c in sub) != cluster.p_c:
         raise ClusterNotIsolatedError(
@@ -346,6 +352,42 @@ def _positive_clusters(result, m_clusters, kernel_tol=KERNEL_TOL):
     return out[:m_clusters]
 
 
+def _initial_window(mode_set, m_clusters):
+    """Eigenpairs spanning the kernel and the first m_clusters + 1 positive flat shells."""
+    kernel = 2 if mode_set.spin_structure.trivial else 0
+    return kernel + int(mode_set.positive_shell_sizes()[: m_clusters + 1].sum())
+
+
+def lowest_positive_clusters(factor, t, mode_set, m_clusters):
+    """The first ``m_clusters`` positive clusters of the deformed spectrum.
+
+    Solves only the index window ``[i0, i0 + k)`` starting at the first
+    non-negative eigenvalue (``ModeSet.first_nonnegative_index``), so the
+    window's lower edge is exact.  The window must hold more than
+    ``m_clusters`` positive clusters, because its last cluster may be cut by
+    the upper edge; otherwise k doubles and the solve repeats, until the
+    window reaches the end of the spectrum.  Clustering only compares
+    neighbouring eigenvalues, so the clusters returned are the ones a full
+    solve gives.
+    """
+    i0 = mode_set.first_nonnegative_index
+    k = _initial_window(mode_set, m_clusters)
+    while True:
+        stop = min(i0 + k, mode_set.dim)
+        res = deformed_spectrum(
+            factor,
+            t,
+            mode_set,
+            keep_vectors=False,
+            keep_B=False,
+            subset_by_index=(i0, stop - 1),
+        )
+        top = _positive_clusters(res, m_clusters + 1)
+        if len(top) > m_clusters or stop == mode_set.dim:
+            return top[:m_clusters]
+        k *= 2
+
+
 def genericity_scan(
     delta,
     trials,
@@ -362,11 +404,15 @@ def genericity_scan(
 
     Deterministic given the seed (trial factors come from spawned seed
     sequences, aggregation is ordered by trial index regardless of worker
-    scheduling).  Per-trial solver failures are recorded, not fatal.
+    scheduling).  Per-trial solver failures are recorded, not fatal.  Each
+    trial solves only the eigenpairs its clusters need (see
+    ``lowest_positive_clusters``); the residual bound holds on all of them.
     """
     trials = int(trials)
     if trials < 0:
         raise ValueError("trials must be >= 0")
+    if m_clusters < 0:
+        raise ValueError("m_clusters must be >= 0")
     spin = delta if isinstance(delta, SpinStructure) else SpinStructure(tuple(delta))
     report = GenericityReport(
         delta=spin.delta,
@@ -387,12 +433,9 @@ def genericity_scan(
         label = f"random:{int(seed)}:{i}"
         factor = random_factor(children[i], degree, amplitude, label=label)
         try:
-            res = deformed_spectrum(
-                factor, t, ms, keep_vectors=False, keep_B=False
-            )
+            top = lowest_positive_clusters(factor, t, ms, m_clusters)
         except (PositiveDefiniteError, RuntimeError) as exc:
             return GenericityTrial(i, label, [], [], [], False, error=str(exc))
-        top = _positive_clusters(res, m_clusters)
         mult_h = [c.mult_h for c in top]
         return GenericityTrial(
             i,

@@ -390,14 +390,20 @@ def flat_cluster_window(mode_set, lam, margin_max=None):
 def deformed_cluster_values(factor, t, mode_set, lam, p_c, tau_rel=None):
     """Eigenvalues of the deformed spectrum descending from the flat cluster.
 
-    Selects the eigenvalues inside the midpoint window around lam and checks
-    that exactly p_c of them are present (otherwise the cluster is not
-    isolated at this t).
+    Solves only the eigenpairs inside the midpoint window around lam and
+    checks that exactly p_c of them are present (otherwise the cluster is not
+    isolated at this t).  Returns the sorted values and the windowed result.
     """
-    res = deformed_spectrum(
-        factor, t, mode_set, tau_rel=tau_rel, keep_vectors=False, keep_B=False
-    )
     lo, hi = flat_cluster_window(mode_set, lam)
+    res = deformed_spectrum(
+        factor,
+        t,
+        mode_set,
+        tau_rel=tau_rel,
+        keep_vectors=False,
+        keep_B=False,
+        subset_by_value=(lo, hi),
+    )
     vals = res.eigenvalues[(res.eigenvalues > lo) & (res.eigenvalues < hi)]
     if len(vals) != p_c:
         raise ClusterNotIsolatedError(

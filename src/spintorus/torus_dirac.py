@@ -154,6 +154,28 @@ class ModeSet:
             self._flat_matrix = assemble_flat_dirac(self)
         return self._flat_matrix
 
+    @property
+    def first_nonnegative_index(self):
+        """Index of the first non-negative eigenvalue of every pencil (A, B), B > 0.
+
+        The flat matrix A has eigenvalues +|kappa| and -|kappa| for each mode,
+        so exactly ``n_modes - [delta trivial]`` of them are negative: the
+        zero mode of the trivial structure gives a two-dimensional kernel
+        instead.  For Hermitian positive definite B = L L^H the pencil has
+        the eigenvalues of L^{-1} A L^{-H}, which is congruent to A, so by
+        Sylvester's law of inertia it has the same numbers of negative, zero
+        and positive eigenvalues as A.  Counting ascending from 0, this index
+        is therefore exact for every conformal weight (spectrum slicing; see
+        Parlett, The Symmetric Eigenvalue Problem); for the trivial structure
+        it is the first kernel eigenvalue.
+        """
+        return self.n_modes - (1 if self.spin_structure.trivial else 0)
+
+    def positive_shell_sizes(self):
+        """Numbers of +|kappa| eigenvalues of A per distinct |kappa| > 0, ascending."""
+        q = np.rint(4.0 * np.sum(self.modes**2, axis=1)).astype(np.int64)
+        return np.unique(q[q > 0], return_counts=True)[1]
+
     def same_modes(self, other):
         return self is other or (
             self.N == other.N and self.spin_structure == other.spin_structure

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import spintorus
 from spintorus import cli
 from spintorus.torus_dirac import closed_form_spectrum
 
@@ -119,6 +125,34 @@ class TestSpectrum:
         # dim = 2 * 18 trajectories at 3 t values
         assert len(lines) == 1 + 36 * 3
 
+    def test_t_grid_curves_json(self, capsys, tmp_path):
+        out = tmp_path / "curves.json"
+        code, _, _ = run(
+            capsys, "spectrum", "--delta", "1,0,0", "--N", "1",
+            "--f-cos", "1,0,0,0.5", "--t-grid", "0,0.02,0.04",
+            "--out", str(out), "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["t_values"] == [0.0, 0.02, 0.04]
+        assert len(doc["trajectories"]) == 36
+        assert len(doc["flagged"]) == 36
+        assert all(isinstance(f, bool) for f in doc["flagged"])
+        assert doc["ambiguous"] is False
+
+    def test_solver_failure_exit_code(self, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("2 eigenvectors failed to converge.")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", failing)
+        code, _, err = run(
+            capsys, "spectrum", "--delta", "1,0,0", "--N", "1",
+            "--f-cos", "1,0,0,0.5", "--t", "0.05",
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "failed to converge" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestPerturb:
     def test_report_and_fd(self, capsys, tmp_path):
@@ -199,6 +233,13 @@ class TestSimplicityCommand:
         doc = json.loads(out.read_text())
         assert not doc["passed"]
         assert doc["reason"] == "kernel"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(spintorus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, spintorus.cli; sys.exit('scipy.optimize' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestConfigFile:

@@ -205,6 +205,30 @@ class TestAssembleB:
         w = np.linalg.eigvalsh(B)
         assert w.min() > 0
 
+    def test_bitwise_equal_to_symmetrized_kron(self):
+        ms = build_mode_set(2, (1, 0, 0))
+        f = random_factor(8, 2, 0.3)
+        t = 0.05
+        exp = cf.exp_coeffs(f, t, cf.required_band(ms))
+        out = np.kron(exp.lookup(ms.mode_diffs), np.eye(2, dtype=np.complex128))
+        reference = 0.5 * (out + out.conj().T)
+        B = cf.assemble_B(f, t, ms)
+        assert B.dtype == reference.dtype
+        assert B.tobytes() == reference.tobytes()
+
+    def test_block_cholesky_failure_is_pd_error(self, monkeypatch):
+        ms = build_mode_set(1, (0, 1, 0))
+        shapes = []
+
+        def failing_cholesky(a):
+            shapes.append(a.shape)
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+        with pytest.raises(PositiveDefiniteError):
+            cf.assemble_B(random_factor(4, 2, 0.3), 0.05, ms)
+        assert shapes == [(ms.n_modes, ms.n_modes)]
+
     def test_volume_consistency(self):
         ms = build_mode_set(1, (0, 0, 0))
         f = random_factor(33, 2, 0.5)

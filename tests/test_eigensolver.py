@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -7,7 +8,13 @@ from numpy.testing import assert_allclose
 from spintorus import eigensolver as es
 from spintorus.conformal import ConformalFactor, deformed_spectrum, flat_spectrum
 from spintorus.errors import PositiveDefiniteError
-from spintorus.torus_dirac import assemble_flat_dirac, build_mode_set, closed_form_spectrum
+from spintorus.experiments import random_factor
+from spintorus.torus_dirac import (
+    all_spin_structures,
+    assemble_flat_dirac,
+    build_mode_set,
+    closed_form_spectrum,
+)
 
 
 def random_hermitian(rng, n):
@@ -59,6 +66,93 @@ class TestSolve:
             assert C[i, j].real > 0
         # idempotent
         assert_allclose(es.canonicalize_phases(C), C)
+
+
+def _failing_eigh(message):
+    def eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError(message)
+
+    return eigh
+
+
+class TestSolverErrors:
+    def test_pd_message_maps_to_pd_error(self, rng, monkeypatch):
+        monkeypatch.setattr(
+            scipy.linalg,
+            "eigh",
+            _failing_eigh("The leading minor of order 3 of B is not positive definite."),
+        )
+        with pytest.raises(PositiveDefiniteError):
+            es.solve_gen_hermitian(random_hermitian(rng, 6), random_spd(rng, 6))
+
+    def test_other_failure_is_runtime_error(self, rng, monkeypatch):
+        monkeypatch.setattr(
+            scipy.linalg, "eigh", _failing_eigh("2 eigenvectors failed to converge.")
+        )
+        with pytest.raises(RuntimeError, match="failed to converge") as info:
+            es.solve_gen_hermitian(
+                random_hermitian(rng, 6), random_spd(rng, 6), subset_by_index=(0, 2)
+            )
+        assert not isinstance(info.value, PositiveDefiniteError)
+
+
+class TestWindowedSolve:
+    def test_index_window_matches_full_solve(self, rng):
+        A = random_hermitian(rng, 40)
+        B = random_spd(rng, 40)
+        w_full, _, _ = es.solve_gen_hermitian(A, B)
+        w, V, res = es.solve_gen_hermitian(A, B, subset_by_index=(10, 17))
+        assert V.shape == (40, 8)
+        assert_allclose(w, w_full[10:18], atol=1e-12)
+        assert_allclose(V.conj().T @ B @ V, np.eye(8), atol=1e-10)
+        assert res <= es.RESIDUAL_BOUND * max(1.0, np.abs(w).max())
+
+    def test_value_window_matches_full_solve(self, rng):
+        A = random_hermitian(rng, 40)
+        B = random_spd(rng, 40)
+        w_full, _, _ = es.solve_gen_hermitian(A, B)
+        lo, hi = -0.3, 0.4
+        w, _, _ = es.solve_gen_hermitian(A, B, subset_by_value=(lo, hi))
+        inside = w_full[(w_full > lo) & (w_full <= hi)]
+        assert len(w) == len(inside) > 0
+        assert_allclose(w, inside, atol=1e-12)
+
+    def test_residual_gate_covers_windowed_pairs(self, rng, monkeypatch):
+        real_eigh = scipy.linalg.eigh
+
+        def perturbed(*args, **kwargs):
+            w, V = real_eigh(*args, **kwargs)
+            return w + 1e-6, V
+
+        monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
+        A = random_hermitian(rng, 30)
+        B = random_spd(rng, 30)
+        with pytest.raises(RuntimeError, match="residual"):
+            es.solve_gen_hermitian(A, B, subset_by_index=(5, 9))
+
+    @pytest.mark.parametrize("spin", all_spin_structures(), ids=str)
+    def test_sylvester_index_counts_negative_eigenvalues(self, spin):
+        ms = build_mode_set(2, spin)
+        res = deformed_spectrum(random_factor(3, 2, 0.3), 0.05, ms, keep_vectors=False)
+        i0 = ms.first_nonnegative_index
+        assert int(np.sum(res.eigenvalues < -1e-8)) == i0
+        assert res.eigenvalues[i0] > -1e-8
+        if spin.trivial:
+            assert_allclose(res.eigenvalues[i0 : i0 + 2], 0.0, atol=1e-12)
+            assert res.eigenvalues[i0 + 2] > 1e-8
+        else:
+            assert res.eigenvalues[i0] > 1e-8
+
+    def test_deformed_index_window_matches_full(self):
+        ms = build_mode_set(2, (0, 1, 1))
+        f = random_factor(5, 2, 0.3)
+        full = deformed_spectrum(f, 0.05, ms, keep_vectors=False)
+        i0 = ms.first_nonnegative_index
+        win = deformed_spectrum(
+            f, 0.05, ms, keep_vectors=False, subset_by_index=(i0, i0 + 19)
+        )
+        assert_allclose(win.eigenvalues, full.eigenvalues[i0 : i0 + 20], atol=1e-12)
+        assert win.residual_max <= es.RESIDUAL_BOUND * max(1.0, win.eigenvalues.max())
 
 
 class TestClustering:

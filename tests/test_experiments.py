@@ -5,9 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spintorus import experiments as ex
-from spintorus.conformal import ConformalFactor, flat_spectrum
+from spintorus.conformal import ConformalFactor, deformed_spectrum, flat_spectrum
 from spintorus.errors import SplitSearchError
-from spintorus.perturbation import extract_cluster, perturbation_matrix
+from spintorus.perturbation import (
+    deformed_cluster_values,
+    extract_cluster,
+    flat_cluster_window,
+    perturbation_matrix,
+)
 from spintorus.torus_dirac import build_mode_set, closed_form_spectrum
 
 
@@ -156,6 +161,86 @@ class TestGenericityScan:
         rows = rep.csv_rows()
         assert rows[0][0] == "trial"
         assert len(rows) == 3
+
+
+def full_solve_clusters(delta, trials, t, N, seed, m_clusters, degree=2, amplitude=0.3):
+    """Lowest positive clusters per genericity trial, from whole-spectrum solves."""
+    ms = build_mode_set(N, delta)
+    children = np.random.SeedSequence(seed).spawn(trials)
+    out = []
+    for i in range(trials):
+        factor = ex.random_factor(children[i], degree, amplitude)
+        res = deformed_spectrum(factor, t, ms, keep_vectors=False)
+        out.append([c for c in res.clusters if c.lam > ex.KERNEL_TOL][:m_clusters])
+    return out
+
+
+def assert_matches_full_solve(report, reference):
+    assert len(report.trial_rows) == len(reference)
+    for row, ref in zip(report.trial_rows, reference):
+        assert row.error is None
+        assert row.mult_c == [c.mult_c for c in ref]
+        assert_allclose(row.lambdas, [c.lam for c in ref], rtol=0, atol=1e-12)
+
+
+class TestGenericityWindow:
+    @pytest.mark.parametrize("t", [0.0, 0.05])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("delta", [(0, 0, 0), (1, 0, 0), (0, 1, 1)], ids=str)
+    def test_matches_full_solve(self, delta, N, t):
+        rep = ex.genericity_scan(delta, 2, t, N, 2, 0.3, seed=13, m_clusters=3)
+        assert_matches_full_solve(rep, full_solve_clusters(delta, 2, t, N, 13, 3))
+
+    def test_doubling_reaches_the_same_clusters(self, monkeypatch):
+        calls = []
+        real = ex.deformed_spectrum
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["subset_by_index"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "deformed_spectrum", counting)
+        monkeypatch.setattr(ex, "_initial_window", lambda mode_set, m_clusters: 1)
+        rep = ex.genericity_scan((1, 0, 0), 1, 0.05, 2, 2, 0.3, seed=13, m_clusters=3)
+        assert len(calls) > 1
+        sizes = [hi - lo + 1 for lo, hi in calls]
+        assert sizes == [2**j for j in range(len(calls))]
+        assert_matches_full_solve(rep, full_solve_clusters((1, 0, 0), 1, 0.05, 2, 13, 3))
+
+    def test_window_reaching_dim_returns_what_exists(self):
+        # N = 1 with the trivial structure has n_modes - 1 = 26 positive
+        # eigenvalues, so at most 13 positive clusters: asking for 20 runs
+        # the window to the end of the spectrum
+        ms = build_mode_set(1, (0, 0, 0))
+        assert ms.first_nonnegative_index + ex._initial_window(ms, 20) >= ms.dim
+        top = ex.lowest_positive_clusters(ex.random_factor(2, 2, 0.3), 0.05, ms, 20)
+        assert sum(c.mult_c for c in top) == ms.n_modes - 1
+        rep = ex.genericity_scan((0, 0, 0), 1, 0.05, 1, 2, 0.3, seed=0, m_clusters=20)
+        assert_matches_full_solve(rep, full_solve_clusters((0, 0, 0), 1, 0.05, 1, 0, 20))
+        assert not rep.trial_rows[0].all_simple
+
+    def test_negative_cluster_count_rejected(self):
+        with pytest.raises(ValueError, match="m_clusters"):
+            ex.genericity_scan((1, 0, 0), 1, 0.05, 1, 2, 0.3, seed=0, m_clusters=-1)
+
+    def test_initial_window_counts_shells_and_kernel(self):
+        ms = build_mode_set(3, (0, 0, 0))
+        # |kappa|^2 = 1, 2, 3, 4 carry 6, 12, 8, 6 modes
+        assert ex._initial_window(ms, 3) == 2 + 6 + 12 + 8 + 6
+        assert ex._initial_window(build_mode_set(3, (1, 0, 0)), 0) == 2
+
+
+class TestValueWindow:
+    def test_cluster_values_match_filtered_full_solve(self):
+        ms = build_mode_set(2, (1, 0, 0))
+        f = ex.random_factor(6, 2, 0.3)
+        lam = float(np.sqrt(1.25))
+        full = deformed_spectrum(f, 0.02, ms, keep_vectors=False)
+        lo, hi = flat_cluster_window(ms, lam)
+        expected = full.eigenvalues[(full.eigenvalues > lo) & (full.eigenvalues < hi)]
+        vals, res = deformed_cluster_values(f, 0.02, ms, lam, len(expected))
+        assert len(res.eigenvalues) == len(expected) == 8
+        assert_allclose(vals, expected, rtol=0, atol=1e-12)
 
 
 class TestSimplicityCertificate:
