@@ -24,7 +24,6 @@ def main():
     ap.add_argument("--amplitude", type=float, default=0.3)
     ap.add_argument("--seed", type=int, default=2024)
     ap.add_argument("--m-clusters", type=int, default=3)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out-dir", default="out")
     args = ap.parse_args()
 
@@ -37,7 +36,6 @@ def main():
         args.amplitude,
         args.seed,
         m_clusters=args.m_clusters,
-        workers=args.workers,
     )
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -16,6 +16,8 @@ from .conformal import (
     exp_coeffs,
     flat_spectrum,
     substitution_identity_error,
+    trust_radius,
+    trusted_spectrum,
 )
 from .eigensolver import (
     CurveFamily,

@@ -17,12 +17,18 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import eigensolver
-from .conformal import ConformalFactor, deformed_spectrum, flat_spectrum
+from .conformal import (
+    ConformalFactor,
+    cluster_tolerance,
+    deformed_spectrum,
+    flat_spectrum,
+    trusted_spectrum,
+)
 from .errors import PositiveDefiniteError, SplitSearchError
 from .experiments import genericity_scan, random_factor, simplicity_certificate, split_search
 from .perturbation import extract_cluster, fd_check, perturbation_matrix
@@ -59,10 +65,8 @@ class RunConfig:
     max_degree: int = 2
     tau_degenerate: float = eigensolver.TAU_REL_DEGENERATE
     tau_split: float = eigensolver.TAU_REL_SPLIT
-    workers: int = 1
     out: str | None = None
     format: str = "json"
-    extra: dict = field(default_factory=dict)
 
     def validate(self):
         if not (1 <= self.N <= 8):
@@ -79,8 +83,6 @@ class RunConfig:
             raise ConfigError("t grid entries must be finite")
         if self.trials < 0:
             raise ConfigError("trials must be >= 0")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
         return self
@@ -164,7 +166,6 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, help="random seed")
     parser.add_argument("--tau-degenerate", dest="tau_degenerate", type=float)
     parser.add_argument("--tau-split", dest="tau_split", type=float)
-    parser.add_argument("--workers", type=int, help="parallel trial workers")
     parser.add_argument("--out", help="artifact output path")
     parser.add_argument("--format", choices=("json", "csv"), help="artifact format")
     group = parser.add_mutually_exclusive_group()
@@ -217,6 +218,32 @@ def build_parser():
     return parser
 
 
+def _config_value(key, kind, val):
+    """Config-file ``val`` checked against the annotated RunConfig type ``kind``."""
+    kind, optional = kind.removesuffix(" | None"), kind.endswith(" | None")
+
+    def is_int(v):
+        return isinstance(v, int) and not isinstance(v, bool)
+
+    def is_number(v):
+        return isinstance(v, float) or is_int(v)
+
+    if kind == "object" or (val is None and optional):
+        return val
+    if kind == "int" and is_int(val):
+        return val
+    if kind == "float" and is_number(val):
+        return float(val)
+    if kind == "str" and isinstance(val, str):
+        return val
+    if isinstance(val, list):
+        if kind == "list[float]" and all(is_number(v) for v in val):
+            return [float(v) for v in val]
+        if kind == "tuple[int, int, int]" and all(is_int(v) for v in val):
+            return tuple(val)
+    raise ConfigError(f"config key {key!r} must be {kind}, got {val!r}")
+
+
 def load_config(args):
     base = {}
     if getattr(args, "config", None):
@@ -230,16 +257,11 @@ def load_config(args):
         if not isinstance(base, dict):
             raise ConfigError("config file must hold a JSON object")
     cfg = RunConfig()
-    known = set(cfg.__dataclass_fields__)
+    types = {f.name: f.type for f in fields(RunConfig)}
     for key, val in base.items():
-        if key == "delta":
-            cfg.delta = tuple(int(x) for x in val)
-        elif key in ("factor_kind", "factor_arg"):
-            setattr(cfg, key, val)
-        elif key in known:
-            setattr(cfg, key, val)
-        else:
-            cfg.extra[key] = val
+        if key not in types:
+            raise ConfigError(f"unknown config key {key!r}")
+        setattr(cfg, key, _config_value(key, types[key], val))
 
     def take(name, cast=None):
         val = getattr(args, name, None)
@@ -263,7 +285,6 @@ def load_config(args):
     take("max_degree", int)
     take("tau_degenerate", float)
     take("tau_split", float)
-    take("workers", int)
     take("out")
     take("format")
     for kind in ("const", "cos", "file", "json", "random"):
@@ -271,7 +292,6 @@ def load_config(args):
         if val is not None:
             cfg.factor_kind = kind
             cfg.factor_arg = val
-    cfg.delta = tuple(int(x) for x in cfg.delta)
     return cfg.validate()
 
 
@@ -279,13 +299,22 @@ def load_config(args):
 
 
 def cmd_spectrum(cfg):
+    """Deformed spectrum at one t, or eigenvalue curves over a t grid.
+
+    At one t only the trusted window |lambda| <= R = (N - 1/2) e^{-|t| sup|f|}
+    is solved and reported (``conformal.trusted_spectrum``); beyond R the
+    Galerkin eigenvalues are truncation artifacts.  A t grid solves every
+    snapshot whole, with vectors, because curve matching needs snapshots of
+    equal length.
+    """
     ms = build_mode_set(cfg.N, cfg.spin_structure())
     factor = cfg.build_factor()
+
+    def tau(t):
+        return cluster_tolerance(factor, t, cfg.tau_degenerate, cfg.tau_split)
+
     if cfg.t_grid is not None:
-        snapshots = [
-            deformed_spectrum(factor, t, ms, tau_rel=None if t else cfg.tau_degenerate)
-            for t in cfg.t_grid
-        ]
+        snapshots = [deformed_spectrum(factor, t, ms, tau_rel=tau(t)) for t in cfg.t_grid]
         family = eigensolver.match_curves(snapshots, rate_bound=factor.sup_abs())
         doc = family.to_json_dict()
         _write_artifact(cfg, doc, family.csv_rows())
@@ -295,8 +324,7 @@ def cmd_spectrum(cfg):
             + (" (ambiguous matches present)" if family.ambiguous else "")
         )
         return EXIT_OK
-    tau = cfg.tau_degenerate if cfg.t == 0 or factor.is_zero else cfg.tau_split
-    res = deformed_spectrum(factor, cfg.t, ms, tau_rel=tau, keep_vectors=False)
+    res = trusted_spectrum(factor, cfg.t, ms, tau_rel=tau(cfg.t))
     doc = res.to_json_dict()
     _write_artifact(cfg, doc, res.csv_rows())
     print(f"delta={cfg.spin_structure()} N={cfg.N} t={cfg.t} f={factor.describe()}")
@@ -386,7 +414,6 @@ def cmd_genericity(cfg):
         cfg.amplitude,
         cfg.seed,
         m_clusters=cfg.m_clusters,
-        workers=cfg.workers,
     )
     _write_artifact(cfg, report.to_json_dict(), report.csv_rows())
     frac = report.fraction_all_simple

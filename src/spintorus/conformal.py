@@ -43,6 +43,10 @@ T_RANGE_LIMIT = 1.0
 #: Reality-constraint tolerance for loaded Fourier coefficients.
 REALITY_TOL = 1e-14
 
+#: Half-width, in clustering tolerances at the trust radius, of the band that
+#: ``trusted_spectrum`` solves past the radius so edge clusters come out whole.
+TRUST_MARGIN = 8
+
 
 def _next_pow2(n):
     p = 1
@@ -428,6 +432,25 @@ def build_deformed_operator(factor, t, mode_set):
     return DeformedOperator(mode_set, float(t), factor, A, B)
 
 
+def cluster_tolerance(
+    factor, t, degenerate=eigensolver.TAU_REL_DEGENERATE, split=eigensolver.TAU_REL_SPLIT
+):
+    """Clustering tolerance for one deformation: ``degenerate`` when the weight
+    is trivial (t = 0 or f = 0), ``split`` otherwise."""
+    return degenerate if t == 0 or factor.is_zero else split
+
+
+def trust_radius(factor, t, N):
+    """Truncation trust radius R = (N - 1/2) e^{-|t| sup|f|}.
+
+    The truncation of order N holds every mode with |kappa| <= N - 1/2, so
+    the flat spectrum is exact up to N - 1/2; the weight e^{tf} scales an
+    eigenvalue by at most e^{|t| sup|f|}.  Eigenvalues with |lambda| <= R are
+    trusted, those beyond are truncation artifacts.
+    """
+    return (N - 0.5) * float(np.exp(-abs(t) * factor.sup_abs()))
+
+
 def deformed_spectrum(
     factor,
     t,
@@ -448,15 +471,12 @@ def deformed_spectrum(
     of eigenpairs (see ``eigensolver.solve_gen_hermitian``); every returned
     pair still passes the residual bound.  Clusters are then formed from the
     window alone, so a cluster cut by either window edge is incomplete:
-    callers read only clusters they know to lie strictly inside.  Without a
-    window the whole spectrum is solved.
+    callers read only clusters they know to lie strictly inside (see
+    ``trusted_spectrum`` for the trust-radius window).  Without a window the
+    whole spectrum is solved.
     """
     if tau_rel is None:
-        tau_rel = (
-            eigensolver.TAU_REL_DEGENERATE
-            if t == 0 or factor.is_zero
-            else eigensolver.TAU_REL_SPLIT
-        )
+        tau_rel = cluster_tolerance(factor, t)
     op = build_deformed_operator(factor, t, mode_set)
     identity_B = t == 0 or factor.is_zero
     w, V, residual_max = eigensolver.solve_gen_hermitian(
@@ -481,6 +501,55 @@ def deformed_spectrum(
         mode_set=mode_set,
         B=None if (identity_B or not keep_B) else op.B,
         keep_vectors=keep_vectors,
+    )
+
+
+def trusted_spectrum(factor, t, mode_set, tau_rel=None):
+    """The clusters with |lambda| <= ``trust_radius``, from a value-window solve.
+
+    Solves the window ``|lambda| <= R + TRUST_MARGIN * tol``, where tol =
+    ``tau_rel * max(1, R)`` is the clustering tolerance at R, and keeps the
+    clusters whose value is at most R + tol: a cluster numerically equal to R
+    (such as a flat shell at exactly N - 1/2) counts as inside.  A kept
+    cluster ends whole when its outermost member lies more than a clustering
+    tolerance inside the window edge, because every eigenvalue beyond the
+    edge is then too far away to join it; otherwise the margin grows and the
+    solve repeats.  So the clusters, eigenvalues and multiplicities are those
+    of the full solve restricted to |lambda| <= R.  Eigenvectors are not
+    kept; the residual bound holds on every computed pair, and
+    ``meta["trust_radius"]`` records R.
+    """
+    if tau_rel is None:
+        tau_rel = cluster_tolerance(factor, t)
+    radius = trust_radius(factor, t, mode_set.N)
+    tol = tau_rel * max(1.0, radius)
+    margin = TRUST_MARGIN * tol
+    while True:
+        edge = radius + margin
+        res = deformed_spectrum(
+            factor,
+            t,
+            mode_set,
+            tau_rel=tau_rel,
+            keep_vectors=False,
+            keep_B=False,
+            subset_by_value=(-edge, edge),
+        )
+        w = res.eigenvalues
+        kept = [c for c in res.clusters if abs(c.lam) <= radius + tol]
+        lo, hi = (kept[0].start, kept[-1].stop) if kept else (0, 0)
+        outermost = float(np.max(np.abs(w[lo:hi]), initial=0.0))
+        if len(w) == mode_set.dim or edge - outermost > tau_rel * max(1.0, edge):
+            break
+        margin *= 4.0
+    return eigensolver.build_spectrum_result(
+        w[lo:hi],
+        None,
+        res.residual_max,
+        tau_rel,
+        dict(res.meta, trust_radius=radius),
+        mode_set=mode_set,
+        keep_vectors=False,
     )
 
 

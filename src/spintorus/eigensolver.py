@@ -64,6 +64,7 @@ class SpectrumResult:
                 "f_ref": self.meta.get("f_ref"),
                 "tau_rel": self.meta.get("tau_rel"),
                 "volume": self.meta.get("volume"),
+                "trust_radius": self.meta.get("trust_radius"),
             },
             "eigenvalues": [float(v) for v in self.eigenvalues],
             "clusters": [

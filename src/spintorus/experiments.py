@@ -16,13 +16,12 @@ into quaternionically simple pieces.  This module makes that executable:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import eigensolver
-from .conformal import ConformalFactor, deformed_spectrum
+from .conformal import ConformalFactor, deformed_spectrum, trusted_spectrum
 from .errors import ClusterNotIsolatedError, PositiveDefiniteError, SplitSearchError
 from .perturbation import flat_cluster_window, group_distinct, perturbation_matrix
 from .torus_dirac import SpinStructure, build_mode_set
@@ -397,16 +396,15 @@ def genericity_scan(
     amplitude,
     seed,
     m_clusters=3,
-    workers=1,
 ):
     """Monte Carlo over random factors: how often do the first ``m_clusters``
     positive clusters come out quaternionically simple?
 
     Deterministic given the seed (trial factors come from spawned seed
-    sequences, aggregation is ordered by trial index regardless of worker
-    scheduling).  Per-trial solver failures are recorded, not fatal.  Each
-    trial solves only the eigenpairs its clusters need (see
-    ``lowest_positive_clusters``); the residual bound holds on all of them.
+    sequences, trials run in index order).  Per-trial solver failures are
+    recorded, not fatal.  Each trial solves only the eigenpairs its clusters
+    need (see ``lowest_positive_clusters``); the residual bound holds on all
+    of them.
     """
     trials = int(trials)
     if trials < 0:
@@ -446,13 +444,7 @@ def genericity_scan(
             all_simple=len(top) >= m_clusters and all(h == 1 for h in mult_h),
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_trial, range(trials)))
-    else:
-        rows = [run_trial(i) for i in range(trials)]
-    rows.sort(key=lambda r: r.index)
-    report.trial_rows = rows
+    rows = report.trial_rows = [run_trial(i) for i in range(trials)]
     ok_rows = [r for r in rows if r.error is None]
     report.n_failures = trials - len(ok_rows)
     for r in ok_rows:
@@ -538,26 +530,25 @@ def simplicity_certificate(delta, factor, t, k, N, tau_rel=None):
     always fails the kernel condition: its harmonic spinors persist under
     every conformal deformation.
 
-    Raises ValueError when k reaches beyond the trustworthy part of the
-    truncated spectrum.
+    Only the trusted window |lambda| <= ``trust_radius`` is solved (see
+    ``conformal.trusted_spectrum``); raises ValueError when it holds fewer
+    than k eigenvalues on a side.
     """
     k = int(k)
     if k < 1:
         raise ValueError("k must be >= 1")
     spin = delta if isinstance(delta, SpinStructure) else SpinStructure(tuple(delta))
     ms = build_mode_set(N, spin)
-    res = deformed_spectrum(factor, t, ms, tau_rel=tau_rel, keep_vectors=False, keep_B=False)
+    res = trusted_spectrum(factor, t, ms, tau_rel=tau_rel)
     kernel_dim = int(np.sum(np.abs(res.eigenvalues) <= KERNEL_TOL))
     pos = [c for c in res.clusters if c.lam > KERNEL_TOL]
     neg = [c for c in reversed(res.clusters) if c.lam < -KERNEL_TOL]
     pos_vals, pos_mults = _enumerate_side(pos, k)
     neg_vals, neg_mults = _enumerate_side(neg, k)
     if len(pos_vals) < k or len(neg_vals) < k:
-        raise ValueError(f"fewer than k={k} eigenvalues available per side")
-    trust = (N - 0.5) * float(np.exp(-abs(t) * factor.sup_abs()))
-    if pos_vals[-1] >= trust or abs(neg_vals[-1]) >= trust:
         raise ValueError(
-            f"k={k} reaches past the trustworthy truncation radius {trust:.3f}"
+            f"k={k} reaches past the trustworthy truncation radius "
+            f"{res.meta['trust_radius']:.3f}"
         )
 
     def result(passed, reason=None, offending=None):

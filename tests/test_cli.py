@@ -10,7 +10,10 @@ import scipy.linalg
 
 import spintorus
 from spintorus import cli
-from spintorus.torus_dirac import closed_form_spectrum
+from spintorus.conformal import build_deformed_operator, trust_radius
+from spintorus.eigensolver import RESIDUAL_BOUND, cluster_eigenvalues
+from spintorus.experiments import random_factor
+from spintorus.torus_dirac import build_mode_set, closed_form_spectrum
 
 
 def run(capsys, *args):
@@ -58,6 +61,71 @@ class TestSpectrum:
         }
         for line in closed_form_spectrum((1, 0, 0), 2.5):
             assert got[round(line.lam, 9)] == (line.mult_c, line.mult_h)
+
+    @pytest.mark.parametrize("t", [0.0, 0.05])
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("delta", ["0,0,0", "1,0,0", "1,1,1"])
+    def test_window_matches_full_solve(self, capsys, tmp_path, delta, N, t):
+        out = tmp_path / "spec.json"
+        code, _, _ = run(
+            capsys, "spectrum", "--delta", delta, "--N", str(N), "--f-random", "41,2,0.3",
+            "--t", str(t), "--out", str(out),
+        )
+        assert code == 0
+        doc = json.loads(out.read_text())
+        factor = random_factor(41, 2, 0.3)
+        radius = trust_radius(factor, t, N)
+        assert doc["meta"]["trust_radius"] == radius
+
+        ms = build_mode_set(N, tuple(int(d) for d in delta.split(",")))
+        op = build_deformed_operator(factor, t, ms)
+        full = scipy.linalg.eigh(op.A, op.B, eigvals_only=True)
+        tau = doc["meta"]["tau_rel"]
+        # a flat shell at exactly R = N - 1/2 counts as inside
+        inside = [c for c in cluster_eigenvalues(full, tau) if abs(c.lam) <= radius + 1e-9]
+        assert [c["mult_c"] for c in doc["clusters"]] == [c.mult_c for c in inside]
+        lambdas = [c["lambda"] for c in doc["clusters"]]
+        assert np.allclose(lambdas, [c.lam for c in inside], rtol=0, atol=1e-12)
+        expected = full[inside[0].start : inside[-1].stop]
+        assert np.allclose(doc["eigenvalues"], expected, rtol=0, atol=1e-12)
+        assert all(c["mult_c"] % 2 == 0 for c in doc["clusters"])
+        scale = max(1.0, np.max(np.abs(doc["eigenvalues"])))
+        assert doc["residual_max"] <= RESIDUAL_BOUND * scale
+
+    def test_csv_and_table_list_trusted_clusters(self, capsys, tmp_path):
+        out = tmp_path / "spec.csv"
+        code, table, _ = run(
+            capsys, "spectrum", "--delta", "1,0,0", "--N", "2", "--out", str(out),
+            "--format", "csv",
+        )
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        lambdas = [float(r.split(",")[0]) for r in rows]
+        assert max(abs(v) for v in lambdas) == pytest.approx(1.5, abs=1e-12)
+        assert len(table.splitlines()) == 2 + len(rows)
+
+    def test_t_grid_tolerances(self, capsys, monkeypatch):
+        seen = []
+        solve = cli.deformed_spectrum
+
+        def recording(factor, t, ms, tau_rel=None, **kwargs):
+            seen.append((t, tau_rel))
+            return solve(factor, t, ms, tau_rel=tau_rel, **kwargs)
+
+        monkeypatch.setattr(cli, "deformed_spectrum", recording)
+        taus = ("--tau-degenerate", "1e-5", "--tau-split", "1e-8")
+        code, _, _ = run(
+            capsys, "spectrum", "--delta", "1,0,0", "--N", "1", "--f-cos", "1,0,0,0.5",
+            "--t-grid", "0,0.02", *taus,
+        )
+        assert code == 0
+        assert seen == [(0.0, 1e-5), (0.02, 1e-8)]
+        seen.clear()
+        code, _, _ = run(
+            capsys, "spectrum", "--delta", "1,0,0", "--N", "1", "--t-grid", "0.1,0.2", *taus
+        )
+        assert code == 0
+        assert seen == [(0.1, 1e-5), (0.2, 1e-5)]
 
     def test_homothety_scaling(self, capsys, tmp_path):
         flat_out = tmp_path / "flat.json"
@@ -218,7 +286,7 @@ class TestGenericityCommand:
         ]
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         assert run(capsys, *args, "--out", str(out1))[0] == 0
-        assert run(capsys, *args, "--out", str(out2), "--workers", "2")[0] == 0
+        assert run(capsys, *args, "--out", str(out2))[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -254,6 +322,26 @@ class TestConfigFile:
         doc = json.loads(out.read_text())
         assert doc["meta"]["N"] == 2  # flag wins
         assert doc["meta"]["delta"] == [1, 0, 0]  # from file
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"N": "3"}, {"t": "x"}, {"trials": 2.5}, {"Nn": 5}, {"workers": 2}, {"N": True},
+         {"delta": [1, 0, "0"]}, {"t_grid": [0.0, "a"]}],
+    )
+    def test_bad_config_values(self, capsys, tmp_path, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        code, out, err = run(capsys, "spectrum", "--config", str(cfg))
+        assert code == 3
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert out == ""
+
+    def test_config_values_cast(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": [1, 0, 0], "N": 1, "t": 0, "cluster_index": None}))
+        out = tmp_path / "spec.json"
+        assert run(capsys, "spectrum", "--config", str(cfg), "--out", str(out))[0] == 0
+        assert json.loads(out.read_text())["meta"]["t"] == 0.0
 
     def test_bad_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

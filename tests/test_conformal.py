@@ -349,6 +349,45 @@ class TestDeformedSpectrum:
         assert_allclose(V.conj().T @ B @ V, np.eye(ms.dim), atol=1e-10)
 
 
+class TestTrustedSpectrum:
+    def test_trust_radius_formula(self):
+        f = random_factor(5, 2, 0.3)
+        assert cf.trust_radius(f, 0.0, 3) == 2.5
+        assert cf.trust_radius(f, -0.05, 4) == 3.5 * np.exp(-0.05 * f.sup_abs())
+
+    def test_margin_grows_until_edge_clusters_are_whole(self, monkeypatch):
+        ms = build_mode_set(3, (1, 0, 0))
+        f = cf.ConformalFactor.zero()
+        expected = cf.trusted_spectrum(f, 0.0, ms)
+        calls = []
+        solve = cf.deformed_spectrum
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["subset_by_value"])
+            return solve(*args, **kwargs)
+
+        # a margin far inside one clustering tolerance leaves the 2.5 shell
+        # touching the window edge, so the window has to widen
+        monkeypatch.setattr(cf, "TRUST_MARGIN", 1e-3)
+        monkeypatch.setattr(cf, "deformed_spectrum", counting)
+        res = cf.trusted_spectrum(f, 0.0, ms)
+        assert len(calls) > 1
+        assert calls[-1][1] > calls[0][1]
+        assert [c.mult_c for c in res.clusters] == [c.mult_c for c in expected.clusters]
+        assert_allclose(res.eigenvalues, expected.eigenvalues, atol=1e-12)
+
+    def test_empty_window(self):
+        # a constant factor scales the spectrum and R alike: at large t only
+        # the kernel of the trivial structure stays inside
+        ms = build_mode_set(1, (0, 0, 0))
+        res = cf.trusted_spectrum(cf.ConformalFactor.constant(1.0), 0.9, ms)
+        assert [c.mult_c for c in res.clusters] == [2]
+        res = cf.trusted_spectrum(
+            cf.ConformalFactor.constant(1.0), 0.9, build_mode_set(1, (1, 1, 1))
+        )
+        assert res.clusters == [] and res.eigenvalues.size == 0
+
+
 class TestApplyDeformedDirac:
     def test_t_zero_is_flat(self, rng):
         ms = build_mode_set(2, (1, 0, 0))

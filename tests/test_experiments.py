@@ -145,7 +145,7 @@ class TestGenericityScan:
 
     def test_deterministic_bytes(self):
         r1 = ex.genericity_scan((1, 0, 0), 3, 0.05, 2, 2, 0.3, seed=9)
-        r2 = ex.genericity_scan((1, 0, 0), 3, 0.05, 2, 2, 0.3, seed=9, workers=2)
+        r2 = ex.genericity_scan((1, 0, 0), 3, 0.05, 2, 2, 0.3, seed=9)
         b1 = json.dumps(r1.to_json_dict(), sort_keys=True).encode()
         b2 = json.dumps(r2.to_json_dict(), sort_keys=True).encode()
         assert b1 == b2
@@ -274,6 +274,15 @@ class TestSimplicityCertificate:
         # once failing, stays failing as k grows
         for a, b in zip(passed, passed[1:]):
             assert a or not b
+
+    def test_values_match_full_solve(self):
+        f = ex.random_factor(12, 2, 0.3)
+        rep = ex.simplicity_certificate((1, 0, 0), f, 0.05, 4, 3)
+        full = deformed_spectrum(f, 0.05, build_mode_set(3, (1, 0, 0)), keep_vectors=False)
+        pos = [c.lam for c in full.clusters if c.lam > 0][:4]
+        neg = [c.lam for c in reversed(full.clusters) if c.lam < 0][:4]
+        assert_allclose(rep.positive, pos, rtol=0, atol=1e-12)
+        assert_allclose(rep.negative, neg, rtol=0, atol=1e-12)
 
     def test_k_beyond_trust_raises(self):
         f = ConformalFactor.zero()
