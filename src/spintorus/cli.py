@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import eigensolver
+from . import eigensolver, validate
 from .conformal import (
     ConformalFactor,
     cluster_tolerance,
@@ -73,8 +73,8 @@ class RunConfig:
             raise ConfigError(f"N must lie in [1, 8], got {self.N}")
         if any(d not in (0, 1) for d in self.delta) or len(self.delta) != 3:
             raise ConfigError(f"delta must lie in {{0,1}}^3, got {self.delta}")
-        if self.tau_degenerate <= 0 or self.tau_split <= 0:
-            raise ConfigError("cluster tolerances must be positive")
+        if not all(np.isfinite(x) and x > 0 for x in (self.tau_degenerate, self.tau_split)):
+            raise ConfigError("cluster tolerances must be positive and finite")
         if not np.isfinite(self.t):
             raise ConfigError("t must be finite")
         if self.t_grid is not None and (
@@ -244,6 +244,13 @@ def _config_value(key, kind, val):
     raise ConfigError(f"config key {key!r} must be {kind}, got {val!r}")
 
 
+#: Flags whose text needs parsing; argparse converts the others already.
+FLAG_PARSERS = {
+    "delta": lambda text: SpinStructure.parse(text).delta,
+    "t_grid": lambda text: [float(p) for p in str(text).split(",") if p],
+}
+
+
 def load_config(args):
     base = {}
     if getattr(args, "config", None):
@@ -263,30 +270,10 @@ def load_config(args):
             raise ConfigError(f"unknown config key {key!r}")
         setattr(cfg, key, _config_value(key, types[key], val))
 
-    def take(name, cast=None):
+    for name in types:
         val = getattr(args, name, None)
         if val is not None:
-            setattr(cfg, name, cast(val) if cast else val)
-
-    if getattr(args, "delta", None) is not None:
-        cfg.delta = SpinStructure.parse(args.delta).delta
-    take("N", int)
-    take("t", float)
-    if getattr(args, "t_grid", None) is not None:
-        cfg.t_grid = [float(p) for p in str(args.t_grid).split(",") if p]
-    take("seed", int)
-    take("trials", int)
-    take("degree", int)
-    take("amplitude", float)
-    take("m_clusters", int)
-    take("k", int)
-    take("cluster_index", int)
-    take("cluster_lambda", float)
-    take("max_degree", int)
-    take("tau_degenerate", float)
-    take("tau_split", float)
-    take("out")
-    take("format")
+            setattr(cfg, name, FLAG_PARSERS.get(name, lambda v: v)(val))
     for kind in ("const", "cos", "file", "json", "random"):
         val = getattr(args, f"f_{kind}", None)
         if val is not None:
@@ -326,7 +313,7 @@ def cmd_spectrum(cfg):
         return EXIT_OK
     res = trusted_spectrum(factor, cfg.t, ms, tau_rel=tau(cfg.t))
     doc = res.to_json_dict()
-    _write_artifact(cfg, doc, res.csv_rows())
+    _write_artifact(cfg, doc, spectrum_csv_rows(res.clusters))
     print(f"delta={cfg.spin_structure()} N={cfg.N} t={cfg.t} f={factor.describe()}")
     print(f"{'lambda':>14}  {'mult_C':>6}  {'mult_H':>6}")
     for c in res.clusters:
@@ -414,6 +401,7 @@ def cmd_genericity(cfg):
         cfg.amplitude,
         cfg.seed,
         m_clusters=cfg.m_clusters,
+        tolerances=(cfg.tau_degenerate, cfg.tau_split),
     )
     _write_artifact(cfg, report.to_json_dict(), report.csv_rows())
     frac = report.fraction_all_simple
@@ -432,8 +420,9 @@ def cmd_genericity(cfg):
 
 def cmd_simplicity(cfg):
     factor = cfg.build_factor()
+    tau_rel = cluster_tolerance(factor, cfg.t, cfg.tau_degenerate, cfg.tau_split)
     report = simplicity_certificate(
-        cfg.spin_structure(), factor, cfg.t, cfg.k, cfg.N
+        cfg.spin_structure(), factor, cfg.t, cfg.k, cfg.N, tau_rel=tau_rel
     )
     _write_artifact(cfg, report.to_json_dict())
     verdict = "passes" if report.passed else f"fails ({report.reason})"
@@ -441,18 +430,8 @@ def cmd_simplicity(cfg):
     return EXIT_OK
 
 
-# ------------------------------------------------------------- validation
-
-
-def run_validation_suite(seed=2024):
-    """Cross-module invariant suite used by the ``validate`` subcommand."""
-    from . import validate as _validate
-
-    return _validate.run_all(seed=seed)
-
-
 def cmd_validate(cfg):
-    checks = run_validation_suite(seed=cfg.seed)
+    checks = validate.run_all(seed=cfg.seed)
     all_passed = all(c["passed"] for c in checks)
     doc = {"checks": checks, "all_passed": all_passed}
     text = dump_json(doc, cfg.out)

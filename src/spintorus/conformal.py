@@ -55,7 +55,33 @@ def _next_pow2(n):
     return p
 
 
-class ConformalFactor:
+class CenteredCube:
+    """Fourier coefficients c(m) on a centred cube |m|_inf <= radius.
+
+    ``values`` has shape ``(2 radius + 1,)^3`` and holds c(m) at index
+    ``m + radius``; coefficients outside the cube are zero.
+    """
+
+    values: np.ndarray
+
+    @property
+    def radius(self):
+        return (self.values.shape[0] - 1) // 2
+
+    def lookup(self, diffs):
+        """Coefficients for an integer difference array of shape (..., 3)."""
+        r = self.radius
+        diffs = np.asarray(diffs, dtype=np.int64)
+        inside = np.all(np.abs(diffs) <= r, axis=-1)
+        idx = np.where(inside[..., None], diffs + r, 0)
+        out = self.values[idx[..., 0], idx[..., 1], idx[..., 2]]
+        return np.where(inside, out, 0.0)
+
+    def coeff(self, m):
+        return complex(self.lookup(m))
+
+
+class ConformalFactor(CenteredCube):
     """Real trigonometric polynomial f = sum_m fhat(m) e^{i<m,x>}, |m|_inf <= degree.
 
     Coefficients are stored on a centered cube and symmetrized so that
@@ -147,12 +173,6 @@ class ConformalFactor:
         )
 
     # -- queries ------------------------------------------------------
-
-    def coeff(self, m):
-        m = tuple(int(x) for x in m)
-        if any(abs(x) > self.degree for x in m):
-            return 0.0 + 0.0j
-        return complex(self.values[tuple(x + self.degree for x in m)])
 
     @property
     def is_zero(self):
@@ -248,7 +268,7 @@ class ConformalFactor:
 
 
 @dataclass
-class ExpCoeffs:
+class ExpCoeffs(CenteredCube):
     """Fourier coefficients of e^{tf} on a centered cube |m|_inf <= band_used.
 
     ``recon_error`` is the max-norm error, relative to max |e^{tf}|, of
@@ -261,21 +281,6 @@ class ExpCoeffs:
     values: np.ndarray  # (2 b + 1,)^3
     grid_size: int
     recon_error: float
-
-    def coeff(self, m):
-        b = self.band_used
-        if any(abs(int(x)) > b for x in m):
-            return 0.0 + 0.0j
-        return complex(self.values[tuple(int(x) + b for x in m)])
-
-    def lookup(self, diffs):
-        """Coefficients for an integer difference array of shape (..., 3)."""
-        b = self.band_used
-        diffs = np.asarray(diffs, dtype=np.int64)
-        inside = np.all(np.abs(diffs) <= b, axis=-1)
-        idx = np.where(inside[..., None], diffs + b, 0)
-        out = self.values[idx[..., 0], idx[..., 1], idx[..., 2]]
-        return np.where(inside, out, 0.0)
 
 
 def _centered_block(arr, b, G):
@@ -359,16 +364,7 @@ def assemble_multiplication(mode_set, coeff_lookup):
 
 def factor_multiplication_matrix(factor, mode_set):
     """Exact Galerkin matrix of multiplication by the trig polynomial f."""
-
-    def lookup(diffs):
-        d = factor.degree
-        diffs = np.asarray(diffs, dtype=np.int64)
-        inside = np.all(np.abs(diffs) <= d, axis=-1)
-        idx = np.where(inside[..., None], diffs + d, 0)
-        out = factor.values[idx[..., 0], idx[..., 1], idx[..., 2]]
-        return np.where(inside, out, 0.0)
-
-    return assemble_multiplication(mode_set, lookup)
+    return assemble_multiplication(mode_set, factor.lookup)
 
 
 def assemble_B(factor, t, mode_set, tol=1e-12):
@@ -457,7 +453,6 @@ def deformed_spectrum(
     mode_set,
     tau_rel=None,
     keep_vectors=True,
-    keep_B=True,
     subset_by_index=None,
     subset_by_value=None,
 ):
@@ -466,6 +461,10 @@ def deformed_spectrum(
     At t = 0 the weight matrix is the exact identity and the flat spectrum is
     reproduced exactly.  The default clustering tolerance is the degeneracy
     tolerance at t = 0 and the split-detection tolerance otherwise.
+
+    With ``keep_vectors`` the result keeps the eigenvectors and, for a
+    nontrivial weight, the matrix B, which curve matching reads; without it
+    it keeps neither.
 
     ``subset_by_index`` / ``subset_by_value`` restrict the solve to a window
     of eigenpairs (see ``eigensolver.solve_gen_hermitian``); every returned
@@ -499,7 +498,7 @@ def deformed_spectrum(
         tau_rel,
         meta,
         mode_set=mode_set,
-        B=None if (identity_B or not keep_B) else op.B,
+        B=None if (identity_B or not keep_vectors) else op.B,
         keep_vectors=keep_vectors,
     )
 
@@ -532,7 +531,6 @@ def trusted_spectrum(factor, t, mode_set, tau_rel=None):
             mode_set,
             tau_rel=tau_rel,
             keep_vectors=False,
-            keep_B=False,
             subset_by_value=(-edge, edge),
         )
         w = res.eigenvalues

@@ -35,7 +35,7 @@ class SpectrumResult:
     """Sorted spectrum of one (A, B) solve with clustering and metadata.
 
     ``vectors`` are B-orthonormal columns with canonical phases; ``B`` is kept
-    (when requested) so curve matching can score eigenvector overlaps in the
+    with them so curve matching can score eigenvector overlaps in the
     deformed inner product.  Serialized artifacts carry only eigenvalues,
     clusters, the residual bound and metadata.
     """
@@ -74,37 +74,6 @@ class SpectrumResult:
             "residual_max": float(self.residual_max),
         }
 
-    @classmethod
-    def from_json_dict(cls, doc):
-        values = np.asarray(doc["eigenvalues"], dtype=float)
-        clusters = []
-        start = 0
-        for c in doc["clusters"]:
-            mult_c = int(c["mult_c"])
-            clusters.append(
-                ClusterInfo(
-                    lam=float(c["lambda"]),
-                    mult_c=mult_c,
-                    mult_h=int(c["mult_h"]),
-                    start=start,
-                    stop=start + mult_c,
-                    kramers_ok=mult_c % 2 == 0,
-                )
-            )
-            start += mult_c
-        return cls(
-            eigenvalues=values,
-            clusters=clusters,
-            residual_max=float(doc["residual_max"]),
-            meta=dict(doc["meta"]),
-        )
-
-    def csv_rows(self):
-        rows = [("lambda", "mult_complex", "mult_quaternionic")]
-        for c in self.clusters:
-            rows.append((repr(float(c.lam)), str(c.mult_c), str(c.mult_h)))
-        return rows
-
 
 def canonicalize_phases(V, tol=1e-8):
     """Rotate each column so its first significant entry is real positive.
@@ -126,14 +95,13 @@ def canonicalize_phases(V, tol=1e-8):
     return V
 
 
-def solve_gen_hermitian(
-    A, B=None, residual_bound=RESIDUAL_BOUND, subset_by_index=None, subset_by_value=None
-):
+def solve_gen_hermitian(A, B=None, subset_by_index=None, subset_by_value=None):
     """Solve A x = lambda B x for Hermitian A and Hermitian PD B.
 
     Returns ascending eigenvalues, B-orthonormal phase-canonicalized
     eigenvectors, and the largest per-vector residual
-    ``||A x - lambda B x||_2`` (with ``||x||_B = 1``).
+    ``||A x - lambda B x||_2`` (with ``||x||_B = 1``), which must stay below
+    ``RESIDUAL_BOUND * max(1, max |lambda|)``.
 
     ``subset_by_index`` (inclusive ``[lo, hi]``) or ``subset_by_value``
     (half-open ``(lo, hi]``) restricts the solve to a window of eigenpairs;
@@ -165,20 +133,22 @@ def solve_gen_hermitian(
     residuals = np.linalg.norm(R, axis=0)
     residual_max = float(residuals.max()) if residuals.size else 0.0
     scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    if residual_max > residual_bound * scale:
+    if residual_max > RESIDUAL_BOUND * scale:
         raise RuntimeError(
             f"eigensolver residual {residual_max:.3e} exceeds bound "
-            f"{residual_bound:.3e} * {scale:.3e}"
+            f"{RESIDUAL_BOUND:.3e} * {scale:.3e}"
         )
     return w, V, residual_max
 
 
-def cluster_eigenvalues(values, tau_rel):
-    """Partition sorted eigenvalues into maximal runs of near-equal values.
+def cluster_eigenvalues(values, tau_rel=0.0, tau_abs=0.0):
+    """Partition sorted values into maximal runs of near-equal values.
 
     Consecutive values belong to the same cluster when their gap is at most
-    ``tau_rel * max(1, |value|)``.  Returns ClusterInfo entries; odd complex
-    multiplicity is flagged (``kramers_ok=False``) rather than raised.
+    ``tau_abs + tau_rel * max(1, |value|)``: spectra use the relative
+    tolerance, first-order rates an absolute one.  Returns ClusterInfo
+    entries whose ``lam`` is the member mean; odd complex multiplicity is
+    flagged (``kramers_ok=False``) rather than raised.
     """
     values = np.asarray(values, dtype=float)
     if np.any(np.diff(values) < 0):
@@ -186,7 +156,7 @@ def cluster_eigenvalues(values, tau_rel):
     clusters = []
     start = 0
     for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tau_rel * max(
+        if i == len(values) or values[i] - values[i - 1] > tau_abs + tau_rel * max(
             1.0, abs(values[i - 1]), abs(values[i])
         ):
             members = values[start:i]

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import eigensolver
-from .conformal import ConformalFactor, deformed_spectrum, trusted_spectrum
+from .conformal import ConformalFactor, cluster_tolerance, deformed_spectrum, trusted_spectrum
 from .errors import ClusterNotIsolatedError, PositiveDefiniteError, SplitSearchError
-from .perturbation import flat_cluster_window, group_distinct, perturbation_matrix
+from .perturbation import flat_cluster_window, perturbation_matrix
 from .torus_dirac import SpinStructure, build_mode_set
 
 #: Generalized eigenvalues below this absolute size count as kernel elements.
@@ -129,27 +129,6 @@ class SplitCertificate:
             "candidates_tried": self.candidates_tried,
         }
 
-    @classmethod
-    def from_json_dict(cls, doc):
-        return cls(
-            lam=float(doc["lambda"]),
-            p_c_before=int(doc["p_c_before"]),
-            p_h_before=int(doc["p_h_before"]),
-            factor_label=doc["factor_label"],
-            factor=doc["factor"],
-            rates=[float(r) for r in doc["rates"]],
-            quaternionic_rates=[float(r) for r in doc["quaternionic_rates"]],
-            rate_gap=float(doc["rate_gap"]),
-            t_verify=float(doc["t_verify"]),
-            post_clusters=[
-                (float(c["lambda"]), int(c["mult_c"]), int(c["mult_h"]))
-                for c in doc["post_clusters"]
-            ],
-            max_p_h_after=int(doc["max_p_h_after"]),
-            max_position_error=float(doc["max_position_error"]),
-            candidates_tried=int(doc["candidates_tried"]),
-        )
-
 
 def _verify_split(cluster, factor, report, t, position_tol):
     """Solve at the verification t and match sub-clusters to predictions."""
@@ -161,7 +140,6 @@ def _verify_split(cluster, factor, report, t, position_tol):
         ms,
         tau_rel=eigensolver.TAU_REL_SPLIT,
         keep_vectors=False,
-        keep_B=False,
         subset_by_value=(lo, hi),
     )
     sub = [c for c in res.clusters if lo < c.lam < hi]
@@ -171,8 +149,8 @@ def _verify_split(cluster, factor, report, t, position_tol):
         )
     q = np.asarray(report.quaternionic_rates, dtype=float)
     tol_group = 1e-8 * max(1.0, abs(cluster.lam), float(np.max(np.abs(q))))
-    reps, _sizes = group_distinct(np.sort(q), tol_group)
-    predicted = [cluster.lam + t * r for r in reps]
+    groups = eigensolver.cluster_eigenvalues(np.sort(q), tau_abs=tol_group)
+    predicted = [cluster.lam + t * g.lam for g in groups]
     max_err = 0.0
     for c in sub:
         err = min(abs(c.lam - p) for p in predicted)
@@ -302,35 +280,6 @@ class GenericityReport:
             "n_failures": self.n_failures,
         }
 
-    @classmethod
-    def from_json_dict(cls, doc):
-        rows = [
-            GenericityTrial(
-                index=r["index"],
-                f_ref=r["f_ref"],
-                lambdas=[float(v) for v in r["lambdas"]],
-                mult_c=[int(v) for v in r["mult_c"]],
-                mult_h=[int(v) for v in r["mult_h"]],
-                all_simple=bool(r["all_simple"]),
-                error=r["error"],
-            )
-            for r in doc["trial_rows"]
-        ]
-        return cls(
-            delta=tuple(doc["delta"]),
-            N=int(doc["N"]),
-            t=float(doc["t"]),
-            degree=int(doc["degree"]),
-            amplitude=float(doc["amplitude"]),
-            seed=int(doc["seed"]),
-            trials=int(doc["trials"]),
-            m_clusters=int(doc["m_clusters"]),
-            trial_rows=rows,
-            pattern_counts=dict(doc["pattern_counts"]),
-            fraction_all_simple=doc["fraction_all_simple"],
-            n_failures=int(doc["n_failures"]),
-        )
-
     def csv_rows(self):
         rows = [("trial", "f_ref", "all_simple", "mult_h_pattern", "error")]
         for r in self.trial_rows:
@@ -357,7 +306,7 @@ def _initial_window(mode_set, m_clusters):
     return kernel + int(mode_set.positive_shell_sizes()[: m_clusters + 1].sum())
 
 
-def lowest_positive_clusters(factor, t, mode_set, m_clusters):
+def lowest_positive_clusters(factor, t, mode_set, m_clusters, tau_rel=None):
     """The first ``m_clusters`` positive clusters of the deformed spectrum.
 
     Solves only the index window ``[i0, i0 + k)`` starting at the first
@@ -377,8 +326,8 @@ def lowest_positive_clusters(factor, t, mode_set, m_clusters):
             factor,
             t,
             mode_set,
+            tau_rel=tau_rel,
             keep_vectors=False,
-            keep_B=False,
             subset_by_index=(i0, stop - 1),
         )
         top = _positive_clusters(res, m_clusters + 1)
@@ -396,6 +345,7 @@ def genericity_scan(
     amplitude,
     seed,
     m_clusters=3,
+    tolerances=(eigensolver.TAU_REL_DEGENERATE, eigensolver.TAU_REL_SPLIT),
 ):
     """Monte Carlo over random factors: how often do the first ``m_clusters``
     positive clusters come out quaternionically simple?
@@ -404,7 +354,8 @@ def genericity_scan(
     sequences, trials run in index order).  Per-trial solver failures are
     recorded, not fatal.  Each trial solves only the eigenpairs its clusters
     need (see ``lowest_positive_clusters``); the residual bound holds on all
-    of them.
+    of them.  ``tolerances`` is the (degenerate, split) pair of clustering
+    tolerances, resolved per trial by ``conformal.cluster_tolerance``.
     """
     trials = int(trials)
     if trials < 0:
@@ -430,8 +381,9 @@ def genericity_scan(
     def run_trial(i):
         label = f"random:{int(seed)}:{i}"
         factor = random_factor(children[i], degree, amplitude, label=label)
+        tau_rel = cluster_tolerance(factor, t, *tolerances)
         try:
-            top = lowest_positive_clusters(factor, t, ms, m_clusters)
+            top = lowest_positive_clusters(factor, t, ms, m_clusters, tau_rel=tau_rel)
         except (PositiveDefiniteError, RuntimeError) as exc:
             return GenericityTrial(i, label, [], [], [], False, error=str(exc))
         mult_h = [c.mult_h for c in top]
@@ -488,24 +440,6 @@ class SimplicityReport:
             "positive": [float(v) for v in self.positive],
             "negative": [float(v) for v in self.negative],
         }
-
-    @classmethod
-    def from_json_dict(cls, doc):
-        return cls(
-            delta=tuple(doc["delta"]),
-            N=int(doc["N"]),
-            t=float(doc["t"]),
-            k=int(doc["k"]),
-            f_ref=doc["f_ref"],
-            passed=bool(doc["passed"]),
-            reason=doc["reason"],
-            offending=None
-            if doc["offending"] is None
-            else [float(v) for v in doc["offending"]],
-            kernel_dim=int(doc["kernel_dim"]),
-            positive=[float(v) for v in doc["positive"]],
-            negative=[float(v) for v in doc["negative"]],
-        )
 
 
 def _enumerate_side(clusters, k):

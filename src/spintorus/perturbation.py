@@ -28,8 +28,8 @@ from .conformal import deformed_spectrum, factor_multiplication_matrix
 from .errors import ClusterNotIsolatedError
 from .torus_dirac import (
     SpinorField,
+    apply_J_coeffs,
     apply_J_field,
-    apply_flat_dirac,
     closed_form_spectrum,
     field_on_grid,
     l2_inner,
@@ -72,17 +72,6 @@ class EigenCluster:
         ]
 
 
-def _j_matrix_action(mode_set, V):
-    """Apply the antilinear J columnwise to a stack of coefficient vectors."""
-    M = mode_set.n_modes
-    c = V.reshape(M, 2, -1)
-    swapped = np.conj(c[mode_set.neg_index])
-    out = np.empty_like(swapped)
-    out[:, 0, :] = -swapped[:, 1, :]
-    out[:, 1, :] = swapped[:, 0, :]
-    return out.reshape(2 * M, -1)
-
-
 def validate_cluster(cluster, gram_tol=1e-10, residual_tol=1e-9):
     """Check the basis invariants: orthonormality and flat eigen-residuals."""
     V = cluster.vectors
@@ -116,7 +105,7 @@ def extract_cluster(result, mode_set, lam=None, index=None, j_tol=1e-8):
             )
         info = result.clusters[index]
     V = result.vectors[:, info.start : info.stop]
-    JV = _j_matrix_action(mode_set, V)
+    JV = apply_J_coeffs(mode_set, V)
     proj = V @ (V.conj().T @ JV)
     j_closed = float(np.max(np.abs(JV - proj))) <= j_tol
     cluster = EigenCluster(mode_set, float(info.lam), V, j_closed)
@@ -161,35 +150,10 @@ class PerturbationReport:
             "min_gap": float(self.min_gap),
         }
 
-    @classmethod
-    def from_json_dict(cls, doc):
-        q = doc.get("quaternionic_rates")
-        return cls(
-            lam=float(doc["lambda"]),
-            f_ref=doc["f_ref"],
-            P=None,
-            rates=np.asarray(doc["rates"], dtype=float),
-            quaternionic_rates=None if q is None else np.asarray(q, dtype=float),
-            min_gap=float(doc["min_gap"]),
-        )
-
-
-def group_distinct(values, tol):
-    """Group sorted values into runs closer than tol; returns representatives
-    and group sizes."""
-    values = np.asarray(values, dtype=float)
-    reps, sizes = [], []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol:
-            reps.append(float(values[start:i].mean()))
-            sizes.append(i - start)
-            start = i
-    return reps, sizes
-
 
 def _distinct_min_gap(values, tol):
-    reps, _ = group_distinct(values, tol)
+    """Smallest gap between the distinct values, grouped at absolute tolerance tol."""
+    reps = [c.lam for c in eigensolver.cluster_eigenvalues(values, tau_abs=tol)]
     if len(reps) < 2:
         return 0.0
     return float(min(b - a for a, b in zip(reps, reps[1:])))
@@ -294,7 +258,7 @@ def quaternionic_orthonormalize(cluster):
         if nrm < 1e-8:
             continue
         v /= nrm
-        jv = _j_matrix_action(ms, v[:, None])[:, 0]
+        jv = apply_J_coeffs(ms, v)
         chosen.append((v, jv))
         if len(chosen) == cluster.p_h:
             break
@@ -401,7 +365,6 @@ def deformed_cluster_values(factor, t, mode_set, lam, p_c, tau_rel=None):
         mode_set,
         tau_rel=tau_rel,
         keep_vectors=False,
-        keep_B=False,
         subset_by_value=(lo, hi),
     )
     vals = res.eigenvalues[(res.eigenvalues > lo) & (res.eigenvalues < hi)]

@@ -28,17 +28,6 @@ TORUS_DIM = 3
 
 
 @dataclass(frozen=True)
-class TorusGeometry:
-    """Fixed base geometry: cubic lattice 2 pi Z^3, unit total volume."""
-
-    dim: int = TORUS_DIM
-    volume: float = 1.0
-
-
-TORUS = TorusGeometry()
-
-
-@dataclass(frozen=True)
 class SpinStructure:
     """One of the eight spin structures, encoded by delta in {0,1}^3.
 
@@ -143,8 +132,8 @@ class ModeSet:
     def mode_diffs(self):
         """Integer difference table kappa_i - kappa_j, shape (M, M, 3), int16."""
         if self._diffs is None:
-            d = self.modes[:, None, :] - self.modes[None, :, :]
-            self._diffs = np.rint(d).astype(np.int16)
+            k = self.k_values.astype(np.int16)  # the shift delta/2 cancels
+            self._diffs = k[:, None] - k[None]
         return self._diffs
 
     @property
@@ -289,9 +278,19 @@ def assemble_flat_dirac(mode_set):
     return A
 
 
+def apply_J_coeffs(mode_set, V):
+    """Quaternionic structure on coefficients: the spinor at kappa becomes J(u_{-kappa}).
+
+    ``V`` is one coefficient vector (or ``(n_modes, 2)`` array) or a stack
+    of column vectors in mode-major layout; the result has the same shape.
+    """
+    c = np.asarray(V).reshape(mode_set.n_modes, 2, -1)[mode_set.neg_index]
+    return apply_J(c.swapaxes(1, 2)).swapaxes(1, 2).reshape(np.shape(V))
+
+
 def apply_J_field(phi):
-    """Quaternionic structure on fields: coefficient at kappa becomes J(u_{-kappa})."""
-    return SpinorField(phi.mode_set, apply_J(phi.coeffs[phi.mode_set.neg_index]))
+    """Quaternionic structure on fields (see ``apply_J_coeffs``)."""
+    return SpinorField(phi.mode_set, apply_J_coeffs(phi.mode_set, phi.coeffs))
 
 
 def min_grid_size(mode_set):

@@ -85,7 +85,7 @@ def check_kramers_pairing(rng, cases=3):
         ms = build_mode_set(2, spin)
         factor = random_factor(rng.integers(0, 2**31), 2, 0.3)
         t = float(rng.uniform(0.01, 0.08))
-        res = deformed_spectrum(factor, t, ms, keep_vectors=False, keep_B=False)
+        res = deformed_spectrum(factor, t, ms, keep_vectors=False)
         for c in res.clusters:
             if not c.kramers_ok:
                 raise AssertionError(
@@ -98,7 +98,7 @@ def check_kernel_constancy(rng, cases=3):
     ms = build_mode_set(2, (0, 0, 0))
     for _ in range(cases):
         factor = random_factor(rng.integers(0, 2**31), 2, 0.4)
-        res = deformed_spectrum(factor, 0.05, ms, keep_vectors=False, keep_B=False)
+        res = deformed_spectrum(factor, 0.05, ms, keep_vectors=False)
         near_zero = int(np.sum(np.abs(res.eigenvalues) <= KERNEL_TOL))
         if near_zero != 2:
             raise AssertionError(f"kernel dimension {near_zero} != 2")
@@ -123,9 +123,7 @@ def check_homothety():
     ms = build_mode_set(2, (1, 1, 0))
     c, t = 0.2, 0.3
     flat = flat_spectrum(ms, keep_vectors=False)
-    res = deformed_spectrum(
-        ConformalFactor.constant(c), t, ms, keep_vectors=False, keep_B=False
-    )
+    res = deformed_spectrum(ConformalFactor.constant(c), t, ms, keep_vectors=False)
     err = np.max(np.abs(res.eigenvalues - np.exp(-t * c) * flat.eigenvalues))
     if err > 1e-10:
         raise AssertionError(f"homothety scaling error {err:.3e}")

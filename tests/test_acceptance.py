@@ -87,7 +87,7 @@ def test_criterion_2_kramers_degeneracy():
         f = random_factor(int(rng.integers(0, 2**31)), int(rng.integers(1, 3)),
                           float(rng.uniform(0.1, 0.5)))
         t = float(rng.uniform(0.01, 0.1)) * (1 if rng.integers(0, 2) else -1)
-        res = deformed_spectrum(f, t, ms, keep_vectors=False, keep_B=False)
+        res = deformed_spectrum(f, t, ms, keep_vectors=False)
         runs += 1
         violations += [c for c in res.clusters if not c.kramers_ok]
     assert runs >= 100
@@ -104,7 +104,7 @@ def test_criterion_3_homothety_exactness():
         ms = build_mode_set(2, spin)
         flat = flat_spectrum(ms)
         for t in (0.1, 0.5):
-            res = deformed_spectrum(factor, t, ms, keep_vectors=False, keep_B=False)
+            res = deformed_spectrum(factor, t, ms, keep_vectors=False)
             err = np.max(np.abs(res.eigenvalues - np.exp(-t * c) * flat.eigenvalues))
             assert err <= 1e-10, f"homothety error {err:.3e} at t={t}"
         cluster = extract_cluster(flat, ms, index=len(flat.clusters) - 1)
@@ -193,7 +193,7 @@ def test_criterion_7_kernel_constancy():
     ms = build_mode_set(2, (0, 0, 0))
     for _ in range(20):
         factor = random_factor(int(rng.integers(0, 2**31)), 2, float(rng.uniform(0.2, 0.6)))
-        res = deformed_spectrum(factor, 0.05, ms, keep_vectors=False, keep_B=False)
+        res = deformed_spectrum(factor, 0.05, ms, keep_vectors=False)
         absw = np.abs(res.eigenvalues)
         n_kernel = int(np.sum(absw <= 1e-8))
         assert n_kernel == 2, f"kernel dimension {n_kernel}"

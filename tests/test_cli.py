@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -289,6 +290,17 @@ class TestGenericityCommand:
         assert run(capsys, *args, "--out", str(out2))[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "t, flag", [("0.05", "--tau-split"), ("0", "--tau-degenerate")]
+    )
+    def test_tolerance_flags(self, capsys, t, flag):
+        args = ["genericity", "--delta", "1,0,0", "--N", "2", "--trials", "2", "--t", t]
+        code, default, _ = run(capsys, *args)
+        assert code == 0
+        code, merged, _ = run(capsys, *args, flag, "0.5")
+        assert code == 0
+        assert "pattern [1,49]: 2" in merged and merged != default
+
 
 class TestSimplicityCommand:
     def test_kernel_failure_for_trivial(self, capsys, tmp_path):
@@ -302,12 +314,51 @@ class TestSimplicityCommand:
         assert not doc["passed"]
         assert doc["reason"] == "kernel"
 
+    def test_tau_split_flag(self, capsys):
+        args = [
+            "simplicity", "--delta", "1,0,0", "--N", "2", "--k", "2",
+            "--f-random", "7,2,0.3", "--t", "0.05",
+        ]
+        assert run(capsys, *args)[1] == "simplicity certificate k=2: passes\n"
+        # 1e-2 merges the split sub-clusters of the shell at sqrt(5)/2 again
+        code, out, _ = run(capsys, *args, "--tau-split", "1e-2")
+        assert code == 0
+        assert out == "simplicity certificate k=2: fails (pair)\n"
+
 
 def test_import_leaves_scipy_optimize_unloaded():
     src = str(Path(spintorus.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, spintorus.cli; sys.exit('scipy.optimize' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+#: (subcommand, flags, equivalent config-file entry): together they cover
+#: every RunConfig field, each with a value other than its default.
+FLAG_CASES = [
+    ("spectrum", ["--delta", "1,0,1"], {"delta": [1, 0, 1]}),
+    ("spectrum", ["--N", "4"], {"N": 4}),
+    ("spectrum", ["--t", "0.02"], {"t": 0.02}),
+    ("spectrum", ["--t-grid", "0,0.01,0.02"], {"t_grid": [0, 0.01, 0.02]}),
+    ("spectrum", ["--seed", "7"], {"seed": 7}),
+    ("spectrum", ["--tau-degenerate", "1e-5"], {"tau_degenerate": 1e-5}),
+    ("spectrum", ["--tau-split", "1e-8"], {"tau_split": 1e-8}),
+    ("spectrum", ["--out", "x.csv"], {"out": "x.csv"}),
+    ("spectrum", ["--format", "csv"], {"format": "csv"}),
+    ("spectrum", ["--f-const", "0.5"], {"factor_kind": "const", "factor_arg": 0.5}),
+    ("spectrum", ["--f-cos", "1,0,0,0.5"], {"factor_kind": "cos", "factor_arg": "1,0,0,0.5"}),
+    ("spectrum", ["--f-file", "f.json"], {"factor_kind": "file", "factor_arg": "f.json"}),
+    ("spectrum", ["--f-json", "{}"], {"factor_kind": "json", "factor_arg": "{}"}),
+    ("spectrum", ["--f-random", "1,2,0.3"], {"factor_kind": "random", "factor_arg": "1,2,0.3"}),
+    ("genericity", ["--trials", "5"], {"trials": 5}),
+    ("genericity", ["--degree", "3"], {"degree": 3}),
+    ("genericity", ["--amplitude", "0.4"], {"amplitude": 0.4}),
+    ("genericity", ["--m-clusters", "2"], {"m_clusters": 2}),
+    ("simplicity", ["--k", "4"], {"k": 4}),
+    ("perturb", ["--cluster-index", "2"], {"cluster_index": 2}),
+    ("perturb", ["--cluster-lambda", "1.5"], {"cluster_lambda": 1.5}),
+    ("split-search", ["--max-degree", "3"], {"max_degree": 3}),
+]
 
 
 class TestConfigFile:
@@ -342,6 +393,31 @@ class TestConfigFile:
         out = tmp_path / "spec.json"
         assert run(capsys, "spectrum", "--config", str(cfg), "--out", str(out))[0] == 0
         assert json.loads(out.read_text())["meta"]["t"] == 0.0
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("key", ["tau_split", "tau_degenerate"])
+    @pytest.mark.parametrize("when", [("--t", "0.05"), ("--t-grid", "0,0.01")])
+    def test_non_finite_tolerances(self, capsys, tmp_path, key, value, when):
+        args = ["spectrum", "--delta", "1,0,0", "--N", "2", "--f-cos", "1,0,0,0.3", *when]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: float(value)}))
+        for source in (["--" + key.replace("_", "-"), value], ["--config", str(cfg)]):
+            code, out, err = run(capsys, *args, *source)
+            assert code == 3
+            assert err == "error: cluster tolerances must be positive and finite\n"
+            assert out == ""
+
+    def test_flags_and_config_file_agree(self, tmp_path):
+        parser = cli.build_parser()
+        covered = set()
+        for command, argv, entry in FLAG_CASES:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(entry))
+            by_flag = cli.load_config(parser.parse_args([command, *argv]))
+            by_file = cli.load_config(parser.parse_args([command, "--config", str(cfg)]))
+            assert by_flag == by_file != cli.RunConfig(), argv
+            covered |= set(entry)
+        assert covered == {f.name for f in dataclasses.fields(cli.RunConfig)}
 
     def test_bad_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

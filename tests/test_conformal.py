@@ -108,6 +108,29 @@ class TestConformalFactor:
         assert g.dtype == np.float64
 
 
+class TestCenteredCube:
+    @pytest.mark.parametrize("cube", ["factor", "exp"])
+    def test_lookup_matches_coeff(self, cube):
+        f = random_factor(4, 2, 0.3)
+        c = f if cube == "factor" else cf.exp_coeffs(f, 0.05, 3)
+        r = c.radius
+        assert c.values.shape == (2 * r + 1,) * 3
+        diffs = np.stack(np.meshgrid(*[np.arange(-r - 2, r + 3)] * 3, indexing="ij"), axis=-1)
+        looked = c.lookup(diffs)
+        for m in diffs.reshape(-1, 3)[::7]:
+            assert looked[tuple(m + r + 2)] == c.coeff(m)
+        assert c.coeff((r + 1, 0, 0)) == 0.0
+        assert c.coeff((0, 0, 0)) == c.values[r, r, r]
+
+    def test_factor_multiplication_matrix(self):
+        ms = build_mode_set(2, (1, 0, 1))
+        f = random_factor(9, 2, 0.4)
+        F = cf.factor_multiplication_matrix(f, ms)
+        for i, j in [(0, 0), (3, 17), (40, 2)]:
+            expected = f.coeff(ms.k_values[i] - ms.k_values[j]) * np.eye(2)
+            assert_allclose(F[2 * i : 2 * i + 2, 2 * j : 2 * j + 2], expected, atol=1e-15)
+
+
 class TestExpCoeffs:
     def test_zero_factor(self):
         exp = cf.exp_coeffs(cf.ConformalFactor.zero(), 0.7, band=3)

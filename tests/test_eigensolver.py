@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,6 +16,7 @@ from spintorus.torus_dirac import (
     assemble_flat_dirac,
     build_mode_set,
     closed_form_spectrum,
+    spectrum_csv_rows,
 )
 
 
@@ -169,6 +172,14 @@ class TestClustering:
         assert clusters[0].mult_h == 3
         assert clusters[0].kramers_ok
 
+    def test_absolute_tolerance(self):
+        vals = [0.0, 5e-9, 1.0, 1.0 + 5e-9, 1e3, 1e3 + 1e-7]
+        groups = es.cluster_eigenvalues(vals, tau_abs=1e-8)
+        assert [c.mult_c for c in groups] == [2, 2, 1, 1]
+        assert groups[0].lam == 2.5e-9 and groups[-1].lam == 1e3 + 1e-7
+        # the relative tolerance scales with |value| and joins the last pair
+        assert [c.mult_c for c in es.cluster_eigenvalues(vals, 1e-9)] == [1, 1, 1, 1, 2]
+
     def test_flat_spectrum_matches_oracle(self):
         ms = build_mode_set(3, (0, 0, 0))
         res = flat_spectrum(ms, keep_vectors=False)
@@ -218,16 +229,24 @@ class TestSpectrumResultSerialization:
         ms = build_mode_set(1, (1, 0, 0))
         res = flat_spectrum(ms, keep_vectors=False)
         doc = res.to_json_dict()
-        back = es.SpectrumResult.from_json_dict(doc)
-        assert back.to_json_dict() == doc
-        assert_allclose(back.eigenvalues, res.eigenvalues)
+        assert json.loads(json.dumps(doc)) == doc
+        assert doc["eigenvalues"] == res.eigenvalues.tolist()
+        assert doc["clusters"] == [
+            {"lambda": c.lam, "mult_c": c.mult_c, "mult_h": c.mult_h} for c in res.clusters
+        ]
+        assert sum(c["mult_c"] for c in doc["clusters"]) == ms.dim
+        assert doc["meta"]["delta"] == [1, 0, 0] and doc["meta"]["N"] == 1
+        assert doc["meta"]["t"] == 0.0 and doc["meta"]["trust_radius"] is None
+        assert doc["residual_max"] == res.residual_max
 
     def test_csv_rows(self):
         ms = build_mode_set(1, (1, 0, 0))
         res = flat_spectrum(ms, keep_vectors=False)
-        rows = res.csv_rows()
+        rows = spectrum_csv_rows(res.clusters)
         assert rows[0] == ("lambda", "mult_complex", "mult_quaternionic")
         assert len(rows) == len(res.clusters) + 1
+        c = res.clusters[0]
+        assert rows[1] == (repr(c.lam), str(c.mult_c), str(c.mult_h))
 
 
 class TestCurveMatching:

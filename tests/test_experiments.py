@@ -111,8 +111,17 @@ class TestSplitSearch:
     def test_certificate_round_trip(self, trivial_cluster):
         cert = ex.split_search(trivial_cluster, 2)
         doc = cert.to_json_dict()
-        back = ex.SplitCertificate.from_json_dict(json.loads(json.dumps(doc)))
-        assert back.to_json_dict() == doc
+        assert json.loads(json.dumps(doc)) == doc
+        assert doc["lambda"] == 1.0 and (doc["p_c_before"], doc["p_h_before"]) == (6, 3)
+        assert doc["factor_label"] == cert.factor_label
+        assert ConformalFactor.from_json_dict(doc["factor"]).to_json_dict() == doc["factor"]
+        assert doc["quaternionic_rates"] == cert.quaternionic_rates
+        assert doc["post_clusters"] == [
+            {"lambda": lam, "mult_c": mc, "mult_h": mh} for lam, mc, mh in cert.post_clusters
+        ]
+        assert sum(c["mult_c"] for c in doc["post_clusters"]) == 6
+        assert doc["max_p_h_after"] < doc["p_h_before"]
+        assert doc["candidates_tried"] == cert.candidates_tried >= 1
 
 
 class TestGenericityScan:
@@ -153,8 +162,16 @@ class TestGenericityScan:
     def test_report_round_trip(self):
         rep = ex.genericity_scan((1, 0, 0), 2, 0.05, 2, 2, 0.3, seed=5)
         doc = rep.to_json_dict()
-        back = ex.GenericityReport.from_json_dict(json.loads(json.dumps(doc)))
-        assert back.to_json_dict() == doc
+        assert json.loads(json.dumps(doc)) == doc
+        assert (doc["delta"], doc["N"], doc["trials"], doc["seed"]) == ([1, 0, 0], 2, 2, 5)
+        assert [r["index"] for r in doc["trial_rows"]] == [0, 1]
+        for row, r in zip(doc["trial_rows"], rep.trial_rows):
+            assert row["f_ref"] == r.f_ref == f"random:5:{r.index}"
+            assert (row["lambdas"], row["mult_c"], row["mult_h"]) == (r.lambdas, r.mult_c, r.mult_h)
+            assert row["all_simple"] is r.all_simple and row["error"] is None
+        assert sum(doc["pattern_counts"].values()) == 2
+        assert doc["fraction_all_simple"] == rep.fraction_all_simple
+        assert doc["n_failures"] == 0
 
     def test_csv_rows(self):
         rep = ex.genericity_scan((1, 0, 0), 2, 0.05, 2, 2, 0.3, seed=5)
@@ -293,8 +310,12 @@ class TestSimplicityCertificate:
         f = ex.random_factor(12, 2, 0.3)
         rep = ex.simplicity_certificate((1, 0, 0), f, 0.05, 2, 3)
         doc = rep.to_json_dict()
-        back = ex.SimplicityReport.from_json_dict(json.loads(json.dumps(doc)))
-        assert back.to_json_dict() == doc
+        assert json.loads(json.dumps(doc)) == doc
+        assert (doc["delta"], doc["N"], doc["t"], doc["k"]) == ([1, 0, 0], 3, 0.05, 2)
+        assert doc["passed"] is rep.passed and doc["reason"] == rep.reason
+        assert doc["offending"] == rep.offending and doc["kernel_dim"] == 0
+        assert doc["positive"] == rep.positive and len(doc["positive"]) == 2
+        assert doc["negative"] == rep.negative and len(doc["negative"]) == 2
 
 
 class TestScalingCovariance:

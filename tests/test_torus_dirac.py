@@ -36,6 +36,15 @@ class TestSpinStructure:
 
 
 class TestModeSet:
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_mode_diffs_equal_float_formula(self, N):
+        for spin in td.all_spin_structures():
+            ms = td.build_mode_set(N, spin)
+            reference = np.rint(ms.modes[:, None, :] - ms.modes[None, :, :]).astype(np.int16)
+            assert ms.mode_diffs.dtype == reference.dtype
+            assert ms.mode_diffs.shape == reference.shape == (ms.n_modes, ms.n_modes, 3)
+            assert ms.mode_diffs.tobytes() == reference.tobytes()
+
     def test_counts_trivial(self):
         ms = td.build_mode_set(1, (0, 0, 0))
         assert ms.n_modes == 27
@@ -278,6 +287,16 @@ class TestJField:
             )
             proj = cols @ (cols.conj().T @ JV)
             assert np.max(np.abs(JV - proj)) < 1e-12
+
+    def test_coefficient_stack_matches_fields(self, rng):
+        ms = td.build_mode_set(2, (0, 1, 1))
+        V = rng.standard_normal((ms.dim, 3)) + 1j * rng.standard_normal((ms.dim, 3))
+        JV = td.apply_J_coeffs(ms, V)
+        assert JV.shape == V.shape
+        for j in range(3):
+            field = td.apply_J_field(td.SpinorField.from_vector(ms, V[:, j]))
+            assert JV[:, j].tobytes() == field.vector.tobytes()
+            assert td.apply_J_coeffs(ms, V[:, j]).tobytes() == field.vector.tobytes()
 
     def test_flat_multiplicities_even(self):
         for delta in [(0, 0, 0), (1, 1, 1)]:
