@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import eigensolver, validate
+from .artifact import to_json
 from .conformal import (
     ConformalFactor,
     cluster_tolerance,
@@ -323,14 +324,7 @@ def cmd_spectrum(cfg):
 
 def cmd_oracle(cfg, lambda_max):
     lines = closed_form_spectrum(cfg.spin_structure(), lambda_max)
-    doc = {
-        "delta": list(cfg.delta),
-        "lambda_max": float(lambda_max),
-        "lines": [
-            {"lambda": line.lam, "mult_c": line.mult_c, "mult_h": line.mult_h}
-            for line in lines
-        ],
-    }
+    doc = to_json({"delta": cfg.delta, "lambda_max": lambda_max, "lines": lines})
     _write_artifact(cfg, doc, spectrum_csv_rows(lines))
     print(f"{'lambda':>14}  {'mult_C':>6}  {'mult_H':>6}")
     for line in lines:

@@ -224,6 +224,16 @@ class ConformalFactor(CenteredCube):
     def mean(self):
         return float(np.real(self.coeff((0, 0, 0))))
 
+    def scaled(self, s):
+        """The factor s * f for s > 0; its extrema are this factor's times s,
+        so the scaled factor is not sampled again to find them."""
+        if not s > 0:
+            raise ValueError(f"scale must be positive, got {s}")
+        out = ConformalFactor(self.degree, self.values * s, label=self.label)
+        lo, hi = self.extrema()
+        out._extrema = (lo * s, hi * s)
+        return out
+
     def describe(self):
         if self.label:
             return self.label
@@ -490,6 +500,7 @@ def deformed_spectrum(
         "t": float(t),
         "f_ref": factor.describe(),
         "volume": op.volume,
+        "trust_radius": None,
     }
     return eigensolver.build_spectrum_result(
         w,

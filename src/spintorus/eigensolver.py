@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .artifact import NOT_ARTIFACT, Artifact
 from .errors import PositiveDefiniteError
 
 #: Relative gap tolerance used to detect true degeneracies at t = 0.
@@ -25,13 +26,13 @@ class ClusterInfo:
     lam: float
     mult_c: int
     mult_h: int
-    start: int
-    stop: int  # exclusive
-    kramers_ok: bool
+    start: int = field(metadata=NOT_ARTIFACT)
+    stop: int = field(metadata=NOT_ARTIFACT)  # exclusive
+    kramers_ok: bool = field(metadata=NOT_ARTIFACT)
 
 
 @dataclass
-class SpectrumResult:
+class SpectrumResult(Artifact):
     """Sorted spectrum of one (A, B) solve with clustering and metadata.
 
     ``vectors`` are B-orthonormal columns with canonical phases; ``B`` is kept
@@ -44,9 +45,9 @@ class SpectrumResult:
     clusters: list[ClusterInfo]
     residual_max: float
     meta: dict
-    vectors: np.ndarray | None = None
-    B: np.ndarray | None = None
-    mode_set: object = None
+    vectors: np.ndarray | None = field(default=None, metadata=NOT_ARTIFACT)
+    B: np.ndarray | None = field(default=None, metadata=NOT_ARTIFACT)
+    mode_set: object = field(default=None, metadata=NOT_ARTIFACT)
 
     def cluster_of(self, lam):
         """The cluster whose representative is closest to lam."""
@@ -54,25 +55,6 @@ class SpectrumResult:
             raise ValueError("empty spectrum")
         best = min(self.clusters, key=lambda c: abs(c.lam - lam))
         return best
-
-    def to_json_dict(self):
-        return {
-            "meta": {
-                "delta": list(self.meta.get("delta", [])),
-                "N": self.meta.get("N"),
-                "t": self.meta.get("t"),
-                "f_ref": self.meta.get("f_ref"),
-                "tau_rel": self.meta.get("tau_rel"),
-                "volume": self.meta.get("volume"),
-                "trust_radius": self.meta.get("trust_radius"),
-            },
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "clusters": [
-                {"lambda": float(c.lam), "mult_c": c.mult_c, "mult_h": c.mult_h}
-                for c in self.clusters
-            ],
-            "residual_max": float(self.residual_max),
-        }
 
 
 def canonicalize_phases(V, tol=1e-8):
@@ -193,7 +175,7 @@ def build_spectrum_result(
 
 
 @dataclass
-class CurveFamily:
+class CurveFamily(Artifact):
     """Eigenvalue trajectories matched across a deformation parameter grid.
 
     ``flagged`` marks trajectories with a low-overlap step or a per-step jump
@@ -213,15 +195,6 @@ class CurveFamily:
             for k, t in enumerate(self.t_values):
                 rows.append((repr(float(t)), str(i), repr(float(self.trajectories[i, k]))))
         return rows
-
-    def to_json_dict(self):
-        return {
-            "t_values": [float(t) for t in self.t_values],
-            "trajectories": [[float(v) for v in row] for row in self.trajectories],
-            "overlaps": [[float(v) for v in row] for row in self.overlaps],
-            "flagged": [bool(f) for f in self.flagged],
-            "ambiguous": bool(self.ambiguous),
-        }
 
 
 def _step_overlap(prev, nxt):

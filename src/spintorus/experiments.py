@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import eigensolver
+from .artifact import Artifact
 from .conformal import ConformalFactor, cluster_tolerance, deformed_spectrum, trusted_spectrum
 from .errors import ClusterNotIsolatedError, PositiveDefiniteError, SplitSearchError
-from .perturbation import flat_cluster_window, perturbation_matrix
-from .torus_dirac import SpinStructure, build_mode_set
+from .perturbation import deformed_cluster_values, perturbation_matrix
+from .torus_dirac import SpectrumLine, SpinStructure, build_mode_set
 
 #: Generalized eigenvalues below this absolute size count as kernel elements.
 KERNEL_TOL = 1e-8
@@ -63,7 +64,7 @@ def random_factor(seed, degree, amplitude, label=None):
     sup = factor.sup_abs()
     if sup == 0.0:
         return ConformalFactor.zero()
-    return ConformalFactor(degree, vals * (amplitude / sup), label=label)
+    return factor.scaled(amplitude / sup)
 
 
 def _half_space_modes(max_degree):
@@ -92,7 +93,7 @@ def candidate_factors(max_degree, n_random=32, seed=2024):
 
 
 @dataclass
-class SplitCertificate:
+class SplitCertificate(Artifact):
     """Witness that one deformation profile splits a degenerate cluster."""
 
     lam: float
@@ -104,49 +105,19 @@ class SplitCertificate:
     quaternionic_rates: list[float]
     rate_gap: float
     t_verify: float
-    post_clusters: list[tuple[float, int, int]]
+    post_clusters: list[SpectrumLine]
     max_p_h_after: int
     max_position_error: float
     candidates_tried: int
 
-    def to_json_dict(self):
-        return {
-            "lambda": float(self.lam),
-            "p_c_before": self.p_c_before,
-            "p_h_before": self.p_h_before,
-            "factor_label": self.factor_label,
-            "factor": self.factor,
-            "rates": [float(r) for r in self.rates],
-            "quaternionic_rates": [float(r) for r in self.quaternionic_rates],
-            "rate_gap": float(self.rate_gap),
-            "t_verify": float(self.t_verify),
-            "post_clusters": [
-                {"lambda": float(l), "mult_c": int(c), "mult_h": int(h)}
-                for (l, c, h) in self.post_clusters
-            ],
-            "max_p_h_after": self.max_p_h_after,
-            "max_position_error": float(self.max_position_error),
-            "candidates_tried": self.candidates_tried,
-        }
-
 
 def _verify_split(cluster, factor, report, t, position_tol):
     """Solve at the verification t and match sub-clusters to predictions."""
-    ms = cluster.mode_set
-    lo, hi = flat_cluster_window(ms, cluster.lam)
-    res = deformed_spectrum(
-        factor,
-        t,
-        ms,
+    _, res = deformed_cluster_values(
+        factor, t, cluster.mode_set, cluster.lam, cluster.p_c,
         tau_rel=eigensolver.TAU_REL_SPLIT,
-        keep_vectors=False,
-        subset_by_value=(lo, hi),
     )
-    sub = [c for c in res.clusters if lo < c.lam < hi]
-    if sum(c.mult_c for c in sub) != cluster.p_c:
-        raise ClusterNotIsolatedError(
-            f"deformed cluster at {cluster.lam} is not isolated at t={t}"
-        )
+    sub = res.clusters  # the solve holds only the flat cluster's midpoint window
     q = np.asarray(report.quaternionic_rates, dtype=float)
     tol_group = 1e-8 * max(1.0, abs(cluster.lam), float(np.max(np.abs(q))))
     groups = eigensolver.cluster_eigenvalues(np.sort(q), tau_abs=tol_group)
@@ -158,7 +129,7 @@ def _verify_split(cluster, factor, report, t, position_tol):
     covered = all(any(abs(c.lam - p) <= position_tol for c in sub) for p in predicted)
     max_ph = max(c.mult_h for c in sub)
     ok = covered and max_err <= position_tol and max_ph < cluster.p_h
-    post = [(c.lam, c.mult_c, c.mult_h) for c in sub]
+    post = [SpectrumLine(c.lam, c.mult_c, c.mult_h) for c in sub]
     return ok, post, max_ph, max_err
 
 
@@ -235,20 +206,9 @@ class GenericityTrial:
     all_simple: bool
     error: str | None = None
 
-    def to_json_dict(self):
-        return {
-            "index": self.index,
-            "f_ref": self.f_ref,
-            "lambdas": [float(v) for v in self.lambdas],
-            "mult_c": [int(v) for v in self.mult_c],
-            "mult_h": [int(v) for v in self.mult_h],
-            "all_simple": bool(self.all_simple),
-            "error": self.error,
-        }
-
 
 @dataclass
-class GenericityReport:
+class GenericityReport(Artifact):
     """Multiplicity statistics of the lowest positive clusters over random trials."""
 
     delta: tuple[int, int, int]
@@ -263,22 +223,6 @@ class GenericityReport:
     pattern_counts: dict = field(default_factory=dict)
     fraction_all_simple: float | None = None
     n_failures: int = 0
-
-    def to_json_dict(self):
-        return {
-            "delta": list(self.delta),
-            "N": self.N,
-            "t": float(self.t),
-            "degree": self.degree,
-            "amplitude": float(self.amplitude),
-            "seed": self.seed,
-            "trials": self.trials,
-            "m_clusters": self.m_clusters,
-            "trial_rows": [row.to_json_dict() for row in self.trial_rows],
-            "pattern_counts": dict(sorted(self.pattern_counts.items())),
-            "fraction_all_simple": self.fraction_all_simple,
-            "n_failures": self.n_failures,
-        }
 
     def csv_rows(self):
         rows = [("trial", "f_ref", "all_simple", "mult_h_pattern", "error")]
@@ -409,7 +353,7 @@ def genericity_scan(
 
 
 @dataclass
-class SimplicityReport:
+class SimplicityReport(Artifact):
     """Outcome of the distinctness check on the first k eigenvalues per side."""
 
     delta: tuple[int, int, int]
@@ -423,23 +367,6 @@ class SimplicityReport:
     kernel_dim: int
     positive: list[float]
     negative: list[float]
-
-    def to_json_dict(self):
-        return {
-            "delta": list(self.delta),
-            "N": self.N,
-            "t": float(self.t),
-            "k": self.k,
-            "f_ref": self.f_ref,
-            "passed": bool(self.passed),
-            "reason": self.reason,
-            "offending": None
-            if self.offending is None
-            else [float(v) for v in self.offending],
-            "kernel_dim": self.kernel_dim,
-            "positive": [float(v) for v in self.positive],
-            "negative": [float(v) for v in self.negative],
-        }
 
 
 def _enumerate_side(clusters, k):

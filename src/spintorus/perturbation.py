@@ -19,11 +19,12 @@ cross-check oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import eigensolver
+from .artifact import NOT_ARTIFACT, Artifact
 from .conformal import deformed_spectrum, factor_multiplication_matrix
 from .errors import ClusterNotIsolatedError
 from .torus_dirac import (
@@ -129,26 +130,15 @@ def rate_single(lam, phi, factor, norm_tol=1e-8):
 
 
 @dataclass
-class PerturbationReport:
+class PerturbationReport(Artifact):
     """Cluster matrix, its sorted rates, and the quaternionic rate structure."""
 
     lam: float
     f_ref: str
-    P: np.ndarray
+    P: np.ndarray = field(metadata=NOT_ARTIFACT)
     rates: np.ndarray
     quaternionic_rates: np.ndarray | None
     min_gap: float
-
-    def to_json_dict(self):
-        return {
-            "lambda": float(self.lam),
-            "f_ref": self.f_ref,
-            "rates": [float(r) for r in self.rates],
-            "quaternionic_rates": None
-            if self.quaternionic_rates is None
-            else [float(r) for r in self.quaternionic_rates],
-            "min_gap": float(self.min_gap),
-        }
 
 
 def _distinct_min_gap(values, tol):
@@ -376,7 +366,7 @@ def deformed_cluster_values(factor, t, mode_set, lam, p_c, tau_rel=None):
 
 
 @dataclass
-class FdReport:
+class FdReport(Artifact):
     """Finite-difference validation of first-order rates for one cluster."""
 
     lam: float
@@ -384,15 +374,6 @@ class FdReport:
     t_values: list[float]
     mismatches: list[float]
     order: float
-
-    def to_json_dict(self):
-        return {
-            "lambda": float(self.lam),
-            "f_ref": self.f_ref,
-            "t_values": [float(t) for t in self.t_values],
-            "mismatches": [float(m) for m in self.mismatches],
-            "order": float(self.order),
-        }
 
 
 def fd_check(cluster, factor, t_values):

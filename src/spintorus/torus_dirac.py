@@ -16,6 +16,7 @@ lattice count, not an approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -335,9 +336,8 @@ def pointwise_density(phi, G):
     return np.sum(np.abs(vals) ** 2, axis=-1)
 
 
-@dataclass(frozen=True)
-class SpectrumLine:
-    """One closed-form spectrum entry: eigenvalue with its multiplicities."""
+class SpectrumLine(NamedTuple):
+    """An eigenvalue with its complex and quaternionic multiplicities."""
 
     lam: float
     mult_c: int
@@ -356,6 +356,8 @@ def closed_form_spectrum(spin_structure, lam_max):
     if not isinstance(spin_structure, SpinStructure):
         spin_structure = SpinStructure(tuple(spin_structure))
     lam_max = float(lam_max)
+    if not np.isfinite(lam_max):
+        raise ValueError(f"lam_max must be finite, got {lam_max}")
     if lam_max <= 0:
         raise ValueError("lam_max must be positive")
     # Work with doubled coordinates so shell radii are exact integers.

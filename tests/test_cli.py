@@ -17,10 +17,27 @@ from spintorus.experiments import random_factor
 from spintorus.torus_dirac import build_mode_set, closed_form_spectrum
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def run(capsys, *args):
     code = cli.main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def key_tree(value):
+    """Nested key names and JSON value types of a parsed artifact; a list
+    stands for the distinct trees of its items."""
+    if isinstance(value, dict):
+        return {k: key_tree(v) for k, v in value.items()}
+    if isinstance(value, list):
+        trees = []
+        for tree in map(key_tree, value):
+            if tree not in trees:
+                trees.append(tree)
+        return trees
+    return type(value).__name__
 
 
 class TestOracle:
@@ -45,6 +62,22 @@ class TestOracle:
         lines = out.read_text().splitlines()
         assert lines[0] == "lambda,mult_complex,mult_quaternionic"
         assert lines[1] == "0.0,2,1"
+
+    def test_json_bytes(self, capsys, tmp_path):
+        # an exact lattice count, so the bytes do not depend on the platform
+        out = tmp_path / "oracle.json"
+        code, _, _ = run(
+            capsys, "oracle", "--delta", "1,0,0", "--lambda-max", "2.5", "--out", str(out)
+        )
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN / "oracle_delta100_lambda2.5.json").read_bytes()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_lambda_max(self, capsys, value):
+        code, out, err = run(capsys, "oracle", "--delta", "1,0,0", "--lambda-max", value)
+        assert code == 3
+        assert err == f"error: lam_max must be finite, got {value}\n"
+        assert out == ""
 
 
 class TestSpectrum:
@@ -442,3 +475,93 @@ class TestValidateCommand:
             "first_order_rates",
             "homothety",
         } <= names
+
+
+FLOATS = ["float"]
+LINE = {"lambda": "float", "mult_c": "int", "mult_h": "int"}
+FD = {"lambda": "float", "f_ref": "str", "t_values": FLOATS, "mismatches": FLOATS, "order": "float"}
+
+#: (command line, key tree of its --out artifact) for every JSON artifact the CLI writes.
+ARTIFACT_TREES = [
+    (
+        "oracle --delta 1,0,0 --lambda-max 1.6",
+        {"delta": ["int"], "lambda_max": "float", "lines": [LINE]},
+    ),
+    (
+        "spectrum --delta 1,0,0 --N 2 --f-random 41,2,0.3 --t 0.05",
+        {
+            "meta": {
+                "delta": ["int"], "N": "int", "t": "float", "f_ref": "str",
+                "tau_rel": "float", "volume": "float", "trust_radius": "float",
+            },
+            "eigenvalues": FLOATS,
+            "clusters": [LINE],
+            "residual_max": "float",
+        },
+    ),
+    (
+        "spectrum --delta 1,0,0 --N 1 --f-cos 1,0,0,0.5 --t-grid 0,0.02 --format json",
+        {
+            "t_values": FLOATS, "trajectories": [FLOATS], "overlaps": [FLOATS],
+            "flagged": ["bool"], "ambiguous": "bool",
+        },
+    ),
+    (
+        "perturb --delta 1,0,0 --N 2 --cluster-lambda 1.118033988749895 --f-random 2024,2,0.4",
+        {
+            "lambda": "float", "f_ref": "str", "rates": FLOATS,
+            "quaternionic_rates": FLOATS, "min_gap": "float", "fd": FD,
+        },
+    ),
+    (
+        "split-search --delta 0,0,0 --N 2 --cluster-lambda 1.0 --max-degree 1",
+        {
+            "lambda": "float", "p_c_before": "int", "p_h_before": "int",
+            "factor_label": "str",
+            "factor": {
+                "degree": "int", "coeffs": [{"m": ["int"], "re": "float", "im": "float"}]
+            },
+            "rates": FLOATS, "quaternionic_rates": FLOATS, "rate_gap": "float",
+            "t_verify": "float", "post_clusters": [LINE], "max_p_h_after": "int",
+            "max_position_error": "float", "candidates_tried": "int",
+        },
+    ),
+    (
+        "genericity --delta 1,0,0 --N 2 --trials 2 --t 0.05 --seed 2024",
+        {
+            "delta": ["int"], "N": "int", "t": "float", "degree": "int",
+            "amplitude": "float", "seed": "int", "trials": "int", "m_clusters": "int",
+            "trial_rows": [
+                {
+                    "index": "int", "f_ref": "str", "lambdas": FLOATS, "mult_c": ["int"],
+                    "mult_h": ["int"], "all_simple": "bool", "error": "NoneType",
+                }
+            ],
+            "pattern_counts": {"1,1,1": "int"},
+            "fraction_all_simple": "float",
+            "n_failures": "int",
+        },
+    ),
+    (
+        "simplicity --delta 0,0,0 --N 2 --k 1 --f-random 3,2,0.3 --t 0.05",
+        {
+            "delta": ["int"], "N": "int", "t": "float", "k": "int", "f_ref": "str",
+            "passed": "bool", "reason": "str", "offending": "NoneType",
+            "kernel_dim": "int", "positive": FLOATS, "negative": FLOATS,
+        },
+    ),
+    (
+        "validate",
+        {"checks": [{"name": "str", "passed": "bool", "detail": "str"}], "all_passed": "bool"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, tree", ARTIFACT_TREES, ids=[argv.split()[0] for argv, _ in ARTIFACT_TREES]
+)
+def test_artifact_key_tree(capsys, tmp_path, argv, tree):
+    out = tmp_path / "artifact.json"
+    code, _, _ = run(capsys, *argv.split(), "--out", str(out))
+    assert code == 0
+    assert key_tree(json.loads(out.read_text())) == tree
