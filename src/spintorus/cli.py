@@ -2,13 +2,16 @@
 
 Exit codes: 0 success, 1 internal failure (a solver failure is reported as
 one ``error:`` line) or failed validation suite, 2 positive-definiteness
-failure of the deformation weight, 3 invalid input (bad config, malformed
-factor file, out-of-range cluster index, violated precondition).
+failure of the deformation weight, 3 invalid input (usage error, bad config,
+malformed factor file, out-of-range cluster index, violated precondition),
+reported as one ``error:`` line.
 
-Configuration can come from flags or a single JSON config file
-(``--config``); explicit flags override file entries.  JSON artifacts are
-written with sorted keys so identical configurations produce byte-identical
-output.
+Each subcommand takes only the flags it reads (``COMMANDS``); any other flag
+is a usage error.  Configuration can come from flags or a single JSON config
+file (``--config``, accepted by every subcommand; it may hold keys that only
+other subcommands read); explicit flags override file entries.  JSON
+artifacts are written with sorted keys so identical configurations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -158,64 +161,67 @@ def _write_artifact(cfg, json_doc, csv_rows=None):
 # ----------------------------------------------------------------- parsing
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--delta", help="spin structure as a,b,c (entries 0 or 1)")
-    parser.add_argument("--N", type=int, help="truncation order (1..8)")
-    parser.add_argument("--t", type=float, help="deformation parameter")
-    parser.add_argument("--t-grid", dest="t_grid", help="comma separated t values")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--tau-degenerate", dest="tau_degenerate", type=float)
-    parser.add_argument("--tau-split", dest="tau_split", type=float)
-    parser.add_argument("--out", help="artifact output path")
-    parser.add_argument("--format", choices=("json", "csv"), help="artifact format")
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--f-const", dest="f_const", type=float, help="constant factor")
-    group.add_argument("--f-cos", dest="f_cos", help="cosine factor m1,m2,m3[,amp]")
-    group.add_argument("--f-file", dest="f_file", help="factor JSON file")
-    group.add_argument("--f-json", dest="f_json", help="inline factor JSON")
-    group.add_argument("--f-random", dest="f_random", help="random factor seed,degree,amp")
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are invalid input (exit 3)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+#: Flag name -> argparse keywords.  ``--config`` goes on every subcommand.
+FLAGS = {
+    "config": dict(help="JSON config file; flags override it"),
+    "delta": dict(help="spin structure as a,b,c (entries 0 or 1)"),
+    "N": dict(type=int, help="truncation order (1..8)"),
+    "t": dict(type=float, help="deformation parameter"),
+    "t-grid": dict(help="comma separated t values"),
+    "seed": dict(type=int, help="random seed"),
+    "tau-degenerate": dict(type=float), "tau-split": dict(type=float),
+    "out": dict(help="artifact output path"),
+    "format": dict(choices=("json", "csv"), help="artifact format"),
+    "f-const": dict(type=float, help="constant factor"),
+    "f-cos": dict(help="cosine factor m1,m2,m3[,amp]"),
+    "f-file": dict(help="factor JSON file"),
+    "f-json": dict(help="inline factor JSON"),
+    "f-random": dict(help="random factor seed,degree,amp"),
+    "lambda-max": dict(type=float, default=2.5),
+    "cluster-index": dict(type=int), "cluster-lambda": dict(type=float),
+    "max-degree": dict(type=int),
+    "trials": dict(type=int), "degree": dict(type=int), "amplitude": dict(type=float),
+    "m-clusters": dict(type=int),
+    "k": dict(type=int),
+}
+FACTOR = "f-const f-cos f-file f-json f-random"  # mutually exclusive
+TAU = "tau-degenerate tau-split"
+CLUSTER = "cluster-index cluster-lambda"
+
+#: Subcommand -> (help, the flags it reads).  A parser takes only these, so a
+#: flag its command would ignore is a usage error.
+COMMANDS = {
+    "spectrum": ("deformed (or flat) spectrum", f"delta N t t-grid {TAU} out format {FACTOR}"),
+    "oracle": ("closed-form flat spectrum table", "delta lambda-max out format"),
+    "perturb": ("first-order cluster rates + fd check", f"delta N t-grid out {FACTOR} {CLUSTER}"),
+    "split-search": ("search for a splitting factor", f"delta N t seed out {CLUSTER} max-degree"),
+    "genericity": (
+        "random-deformation multiplicity scan",
+        f"delta N t seed {TAU} out format trials degree amplitude m-clusters",
+    ),
+    "simplicity": ("first-k distinctness certificate", f"delta N t {TAU} out {FACTOR} k"),
+    "validate": ("run the cross-module invariant suite", "seed out"),
+}
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spintorus",
         description="Dirac spectra of flat spin 3-tori under conformal deformation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="deformed (or flat) spectrum")
-    _add_common(p)
-
-    p = sub.add_parser("oracle", help="closed-form flat spectrum table")
-    _add_common(p)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=2.5)
-
-    p = sub.add_parser("perturb", help="first-order cluster rates + fd check")
-    _add_common(p)
-    p.add_argument("--cluster-index", dest="cluster_index", type=int)
-    p.add_argument("--cluster-lambda", dest="cluster_lambda", type=float)
-
-    p = sub.add_parser("split-search", help="search for a splitting factor")
-    _add_common(p)
-    p.add_argument("--cluster-index", dest="cluster_index", type=int)
-    p.add_argument("--cluster-lambda", dest="cluster_lambda", type=float)
-    p.add_argument("--max-degree", dest="max_degree", type=int)
-
-    p = sub.add_parser("genericity", help="random-deformation multiplicity scan")
-    _add_common(p)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--m-clusters", dest="m_clusters", type=int)
-
-    p = sub.add_parser("simplicity", help="first-k distinctness certificate")
-    _add_common(p)
-    p.add_argument("--k", type=int)
-
-    p = sub.add_parser("validate", help="run the cross-module invariant suite")
-    _add_common(p)
-
+    for command, (help_text, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        factor = p.add_mutually_exclusive_group()
+        for name in ["config", *names.split()]:
+            (factor if name.startswith("f-") else p).add_argument("--" + name, **FLAGS[name])
     return parser
 
 
@@ -332,20 +338,16 @@ def cmd_oracle(cfg, lambda_max):
     return EXIT_OK
 
 
-def _select_cluster(cfg, ms):
-    res = flat_spectrum(ms)
-    cluster = extract_cluster(
-        res, ms, lam=cfg.cluster_lambda, index=cfg.cluster_index
-    )
-    return cluster
+def _select_cluster(cfg, command):
+    if cfg.cluster_index is None and cfg.cluster_lambda is None:
+        raise ConfigError(f"{command} needs --cluster-index or --cluster-lambda")
+    ms = build_mode_set(cfg.N, cfg.spin_structure())
+    return extract_cluster(flat_spectrum(ms), ms, lam=cfg.cluster_lambda, index=cfg.cluster_index)
 
 
 def cmd_perturb(cfg):
-    ms = build_mode_set(cfg.N, cfg.spin_structure())
     factor = cfg.build_factor()
-    if cfg.cluster_index is None and cfg.cluster_lambda is None:
-        raise ConfigError("perturb needs --cluster-index or --cluster-lambda")
-    cluster = _select_cluster(cfg, ms)
+    cluster = _select_cluster(cfg, "perturb")
     report = perturbation_matrix(cluster, factor)
     t_grid = cfg.t_grid or [1e-2, 1e-3]
     fd = fd_check(cluster, factor, sorted(t_grid, reverse=True))
@@ -365,16 +367,8 @@ def cmd_perturb(cfg):
 
 
 def cmd_split_search(cfg):
-    ms = build_mode_set(cfg.N, cfg.spin_structure())
-    if cfg.cluster_index is None and cfg.cluster_lambda is None:
-        raise ConfigError("split-search needs --cluster-index or --cluster-lambda")
-    cluster = _select_cluster(cfg, ms)
-    cert = split_search(
-        cluster,
-        cfg.max_degree,
-        t_verify=cfg.t if cfg.t else 0.05,
-        seed=cfg.seed,
-    )
+    cluster = _select_cluster(cfg, "split-search")
+    cert = split_search(cluster, cfg.max_degree, t_verify=cfg.t if cfg.t else 0.05, seed=cfg.seed)
     _write_artifact(cfg, cert.to_json_dict())
     print(
         f"split lambda={cert.lam} (p_H {cert.p_h_before} -> max {cert.max_p_h_after}) "
@@ -387,15 +381,8 @@ def cmd_split_search(cfg):
 
 def cmd_genericity(cfg):
     report = genericity_scan(
-        cfg.spin_structure(),
-        cfg.trials,
-        cfg.t,
-        cfg.N,
-        cfg.degree,
-        cfg.amplitude,
-        cfg.seed,
-        m_clusters=cfg.m_clusters,
-        tolerances=(cfg.tau_degenerate, cfg.tau_split),
+        cfg.spin_structure(), cfg.trials, cfg.t, cfg.N, cfg.degree, cfg.amplitude, cfg.seed,
+        m_clusters=cfg.m_clusters, tolerances=(cfg.tau_degenerate, cfg.tau_split),
     )
     _write_artifact(cfg, report.to_json_dict(), report.csv_rows())
     frac = report.fraction_all_simple
@@ -434,25 +421,15 @@ def cmd_validate(cfg):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
         if args.command == "oracle":
             return cmd_oracle(cfg, args.lambda_max)
-        if args.command == "perturb":
-            return cmd_perturb(cfg)
-        if args.command == "split-search":
-            return cmd_split_search(cfg)
-        if args.command == "genericity":
-            return cmd_genericity(cfg)
-        if args.command == "simplicity":
-            return cmd_simplicity(cfg)
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return {
+            "spectrum": cmd_spectrum, "perturb": cmd_perturb, "split-search": cmd_split_search,
+            "genericity": cmd_genericity, "simplicity": cmd_simplicity, "validate": cmd_validate,
+        }[args.command](cfg)
     except PositiveDefiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_PD

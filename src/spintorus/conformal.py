@@ -377,7 +377,7 @@ def factor_multiplication_matrix(factor, mode_set):
     return assemble_multiplication(mode_set, factor.lookup)
 
 
-def assemble_B(factor, t, mode_set, tol=1e-12):
+def assemble_B(factor, t, mode_set):
     """Hermitian positive definite Galerkin matrix of multiplication by e^{tf}.
 
     Entries are ``B[kappa, kappa'] = exp_hat(kappa - kappa') I_2`` (mode
@@ -396,7 +396,7 @@ def assemble_B(factor, t, mode_set, tol=1e-12):
     if t == 0 or factor.is_zero:
         return np.eye(mode_set.dim, dtype=np.complex128)
     try:
-        exp = exp_coeffs(factor, t, required_band(mode_set), tol=tol)
+        exp = exp_coeffs(factor, t, required_band(mode_set))
     except ValueError as exc:
         # The weight cannot even be resolved on the oversampled grid; treat
         # it like the Cholesky failure it would become.
@@ -592,19 +592,19 @@ def gradient_clifford_term(factor, phi, out_mode_set):
     return SpinorField(out_mode_set, out)
 
 
-def apply_deformed_dirac(factor, t, phi, exp_tol=1e-12):
+def apply_deformed_dirac(factor, t, phi):
     """Apply the deformed Dirac operator to a field, on an enlarged mode set.
 
     Implements ``e^{-tf} (D phi + ((n-1)/2) t c(grad f) phi)`` with n = 3.
     The output mode set is enlarged by the factor degree plus the band of the
     e^{-tf} expansion, so the only truncation loss is the measured spectral
-    tail of the weight (below ``exp_tol``).
+    tail of the weight (below the ``exp_coeffs`` tolerance).
     """
     ms = phi.mode_set
     if t == 0 or factor.is_zero:
         return apply_flat_dirac(phi)
     d = factor.degree
-    exp_neg = exp_coeffs(factor, -t, max(d + 2, 4), tol=exp_tol)
+    exp_neg = exp_coeffs(factor, -t, max(d + 2, 4))
     n_out = ms.N + d + exp_neg.band_used
     out_ms = build_mode_set(n_out, ms.spin_structure)
 
@@ -654,7 +654,7 @@ def _grid_dirac(values, spin_structure, G):
     return vals * np.conj(phase)[..., None]
 
 
-def substitution_identity_error(factor, t, phi, G=64):
+def substitution_identity_error(factor, t, phi):
     """Relative grid error of D(e^{(n-1)tf/2} phi) = e^{(n+1)tf/2} D_deformed phi.
 
     This identity is the bridge between the direct formula for the deformed
@@ -665,7 +665,7 @@ def substitution_identity_error(factor, t, phi, G=64):
 
     ms = phi.mode_set
     dphi = apply_deformed_dirac(factor, t, phi)
-    G = max(int(G), _next_pow2(2 * dphi.mode_set.N + 2))
+    G = max(64, _next_pow2(2 * dphi.mode_set.N + 2))
     fg = factor.grid_values(G)
     phi_vals = field_on_grid(phi, G)
     lhs = _grid_dirac(

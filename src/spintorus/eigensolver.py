@@ -17,6 +17,8 @@ TAU_REL_DEGENERATE = 1e-6
 TAU_REL_SPLIT = 1e-9
 #: Acceptable per-vector residual ||A x - lambda B x|| (with ||x||_B = 1).
 RESIDUAL_BOUND = 1e-9
+#: Curve matching: a step overlap below these flags a trajectory / makes the family ambiguous.
+FLAG_OVERLAP, AMBIGUOUS_OVERLAP = 0.7, 0.3
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ class SpectrumResult(Artifact):
         return best
 
 
-def canonicalize_phases(V, tol=1e-8):
+def canonicalize_phases(V):
     """Rotate each column so its first significant entry is real positive.
 
     Eigenvectors are defined up to phase; fixing it makes derived artifacts
@@ -70,7 +72,7 @@ def canonicalize_phases(V, tol=1e-8):
         m = col.max()
         if m == 0.0:
             continue
-        i = int(np.argmax(col > tol * m))
+        i = int(np.argmax(col > 1e-8 * m))
         z = V[i, j]
         if z != 0:
             V[:, j] *= np.conj(z) / abs(z)
@@ -238,16 +240,14 @@ def _greedy_assign(scores):
     return perm
 
 
-def match_curves(
-    snapshots, flag_threshold=0.7, ambiguous_threshold=0.3, rate_bound=None
-):
+def match_curves(snapshots, rate_bound=None):
     """Match eigenvalue trajectories across snapshots by eigenvector overlap.
 
     Greedy matching on the overlap matrix, with an optimal-assignment
     fallback when the greedy pairing leaves an overlap below the ambiguity
     threshold.  Trajectories are ordered by their value at the first
     snapshot.  Low-overlap steps flag the trajectory; a step where even the
-    optimal assignment stays below ``ambiguous_threshold`` marks the whole
+    optimal assignment stays below ``AMBIGUOUS_OVERLAP`` marks the whole
     family ambiguous (reported, never fatal).
 
     ``rate_bound`` (typically sup|f|) enables a continuity check: a step with
@@ -278,18 +278,18 @@ def match_curves(
         scores = _step_overlap(snapshots[k], snapshots[k + 1])
         perm = _greedy_assign(scores)
         step = scores[np.arange(n), perm]
-        if step.min() < ambiguous_threshold:
+        if step.min() < AMBIGUOUS_OVERLAP:
             from scipy.optimize import linear_sum_assignment
 
             rows, cols = linear_sum_assignment(-scores)
             perm = cols[np.argsort(rows)]
             step = scores[np.arange(n), perm]
-            if step.min() < ambiguous_threshold:
+            if step.min() < AMBIGUOUS_OVERLAP:
                 ambiguous = True
         overlaps[:, k] = step[slots]
         slots = perm[slots]
         traj[:, k + 1] = snapshots[k + 1].eigenvalues[slots]
-    flagged = np.min(overlaps, axis=1) < flag_threshold
+    flagged = np.min(overlaps, axis=1) < FLAG_OVERLAP
     t_values = [float(s.meta.get("t", k)) for k, s in enumerate(snapshots)]
     if rate_bound is not None:
         dt = np.abs(np.diff(np.asarray(t_values)))

@@ -111,8 +111,12 @@ class SplitCertificate(Artifact):
     candidates_tried: int
 
 
-def _verify_split(cluster, factor, report, t, position_tol):
-    """Solve at the verification t and match sub-clusters to predictions."""
+def _verify_split(cluster, factor, report, t):
+    """Solve at the verification t and match sub-clusters to predictions.
+
+    Each predicted sub-cluster must lie within 5 t^2 of a solved one.
+    """
+    position_tol = 5.0 * t**2
     _, res = deformed_cluster_values(
         factor, t, cluster.mode_set, cluster.lam, cluster.p_c,
         tau_rel=eigensolver.TAU_REL_SPLIT,
@@ -140,7 +144,6 @@ def split_search(
     gap_threshold=1e-3,
     n_random=32,
     seed=2024,
-    position_tol=None,
 ):
     """Find a deformation profile that splits a degenerate cluster.
 
@@ -156,8 +159,6 @@ def split_search(
     """
     if cluster.p_h < 2:
         raise ValueError("cluster is already quaternionically simple")
-    if position_tol is None:
-        position_tol = 5.0 * t_verify**2
     table = []
     tried = 0
     for factor in candidate_factors(max_degree, n_random=n_random, seed=seed):
@@ -167,9 +168,7 @@ def split_search(
         if report.quaternionic_rates is None or report.min_gap <= gap_threshold:
             continue
         try:
-            ok, post, max_ph, max_err = _verify_split(
-                cluster, factor, report, t_verify, position_tol
-            )
+            ok, post, max_ph, max_err = _verify_split(cluster, factor, report, t_verify)
         except (ClusterNotIsolatedError, PositiveDefiniteError):
             continue
         if not ok:
@@ -239,11 +238,6 @@ class GenericityReport(Artifact):
         return rows
 
 
-def _positive_clusters(result, m_clusters, kernel_tol=KERNEL_TOL):
-    out = [c for c in result.clusters if c.lam > kernel_tol]
-    return out[:m_clusters]
-
-
 def _initial_window(mode_set, m_clusters):
     """Eigenpairs spanning the kernel and the first m_clusters + 1 positive flat shells."""
     kernel = 2 if mode_set.spin_structure.trivial else 0
@@ -274,7 +268,7 @@ def lowest_positive_clusters(factor, t, mode_set, m_clusters, tau_rel=None):
             keep_vectors=False,
             subset_by_index=(i0, stop - 1),
         )
-        top = _positive_clusters(res, m_clusters + 1)
+        top = [c for c in res.clusters if c.lam > KERNEL_TOL][: m_clusters + 1]
         if len(top) > m_clusters or stop == mode_set.dim:
             return top[:m_clusters]
         k *= 2

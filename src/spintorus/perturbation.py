@@ -73,23 +73,23 @@ class EigenCluster:
         ]
 
 
-def validate_cluster(cluster, gram_tol=1e-10, residual_tol=1e-9):
+def validate_cluster(cluster):
     """Check the basis invariants: orthonormality and flat eigen-residuals."""
     V = cluster.vectors
     gram = V.conj().T @ V
     gerr = float(np.max(np.abs(gram - np.eye(cluster.p_c))))
-    if gerr > gram_tol:
+    if gerr > 1e-10:
         raise ValueError(f"cluster basis not orthonormal: Gram error {gerr:.3e}")
     A = cluster.mode_set.flat_matrix
     res = np.linalg.norm(A @ V - cluster.lam * V, axis=0)
-    bound = residual_tol * max(1.0, abs(cluster.lam))
+    bound = 1e-9 * max(1.0, abs(cluster.lam))
     if res.size and float(res.max()) > bound:
         raise ValueError(
             f"cluster residual {float(res.max()):.3e} exceeds {bound:.3e}"
         )
 
 
-def extract_cluster(result, mode_set, lam=None, index=None, j_tol=1e-8):
+def extract_cluster(result, mode_set, lam=None, index=None):
     """Pull one cluster out of an undeformed SpectrumResult as an EigenCluster."""
     if result.meta.get("t", 0.0) != 0.0:
         raise ValueError("clusters are extracted from the undeformed spectrum")
@@ -108,20 +108,20 @@ def extract_cluster(result, mode_set, lam=None, index=None, j_tol=1e-8):
     V = result.vectors[:, info.start : info.stop]
     JV = apply_J_coeffs(mode_set, V)
     proj = V @ (V.conj().T @ JV)
-    j_closed = float(np.max(np.abs(JV - proj))) <= j_tol
+    j_closed = float(np.max(np.abs(JV - proj))) <= 1e-8
     cluster = EigenCluster(mode_set, float(info.lam), V, j_closed)
     validate_cluster(cluster)
     return cluster
 
 
-def rate_single(lam, phi, factor, norm_tol=1e-8):
+def rate_single(lam, phi, factor):
     """First-order eigenvalue rate -lambda * int f |phi|^2 dmu.
 
     phi must be normalized in the flat L^2 norm; the integral is a finite
     Fourier convolution sum, exact for band-limited data.
     """
     nrm = phi.norm()
-    if abs(nrm - 1.0) > norm_tol:
+    if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"eigenspinor must be normalized, got |phi| = {nrm!r}")
     F = factor_multiplication_matrix(factor, phi.mode_set)
     v = phi.vector
@@ -192,11 +192,9 @@ def perturbation_matrix(cluster, factor):
     )
 
 
-def perturbation_matrix_quadrature(cluster, factor, G=None):
+def perturbation_matrix_quadrature(cluster, factor):
     """Grid-quadrature cross-check of the cluster matrix (oracle path)."""
-    ms = cluster.mode_set
-    if G is None:
-        G = max(2 * (2 * ms.N + 1), 4 * factor.degree + 4)
+    G = max(2 * (2 * cluster.mode_set.N + 1), 4 * factor.degree + 4)
     fields = cluster.fields()
     grids = [field_on_grid(phi, G) for phi in fields]
     fg = factor.grid_values(G)
@@ -209,7 +207,7 @@ def perturbation_matrix_quadrature(cluster, factor, G=None):
     return 0.5 * (P + P.conj().T)
 
 
-def unitary_rotate(cluster, U, tol=1e-12):
+def unitary_rotate(cluster, U):
     """Change the cluster basis by phi_i -> sum_j U_ij phi_j.
 
     The span is unchanged and the cluster matrix transforms by conjugation,
@@ -220,7 +218,7 @@ def unitary_rotate(cluster, U, tol=1e-12):
     if U.shape != (p, p):
         raise ValueError(f"unitary must be {p}x{p}")
     err = float(np.max(np.abs(U.conj().T @ U - np.eye(p))))
-    if err > tol:
+    if err > 1e-12:
         raise ValueError(f"matrix is not unitary: deviation {err:.3e}")
     return EigenCluster(
         cluster.mode_set, cluster.lam, cluster.vectors @ U.T, cluster.j_closed
@@ -257,8 +255,9 @@ def quaternionic_orthonormalize(cluster):
     return [SpinorField.from_vector(ms, v) for v, _ in chosen]
 
 
-def check_quaternionic_pair(phi1, phi2, tol=1e-8):
+def check_quaternionic_pair(phi1, phi2):
     """Verify the orthonormality preconditions for alpha/beta combinations."""
+    tol = 1e-8
     for name, phi in (("phi1", phi1), ("phi2", phi2)):
         if abs(phi.norm() - 1.0) > tol:
             raise ValueError(f"{name} is not normalized")
@@ -324,7 +323,7 @@ def pointwise_gram(phi1, phi2, G):
     )
 
 
-def flat_cluster_window(mode_set, lam, margin_max=None):
+def flat_cluster_window(mode_set, lam):
     """Midpoint window separating the flat cluster at lam from its neighbors."""
     lines = closed_form_spectrum(
         mode_set.spin_structure, mode_set.N + 2.0
@@ -335,9 +334,6 @@ def flat_cluster_window(mode_set, lam, margin_max=None):
         raise ValueError(f"{lam} is not a flat eigenvalue for this mode set")
     lo = -np.inf if pos == 0 else 0.5 * (reps[pos - 1] + reps[pos])
     hi = np.inf if pos == len(reps) - 1 else 0.5 * (reps[pos] + reps[pos + 1])
-    if margin_max is not None:
-        lo = max(lo, reps[pos] - margin_max)
-        hi = min(hi, reps[pos] + margin_max)
     return lo, hi
 
 

@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 
 import spintorus
-from spintorus import cli
+from spintorus import cli, validate
 from spintorus.conformal import build_deformed_operator, trust_radius
 from spintorus.eigensolver import RESIDUAL_BOUND, cluster_eigenvalues
 from spintorus.experiments import random_factor
@@ -373,7 +373,6 @@ FLAG_CASES = [
     ("spectrum", ["--N", "4"], {"N": 4}),
     ("spectrum", ["--t", "0.02"], {"t": 0.02}),
     ("spectrum", ["--t-grid", "0,0.01,0.02"], {"t_grid": [0, 0.01, 0.02]}),
-    ("spectrum", ["--seed", "7"], {"seed": 7}),
     ("spectrum", ["--tau-degenerate", "1e-5"], {"tau_degenerate": 1e-5}),
     ("spectrum", ["--tau-split", "1e-8"], {"tau_split": 1e-8}),
     ("spectrum", ["--out", "x.csv"], {"out": "x.csv"}),
@@ -383,6 +382,7 @@ FLAG_CASES = [
     ("spectrum", ["--f-file", "f.json"], {"factor_kind": "file", "factor_arg": "f.json"}),
     ("spectrum", ["--f-json", "{}"], {"factor_kind": "json", "factor_arg": "{}"}),
     ("spectrum", ["--f-random", "1,2,0.3"], {"factor_kind": "random", "factor_arg": "1,2,0.3"}),
+    ("genericity", ["--seed", "7"], {"seed": 7}),
     ("genericity", ["--trials", "5"], {"trials": 5}),
     ("genericity", ["--degree", "3"], {"degree": 3}),
     ("genericity", ["--amplitude", "0.4"], {"amplitude": 0.4}),
@@ -459,7 +459,62 @@ class TestConfigFile:
         assert code == 3
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum", "--N", "abc"], ["spectrum", "--bogus", "1"], []],
+        ids=["bad-value", "unknown-flag", "no-command"],
+    )
+    def test_usage_error_exit_code(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "spectrum --N 1 --seed 7",
+            "oracle --delta 1,0,0 --t 3",
+            "perturb --N 1 --cluster-index 0 --f-const 0.3 --format csv",
+            "split-search --N 1 --cluster-index 0 --f-const 1",
+            "genericity --N 1 --trials 0 --f-cos 1,0,0",
+            "simplicity --N 1 --k 1 --format csv",
+            "validate --N 5",
+        ],
+        ids=lambda argv: argv.split()[0],
+    )
+    def test_flag_the_command_ignores(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 3
+        assert err.startswith("error: unrecognized arguments: ")
+        assert out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["spectrum", "--help"])
+        assert exc.value.code == 0
+        assert "--t-grid" in capsys.readouterr().out
+
+
 class TestValidateCommand:
+    def test_failing_check_is_reported(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(validate, "check_homothety", broken)
+        code, out, err = run(capsys, "validate")
+        assert code == 1
+        assert "Traceback" not in out + err
+        doc = json.loads(out)
+        assert doc["all_passed"] is False
+        rows = {c["name"]: c for c in doc["checks"]}
+        assert len(rows) == 7
+        assert rows["homothety"] == {
+            "name": "homothety", "passed": False, "detail": "ZeroDivisionError: boom"
+        }
+        assert all(c["passed"] for name, c in rows.items() if name != "homothety")
+
     def test_suite_passes(self, capsys):
         code, out, _ = run(capsys, "validate")
         assert code == 0
