@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 internal failure (a solver failure is reported as
 one ``error:`` line) or failed validation suite, 2 positive-definiteness
 failure of the deformation weight, 3 invalid input (usage error, bad config,
-malformed factor file, out-of-range cluster index, violated precondition),
+malformed factor file, out-of-range cluster index, violated precondition,
+a truncation whose dense solve would not fit in physical memory),
 reported as one ``error:`` line.
 
 Each subcommand takes only the flags it reads (``COMMANDS``); any other flag
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -36,7 +38,13 @@ from .conformal import (
 from .errors import PositiveDefiniteError, SplitSearchError
 from .experiments import genericity_scan, random_factor, simplicity_certificate, split_search
 from .perturbation import extract_cluster, fd_check, perturbation_matrix
-from .torus_dirac import SpinStructure, build_mode_set, closed_form_spectrum, spectrum_csv_rows
+from .torus_dirac import (
+    ModeSet,
+    SpinStructure,
+    build_mode_set,
+    closed_form_spectrum,
+    spectrum_csv_rows,
+)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -44,8 +52,23 @@ EXIT_NOT_PD = 2
 EXIT_BAD_INPUT = 3
 
 
+#: The t at which split-search verifies a split when no t is given.
+DEFAULT_T_VERIFY = 0.05
+#: Peak memory of a dense solve in dim x dim complex matrices (peak RSS at
+#: N=5, dim 2420, is 585 MB).
+DENSE_MATRICES_AT_PEAK = 6.5
+
+
 class ConfigError(ValueError):
     pass
+
+
+def dense_memory_estimate(N, delta):
+    """Estimated peak bytes of a dense solve at truncation order N."""
+    # ModeSet, not build_mode_set: sizing a run builds none of its mode sets,
+    # and the benchmark's tracer counts build_mode_set calls.
+    dim = ModeSet(N, SpinStructure(tuple(delta))).dim
+    return DENSE_MATRICES_AT_PEAK * dim**2 * 16
 
 
 @dataclass
@@ -54,7 +77,7 @@ class RunConfig:
 
     delta: tuple[int, int, int] = (0, 0, 0)
     N: int = 3
-    t: float = 0.0
+    t: float | None = None  # unset: 0, or DEFAULT_T_VERIFY for split-search
     t_grid: list[float] | None = None
     factor_kind: str = "zero"  # zero|const|cos|file|json|random
     factor_arg: object = None
@@ -72,7 +95,7 @@ class RunConfig:
     out: str | None = None
     format: str = "json"
 
-    def validate(self):
+    def validate(self, command):
         if not (1 <= self.N <= 8):
             raise ConfigError(f"N must lie in [1, 8], got {self.N}")
         if any(d not in (0, 1) for d in self.delta) or len(self.delta) != 3:
@@ -89,7 +112,26 @@ class RunConfig:
             raise ConfigError("trials must be >= 0")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
+        if command == "split-search" and self.t == 0:
+            raise ConfigError(
+                f"split-search verifies its split at t, so t must be nonzero "
+                f"(without --t it is {DEFAULT_T_VERIFY})"
+            )
+        if "N" in COMMANDS[command][1].split():
+            self._check_memory()
         return self
+
+    def _check_memory(self):
+        """Reject a truncation whose dense solve would not fit in physical memory."""
+        available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        need = dense_memory_estimate(self.N, self.delta)
+        if need > available:
+            fits = [n for n in range(1, self.N) if dense_memory_estimate(n, self.delta) <= available]
+            hint = f"use N <= {fits[-1]}" if fits else "no N fits"
+            raise ConfigError(
+                f"N={self.N} needs about {need / 2**30:.1f} GiB for its dense solve, more than "
+                f"the {available / 2**30:.1f} GiB of physical memory; {hint}"
+            )
 
     def spin_structure(self):
         return SpinStructure(tuple(self.delta))
@@ -286,7 +328,9 @@ def load_config(args):
         if val is not None:
             cfg.factor_kind = kind
             cfg.factor_arg = val
-    return cfg.validate()
+    if cfg.t is None:
+        cfg.t = DEFAULT_T_VERIFY if args.command == "split-search" else 0.0
+    return cfg.validate(args.command)
 
 
 # ------------------------------------------------------------- subcommands
@@ -368,7 +412,7 @@ def cmd_perturb(cfg):
 
 def cmd_split_search(cfg):
     cluster = _select_cluster(cfg, "split-search")
-    cert = split_search(cluster, cfg.max_degree, t_verify=cfg.t if cfg.t else 0.05, seed=cfg.seed)
+    cert = split_search(cluster, cfg.max_degree, t_verify=cfg.t, seed=cfg.seed)
     _write_artifact(cfg, cert.to_json_dict())
     print(
         f"split lambda={cert.lam} (p_H {cert.p_h_before} -> max {cert.max_p_h_after}) "

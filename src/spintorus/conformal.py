@@ -22,6 +22,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import eigensolver
 from .errors import PositiveDefiniteError
@@ -405,8 +406,8 @@ def assemble_B(factor, t, mode_set):
         ) from exc
     B = assemble_multiplication(mode_set, exp.lookup)
     try:
-        np.linalg.cholesky(B[::2, ::2])
-    except np.linalg.LinAlgError as exc:
+        scipy.linalg.cholesky(B[::2, ::2], lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
         raise PositiveDefiniteError(
             f"Galerkin weight for t={t} is not positive definite"
         ) from exc

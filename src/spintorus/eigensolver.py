@@ -1,4 +1,15 @@
-"""Dense Hermitian(-definite) eigensolver, degeneracy clustering, curve tracking."""
+"""Dense Hermitian(-definite) eigensolver, degeneracy clustering, curve tracking.
+
+One BLAS per solve: every dense product and factorization of a deformed
+solve (the positive-definiteness check in ``conformal.assemble_B``,
+``scipy.linalg.eigh`` and the residual gate through ``blas_matmul``) runs on
+scipy's BLAS.  The numpy and scipy wheels each bundle their own OpenBLAS
+with its own thread pool, whose idle threads keep spinning for a while after
+a call; a solve that alternates between the two pools makes them compete for
+the cores, which cost about a third of the 50-trial genericity scan on two
+vCPUs.  Curve matching keeps its numpy products: changing the overlap
+arithmetic would re-pair near-tied trajectories.
+"""
 
 from __future__ import annotations
 
@@ -79,6 +90,22 @@ def canonicalize_phases(V):
     return V
 
 
+def blas_matmul(a, b):
+    """``a @ b`` through scipy's BLAS ``gemm``.
+
+    gemm reads Fortran-ordered operands, so a C-ordered operand (such as a
+    ``.T`` or ``.conj().T`` view) goes in as its transpose with the transpose
+    flag set, and is not copied.  Operands of another dtype or layout are
+    converted by the wrapper.
+    """
+    gemm = scipy.linalg.get_blas_funcs("gemm", (a, b))
+    trans_a = int(a.flags.c_contiguous and not a.flags.f_contiguous)
+    trans_b = int(b.flags.c_contiguous and not b.flags.f_contiguous)
+    return gemm(
+        1.0, a.T if trans_a else a, b.T if trans_b else b, trans_a=trans_a, trans_b=trans_b
+    )
+
+
 def solve_gen_hermitian(A, B=None, subset_by_index=None, subset_by_value=None):
     """Solve A x = lambda B x for Hermitian A and Hermitian PD B.
 
@@ -113,7 +140,7 @@ def solve_gen_hermitian(A, B=None, subset_by_index=None, subset_by_value=None):
             ) from exc
         raise RuntimeError(f"eigensolver failed: {exc}") from exc
     V = canonicalize_phases(V)
-    R = A @ V - (B @ V if B is not None else V) * w[None, :]
+    R = blas_matmul(A, V) - (blas_matmul(B, V) if B is not None else V) * w[None, :]
     residuals = np.linalg.norm(R, axis=0)
     residual_max = float(residuals.max()) if residuals.size else 0.0
     scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0

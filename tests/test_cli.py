@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,20 @@ class TestSplitSearchCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["max_p_h_after"] < doc["p_h_before"]
+        assert doc["t_verify"] == cli.DEFAULT_T_VERIFY == 0.05
+
+    def test_explicit_zero_t_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t": 0}))
+        out = tmp_path / "cert.json"
+        args = ["split-search", "--delta", "0,0,0", "--N", "2", "--cluster-lambda", "1.0",
+                "--max-degree", "1", "--out", str(out)]
+        for source in (["--t", "0"], ["--config", str(cfg)]):
+            code, msg, err = run(capsys, *args, *source)
+            assert code == 3
+            assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+            assert "t must be nonzero" in err
+            assert msg == "" and not out.exists()
 
 
 class TestGenericityCommand:
@@ -457,6 +472,37 @@ class TestConfigFile:
         cfg.write_text("not json")
         code, _, err = run(capsys, "spectrum", "--config", str(cfg))
         assert code == 3
+
+
+class TestMemoryGuard:
+    @pytest.fixture
+    def seven_gb(self, monkeypatch):
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 7 * 2**30 // 4096}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+
+    def test_estimate(self):
+        # dim 9248 at N=8, delta=(1,0,0): 6.5 dense complex matrices
+        assert cli.dense_memory_estimate(8, (1, 0, 0)) == 6.5 * 9248**2 * 16
+
+    def test_too_large_n_names_a_smaller_one(self, seven_gb):
+        tracemalloc.start()
+        try:
+            with pytest.raises(cli.ConfigError, match=r"N=8 .*use N <= 7"):
+                cli.RunConfig(N=8, delta=(1, 0, 0), t=0.05).validate("spectrum")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**26  # far below one 1.3 GiB dense matrix at N=8
+
+    def test_cli_exit_code(self, capsys, seven_gb):
+        code, out, err = run(capsys, "genericity", "--delta", "1,0,0", "--N", "8")
+        assert code == 3
+        assert err.startswith("error: N=8 ") and len(err.strip().splitlines()) == 1
+        assert out == ""
+
+    def test_small_n_and_oracle_pass(self, seven_gb):
+        assert cli.RunConfig(N=3, t=0.05).validate("spectrum").N == 3
+        assert cli.RunConfig(N=8, t=0.0).validate("oracle").N == 8
 
 
 class TestUsageErrors:

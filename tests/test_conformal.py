@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -243,14 +244,25 @@ class TestAssembleB:
         ms = build_mode_set(1, (0, 1, 0))
         shapes = []
 
-        def failing_cholesky(a):
+        def failing_cholesky(a, lower=False, check_finite=True):
             shapes.append(a.shape)
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
+            raise scipy.linalg.LinAlgError("Matrix is not positive definite")
 
-        monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+        monkeypatch.setattr(scipy.linalg, "cholesky", failing_cholesky)
         with pytest.raises(PositiveDefiniteError):
             cf.assemble_B(random_factor(4, 2, 0.3), 0.05, ms)
         assert shapes == [(ms.n_modes, ms.n_modes)]
+
+    def test_deformed_solve_makes_no_numpy_linalg_call(self, monkeypatch):
+        # A deformed solve stays on scipy's BLAS (see the eigensolver module
+        # docstring): numpy's Cholesky must not be reached.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg.cholesky called")
+
+        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+        ms = build_mode_set(2, (1, 0, 0))
+        res = cf.deformed_spectrum(random_factor(4, 2, 0.3), 0.05, ms)
+        assert len(res.eigenvalues) == ms.dim
 
     def test_volume_consistency(self):
         ms = build_mode_set(1, (0, 0, 0))

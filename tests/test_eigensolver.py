@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,58 @@ class TestSolve:
             assert C[i, j].real > 0
         # idempotent
         assert_allclose(es.canonicalize_phases(C), C)
+
+
+def _operand(rng, shape, layout, dtype=complex):
+    """A random operand of the given shape as ``layout``: "C", "F" or "H" (a
+    ``.conj().T`` view of a C-ordered array)."""
+    if layout == "H":
+        return _operand(rng, shape[::-1], "C", dtype).conj().T
+    x = rng.standard_normal(shape)
+    if dtype is complex:
+        x = x + 1j * rng.standard_normal(shape)
+    return np.asarray(x, order=layout)
+
+
+class TestBlasMatmul:
+    @pytest.mark.parametrize("layout_b", ["C", "F", "H"])
+    @pytest.mark.parametrize("layout_a", ["C", "F", "H"])
+    def test_matches_numpy_product(self, rng, layout_a, layout_b):
+        a = _operand(rng, (30, 20), layout_a)
+        b = _operand(rng, (20, 7), layout_b)
+        ref = a @ b
+        out = es.blas_matmul(a, b)
+        assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_real_matrix_complex_vectors(self, rng, layout):
+        a = _operand(rng, (25, 25), layout, dtype=float)
+        b = _operand(rng, (25, 4), "F")
+        ref = a @ b
+        out = es.blas_matmul(a, b)
+        assert out.dtype == np.complex128
+        assert np.linalg.norm(out - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "H"])
+    def test_matrix_is_not_copied(self, rng, layout):
+        a = _operand(rng, (400, 400), layout)
+        b = _operand(rng, (400, 3), "F")
+        tracemalloc.start()
+        try:
+            es.blas_matmul(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes // 10
+
+    def test_zero_columns(self, rng):
+        a = _operand(rng, (12, 12), "C")
+        assert es.blas_matmul(a, np.zeros((12, 0), complex, order="F")).shape == (12, 0)
+        # an empty value window reaches the residual gate with no vectors
+        w, V, res = es.solve_gen_hermitian(
+            random_hermitian(rng, 12), random_spd(rng, 12), subset_by_value=(1e3, 2e3)
+        )
+        assert w.shape == (0,) and V.shape == (12, 0) and res == 0.0
 
 
 def _failing_eigh(message):
