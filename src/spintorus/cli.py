@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 internal failure (a solver failure is reported as
 one ``error:`` line) or failed validation suite, 2 positive-definiteness
 failure of the deformation weight, 3 invalid input (usage error, bad config,
-malformed factor file, out-of-range cluster index, violated precondition,
-a truncation whose dense solve would not fit in physical memory),
-reported as one ``error:`` line.
+malformed or non-finite factor, out-of-range cluster index or a cluster
+lambda off the flat spectrum, violated precondition, a truncation whose
+dense solve would not fit in physical memory, an unreadable input file or
+an unwritable ``--out``), reported as one ``error:`` line.
 
 Each subcommand takes only the flags it reads (``COMMANDS``); any other flag
 is a usage error.  Configuration can come from flags or a single JSON config
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -104,6 +106,8 @@ class RunConfig:
             raise ConfigError("cluster tolerances must be positive and finite")
         if not np.isfinite(self.t):
             raise ConfigError("t must be finite")
+        if not np.isfinite(self.amplitude):
+            raise ConfigError("amplitude must be finite")
         if self.t_grid is not None and (
             len(self.t_grid) < 1 or any(not np.isfinite(t) for t in self.t_grid)
         ):
@@ -112,6 +116,12 @@ class RunConfig:
             raise ConfigError("trials must be >= 0")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
+        if self.out:
+            folder = os.path.dirname(self.out) or "."
+            if not os.path.isdir(folder):
+                raise ConfigError(f"output directory does not exist: {folder}")
+            if os.path.isdir(self.out):
+                raise ConfigError(f"output path is a directory: {self.out}")
         if command == "split-search" and self.t == 0:
             raise ConfigError(
                 f"split-search verifies its split at t, so t must be nonzero "
@@ -162,8 +172,8 @@ class RunConfig:
                 with open(arg) as fh:
                     doc = json.load(fh)
                 return ConformalFactor.from_json_dict(doc, label=f"file:{arg}")
-            except FileNotFoundError as exc:
-                raise ConfigError(f"factor file not found: {arg}") from exc
+            except OSError as exc:
+                raise ConfigError(f"cannot read factor file {arg}: {exc.strerror}") from exc
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"factor file is not valid JSON: {exc}") from exc
             except (KeyError, TypeError) as exc:
@@ -177,18 +187,25 @@ class RunConfig:
         raise ConfigError(f"unknown factor kind {kind!r}")
 
 
+def _write_text(path, text):
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def dump_json(doc, path=None):
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write_text(path, text)
     return text
 
 
 def dump_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(rows)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    _write_text(path, buf.getvalue())
 
 
 def _write_artifact(cfg, json_doc, csv_rows=None):
@@ -306,8 +323,8 @@ def load_config(args):
         try:
             with open(args.config) as fh:
                 base = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {args.config}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc.strerror}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(base, dict):

@@ -34,6 +34,9 @@ from .torus_dirac import (
     apply_flat_dirac,
     build_mode_set,
     embed_field,
+    fft_bins,
+    from_grid,
+    to_grid,
 )
 
 #: Deformations are considered well-resolved while |t| * osc(f) stays below
@@ -43,6 +46,10 @@ T_RANGE_LIMIT = 1.0
 
 #: Reality-constraint tolerance for loaded Fourier coefficients.
 REALITY_TOL = 1e-14
+
+#: Max-norm tolerance, relative to max e^{tf}, of the reconstruction of e^{tf}
+#: from the block that ``exp_coeffs`` returns.
+EXP_RECON_TOL = 1e-12
 
 #: Half-width, in clustering tolerances at the trust radius, of the band that
 #: ``trusted_spectrum`` solves past the radius so edge clusters come out whole.
@@ -54,6 +61,14 @@ def _next_pow2(n):
     while p < n:
         p *= 2
     return p
+
+
+def cube_modes(radius):
+    """The modes |m|_inf <= radius in lexicographic order, one per row: the
+    order of ``CenteredCube.values.reshape(-1)``.  The zero mode is the
+    middle row, and the rows after it are the modes m > 0."""
+    r = np.arange(-radius, radius + 1)
+    return np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 class CenteredCube:
@@ -68,6 +83,16 @@ class CenteredCube:
     @property
     def radius(self):
         return (self.values.shape[0] - 1) // 2
+
+    def items(self):
+        """The nonzero coefficients as (m, c(m)) pairs, m in lexicographic order."""
+        flat = self.values.reshape(-1)
+        nz = np.flatnonzero(flat)
+        return [(tuple(m), v) for m, v in zip(cube_modes(self.radius)[nz].tolist(), flat[nz])]
+
+    def on_grid(self, G):
+        """Samples of sum_m c(m) e^{i<m, x>} on the uniform G^3 grid (see ``to_grid``)."""
+        return to_grid(self.values.reshape(-1), cube_modes(self.radius), G)
 
     def lookup(self, diffs):
         """Coefficients for an integer difference array of shape (..., 3)."""
@@ -100,6 +125,8 @@ class ConformalFactor(CenteredCube):
             raise ValueError(
                 f"coefficient cube has shape {values.shape}, expected {(side,) * 3}"
             )
+        if not np.all(np.isfinite(values)):
+            raise ValueError("factor coefficients must be finite")
         flipped = np.conj(values[::-1, ::-1, ::-1])
         viol = float(np.max(np.abs(values - flipped))) if values.size else 0.0
         scale = max(1.0, float(np.max(np.abs(values)))) if values.size else 1.0
@@ -117,35 +144,30 @@ class ConformalFactor(CenteredCube):
 
     @classmethod
     def zero(cls):
-        return cls(0, np.zeros((1, 1, 1)), label="zero")
+        return cls.from_coeffs(0, {}, label="zero")
 
     @classmethod
     def constant(cls, c):
-        vals = np.full((1, 1, 1), complex(c))
-        if abs(vals[0, 0, 0].imag) > REALITY_TOL * max(1.0, abs(c)):
+        c = complex(c)
+        if abs(c.imag) > REALITY_TOL * max(1.0, abs(c)):
             raise ValueError("constant factor must be real")
-        return cls(0, vals.real.astype(complex), label=f"const:{float(np.real(c))!r}")
+        return cls.from_coeffs(0, {(0, 0, 0): c.real}, label=f"const:{c.real!r}")
 
     @classmethod
     def from_coeffs(cls, degree, coeff_map, label=None):
         """Build from a {(m1, m2, m3): value} mapping; missing -m entries are
-        filled by conjugation, inconsistent ones are rejected."""
+        filled by conjugation, inconsistent ones are rejected.  Every
+        constructor places its coefficients through here."""
+        degree = int(degree)
+        coeffs = {tuple(int(x) for x in m): complex(v) for m, v in coeff_map.items()}
+        for m, v in list(coeffs.items()):
+            coeffs.setdefault(tuple(-x for x in m), v.conjugate())
         side = 2 * degree + 1
         vals = np.zeros((side, side, side), dtype=np.complex128)
-        seen = set()
-        for m, v in coeff_map.items():
-            m = tuple(int(x) for x in m)
-            if any(abs(x) > degree for x in m):
-                raise ValueError(f"mode {m} exceeds degree {degree}")
-            idx = tuple(x + degree for x in m)
-            vals[idx] = complex(v)
-            seen.add(m)
-        for m in list(seen):
-            neg = tuple(-x for x in m)
-            if neg not in seen:
-                vals[tuple(-x + degree for x in m)] = np.conj(
-                    vals[tuple(x + degree for x in m)]
-                )
+        for m, v in coeffs.items():
+            if len(m) != 3 or any(abs(x) > degree for x in m):
+                raise ValueError(f"coefficient mode {m} out of range for degree {degree}")
+            vals[tuple(x + degree for x in m)] = v
         return cls(degree, vals, label=label)
 
     @classmethod
@@ -181,12 +203,7 @@ class ConformalFactor(CenteredCube):
 
     @property
     def is_constant(self):
-        if self.degree == 0:
-            return True
-        center = self.coeff((0, 0, 0))
-        probe = self.values.copy()
-        probe[self.degree, self.degree, self.degree] = 0.0
-        return not np.any(probe) and abs(center.imag) == 0.0
+        return all(m == (0, 0, 0) for m, _ in self.items())
 
     def grid_values(self, G):
         """Real samples of f on the uniform G^3 grid (cached)."""
@@ -194,12 +211,7 @@ class ConformalFactor(CenteredCube):
         if G < 2 * self.degree + 2:
             raise ValueError(f"grid size {G} too small for degree {self.degree}")
         if G not in self._grid_cache:
-            arr = np.zeros((G, G, G), dtype=np.complex128)
-            d = self.degree
-            rng = np.arange(-d, d + 1)
-            idx = rng % G
-            arr[np.ix_(idx, idx, idx)] = self.values
-            vals = np.fft.ifftn(arr) * G**3
+            vals = self.on_grid(G)
             imag = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
             scale = max(1.0, float(np.max(np.abs(vals.real))))
             if imag > 1e-10 * scale:
@@ -251,31 +263,22 @@ class ConformalFactor(CenteredCube):
     # -- serialization ------------------------------------------------
 
     def to_json_dict(self):
-        coeffs = []
-        d = self.degree
-        for m1 in range(-d, d + 1):
-            for m2 in range(-d, d + 1):
-                for m3 in range(-d, d + 1):
-                    v = self.values[m1 + d, m2 + d, m3 + d]
-                    if v != 0:
-                        coeffs.append(
-                            {"m": [m1, m2, m3], "re": float(v.real), "im": float(v.imag)}
-                        )
-        return {"degree": d, "coeffs": coeffs}
+        coeffs = [
+            {"m": list(m), "re": float(v.real), "im": float(v.imag)} for m, v in self.items()
+        ]
+        return {"degree": self.degree, "coeffs": coeffs}
 
     @classmethod
     def from_json_dict(cls, doc, label=None):
-        degree = int(doc["degree"])
-        side = 2 * degree + 1
-        vals = np.zeros((side, side, side), dtype=np.complex128)
-        for entry in doc.get("coeffs", []):
-            m = entry["m"]
-            if len(m) != 3 or any(abs(int(x)) > degree for x in m):
-                raise ValueError(f"coefficient mode {m} out of range for degree {degree}")
-            vals[tuple(int(x) + degree for x in m)] = float(entry["re"]) + 1j * float(
-                entry["im"]
-            )
-        return cls(degree, vals, label=label)
+        """Load the ``to_json_dict`` schema; a file lists both m and -m."""
+        coeffs = {
+            tuple(int(x) for x in entry["m"]): float(entry["re"]) + 1j * float(entry["im"])
+            for entry in doc.get("coeffs", [])
+        }
+        for m in coeffs:
+            if tuple(-x for x in m) not in coeffs:
+                raise ValueError(f"reality constraint violated: mode {m} is listed without -m")
+        return cls.from_coeffs(doc["degree"], coeffs, label=label)
 
 
 @dataclass
@@ -287,26 +290,19 @@ class ExpCoeffs(CenteredCube):
     band is expanded beyond the request until this is below the tolerance.
     """
 
-    band: int
     band_used: int
     values: np.ndarray  # (2 b + 1,)^3
-    grid_size: int
     recon_error: float
 
 
-def _centered_block(arr, b, G):
-    rng = np.arange(-b, b + 1) % G
-    return arr[np.ix_(rng, rng, rng)]
-
-
-def exp_coeffs(factor, t, band, tol=1e-12):
+def exp_coeffs(factor, t, band):
     """Fourier coefficients of e^{tf} for |m|_inf <= band (expanded as needed).
 
     The FFT grid is oversampled (G = smallest power of two at or above
     max(64, 4*band + 8*degree)), so aliasing of the analytic weight decays
     spectrally; the returned block is grown beyond ``band`` until the
-    reconstruction of e^{tf} from it meets ``tol`` on the sampling grid, and
-    the final reconstruction error is measured, not assumed.
+    reconstruction of e^{tf} from it meets ``EXP_RECON_TOL`` on the sampling
+    grid, and the final reconstruction error is measured, not assumed.
     """
     band = int(band)
     if band < 0:
@@ -315,7 +311,7 @@ def exp_coeffs(factor, t, band, tol=1e-12):
         side = 2 * band + 1
         vals = np.zeros((side, side, side), dtype=np.complex128)
         vals[band, band, band] = np.exp(t * factor.mean()) if t != 0 else 1.0
-        return ExpCoeffs(band, band, vals, 0, 0.0)
+        return ExpCoeffs(band, vals, 0.0)
 
     d = max(1, factor.degree)
     G = _next_pow2(max(64, 4 * band + 8 * d))
@@ -326,29 +322,30 @@ def exp_coeffs(factor, t, band, tol=1e-12):
     # support of the returned block equal to the analytic support.
     hhat[np.abs(hhat) < 1e-15 * scale] = 0.0
     total = float(np.sum(np.abs(hhat)))
+
+    def block(b):
+        side = 2 * b + 1
+        return hhat[fft_bins(cube_modes(b), G)].reshape(side, side, side)
+
     b = band
     b_max = G // 2 - 1
     # Dropped-mass pre-pass (an upper bound for the max-norm error) ...
     while b < b_max:
-        kept = float(np.sum(np.abs(_centered_block(hhat, b, G))))
-        if total - kept <= tol * scale:
+        kept = float(np.sum(np.abs(block(b))))
+        if total - kept <= EXP_RECON_TOL * scale:
             break
         b += 1
     # ... then measure the actual reconstruction error and grow if needed.
     while True:
-        vals = _centered_block(hhat, b, G).copy()
-        vals = 0.5 * (vals + np.conj(vals[::-1, ::-1, ::-1]))
-        trunc = np.zeros((G, G, G), dtype=np.complex128)
-        rng = np.arange(-b, b + 1) % G
-        trunc[np.ix_(rng, rng, rng)] = vals
-        recon = np.fft.ifftn(trunc) * G**3
-        err = float(np.max(np.abs(recon - h))) / scale
-        if err <= tol:
-            return ExpCoeffs(band, b, vals, G, err)
+        vals = block(b)
+        exp = ExpCoeffs(b, 0.5 * (vals + np.conj(vals[::-1, ::-1, ::-1])), 0.0)
+        exp.recon_error = float(np.max(np.abs(exp.on_grid(G) - h))) / scale
+        if exp.recon_error <= EXP_RECON_TOL:
+            return exp
         if b >= b_max:
             raise ValueError(
-                f"cannot reach reconstruction tolerance {tol:.1e} within the FFT grid "
-                f"(got {err:.3e}); deformation parameter likely out of range"
+                f"cannot reach reconstruction tolerance {EXP_RECON_TOL:.1e} within the FFT grid "
+                f"(got {exp.recon_error:.3e}); deformation parameter likely out of range"
             )
         b += 1
 
@@ -505,13 +502,12 @@ def deformed_spectrum(
     }
     return eigensolver.build_spectrum_result(
         w,
-        V,
+        V if keep_vectors else None,
         residual_max,
         tau_rel,
         meta,
         mode_set=mode_set,
         B=None if (identity_B or not keep_vectors) else op.B,
-        keep_vectors=keep_vectors,
     )
 
 
@@ -559,7 +555,6 @@ def trusted_spectrum(factor, t, mode_set, tau_rel=None):
         tau_rel,
         dict(res.meta, trust_radius=radius),
         mode_set=mode_set,
-        keep_vectors=False,
     )
 
 
@@ -577,19 +572,12 @@ def gradient_clifford_term(factor, phi, out_mode_set):
     ``fhat(m) * dirac_symbol(m) @ u_kappa`` at kappa + m.
     """
     out = np.zeros((out_mode_set.n_modes, 2), dtype=np.complex128)
-    d = factor.degree
-    for m1 in range(-d, d + 1):
-        for m2 in range(-d, d + 1):
-            for m3 in range(-d, d + 1):
-                fm = factor.values[m1 + d, m2 + d, m3 + d]
-                if fm == 0:
-                    continue
-                m = (m1, m2, m3)
-                pos = out_mode_set.positions_of(phi.mode_set.modes + np.asarray(m, float))
-                if np.any(pos < 0):
-                    raise ValueError("output mode set too small for the gradient term")
-                sym = dirac_symbol(np.asarray(m, dtype=float))
-                np.add.at(out, pos, fm * (phi.coeffs @ sym.T))
+    for m, fm in factor.items():
+        m = np.asarray(m, dtype=float)
+        pos = out_mode_set.positions_of(phi.mode_set.modes + m)
+        if np.any(pos < 0):
+            raise ValueError("output mode set too small for the gradient term")
+        np.add.at(out, pos, fm * (phi.coeffs @ dirac_symbol(m).T))
     return SpinorField(out_mode_set, out)
 
 
@@ -617,15 +605,9 @@ def apply_deformed_dirac(factor, t, phi):
     # Multiply by e^{-tf} through an oversampled grid; gather back onto the
     # enlarged mode set.
     G = _next_pow2(max(64, 2 * (n_out + 1)))
-    arr = np.zeros((G, G, G, 2), dtype=np.complex128)
-    idx = out_ms.k_values % G
-    arr[idx[:, 0], idx[:, 1], idx[:, 2], :] = psi.coeffs
-    vals = np.fft.ifftn(arr, axes=(0, 1, 2)) * G**3
-    weight = np.exp(-t * factor.grid_values(G))
-    vals *= weight[..., None]
-    coeffs = np.fft.fftn(vals, axes=(0, 1, 2)) / G**3
-    out = coeffs[idx[:, 0], idx[:, 1], idx[:, 2], :]
-    return SpinorField(out_ms, out)
+    vals = to_grid(psi.coeffs, out_ms.k_values, G)
+    vals *= np.exp(-t * factor.grid_values(G))[..., None]
+    return SpinorField(out_ms, from_grid(vals, out_ms.k_values, G))
 
 
 def _grid_dirac(values, spin_structure, G):

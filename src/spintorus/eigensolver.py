@@ -186,9 +186,7 @@ def cluster_eigenvalues(values, tau_rel=0.0, tau_abs=0.0):
     return clusters
 
 
-def build_spectrum_result(
-    w, V, residual_max, tau_rel, meta, mode_set=None, B=None, keep_vectors=True
-):
+def build_spectrum_result(w, V, residual_max, tau_rel, meta, mode_set=None, B=None):
     clusters = cluster_eigenvalues(w, tau_rel)
     meta = dict(meta)
     meta["tau_rel"] = tau_rel
@@ -197,7 +195,7 @@ def build_spectrum_result(
         clusters=clusters,
         residual_max=residual_max,
         meta=meta,
-        vectors=V if keep_vectors else None,
+        vectors=V,
         B=B,
         mode_set=mode_set,
     )

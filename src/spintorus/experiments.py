@@ -22,7 +22,13 @@ import numpy as np
 
 from . import eigensolver
 from .artifact import Artifact
-from .conformal import ConformalFactor, cluster_tolerance, deformed_spectrum, trusted_spectrum
+from .conformal import (
+    ConformalFactor,
+    cluster_tolerance,
+    cube_modes,
+    deformed_spectrum,
+    trusted_spectrum,
+)
 from .errors import ClusterNotIsolatedError, PositiveDefiniteError, SplitSearchError
 from .perturbation import deformed_cluster_values, perturbation_matrix
 from .torus_dirac import SpectrumLine, SpinStructure, build_mode_set
@@ -43,48 +49,36 @@ def random_factor(seed, degree, amplitude, label=None):
     if degree < 1:
         raise ValueError("degree must be >= 1")
     amplitude = float(amplitude)
-    if amplitude < 0:
-        raise ValueError("amplitude must be >= 0")
+    if not (np.isfinite(amplitude) and amplitude >= 0):
+        raise ValueError(f"amplitude must be finite and >= 0, got {amplitude}")
     if amplitude == 0.0:
         return ConformalFactor.zero()
     rng = np.random.default_rng(seed)
-    side = 2 * degree + 1
-    vals = np.zeros((side, side, side), dtype=np.complex128)
-    for m1 in range(-degree, degree + 1):
-        for m2 in range(-degree, degree + 1):
-            for m3 in range(-degree, degree + 1):
-                m = (m1, m2, m3)
-                if m == (0, 0, 0):
-                    vals[degree, degree, degree] = rng.standard_normal()
-                elif m > (0, 0, 0):
-                    re, im = rng.standard_normal(2)
-                    vals[m1 + degree, m2 + degree, m3 + degree] = (re + 1j * im) / 2.0
-                    vals[degree - m1, degree - m2, degree - m3] = (re - 1j * im) / 2.0
-    factor = ConformalFactor(degree, vals, label=label)
+    zero, *positive = _half_space(degree)
+    coeffs = {zero: rng.standard_normal()}
+    for m in positive:
+        re, im = rng.standard_normal(2)
+        coeffs[m] = (re + 1j * im) / 2.0
+        coeffs[tuple(-x for x in m)] = (re - 1j * im) / 2.0
+    factor = ConformalFactor.from_coeffs(degree, coeffs, label=label)
     sup = factor.sup_abs()
     if sup == 0.0:
         return ConformalFactor.zero()
     return factor.scaled(amplitude / sup)
 
 
-def _half_space_modes(max_degree):
-    """Representatives of {m, -m} pairs with 0 < |m|_inf <= max_degree,
-    ordered by Euclidean length then lexicographically."""
-    out = []
-    d = max_degree
-    for m1 in range(-d, d + 1):
-        for m2 in range(-d, d + 1):
-            for m3 in range(-d, d + 1):
-                m = (m1, m2, m3)
-                if m > (0, 0, 0):
-                    out.append(m)
-    out.sort(key=lambda m: (m[0] ** 2 + m[1] ** 2 + m[2] ** 2, m))
-    return out
+def _half_space(degree):
+    """The zero mode, then the representative m > 0 of each pair {m, -m} with
+    |m|_inf <= degree, in lexicographic order."""
+    modes = cube_modes(degree)
+    return [tuple(m) for m in modes[len(modes) // 2 :].tolist()]
 
 
 def candidate_factors(max_degree, n_random=32, seed=2024):
-    """Deterministic splitting candidates: single frequencies, then random mixes."""
-    for m in _half_space_modes(max_degree):
+    """Deterministic splitting candidates: single frequencies (by Euclidean
+    length, then lexicographically), then random mixes."""
+    by_length = sorted(_half_space(max_degree)[1:], key=lambda m: (sum(x * x for x in m), m))
+    for m in by_length:
         yield ConformalFactor.cosine(m)
         yield ConformalFactor.sine(m)
     root = np.random.SeedSequence(seed)
@@ -340,9 +334,7 @@ def genericity_scan(
     for r in ok_rows:
         key = ",".join(str(h) for h in r.mult_h)
         report.pattern_counts[key] = report.pattern_counts.get(key, 0) + 1
-    report.fraction_all_simple = (
-        sum(1 for r in ok_rows if r.all_simple) / trials if trials else None
-    )
+    report.fraction_all_simple = sum(1 for r in ok_rows if r.all_simple) / trials
     return report
 
 

@@ -34,11 +34,8 @@ from .torus_dirac import (
     closed_form_spectrum,
     field_on_grid,
     l2_inner,
+    require_product_grid,
 )
-
-#: Eigenvalues within this relative distance form one cluster at t = 0
-#: (degeneracy is exact analytically; the tolerance covers floating point).
-CLUSTER_ID_TOL = 1e-6
 
 #: Tolerance for the quaternionic pairing of cluster-matrix eigenvalues.
 PAIR_TOL = 1e-8
@@ -89,6 +86,16 @@ def validate_cluster(cluster):
         )
 
 
+def _require_flat_value(nearest, lam):
+    """Reject a requested lam farther than 1e-6 max(1, |lam|) from the nearest
+    flat eigenvalue (degeneracy is exact analytically; the tolerance covers
+    floating point and a value given to a few digits)."""
+    if abs(nearest - lam) > 1e-6 * max(1.0, abs(lam)):
+        raise ValueError(
+            f"{lam} is not a flat eigenvalue for this mode set (the nearest is {nearest!r})"
+        )
+
+
 def extract_cluster(result, mode_set, lam=None, index=None):
     """Pull one cluster out of an undeformed SpectrumResult as an EigenCluster."""
     if result.meta.get("t", 0.0) != 0.0:
@@ -99,6 +106,7 @@ def extract_cluster(result, mode_set, lam=None, index=None):
         if lam is None:
             raise ValueError("give either a cluster index or a target eigenvalue")
         info = result.cluster_of(lam)
+        _require_flat_value(info.lam, lam)
     else:
         if not 0 <= index < len(result.clusters):
             raise ValueError(
@@ -306,10 +314,7 @@ def pointwise_gram(phi1, phi2, G):
     """
     if not phi1.mode_set.same_modes(phi2.mode_set):
         raise ValueError("fields live on different mode sets")
-    if G < 2 * (2 * phi1.mode_set.N + 1):
-        raise ValueError(
-            f"grid size {G} too small: need at least {2 * (2 * phi1.mode_set.N + 1)}"
-        )
+    require_product_grid(phi1.mode_set, G)
     v1 = field_on_grid(phi1, G)
     v2 = field_on_grid(phi2, G)
     vj = field_on_grid(apply_J_field(phi2), G)
@@ -330,8 +335,7 @@ def flat_cluster_window(mode_set, lam):
     )
     reps = sorted({line.lam for line in lines} | {-line.lam for line in lines})
     pos = int(np.argmin([abs(r - lam) for r in reps]))
-    if abs(reps[pos] - lam) > 1e-6 * max(1.0, abs(lam)):
-        raise ValueError(f"{lam} is not a flat eigenvalue for this mode set")
+    _require_flat_value(reps[pos], lam)
     lo = -np.inf if pos == 0 else 0.5 * (reps[pos - 1] + reps[pos])
     hi = np.inf if pos == len(reps) - 1 else 0.5 * (reps[pos] + reps[pos + 1])
     return lo, hi

@@ -26,9 +26,6 @@ SIGMA = np.array(
     dtype=np.complex128,
 )
 
-#: Matrices of the Clifford action c(e_j) = i sigma_j.
-CLIFFORD = 1j * SIGMA
-
 #: J s = J_MAT @ conj(s).
 J_MAT = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=np.complex128)
 

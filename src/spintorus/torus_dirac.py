@@ -234,10 +234,6 @@ def _require_same_modes(a, b):
         raise ValueError("fields live on different mode sets")
 
 
-def zero_field(mode_set):
-    return SpinorField(mode_set, np.zeros((mode_set.n_modes, 2), dtype=np.complex128))
-
-
 def random_field(mode_set, rng, normalize=True):
     """Gaussian random field; unit flat L^2 norm unless ``normalize=False``."""
     c = rng.standard_normal((mode_set.n_modes, 2, 2)) @ np.array([1.0, 1.0j])
@@ -294,9 +290,30 @@ def apply_J_field(phi):
     return SpinorField(phi.mode_set, apply_J_coeffs(phi.mode_set, phi.coeffs))
 
 
-def min_grid_size(mode_set):
-    """Smallest grid that places all modes injectively (evaluation is then exact)."""
-    return 2 * mode_set.N + 1
+def fft_bins(k, G):
+    """Index of the FFT bins of the integer frequencies k, shape (n, 3): m goes to m mod G."""
+    return tuple((np.asarray(k) % G).T)
+
+
+def to_grid(coeffs, k, G):
+    """Samples of sum_m c_m e^{i<m, x>} at x = 2 pi n / G, n in {0..G-1}^3.
+
+    ``coeffs`` has one row per frequency in ``k`` and an optional trailing
+    (spin) axis that the result keeps.  Exact up to roundoff when G exceeds
+    the spread of k along every axis, which is required.
+    """
+    coeffs = np.asarray(coeffs)
+    if len(k) and np.max(np.ptp(k, axis=0)) >= G:
+        raise ValueError(f"grid size {G} too small for frequencies spanning {np.ptp(k, axis=0)}")
+    arr = np.zeros((G, G, G) + coeffs.shape[1:], dtype=np.complex128)
+    arr[fft_bins(k, G)] = coeffs
+    return np.fft.ifftn(arr, axes=(0, 1, 2)) * G**3
+
+
+def from_grid(vals, k, G):
+    """Fourier coefficients at the frequencies k of samples on the G^3 grid
+    (the inverse of ``to_grid``; a trailing axis of ``vals`` is kept)."""
+    return (np.fft.fftn(vals, axes=(0, 1, 2)) / G**3)[fft_bins(k, G)]
 
 
 def field_on_grid(phi, G):
@@ -307,12 +324,7 @@ def field_on_grid(phi, G):
     """
     ms = phi.mode_set
     G = int(G)
-    if G < min_grid_size(ms):
-        raise ValueError(f"grid size {G} too small for mode set with N={ms.N}")
-    arr = np.zeros((G, G, G, 2), dtype=np.complex128)
-    idx = ms.k_values % G
-    arr[idx[:, 0], idx[:, 1], idx[:, 2], :] = phi.coeffs
-    vals = np.fft.ifftn(arr, axes=(0, 1, 2)) * G**3
+    vals = to_grid(phi.coeffs, ms.k_values, G)
     delta = ms.spin_structure.delta
     if any(delta):
         n = np.arange(G)
@@ -325,13 +337,17 @@ def field_on_grid(phi, G):
     return vals
 
 
+def require_product_grid(mode_set, G):
+    """Require G >= 2 (2N + 1): the product of two fields on mode_set is then
+    sampled without aliasing, so its grid mean is its exact integral."""
+    need = 2 * (2 * mode_set.N + 1)
+    if G < need:
+        raise ValueError(f"grid size {G} too small: need at least {need}")
+
+
 def pointwise_density(phi, G):
-    """|phi|^2 on the grid.  Requires G >= 2 (2N + 1) so that the grid mean
-    of the band-limited density equals the L^2 norm exactly."""
-    if G < 2 * (2 * phi.mode_set.N + 1):
-        raise ValueError(
-            f"grid size {G} too small: need at least {2 * (2 * phi.mode_set.N + 1)}"
-        )
+    """|phi|^2 on the grid (see ``require_product_grid`` for G)."""
+    require_product_grid(phi.mode_set, G)
     vals = field_on_grid(phi, G)
     return np.sum(np.abs(vals) ** 2, axis=-1)
 

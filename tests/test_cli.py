@@ -281,6 +281,16 @@ class TestPerturb:
         code, _, err = run(capsys, "perturb", "--delta", "1,0,0", "--N", "1")
         assert code == 3
 
+    def test_cluster_lambda_off_the_flat_spectrum(self, capsys):
+        # the nearest cluster, the box-corner shell at 3.2016, is far from 7.0
+        code, msg, err = run(
+            capsys, "perturb", "--delta", "1,0,0", "--N", "2",
+            "--cluster-lambda", "7.0", "--f-cos", "1,0,0",
+        )
+        assert code == 3 and msg == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "not a flat eigenvalue" in err
+
 
 class TestSplitSearchCommand:
     def test_simple_cluster_rejected(self, capsys):
@@ -301,6 +311,15 @@ class TestSplitSearchCommand:
         doc = json.loads(out.read_text())
         assert doc["max_p_h_after"] < doc["p_h_before"]
         assert doc["t_verify"] == cli.DEFAULT_T_VERIFY == 0.05
+
+    def test_cluster_lambda_off_the_flat_spectrum(self, capsys):
+        code, msg, err = run(
+            capsys, "split-search", "--delta", "0,0,0", "--N", "2",
+            "--cluster-lambda", "0.8", "--max-degree", "1",
+        )
+        assert code == 3 and msg == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "not a flat eigenvalue" in err
 
     def test_explicit_zero_t_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -472,6 +491,65 @@ class TestConfigFile:
         cfg.write_text("not json")
         code, _, err = run(capsys, "spectrum", "--config", str(cfg))
         assert code == 3
+
+
+class TestPathErrors:
+    """A path that cannot be read or written is invalid input: one error
+    line and exit 3, checked before any solve where the path is known."""
+
+    def check(self, capsys, *argv):
+        code, msg, err = run(capsys, *argv)
+        assert code == 3 and msg == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        return err
+
+    def test_missing_out_directory(self, capsys, tmp_path, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the output path was checked")
+
+        monkeypatch.setattr(cli, "trusted_spectrum", no_solve)
+        out = str(tmp_path / "missing" / "x.json")
+        assert "does not exist" in self.check(capsys, "spectrum", "--N", "1", "--out", out)
+        assert "does not exist" in self.check(capsys, "oracle", "--delta", "1,0,0", "--out", out)
+
+    def test_out_is_a_directory(self, capsys, tmp_path):
+        err = self.check(capsys, "oracle", "--delta", "1,0,0", "--out", str(tmp_path))
+        assert "is a directory" in err
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        # the directory exists, but the link leads into one that does not
+        link = tmp_path / "link.json"
+        link.symlink_to(tmp_path / "missing" / "x.json")
+        err = self.check(capsys, "oracle", "--delta", "1,0,0", "--out", str(link))
+        assert err.startswith(f"error: cannot write {link}")
+
+    def test_factor_file_is_a_directory(self, capsys, tmp_path):
+        err = self.check(capsys, "spectrum", "--N", "1", "--f-file", str(tmp_path))
+        assert "cannot read factor file" in err
+
+    def test_config_file_is_a_directory(self, capsys, tmp_path):
+        err = self.check(capsys, "spectrum", "--N", "1", "--config", str(tmp_path))
+        assert "cannot read config file" in err
+
+
+class TestNonFiniteFactors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--f-cos", "1,0,0,inf"),
+            ("spectrum", "--f-const", "inf"),
+            ("spectrum", "--f-json", '{"degree": 0, "coeffs": [{"m": [0, 0, 0], "re": NaN, "im": 0}]}'),
+            ("spectrum", "--f-random", "1,2,inf"),
+            ("genericity", "--trials", "2", "--amplitude", "inf"),
+            ("genericity", "--trials", "0", "--amplitude", "nan"),
+        ],
+    )
+    def test_exit_three_without_warnings(self, capsys, recwarn, argv):
+        code, msg, err = run(capsys, argv[0], "--N", "1", "--t", "0.05", *argv[1:])
+        assert code == 3 and msg == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "finite" in err
+        assert not recwarn.list
 
 
 class TestMemoryGuard:

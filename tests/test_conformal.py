@@ -81,6 +81,24 @@ class TestConformalFactor:
         with pytest.raises(ValueError, match="reality"):
             cf.ConformalFactor.from_json_dict(doc)
 
+    def test_loader_rejects_missing_partner(self):
+        doc = {"degree": 1, "coeffs": [{"m": [1, 0, 0], "re": 1.0, "im": 0.5}]}
+        with pytest.raises(ValueError, match="reality"):
+            cf.ConformalFactor.from_json_dict(doc)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_coefficients_rejected(self, bad, recwarn):
+        for make in (
+            lambda: cf.ConformalFactor.constant(bad),
+            lambda: cf.ConformalFactor.cosine((1, 0, 0), bad),
+            lambda: cf.ConformalFactor.from_json_dict(
+                {"degree": 0, "coeffs": [{"m": [0, 0, 0], "re": bad, "im": 0.0}]}
+            ),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                make()
+        assert not recwarn.list
+
     def test_loader_rejects_out_of_range_mode(self):
         doc = {"degree": 1, "coeffs": [{"m": [2, 0, 0], "re": 1.0, "im": 0.0}]}
         with pytest.raises(ValueError):
@@ -110,6 +128,20 @@ class TestConformalFactor:
 
 
 class TestCenteredCube:
+    def test_items_lexicographic_and_round_trip(self):
+        f = random_factor(4, 2, 0.3)
+        modes = [m for m, _ in f.items()]
+        assert modes == sorted(modes) and len(modes) == np.count_nonzero(f.values)
+        assert all(v == f.coeff(m) != 0 for m, v in f.items())
+        assert cf.ConformalFactor.from_coeffs(f.degree, dict(f.items())) == f
+
+    def test_cube_modes_order(self):
+        modes = cf.cube_modes(2)
+        assert [tuple(m) for m in modes] == sorted(tuple(m) for m in modes)
+        cube = np.arange(125).reshape(5, 5, 5)
+        assert all(cube[tuple(m + 2)] == i for i, m in enumerate(modes))
+        assert tuple(modes[len(modes) // 2]) == (0, 0, 0)
+
     @pytest.mark.parametrize("cube", ["factor", "exp"])
     def test_lookup_matches_coeff(self, cube):
         f = random_factor(4, 2, 0.3)

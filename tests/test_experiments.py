@@ -56,6 +56,31 @@ class TestRandomFactor:
             ex.random_factor(1, 0, 0.5)
         with pytest.raises(ValueError):
             ex.random_factor(1, 2, -0.1)
+        for amplitude in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                ex.random_factor(1, 2, amplitude)
+
+    @pytest.mark.parametrize("seed, degree", [(501, 2), (np.random.SeedSequence(7), 1)])
+    def test_draw_order_pinned(self, seed, degree):
+        # The construction the factor had as a triple loop over the cube:
+        # the zero mode draws first, then each m > 0 in lexicographic order.
+        rng = np.random.default_rng(seed)
+        side = 2 * degree + 1
+        vals = np.zeros((side, side, side), dtype=np.complex128)
+        for m1 in range(-degree, degree + 1):
+            for m2 in range(-degree, degree + 1):
+                for m3 in range(-degree, degree + 1):
+                    m = (m1, m2, m3)
+                    if m == (0, 0, 0):
+                        vals[degree, degree, degree] = rng.standard_normal()
+                    elif m > (0, 0, 0):
+                        re, im = rng.standard_normal(2)
+                        vals[m1 + degree, m2 + degree, m3 + degree] = (re + 1j * im) / 2.0
+                        vals[degree - m1, degree - m2, degree - m3] = (re - 1j * im) / 2.0
+        raw = ConformalFactor(degree, vals)
+        expected = raw.scaled(0.3 / raw.sup_abs())
+        f = ex.random_factor(seed, degree, 0.3)
+        assert f.values.tobytes() == expected.values.tobytes()
 
 
 class TestCandidateOrdering:

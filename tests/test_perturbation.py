@@ -14,8 +14,9 @@ from spintorus.torus_dirac import (
     build_mode_set,
     l2_inner,
     pointwise_density,
-    zero_field,
 )
+
+from helpers import zero_field
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +52,14 @@ class TestExtractCluster:
         ms, res = trivial_setup
         with pytest.raises(ValueError, match="out of range"):
             pt.extract_cluster(res, ms, index=10**6)
+
+    def test_lambda_must_name_a_flat_cluster(self, shifted_setup):
+        ms, res = shifted_setup
+        # a value given to 7 digits, 1e-8 from sqrt(5)/2, names its cluster
+        assert pt.extract_cluster(res, ms, lam=1.118034).lam == res.cluster_of(1.118034).lam
+        for lam in (7.0, 0.8, 1.118034 + 2e-6):
+            with pytest.raises(ValueError, match="not a flat eigenvalue"):
+                pt.extract_cluster(res, ms, lam=lam)
 
     def test_rejects_deformed_result(self, shifted_setup):
         from spintorus.conformal import deformed_spectrum

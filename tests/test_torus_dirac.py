@@ -5,6 +5,8 @@ from numpy.testing import assert_allclose
 from spintorus import torus_dirac as td
 from spintorus.spinor_algebra import herm_inner
 
+from helpers import zero_field
+
 
 def brute_force_shells(delta, lam_max):
     """Independent lattice enumeration: plain loops, no package helpers."""
@@ -178,14 +180,14 @@ class TestClosedFormSpectrum:
 class TestFields:
     def test_l2_inner_single_modes(self):
         ms = td.build_mode_set(1, (0, 0, 0))
-        phi = td.zero_field(ms)
-        psi = td.zero_field(ms)
+        phi = zero_field(ms)
+        psi = zero_field(ms)
         i = int(ms.positions_of([(1.0, 0.0, 0.0)])[0])
         j = int(ms.positions_of([(0.0, 1.0, 0.0)])[0])
         phi.coeffs[i, 0] = 1.0
         psi.coeffs[i, 0] = 1.0
         assert td.l2_inner(phi, psi) == 1.0
-        psi2 = td.zero_field(ms)
+        psi2 = zero_field(ms)
         psi2.coeffs[j, 0] = 1.0
         assert td.l2_inner(phi, psi2) == 0.0
 
@@ -208,14 +210,14 @@ class TestFields:
 
     def test_density_single_mode_constant(self):
         ms = td.build_mode_set(1, (1, 0, 0))
-        phi = td.zero_field(ms)
+        phi = zero_field(ms)
         phi.coeffs[0, 1] = 1.0
         rho = td.pointwise_density(phi, 2 * (2 * ms.N + 1))
         assert_allclose(rho, 1.0, atol=1e-13)
 
     def test_density_zero_field(self):
         ms = td.build_mode_set(1, (0, 0, 0))
-        rho = td.pointwise_density(td.zero_field(ms), 6)
+        rho = td.pointwise_density(zero_field(ms), 6)
         assert_allclose(rho, 0.0)
 
     def test_density_grid_too_small(self, rng):
@@ -226,7 +228,7 @@ class TestFields:
     def test_density_matches_direct_evaluation(self, rng):
         # two-mode field evaluated by an explicit Fourier sum at grid points
         ms = td.build_mode_set(1, (1, 1, 0))
-        phi = td.zero_field(ms)
+        phi = zero_field(ms)
         phi.coeffs[2] = [1.0, 0.5j]
         phi.coeffs[7] = [-0.25, 1.0 + 1.0j]
         G = 2 * (2 * ms.N + 1)
@@ -246,10 +248,48 @@ class TestFields:
         assert abs(np.mean(rho) - phi.norm() ** 2) < 1e-12
 
 
+class TestGridTransforms:
+    """to_grid / from_grid, the one map between frequencies and the FFT grid."""
+
+    @staticmethod
+    def frequencies(rng):
+        # 12 distinct frequencies spanning 5 = 2 - (-3) per axis
+        cube = np.stack(np.meshgrid(*[np.arange(-3, 3)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        k = cube[rng.choice(len(cube), size=12, replace=False)]
+        k[0], k[1] = (-3, -3, -3), (2, 2, 2)
+        return k
+
+    @pytest.mark.parametrize("spin_axis", [False, True])
+    def test_matches_direct_sum(self, rng, spin_axis):
+        k = self.frequencies(rng)
+        G = int(np.max(np.ptp(k, axis=0))) + 1  # the smallest injective grid
+        shape = (len(k), 2) if spin_axis else (len(k),)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        vals = td.to_grid(c, k, G)
+        assert vals.shape == (G, G, G) + shape[1:]
+        for n in rng.integers(0, G, size=(8, 3)):
+            x = 2 * np.pi * n / G
+            direct = sum(np.exp(1j * np.dot(m, x)) * cm for m, cm in zip(k, c))
+            assert_allclose(vals[tuple(n)], direct, atol=1e-12)
+
+    @pytest.mark.parametrize("spin_axis", [False, True])
+    def test_from_grid_inverts_to_grid(self, rng, spin_axis):
+        k = self.frequencies(rng)
+        shape = (len(k), 2) if spin_axis else (len(k),)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for G in (6, 16):
+            assert_allclose(td.from_grid(td.to_grid(c, k, G), k, G), c, atol=1e-13)
+
+    def test_grid_must_separate_the_frequencies(self, rng):
+        k = self.frequencies(rng)
+        with pytest.raises(ValueError, match="too small"):
+            td.to_grid(np.ones(len(k)), k, 5)
+
+
 class TestJField:
     def test_single_mode_example(self):
         ms = td.build_mode_set(1, (0, 0, 0))
-        phi = td.zero_field(ms)
+        phi = zero_field(ms)
         i = int(ms.positions_of([(1.0, 0.0, 0.0)])[0])
         phi.coeffs[i] = [1.0, 0.0]
         out = td.apply_J_field(phi)
