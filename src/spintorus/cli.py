@@ -3,9 +3,11 @@
 Exit codes: 0 success, 1 internal failure (a solver failure is reported as
 one ``error:`` line) or failed validation suite, 2 positive-definiteness
 failure of the deformation weight, 3 invalid input (usage error, bad config,
-malformed or non-finite factor, out-of-range cluster index or a cluster
-lambda off the flat spectrum, violated precondition, a truncation whose
-dense solve would not fit in physical memory, an unreadable input file or
+malformed or non-finite factor or a factor JSON that is not an object,
+out-of-range cluster index, a cluster lambda off the flat spectrum or a
+cluster past the truncation radius N - 1/2, violated precondition, a
+truncation whose dense solve or an ``oracle --lambda-max`` whose lattice
+enumeration would not fit in physical memory, an unreadable input file or
 an unwritable ``--out``), reported as one ``error:`` line.
 
 Each subcommand takes only the flags it reads (``COMMANDS``); any other flag
@@ -22,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -34,7 +37,6 @@ from .conformal import (
     ConformalFactor,
     cluster_tolerance,
     deformed_spectrum,
-    flat_spectrum,
     trusted_spectrum,
 )
 from .errors import PositiveDefiniteError, SplitSearchError
@@ -59,6 +61,11 @@ DEFAULT_T_VERIFY = 0.05
 #: Peak memory of a dense solve in dim x dim complex matrices (peak RSS at
 #: N=5, dim 2420, is 585 MB).
 DENSE_MATRICES_AT_PEAK = 6.5
+#: Peak bytes per point of the lattice cube that ``closed_form_spectrum``
+#: enumerates: the int64 keys, the ball mask, and the ball's keys and their
+#: sorted copy, 8 + 1 + 2 * 8 pi / 6 = 17.4 (tracemalloc: 16.4 at
+#: lambda_max = 40, 17.2 at 160).
+LATTICE_BYTES_PER_POINT = 18
 
 
 class ConfigError(ValueError):
@@ -71,6 +78,31 @@ def dense_memory_estimate(N, delta):
     # and the benchmark's tracer counts build_mode_set calls.
     dim = ModeSet(N, SpinStructure(tuple(delta))).dim
     return DENSE_MATRICES_AT_PEAK * dim**2 * 16
+
+
+def lattice_memory_estimate(lambda_max):
+    """Estimated peak bytes of ``closed_form_spectrum`` up to a finite lambda_max:
+    a cube of side 2 ceil(lambda_max) + 3 (a float, inf when out of range)."""
+    side = 2.0 * math.ceil(lambda_max) + 3
+    return LATTICE_BYTES_PER_POINT * side * side * side
+
+
+def require_memory(name, value, estimate, what):
+    """Reject ``name=value`` when its estimated peak of ``estimate(value)`` bytes
+    exceeds physical memory, naming the largest integer value that fits (the
+    estimate grows with the value)."""
+    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    need = estimate(value)
+    if need > available:
+        fits, too_large = 0, math.ceil(value)
+        while too_large - fits > 1:
+            mid = (fits + too_large) // 2
+            fits, too_large = (mid, too_large) if estimate(mid) <= available else (fits, mid)
+        hint = f"use {name} <= {fits}" if fits else f"no {name} fits"
+        raise ConfigError(
+            f"{name}={value} needs about {need / 2**30:.1f} GiB {what}, more than "
+            f"the {available / 2**30:.1f} GiB of physical memory; {hint}"
+        )
 
 
 @dataclass
@@ -128,20 +160,10 @@ class RunConfig:
                 f"(without --t it is {DEFAULT_T_VERIFY})"
             )
         if "N" in COMMANDS[command][1].split():
-            self._check_memory()
-        return self
-
-    def _check_memory(self):
-        """Reject a truncation whose dense solve would not fit in physical memory."""
-        available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        need = dense_memory_estimate(self.N, self.delta)
-        if need > available:
-            fits = [n for n in range(1, self.N) if dense_memory_estimate(n, self.delta) <= available]
-            hint = f"use N <= {fits[-1]}" if fits else "no N fits"
-            raise ConfigError(
-                f"N={self.N} needs about {need / 2**30:.1f} GiB for its dense solve, more than "
-                f"the {available / 2**30:.1f} GiB of physical memory; {hint}"
+            require_memory(
+                "N", self.N, lambda n: dense_memory_estimate(n, self.delta), "for its dense solve"
             )
+        return self
 
     def spin_structure(self):
         return SpinStructure(tuple(self.delta))
@@ -390,6 +412,8 @@ def cmd_spectrum(cfg):
 
 
 def cmd_oracle(cfg, lambda_max):
+    if math.isfinite(lambda_max):  # closed_form_spectrum rejects the others
+        require_memory("lambda-max", lambda_max, lattice_memory_estimate, "to enumerate its lattice")
     lines = closed_form_spectrum(cfg.spin_structure(), lambda_max)
     doc = to_json({"delta": cfg.delta, "lambda_max": lambda_max, "lines": lines})
     _write_artifact(cfg, doc, spectrum_csv_rows(lines))
@@ -403,7 +427,15 @@ def _select_cluster(cfg, command):
     if cfg.cluster_index is None and cfg.cluster_lambda is None:
         raise ConfigError(f"{command} needs --cluster-index or --cluster-lambda")
     ms = build_mode_set(cfg.N, cfg.spin_structure())
-    return extract_cluster(flat_spectrum(ms), ms, lam=cfg.cluster_lambda, index=cfg.cluster_index)
+    cluster = extract_cluster(ms, lam=cfg.cluster_lambda, index=cfg.cluster_index)
+    # lambda = sqrt(q) / 2 with a correctly rounded sqrt: exactly the test q > (2N - 1)^2.
+    if abs(cluster.lam) > ms.N - 0.5:
+        raise ConfigError(
+            f"the flat cluster at {cluster.lam!r} lies past the truncation radius "
+            f"N - 1/2 = {ms.N - 0.5}, which cuts its shell; it needs N >= "
+            f"{math.ceil(abs(cluster.lam) + 0.5)}"
+        )
+    return cluster
 
 
 def cmd_perturb(cfg):

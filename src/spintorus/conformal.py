@@ -271,6 +271,8 @@ class ConformalFactor(CenteredCube):
     @classmethod
     def from_json_dict(cls, doc, label=None):
         """Load the ``to_json_dict`` schema; a file lists both m and -m."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a factor must be a JSON object, got {type(doc).__name__}")
         coeffs = {
             tuple(int(x) for x in entry["m"]): float(entry["re"]) + 1j * float(entry["im"])
             for entry in doc.get("coeffs", [])
@@ -558,11 +560,9 @@ def trusted_spectrum(factor, t, mode_set, tau_rel=None):
     )
 
 
-def flat_spectrum(mode_set, tau_rel=eigensolver.TAU_REL_DEGENERATE, keep_vectors=True):
-    """Spectrum of the undeformed operator (exact below the truncation radius)."""
-    return deformed_spectrum(
-        ConformalFactor.zero(), 0.0, mode_set, tau_rel=tau_rel, keep_vectors=keep_vectors
-    )
+def flat_spectrum(mode_set):
+    """Eigenvalues and clusters of the undeformed operator, from a dense solve."""
+    return deformed_spectrum(ConformalFactor.zero(), 0.0, mode_set, keep_vectors=False)
 
 
 def gradient_clifford_term(factor, phi, out_mode_set):

@@ -62,13 +62,6 @@ class SpectrumResult(Artifact):
     B: np.ndarray | None = field(default=None, metadata=NOT_ARTIFACT)
     mode_set: object = field(default=None, metadata=NOT_ARTIFACT)
 
-    def cluster_of(self, lam):
-        """The cluster whose representative is closest to lam."""
-        if not self.clusters:
-            raise ValueError("empty spectrum")
-        best = min(self.clusters, key=lambda c: abs(c.lam - lam))
-        return best
-
 
 def canonicalize_phases(V):
     """Rotate each column so its first significant entry is real positive.

@@ -90,34 +90,41 @@ def _require_flat_value(nearest, lam):
     """Reject a requested lam farther than 1e-6 max(1, |lam|) from the nearest
     flat eigenvalue (degeneracy is exact analytically; the tolerance covers
     floating point and a value given to a few digits)."""
-    if abs(nearest - lam) > 1e-6 * max(1.0, abs(lam)):
+    if not abs(nearest - lam) <= 1e-6 * max(1.0, abs(lam)):
         raise ValueError(
             f"{lam} is not a flat eigenvalue for this mode set (the nearest is {nearest!r})"
         )
 
 
-def extract_cluster(result, mode_set, lam=None, index=None):
-    """Pull one cluster out of an undeformed SpectrumResult as an EigenCluster."""
-    if result.meta.get("t", 0.0) != 0.0:
-        raise ValueError("clusters are extracted from the undeformed spectrum")
-    if result.vectors is None:
-        raise ValueError("spectrum result does not retain eigenvectors")
+def extract_cluster(mode_set, lam=None, index=None):
+    """One flat eigenspace as an EigenCluster, built from the mode symbols.
+
+    The flat operator is block diagonal over modes, so its clusters are the
+    signed shell keys -q, 0, q (``ModeSet.shell_keys``) in ascending order, at
+    lambda = sign * sqrt(q) / 2 exactly; each mode of the shell gives the
+    column e_kappa (x) u, u the eigenvector of its symbol -sigma . kappa for
+    that sign (the zero mode gives both columns)."""
+    q = mode_set.shell_keys
+    keys = np.unique(np.concatenate([-q, q]))
+    lams = np.sign(keys) * np.sqrt(np.abs(keys)) / 2.0
     if index is None:
         if lam is None:
             raise ValueError("give either a cluster index or a target eigenvalue")
-        info = result.cluster_of(lam)
-        _require_flat_value(info.lam, lam)
-    else:
-        if not 0 <= index < len(result.clusters):
-            raise ValueError(
-                f"cluster index {index} out of range (0..{len(result.clusters) - 1})"
-            )
-        info = result.clusters[index]
-    V = result.vectors[:, info.start : info.stop]
+        index = int(np.argmin(np.abs(lams - lam)))
+        _require_flat_value(float(lams[index]), lam)
+    elif not 0 <= index < len(keys):
+        raise ValueError(f"cluster index {index} out of range (0..{len(keys) - 1})")
+    key = keys[index]
+    sel = np.flatnonzero(q == abs(key))
+    _, U = np.linalg.eigh(mode_set.symbols[sel])  # columns: -|kappa|, +|kappa|
+    U = U if key == 0 else U[:, :, [int(key > 0)]]
+    V = np.zeros((mode_set.n_modes, 2) + U.shape[::2], dtype=np.complex128)
+    V[sel, :, np.arange(len(sel))] = U
+    V = eigensolver.canonicalize_phases(V.reshape(mode_set.dim, -1))
     JV = apply_J_coeffs(mode_set, V)
     proj = V @ (V.conj().T @ JV)
     j_closed = float(np.max(np.abs(JV - proj))) <= 1e-8
-    cluster = EigenCluster(mode_set, float(info.lam), V, j_closed)
+    cluster = EigenCluster(mode_set, float(lams[index]), V, j_closed)
     validate_cluster(cluster)
     return cluster
 

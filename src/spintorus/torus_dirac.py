@@ -100,6 +100,9 @@ class ModeSet:
         grid = np.meshgrid(*axes, indexing="ij")
         self.k_values = np.stack([g.reshape(-1) for g in grid], axis=-1)
         self.modes = self.k_values + spin_structure.shift
+        doubled = 2 * self.k_values + np.asarray(spin_structure.delta)
+        #: Exact shell key |2 kappa|^2 per mode; its flat eigenvalues are +/- sqrt(key) / 2.
+        self.shell_keys = np.sum(doubled * doubled, axis=1)
         self.n_modes = self.modes.shape[0]
         self.dim = 2 * self.n_modes
         self.neg_index = self.positions_of(-self.modes)
@@ -163,8 +166,7 @@ class ModeSet:
 
     def positive_shell_sizes(self):
         """Numbers of +|kappa| eigenvalues of A per distinct |kappa| > 0, ascending."""
-        q = np.rint(4.0 * np.sum(self.modes**2, axis=1)).astype(np.int64)
-        return np.unique(q[q > 0], return_counts=True)[1]
+        return np.unique(self.shell_keys[self.shell_keys > 0], return_counts=True)[1]
 
     def same_modes(self, other):
         return self is other or (
@@ -377,24 +379,17 @@ def closed_form_spectrum(spin_structure, lam_max):
     if lam_max <= 0:
         raise ValueError("lam_max must be positive")
     # Work with doubled coordinates so shell radii are exact integers.
-    shift = spin_structure.delta
     bound = int(np.ceil(lam_max)) + 1
-    counts = {}
-    rng = np.arange(-bound, bound + 1)
-    g = np.meshgrid(rng, rng, rng, indexing="ij")
-    doubled = np.stack([2 * g[j].reshape(-1) + shift[j] for j in range(3)], axis=-1)
-    q = np.sum(doubled * doubled, axis=-1)  # |2 kappa|^2, integer
+    squares = [(2 * np.arange(-bound, bound + 1) + d) ** 2 for d in spin_structure.delta]
+    q = squares[0][:, None, None] + squares[1][:, None] + squares[2]  # |2 kappa|^2
     qmax = int(np.floor((2.0 * lam_max) ** 2 + 1e-9))
-    for val in q[q <= qmax]:
-        counts[int(val)] = counts.get(int(val), 0) + 1
+    keys, counts = np.unique(q[q <= qmax], return_counts=True)
     lines = []
-    for qval in sorted(counts):
-        lam = float(np.sqrt(qval) / 2.0)
-        n = counts[qval]
+    for qval, n in zip(keys.tolist(), counts.tolist()):
         if qval == 0:
             lines.append(SpectrumLine(0.0, 2, 1))
         else:
-            lines.append(SpectrumLine(lam, n, n // 2))
+            lines.append(SpectrumLine(float(np.sqrt(qval) / 2.0), n, n // 2))
     return lines
 
 

@@ -27,7 +27,7 @@ def check_oracle_equality(N, tol=1e-12):
     radius = N - 0.5 + 1e-9
     worst = 0.0
     for spin in all_spin_structures():
-        res = flat_spectrum(build_mode_set(N, spin), keep_vectors=False)
+        res = flat_spectrum(build_mode_set(N, spin))
         got = [(c.lam, c.mult_c, c.mult_h) for c in res.clusters if abs(c.lam) <= radius]
         expected = []
         for line in closed_form_spectrum(spin, radius):
@@ -49,7 +49,7 @@ def check_kramers_pairing(seed, runs):
     violations = []
     for spin in all_spin_structures():
         for N in (1, 2):
-            res = flat_spectrum(build_mode_set(N, spin), keep_vectors=False)
+            res = flat_spectrum(build_mode_set(N, spin))
             done += 1
             violations += [c for c in res.clusters if not c.kramers_ok]
     while done < runs:
@@ -78,7 +78,7 @@ def check_homothety(tol=1e-10, rate_tol=1e-12):
             err = np.max(np.abs(res.eigenvalues - np.exp(-t * c) * flat.eigenvalues))
             _require(err <= tol, f"homothety error {err:.3e} at t={t}")
             worst = max(worst, err)
-        cluster = extract_cluster(flat, ms, index=len(flat.clusters) - 1)
+        cluster = extract_cluster(ms, index=len(flat.clusters) - 1)
         for phi in cluster.fields():
             err = abs(rate_single(cluster.lam, phi, factor) + cluster.lam * c)
             _require(err <= rate_tol, f"rate error {err:.3e} at lambda={cluster.lam}")
@@ -97,7 +97,7 @@ def check_first_order_rates(seed, cases, min_order=1.9, mismatch_coeff=10.0):
         res = flat_spectrum(ms)
         positive = [c for c in res.clusters if 0 < c.lam < ms.N - 0.6]
         info = positive[int(rng.integers(0, len(positive)))]
-        cluster = extract_cluster(res, ms, lam=info.lam)
+        cluster = extract_cluster(ms, lam=info.lam)
         factor = random_factor(int(rng.integers(0, 2**31)), 2, float(rng.uniform(0.2, 0.5)))
         fd = fd_check(cluster, factor, [1e-2, 1e-3, 1e-4])
         _require(fd.order >= min_order, f"order {fd.order:.3f} for delta={spin}, lambda={info.lam}")

@@ -13,7 +13,6 @@ import time
 import numpy as np
 
 from spintorus import validate
-from spintorus.conformal import flat_spectrum
 from spintorus.experiments import genericity_scan, split_search
 from spintorus.perturbation import extract_cluster
 from spintorus.torus_dirac import build_mode_set
@@ -71,9 +70,7 @@ def test_criterion_6_splitting_certificates():
     t_verify = 0.05
     outcomes = []
     for delta, lam in [((0, 0, 0), 1.0), ((1, 0, 0), np.sqrt(5.0) / 2.0)]:
-        ms = build_mode_set(3, delta)
-        res = flat_spectrum(ms)
-        cluster = extract_cluster(res, ms, lam=lam)
+        cluster = extract_cluster(build_mode_set(3, delta), lam=lam)
         cert = split_search(cluster, 2, t_verify=t_verify)
         assert cert.rate_gap > 0
         assert cert.max_p_h_after < cert.p_h_before

@@ -291,6 +291,45 @@ class TestPerturb:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "not a flat eigenvalue" in err
 
+    def test_nan_cluster_lambda(self, capsys):
+        code, out, err = run(
+            capsys, "perturb", "--delta", "1,0,0", "--N", "2", "--cluster-lambda", "nan",
+            "--f-cos", "1,0,0",
+        )
+        assert_bad_input(code, out, err)
+        assert "nan is not a flat eigenvalue" in err
+
+
+def assert_bad_input(code, out, err):
+    """Exit 3 with one ``error:`` line, no traceback and nothing on stdout."""
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+class TestCutShells:
+    # N=2, delta=(1,0,0): the shell at 3.2016 (q = 41) has 32 modes, of which
+    # the truncation holds 8; cluster 0 is the box-corner shell.
+    @pytest.mark.parametrize("command", ["perturb", "split-search"])
+    @pytest.mark.parametrize(
+        "selector",
+        [("--cluster-lambda", "3.2015621187164247"), ("--cluster-index", "0")],
+        ids=["lambda", "index"],
+    )
+    def test_rejected(self, capsys, command, selector):
+        extra = ["--f-cos", "1,0,0"] if command == "perturb" else ["--max-degree", "1"]
+        code, out, err = run(capsys, command, "--delta", "1,0,0", "--N", "2", *selector, *extra)
+        assert_bad_input(code, out, err)
+        assert "past the truncation radius N - 1/2 = 1.5" in err
+
+    def test_shell_at_the_radius_is_complete(self, capsys):
+        # q = 9 = (2N - 1)^2: the 10 modes (+-3,0,0)/2, (+-1,+-2,+-2)/2 are all held
+        code, out, _ = run(
+            capsys, "perturb", "--delta", "1,0,0", "--N", "2", "--cluster-lambda", "1.5",
+            "--f-cos", "1,0,0",
+        )
+        assert code == 0
+        assert "cluster lambda=1.5 p_C=10 p_H=5" in out
+
 
 class TestSplitSearchCommand:
     def test_simple_cluster_rejected(self, capsys):
@@ -532,6 +571,19 @@ class TestPathErrors:
         assert "cannot read config file" in err
 
 
+class TestNonObjectFactors:
+    @pytest.mark.parametrize(
+        "doc, kind", [("[1, 2]", "list"), ("null", "NoneType"), ('"cos"', "str"), ("3", "int")]
+    )
+    def test_inline_and_file(self, capsys, tmp_path, doc, kind):
+        path = tmp_path / "f.json"
+        path.write_text(doc)
+        for source in (["--f-json", doc], ["--f-file", str(path)]):
+            code, out, err = run(capsys, "spectrum", "--N", "1", "--t", "0.05", *source)
+            assert_bad_input(code, out, err)
+            assert err == f"error: a factor must be a JSON object, got {kind}\n"
+
+
 class TestNonFiniteFactors:
     @pytest.mark.parametrize(
         "argv",
@@ -581,6 +633,25 @@ class TestMemoryGuard:
     def test_small_n_and_oracle_pass(self, seven_gb):
         assert cli.RunConfig(N=3, t=0.05).validate("spectrum").N == 3
         assert cli.RunConfig(N=8, t=0.0).validate("oracle").N == 8
+
+    def test_lattice_estimate(self):
+        # the cube of side 2 * 372 + 3 fits in 7 GiB, the next one does not
+        available = 7 * 2**30
+        assert cli.lattice_memory_estimate(0.5) == cli.LATTICE_BYTES_PER_POINT * 5**3
+        assert cli.lattice_memory_estimate(372) <= available < cli.lattice_memory_estimate(372.5)
+
+    @pytest.mark.parametrize("value", ["1e6", "1e300", "373"])
+    def test_oracle_lambda_max_too_large(self, capsys, seven_gb, value):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "oracle", "--delta", "1,0,0", "--lambda-max", value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_bad_input(code, out, err)
+        assert err.startswith(f"error: lambda-max={float(value)} needs about ")
+        assert err.endswith("; use lambda-max <= 372\n")
+        assert peak < 2**24  # nothing was enumerated
 
 
 class TestUsageErrors:

@@ -327,14 +327,14 @@ class TestDeformedSpectrum:
     def test_zero_factor_flat(self):
         ms = build_mode_set(2, (1, 0, 0))
         res = cf.deformed_spectrum(cf.ConformalFactor.zero(), 0.37, ms, keep_vectors=False)
-        flat = cf.flat_spectrum(ms, keep_vectors=False)
+        flat = cf.flat_spectrum(ms)
         assert_allclose(res.eigenvalues, flat.eigenvalues)
 
     @pytest.mark.parametrize("t", [0.1, 0.5])
     def test_homothety_exact(self, t):
         ms = build_mode_set(2, (0, 0, 0))
         c = 0.3
-        flat = cf.flat_spectrum(ms, keep_vectors=False)
+        flat = cf.flat_spectrum(ms)
         res = cf.deformed_spectrum(
             cf.ConformalFactor.constant(c), t, ms, keep_vectors=False
         )
@@ -361,7 +361,7 @@ class TestDeformedSpectrum:
 
         ms = build_mode_set(3, (0, 0, 0))
         factor = cf.ConformalFactor.cosine((1, -1, 0))
-        cluster = extract_cluster(cf.flat_spectrum(ms), ms, lam=1.0)
+        cluster = extract_cluster(ms, lam=1.0)
         rates = np.sort(perturbation_matrix(cluster, factor).rates)
         t = 0.05
         res = cf.deformed_spectrum(factor, t, ms, keep_vectors=False)

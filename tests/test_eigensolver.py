@@ -235,7 +235,7 @@ class TestClustering:
 
     def test_flat_spectrum_matches_oracle(self):
         ms = build_mode_set(3, (0, 0, 0))
-        res = flat_spectrum(ms, keep_vectors=False)
+        res = flat_spectrum(ms)
         radius = ms.N - 0.5
         expected = {}
         for line in closed_form_spectrum((0, 0, 0), radius):
@@ -280,7 +280,7 @@ class TestClustering:
 class TestSpectrumResultSerialization:
     def test_round_trip(self):
         ms = build_mode_set(1, (1, 0, 0))
-        res = flat_spectrum(ms, keep_vectors=False)
+        res = flat_spectrum(ms)
         doc = res.to_json_dict()
         assert json.loads(json.dumps(doc)) == doc
         assert doc["eigenvalues"] == res.eigenvalues.tolist()
@@ -294,7 +294,7 @@ class TestSpectrumResultSerialization:
 
     def test_csv_rows(self):
         ms = build_mode_set(1, (1, 0, 0))
-        res = flat_spectrum(ms, keep_vectors=False)
+        res = flat_spectrum(ms)
         rows = spectrum_csv_rows(res.clusters)
         assert rows[0] == ("lambda", "mult_complex", "mult_quaternionic")
         assert len(rows) == len(res.clusters) + 1
@@ -305,8 +305,8 @@ class TestSpectrumResultSerialization:
 class TestCurveMatching:
     def test_identical_snapshots(self):
         ms = build_mode_set(1, (1, 0, 0))
-        a = flat_spectrum(ms)
-        b = flat_spectrum(ms)
+        a = deformed_spectrum(ConformalFactor.zero(), 0.0, ms)
+        b = deformed_spectrum(ConformalFactor.zero(), 0.0, ms)
         fam = es.match_curves([a, b])
         assert not fam.ambiguous
         assert not any(fam.flagged)
@@ -338,14 +338,16 @@ class TestCurveMatching:
         sel = np.abs(traj[:, 0] - 1.0) < 1e-9
         assert np.sum(sel) == 6
         slopes = np.sort([np.polyfit(ts, row, 1)[0] for row in traj[sel]])
-        cluster = extract_cluster(snaps[0], ms, lam=1.0)
+        cluster = extract_cluster(ms, lam=1.0)
         rates = np.sort(perturbation_matrix(cluster, factor).rates)
         # 5% of the natural first-order scale |lambda| * sup|f|
         assert np.max(np.abs(slopes - rates)) <= 0.05 * factor.sup_abs()
 
     def test_dimension_mismatch(self):
-        a = flat_spectrum(build_mode_set(1, (1, 0, 0)))
-        b = flat_spectrum(build_mode_set(2, (1, 0, 0)))
+        a, b = (
+            deformed_spectrum(ConformalFactor.zero(), 0.0, build_mode_set(N, (1, 0, 0)))
+            for N in (1, 2)
+        )
         with pytest.raises(ValueError):
             es.match_curves([a, b])
 
@@ -365,7 +367,7 @@ class TestCurveMatching:
 
     def test_csv_rows(self):
         ms = build_mode_set(1, (1, 1, 1))
-        snaps = [flat_spectrum(ms), flat_spectrum(ms)]
+        snaps = [deformed_spectrum(ConformalFactor.zero(), 0.0, ms) for _ in range(2)]
         fam = es.match_curves(snaps)
         rows = fam.csv_rows()
         assert rows[0] == ("t", "trajectory_id", "lambda")

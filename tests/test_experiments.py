@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spintorus import experiments as ex
-from spintorus.conformal import ConformalFactor, deformed_spectrum, flat_spectrum
+from spintorus.conformal import ConformalFactor, deformed_spectrum
 from spintorus.errors import SplitSearchError
 from spintorus.perturbation import (
     deformed_cluster_values,
@@ -18,9 +18,7 @@ from spintorus.torus_dirac import build_mode_set, closed_form_spectrum
 
 @pytest.fixture(scope="module")
 def trivial_cluster():
-    ms = build_mode_set(3, (0, 0, 0))
-    res = flat_spectrum(ms)
-    return extract_cluster(res, ms, lam=1.0)
+    return extract_cluster(build_mode_set(3, (0, 0, 0)), lam=1.0)
 
 
 class TestRandomFactor:
@@ -120,9 +118,7 @@ class TestSplitSearch:
         assert cert.factor_label.startswith("cos:")
 
     def test_precondition_simple_cluster(self):
-        ms = build_mode_set(2, (1, 0, 0))
-        res = flat_spectrum(ms)
-        simple = extract_cluster(res, ms, lam=0.5)
+        simple = extract_cluster(build_mode_set(2, (1, 0, 0)), lam=0.5)
         with pytest.raises(ValueError, match="simple"):
             ex.split_search(simple, 2)
 

@@ -2,13 +2,15 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from spintorus import perturbation as pt
-from spintorus.conformal import ConformalFactor, flat_spectrum
+from spintorus.conformal import ConformalFactor, deformed_spectrum, flat_spectrum
 from spintorus.errors import ClusterNotIsolatedError
 from spintorus.experiments import random_factor
 from spintorus.torus_dirac import (
+    all_spin_structures,
     apply_J_field,
     apply_flat_dirac,
     build_mode_set,
@@ -20,23 +22,18 @@ from helpers import zero_field
 
 
 @pytest.fixture(scope="module")
-def trivial_setup():
-    ms = build_mode_set(3, (0, 0, 0))
-    res = flat_spectrum(ms)
-    return ms, res
+def trivial_ms():
+    return build_mode_set(3, (0, 0, 0))
 
 
 @pytest.fixture(scope="module")
-def lambda_one_cluster(trivial_setup):
-    ms, res = trivial_setup
-    return pt.extract_cluster(res, ms, lam=1.0)
+def lambda_one_cluster(trivial_ms):
+    return pt.extract_cluster(trivial_ms, lam=1.0)
 
 
 @pytest.fixture(scope="module")
-def shifted_setup():
-    ms = build_mode_set(2, (1, 0, 0))
-    res = flat_spectrum(ms)
-    return ms, res
+def shifted_ms():
+    return build_mode_set(2, (1, 0, 0))
 
 
 class TestExtractCluster:
@@ -48,32 +45,52 @@ class TestExtractCluster:
         gram = cl.vectors.conj().T @ cl.vectors
         assert np.max(np.abs(gram - np.eye(6))) < 1e-10
 
-    def test_index_out_of_range(self, trivial_setup):
-        ms, res = trivial_setup
+    def test_index_out_of_range(self, trivial_ms):
         with pytest.raises(ValueError, match="out of range"):
-            pt.extract_cluster(res, ms, index=10**6)
+            pt.extract_cluster(trivial_ms, index=10**6)
 
-    def test_lambda_must_name_a_flat_cluster(self, shifted_setup):
-        ms, res = shifted_setup
+    def test_lambda_must_name_a_flat_cluster(self, shifted_ms):
         # a value given to 7 digits, 1e-8 from sqrt(5)/2, names its cluster
-        assert pt.extract_cluster(res, ms, lam=1.118034).lam == res.cluster_of(1.118034).lam
-        for lam in (7.0, 0.8, 1.118034 + 2e-6):
+        assert pt.extract_cluster(shifted_ms, lam=1.118034).lam == np.sqrt(5.0) / 2.0
+        for lam in (7.0, 0.8, 1.118034 + 2e-6, np.nan):
             with pytest.raises(ValueError, match="not a flat eigenvalue"):
-                pt.extract_cluster(res, ms, lam=lam)
+                pt.extract_cluster(shifted_ms, lam=lam)
 
-    def test_rejects_deformed_result(self, shifted_setup):
-        from spintorus.conformal import deformed_spectrum
+    @pytest.mark.parametrize("spin", all_spin_structures(), ids=str)
+    def test_matches_the_dense_flat_solve(self, spin):
+        # every cluster against the dense oracle: value, multiplicity, eigenspace
+        ms = build_mode_set(2, spin)
+        clusters = flat_spectrum(ms).clusters
+        dense = deformed_spectrum(ConformalFactor.zero(), 0.0, ms)
+        assert dense.clusters == clusters
+        with pytest.raises(ValueError, match="out of range"):
+            pt.extract_cluster(ms, index=len(clusters))
+        for index, info in enumerate(clusters):
+            cl = pt.extract_cluster(ms, index=index)
+            modes = np.flatnonzero(np.abs(cl.vectors).reshape(ms.n_modes, -1).sum(axis=1))
+            (q,) = set(ms.shell_keys[modes].tolist())
+            assert cl.lam == np.sign(info.lam) * np.sqrt(q) / 2.0
+            assert abs(cl.lam - info.lam) <= 1e-12
+            assert cl.p_c == info.mult_c
+            assert cl.j_closed
+            X = dense.vectors[:, info.start : info.stop]
+            assert np.max(np.abs(cl.vectors @ cl.vectors.conj().T - X @ X.conj().T)) <= 1e-12
+        if spin.trivial:
+            assert pt.extract_cluster(ms, lam=0.0).p_c == 2
 
-        ms, _ = shifted_setup
-        res_t = deformed_spectrum(random_factor(1, 2, 0.3), 0.05, ms)
-        with pytest.raises(ValueError, match="undeformed"):
-            pt.extract_cluster(res_t, ms, lam=0.5)
+    def test_runs_no_dense_eigensolve(self, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("dense eigensolve")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
+        cl = pt.extract_cluster(build_mode_set(3, (1, 0, 0)), lam=1.118034)
+        assert (cl.p_c, cl.j_closed) == (8, True)
 
 
 class TestRateSingle:
-    def test_constant_factor(self, shifted_setup):
-        ms, res = shifted_setup
-        cl = pt.extract_cluster(res, ms, lam=0.5)
+    def test_constant_factor(self, shifted_ms):
+        ms = shifted_ms
+        cl = pt.extract_cluster(ms, lam=0.5)
         phi = cl.fields()[0]
         c = 0.7
         rate = pt.rate_single(0.5, phi, ConformalFactor.constant(c))
@@ -94,18 +111,18 @@ class TestRateSingle:
         f = ConformalFactor.cosine((1, 2, 0), 0.8)
         assert abs(pt.rate_single(lam, phi, f)) < 1e-13
 
-    def test_requires_normalization(self, shifted_setup, rng):
-        ms, res = shifted_setup
-        cl = pt.extract_cluster(res, ms, lam=0.5)
+    def test_requires_normalization(self, shifted_ms, rng):
+        ms = shifted_ms
+        cl = pt.extract_cluster(ms, lam=0.5)
         phi = cl.fields()[0] * 2.0
         with pytest.raises(ValueError, match="normalized"):
             pt.rate_single(0.5, phi, ConformalFactor.constant(1.0))
 
-    def test_finite_difference_ratio(self, shifted_setup):
+    def test_finite_difference_ratio(self, shifted_ms):
         # rate matches (lambda(t) - lambda)/t to first order; the error
         # shrinks ~10x between t = 1e-2 and t = 1e-3
-        ms, res = shifted_setup
-        cl = pt.extract_cluster(res, ms, lam=0.5)
+        ms = shifted_ms
+        cl = pt.extract_cluster(ms, lam=0.5)
         f = random_factor(11, 2, 0.5)
         rate = pt.rate_single(0.5, cl.fields()[0], f)
         errs = []
@@ -123,9 +140,9 @@ class TestPerturbationMatrix:
         assert_allclose(rep.rates, -c * np.ones(6), atol=1e-13)
         assert rep.min_gap == 0.0
 
-    def test_single_vector_cluster_reduces_to_rate(self, shifted_setup):
-        ms, res = shifted_setup
-        cl2 = pt.extract_cluster(res, ms, lam=0.5)
+    def test_single_vector_cluster_reduces_to_rate(self, shifted_ms):
+        ms = shifted_ms
+        cl2 = pt.extract_cluster(ms, lam=0.5)
         synthetic = pt.EigenCluster(ms, 0.5, cl2.vectors[:, :1], j_closed=False)
         f = random_factor(4, 2, 0.5)
         rep = pt.perturbation_matrix(synthetic, f)
@@ -133,8 +150,8 @@ class TestPerturbationMatrix:
         expected = pt.rate_single(0.5, synthetic.fields()[0], f)
         assert abs(rep.rates[0] - expected) < 1e-13
 
-    def test_empty_cluster_rejected(self, shifted_setup):
-        ms, _ = shifted_setup
+    def test_empty_cluster_rejected(self, shifted_ms):
+        ms = shifted_ms
         empty = pt.EigenCluster(ms, 0.5, np.zeros((ms.dim, 0), dtype=complex), False)
         with pytest.raises(ValueError):
             pt.perturbation_matrix(empty, ConformalFactor.zero())
@@ -308,9 +325,9 @@ class TestPointwiseGram:
 
 
 class TestFdCheck:
-    def test_constant_factor_exact_second_order(self, shifted_setup):
-        ms, res = shifted_setup
-        cl = pt.extract_cluster(res, ms, lam=0.5)
+    def test_constant_factor_exact_second_order(self, shifted_ms):
+        ms = shifted_ms
+        cl = pt.extract_cluster(ms, lam=0.5)
         c = 0.4
         fd = pt.fd_check(cl, ConformalFactor.constant(c), [1e-2, 1e-3])
         for t, m in zip(fd.t_values, fd.mismatches):
@@ -335,9 +352,9 @@ class TestFdCheck:
         with pytest.raises(ValueError):
             pt.fd_check(lambda_one_cluster, ConformalFactor.constant(0.1), [1e-3, 1e-2])
 
-    def test_not_isolated_error(self, shifted_setup):
-        ms, res = shifted_setup
-        cl = pt.extract_cluster(res, ms, lam=0.5)
+    def test_not_isolated_error(self, shifted_ms):
+        ms = shifted_ms
+        cl = pt.extract_cluster(ms, lam=0.5)
         # a huge homothety drags the cluster out of its midpoint window
         # (constant factors have zero oscillation, so no range warning)
         with pytest.raises(ClusterNotIsolatedError):
@@ -345,9 +362,9 @@ class TestFdCheck:
                 ConformalFactor.constant(3.0), 0.9, ms, 0.5, cl.p_c
             )
 
-    def test_report_serialization(self, shifted_setup):
-        ms, res = shifted_setup
-        cl = pt.extract_cluster(res, ms, lam=0.5)
+    def test_report_serialization(self, shifted_ms):
+        ms = shifted_ms
+        cl = pt.extract_cluster(ms, lam=0.5)
         fd = pt.fd_check(cl, ConformalFactor.constant(0.2), [1e-2, 1e-3])
         doc = fd.to_json_dict()
         assert doc["t_values"] == [1e-2, 1e-3]

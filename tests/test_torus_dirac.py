@@ -47,6 +47,14 @@ class TestModeSet:
             assert ms.mode_diffs.shape == reference.shape == (ms.n_modes, ms.n_modes, 3)
             assert ms.mode_diffs.tobytes() == reference.tobytes()
 
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_shell_keys_equal_float_formula(self, N):
+        for spin in td.all_spin_structures():
+            ms = td.build_mode_set(N, spin)
+            reference = np.rint(4.0 * np.sum(ms.modes**2, axis=1)).astype(np.int64)
+            assert ms.shell_keys.dtype == reference.dtype
+            assert np.array_equal(ms.shell_keys, reference)
+
     def test_counts_trivial(self):
         ms = td.build_mode_set(1, (0, 0, 0))
         assert ms.n_modes == 27
