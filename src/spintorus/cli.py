@@ -6,9 +6,10 @@ failure of the deformation weight, 3 invalid input (usage error, bad config,
 malformed or non-finite factor or a factor JSON that is not an object,
 out-of-range cluster index, a cluster lambda off the flat spectrum or a
 cluster past the truncation radius N - 1/2, violated precondition, a
-truncation whose dense solve or an ``oracle --lambda-max`` whose lattice
-enumeration would not fit in physical memory, an unreadable input file or
-an unwritable ``--out``), reported as one ``error:`` line.
+truncation whose dense solve, a factor or degree whose e^{tf} grid or an
+``oracle --lambda-max`` whose lattice enumeration would not fit in physical
+memory, an unreadable input file or an unwritable ``--out``), reported as
+one ``error:`` line.
 
 Each subcommand takes only the flags it reads (``COMMANDS``); any other flag
 is a usage error.  Configuration can come from flags or a single JSON config
@@ -37,6 +38,7 @@ from .conformal import (
     ConformalFactor,
     cluster_tolerance,
     deformed_spectrum,
+    exp_grid_size,
     trusted_spectrum,
 )
 from .errors import PositiveDefiniteError, SplitSearchError
@@ -66,6 +68,10 @@ DENSE_MATRICES_AT_PEAK = 6.5
 #: sorted copy, 8 + 1 + 2 * 8 pi / 6 = 17.4 (tracemalloc: 16.4 at
 #: lambda_max = 40, 17.2 at 160).
 LATTICE_BYTES_PER_POINT = 18
+#: Peak bytes per point of the G^3 grid on which ``conformal.exp_coeffs``
+#: samples e^{tf}, factor grid cache included (tracemalloc: 89-128 at G = 64
+#: and 95-143 at G = 128; the most when the band grows to the grid's limit).
+EXP_GRID_BYTES_PER_POINT = 144
 
 
 class ConfigError(ValueError):
@@ -85,6 +91,13 @@ def lattice_memory_estimate(lambda_max):
     a cube of side 2 ceil(lambda_max) + 3 (a float, inf when out of range)."""
     side = 2.0 * math.ceil(lambda_max) + 3
     return LATTICE_BYTES_PER_POINT * side * side * side
+
+
+def exp_grid_memory_estimate(N, degree):
+    """Estimated peak bytes of ``exp_coeffs`` for a factor of this degree at
+    order N, whose band is 2N (a degree past 2**40 fits nowhere and counts as 2**40)."""
+    side = float(exp_grid_size(2 * N, min(degree, 2**40)))
+    return EXP_GRID_BYTES_PER_POINT * side * side * side
 
 
 def require_memory(name, value, estimate, what):
@@ -124,6 +137,7 @@ class RunConfig:
     cluster_index: int | None = None
     cluster_lambda: float | None = None
     max_degree: int = 2
+    lambda_max: float = 2.5
     tau_degenerate: float = eigensolver.TAU_REL_DEGENERATE
     tau_split: float = eigensolver.TAU_REL_SPLIT
     out: str | None = None
@@ -159,11 +173,27 @@ class RunConfig:
                 f"split-search verifies its split at t, so t must be nonzero "
                 f"(without --t it is {DEFAULT_T_VERIFY})"
             )
-        if "N" in COMMANDS[command][1].split():
+        flags = COMMANDS[command][1].split()
+        if "N" in flags:
             require_memory(
                 "N", self.N, lambda n: dense_memory_estimate(n, self.delta), "for its dense solve"
             )
+        if "degree" in flags:
+            self.require_degree("degree", self.degree)
+        if "max-degree" in flags:
+            self.require_degree("max-degree", self.max_degree)
+        # closed_form_spectrum rejects a lambda_max that is not finite
+        if "lambda-max" in flags and math.isfinite(self.lambda_max):
+            require_memory(
+                "lambda-max", self.lambda_max, lattice_memory_estimate, "to enumerate its lattice"
+            )
         return self
+
+    def require_degree(self, name, degree):
+        """Reject a factor degree whose e^{tf} grid would not fit in physical memory."""
+        require_memory(
+            name, degree, lambda d: exp_grid_memory_estimate(self.N, d), "for its e^{tf} grid"
+        )
 
     def spin_structure(self):
         return SpinStructure(tuple(self.delta))
@@ -180,33 +210,48 @@ class RunConfig:
                 raise ConfigError("--f-cos expects m1,m2,m3[,amplitude]")
             m = tuple(int(p) for p in parts[:3])
             amp = float(parts[3]) if len(parts) == 4 else 1.0
+            self.require_degree("degree", max(abs(x) for x in m))
             return ConformalFactor.cosine(m, amp)
         if kind == "json":
-            try:
-                doc = json.loads(arg)
-                return ConformalFactor.from_json_dict(doc, label="inline")
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"inline factor is not valid JSON: {exc}") from exc
-            except (KeyError, TypeError) as exc:
-                raise ConfigError(f"inline factor has a malformed schema: {exc}") from exc
+            return _read_json(
+                "inline factor", lambda doc: self._json_factor(doc, "inline"), text=arg
+            )
         if kind == "file":
-            try:
-                with open(arg) as fh:
-                    doc = json.load(fh)
-                return ConformalFactor.from_json_dict(doc, label=f"file:{arg}")
-            except OSError as exc:
-                raise ConfigError(f"cannot read factor file {arg}: {exc.strerror}") from exc
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"factor file is not valid JSON: {exc}") from exc
-            except (KeyError, TypeError) as exc:
-                raise ConfigError(f"factor file has a malformed schema: {exc}") from exc
+            return _read_json(
+                "factor file", lambda doc: self._json_factor(doc, f"file:{arg}"), path=arg
+            )
         if kind == "random":
             parts = [p for p in str(arg).split(",") if p]
             if len(parts) != 3:
                 raise ConfigError("--f-random expects seed,degree,amplitude")
             seed, degree, amp = int(parts[0]), int(parts[1]), float(parts[2])
+            self.require_degree("degree", degree)
             return random_factor(seed, degree, amp, label=f"random:{seed}:d={degree},a={amp!r}")
         raise ConfigError(f"unknown factor kind {kind!r}")
+
+    def _json_factor(self, doc, label):
+        """The factor of a JSON document, its degree checked before it is built."""
+        if isinstance(doc, dict) and "degree" in doc:
+            self.require_degree("degree", int(doc["degree"]))
+        return ConformalFactor.from_json_dict(doc, label=label)
+
+
+def _read_json(noun, build, path=None, text=None):
+    """build(doc) for the JSON document in the file at ``path``, or in ``text``;
+    a failure to read, parse or build it is a ConfigError that names ``noun``."""
+    try:
+        if path is None:
+            doc = json.loads(text)
+        else:
+            with open(path) as fh:
+                doc = json.load(fh)
+        return build(doc)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {noun} {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{noun} is not valid JSON: {exc}") from exc
+    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: degree Infinity
+        raise ConfigError(f"{noun} has a malformed schema: {exc}") from exc
 
 
 def _write_text(path, text):
@@ -265,7 +310,7 @@ FLAGS = {
     "f-file": dict(help="factor JSON file"),
     "f-json": dict(help="inline factor JSON"),
     "f-random": dict(help="random factor seed,degree,amp"),
-    "lambda-max": dict(type=float, default=2.5),
+    "lambda-max": dict(type=float),
     "cluster-index": dict(type=int), "cluster-lambda": dict(type=float),
     "max-degree": dict(type=int),
     "trials": dict(type=int), "degree": dict(type=int), "amplitude": dict(type=float),
@@ -342,13 +387,7 @@ FLAG_PARSERS = {
 def load_config(args):
     base = {}
     if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                base = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc.strerror}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        base = _read_json("config file", lambda doc: doc, path=args.config)
         if not isinstance(base, dict):
             raise ConfigError("config file must hold a JSON object")
     cfg = RunConfig()
@@ -411,11 +450,9 @@ def cmd_spectrum(cfg):
     return EXIT_OK
 
 
-def cmd_oracle(cfg, lambda_max):
-    if math.isfinite(lambda_max):  # closed_form_spectrum rejects the others
-        require_memory("lambda-max", lambda_max, lattice_memory_estimate, "to enumerate its lattice")
-    lines = closed_form_spectrum(cfg.spin_structure(), lambda_max)
-    doc = to_json({"delta": cfg.delta, "lambda_max": lambda_max, "lines": lines})
+def cmd_oracle(cfg):
+    lines = closed_form_spectrum(cfg.spin_structure(), cfg.lambda_max)
+    doc = to_json({"delta": cfg.delta, "lambda_max": cfg.lambda_max, "lines": lines})
     _write_artifact(cfg, doc, spectrum_csv_rows(lines))
     print(f"{'lambda':>14}  {'mult_C':>6}  {'mult_H':>6}")
     for line in lines:
@@ -517,11 +554,10 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         cfg = load_config(args)
-        if args.command == "oracle":
-            return cmd_oracle(cfg, args.lambda_max)
         return {
-            "spectrum": cmd_spectrum, "perturb": cmd_perturb, "split-search": cmd_split_search,
-            "genericity": cmd_genericity, "simplicity": cmd_simplicity, "validate": cmd_validate,
+            "spectrum": cmd_spectrum, "oracle": cmd_oracle, "perturb": cmd_perturb,
+            "split-search": cmd_split_search, "genericity": cmd_genericity,
+            "simplicity": cmd_simplicity, "validate": cmd_validate,
         }[args.command](cfg)
     except PositiveDefiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -63,6 +63,12 @@ def _next_pow2(n):
     return p
 
 
+def exp_grid_size(band, degree):
+    """Side G of the FFT grid on which ``exp_coeffs`` samples e^{tf}: the
+    smallest power of two at or above max(64, 4 band + 8 max(1, degree))."""
+    return _next_pow2(max(64, 4 * band + 8 * max(1, degree)))
+
+
 def cube_modes(radius):
     """The modes |m|_inf <= radius in lexicographic order, one per row: the
     order of ``CenteredCube.values.reshape(-1)``.  The zero mode is the
@@ -300,11 +306,11 @@ class ExpCoeffs(CenteredCube):
 def exp_coeffs(factor, t, band):
     """Fourier coefficients of e^{tf} for |m|_inf <= band (expanded as needed).
 
-    The FFT grid is oversampled (G = smallest power of two at or above
-    max(64, 4*band + 8*degree)), so aliasing of the analytic weight decays
-    spectrally; the returned block is grown beyond ``band`` until the
-    reconstruction of e^{tf} from it meets ``EXP_RECON_TOL`` on the sampling
-    grid, and the final reconstruction error is measured, not assumed.
+    The FFT grid is oversampled (G = ``exp_grid_size(band, degree)``), so
+    aliasing of the analytic weight decays spectrally; the returned block is
+    grown beyond ``band`` until the reconstruction of e^{tf} from it meets
+    ``EXP_RECON_TOL`` on the sampling grid, and the final reconstruction error
+    is measured, not assumed.
     """
     band = int(band)
     if band < 0:
@@ -315,8 +321,7 @@ def exp_coeffs(factor, t, band):
         vals[band, band, band] = np.exp(t * factor.mean()) if t != 0 else 1.0
         return ExpCoeffs(band, vals, 0.0)
 
-    d = max(1, factor.degree)
-    G = _next_pow2(max(64, 4 * band + 8 * d))
+    G = exp_grid_size(band, factor.degree)
     h = np.exp(t * factor.grid_values(G))
     hhat = np.fft.fftn(h) / G**3
     scale = float(np.max(np.abs(h)))

@@ -111,10 +111,7 @@ def _verify_split(cluster, factor, report, t):
     Each predicted sub-cluster must lie within 5 t^2 of a solved one.
     """
     position_tol = 5.0 * t**2
-    _, res = deformed_cluster_values(
-        factor, t, cluster.mode_set, cluster.lam, cluster.p_c,
-        tau_rel=eigensolver.TAU_REL_SPLIT,
-    )
+    _, res = deformed_cluster_values(factor, t, cluster, tau_rel=eigensolver.TAU_REL_SPLIT)
     sub = res.clusters  # the solve holds only the flat cluster's midpoint window
     q = np.asarray(report.quaternionic_rates, dtype=float)
     tol_group = 1e-8 * max(1.0, abs(cluster.lam), float(np.max(np.abs(q))))
@@ -234,8 +231,8 @@ class GenericityReport(Artifact):
 
 def _initial_window(mode_set, m_clusters):
     """Eigenpairs spanning the kernel and the first m_clusters + 1 positive flat shells."""
-    kernel = 2 if mode_set.spin_structure.trivial else 0
-    return kernel + int(mode_set.positive_shell_sizes()[: m_clusters + 1].sum())
+    keys, _, mult_c = mode_set.flat_clusters
+    return int(mult_c[keys == 0].sum() + mult_c[keys > 0][: m_clusters + 1].sum())
 
 
 def lowest_positive_clusters(factor, t, mode_set, m_clusters, tau_rel=None):

@@ -31,7 +31,6 @@ from .torus_dirac import (
     SpinorField,
     apply_J_coeffs,
     apply_J_field,
-    closed_form_spectrum,
     field_on_grid,
     l2_inner,
     require_product_grid,
@@ -86,36 +85,38 @@ def validate_cluster(cluster):
         )
 
 
-def _require_flat_value(nearest, lam):
-    """Reject a requested lam farther than 1e-6 max(1, |lam|) from the nearest
-    flat eigenvalue (degeneracy is exact analytically; the tolerance covers
-    floating point and a value given to a few digits)."""
+def flat_cluster_index(mode_set, lam):
+    """Index in ``mode_set.flat_clusters`` of the cluster nearest lam.
+
+    Rejects a lam farther than 1e-6 max(1, |lam|) from every cluster
+    (degeneracy is exact analytically; the tolerance covers floating point
+    and a value given to a few digits)."""
+    _, lams, _ = mode_set.flat_clusters
+    index = int(np.argmin(np.abs(lams - lam)))
+    nearest = float(lams[index])
     if not abs(nearest - lam) <= 1e-6 * max(1.0, abs(lam)):
         raise ValueError(
             f"{lam} is not a flat eigenvalue for this mode set (the nearest is {nearest!r})"
         )
+    return index
 
 
 def extract_cluster(mode_set, lam=None, index=None):
     """One flat eigenspace as an EigenCluster, built from the mode symbols.
 
-    The flat operator is block diagonal over modes, so its clusters are the
-    signed shell keys -q, 0, q (``ModeSet.shell_keys``) in ascending order, at
-    lambda = sign * sqrt(q) / 2 exactly; each mode of the shell gives the
-    column e_kappa (x) u, u the eigenvector of its symbol -sigma . kappa for
-    that sign (the zero mode gives both columns)."""
-    q = mode_set.shell_keys
-    keys = np.unique(np.concatenate([-q, q]))
-    lams = np.sign(keys) * np.sqrt(np.abs(keys)) / 2.0
+    The cluster is entry ``index`` of ``mode_set.flat_clusters`` (or the one
+    at lam); each mode of its shell gives the column e_kappa (x) u, u the
+    eigenvector of its symbol -sigma . kappa for that sign (the zero mode
+    gives both columns)."""
+    keys, lams, _ = mode_set.flat_clusters
     if index is None:
         if lam is None:
             raise ValueError("give either a cluster index or a target eigenvalue")
-        index = int(np.argmin(np.abs(lams - lam)))
-        _require_flat_value(float(lams[index]), lam)
+        index = flat_cluster_index(mode_set, lam)
     elif not 0 <= index < len(keys):
         raise ValueError(f"cluster index {index} out of range (0..{len(keys) - 1})")
     key = keys[index]
-    sel = np.flatnonzero(q == abs(key))
+    sel = np.flatnonzero(mode_set.shell_keys == abs(key))
     _, U = np.linalg.eigh(mode_set.symbols[sel])  # columns: -|kappa|, +|kappa|
     U = U if key == 0 else U[:, :, [int(key > 0)]]
     V = np.zeros((mode_set.n_modes, 2) + U.shape[::2], dtype=np.complex128)
@@ -336,38 +337,36 @@ def pointwise_gram(phi1, phi2, G):
 
 
 def flat_cluster_window(mode_set, lam):
-    """Midpoint window separating the flat cluster at lam from its neighbors."""
-    lines = closed_form_spectrum(
-        mode_set.spin_structure, mode_set.N + 2.0
-    )
-    reps = sorted({line.lam for line in lines} | {-line.lam for line in lines})
-    pos = int(np.argmin([abs(r - lam) for r in reps]))
-    _require_flat_value(reps[pos], lam)
-    lo = -np.inf if pos == 0 else 0.5 * (reps[pos - 1] + reps[pos])
-    hi = np.inf if pos == len(reps) - 1 else 0.5 * (reps[pos] + reps[pos + 1])
+    """Midpoint window separating the flat cluster at lam from its neighbors
+    in ``mode_set.flat_clusters`` (unbounded past the first and last)."""
+    _, lams, _ = mode_set.flat_clusters
+    pos = flat_cluster_index(mode_set, lam)
+    lo = -np.inf if pos == 0 else 0.5 * (lams[pos - 1] + lams[pos])
+    hi = np.inf if pos == len(lams) - 1 else 0.5 * (lams[pos] + lams[pos + 1])
     return lo, hi
 
 
-def deformed_cluster_values(factor, t, mode_set, lam, p_c, tau_rel=None):
+def deformed_cluster_values(factor, t, cluster, tau_rel=None):
     """Eigenvalues of the deformed spectrum descending from the flat cluster.
 
-    Solves only the eigenpairs inside the midpoint window around lam and
-    checks that exactly p_c of them are present (otherwise the cluster is not
-    isolated at this t).  Returns the sorted values and the windowed result.
+    Solves only the eigenpairs inside the cluster's midpoint window and
+    checks that exactly ``cluster.p_c`` of them are present (otherwise the
+    cluster is not isolated at this t).  Returns the sorted values and the
+    windowed result.
     """
-    lo, hi = flat_cluster_window(mode_set, lam)
+    lo, hi = flat_cluster_window(cluster.mode_set, cluster.lam)
     res = deformed_spectrum(
         factor,
         t,
-        mode_set,
+        cluster.mode_set,
         tau_rel=tau_rel,
         keep_vectors=False,
         subset_by_value=(lo, hi),
     )
     vals = res.eigenvalues[(res.eigenvalues > lo) & (res.eigenvalues < hi)]
-    if len(vals) != p_c:
+    if len(vals) != cluster.p_c:
         raise ClusterNotIsolatedError(
-            f"expected {p_c} eigenvalues near {lam} at t={t}, found {len(vals)}"
+            f"expected {cluster.p_c} eigenvalues near {cluster.lam} at t={t}, found {len(vals)}"
         )
     return np.sort(vals), res
 
@@ -402,9 +401,7 @@ def fd_check(cluster, factor, t_values):
     predicted_rates = np.sort(report.rates)
     mismatches = []
     for t in t_values:
-        vals, _ = deformed_cluster_values(
-            factor, t, cluster.mode_set, cluster.lam, cluster.p_c
-        )
+        vals, _ = deformed_cluster_values(factor, t, cluster)
         predicted = cluster.lam + t * predicted_rates
         mismatches.append(float(np.max(np.abs(vals - predicted))))
     logs = np.log(np.maximum(mismatches, 1e-300))

@@ -26,10 +26,6 @@ SIGMA = np.array(
     dtype=np.complex128,
 )
 
-#: J s = J_MAT @ conj(s).
-J_MAT = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=np.complex128)
-
-
 def sigma_dot(v):
     """sigma . v as a (..., 2, 2) matrix, for real vectors v of shape (..., 3)."""
     v = np.asarray(v, dtype=float)

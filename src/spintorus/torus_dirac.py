@@ -103,6 +103,14 @@ class ModeSet:
         doubled = 2 * self.k_values + np.asarray(spin_structure.delta)
         #: Exact shell key |2 kappa|^2 per mode; its flat eigenvalues are +/- sqrt(key) / 2.
         self.shell_keys = np.sum(doubled * doubled, axis=1)
+        #: The flat spectrum as arrays (keys, lams, mult_c), one entry per cluster
+        #: in ascending order: the signed shell keys -q, 0, q, their eigenvalues
+        #: sign * sqrt(q) / 2 and complex multiplicities (a mode of shell q > 0
+        #: gives one eigenvalue of each sign, the zero mode a kernel of 2).
+        keys, mult_c = np.unique(
+            np.concatenate([-self.shell_keys, self.shell_keys]), return_counts=True
+        )
+        self.flat_clusters = (keys, np.sign(keys) * np.sqrt(np.abs(keys)) / 2.0, mult_c)
         self.n_modes = self.modes.shape[0]
         self.dim = 2 * self.n_modes
         self.neg_index = self.positions_of(-self.modes)
@@ -163,10 +171,6 @@ class ModeSet:
         it is the first kernel eigenvalue.
         """
         return self.n_modes - (1 if self.spin_structure.trivial else 0)
-
-    def positive_shell_sizes(self):
-        """Numbers of +|kappa| eigenvalues of A per distinct |kappa| > 0, ascending."""
-        return np.unique(self.shell_keys[self.shell_keys > 0], return_counts=True)[1]
 
     def same_modes(self, other):
         return self is other or (

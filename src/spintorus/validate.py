@@ -27,13 +27,19 @@ def check_oracle_equality(N, tol=1e-12):
     radius = N - 0.5 + 1e-9
     worst = 0.0
     for spin in all_spin_structures():
-        res = flat_spectrum(build_mode_set(N, spin))
+        ms = build_mode_set(N, spin)
+        res = flat_spectrum(ms)
         got = [(c.lam, c.mult_c, c.mult_h) for c in res.clusters if abs(c.lam) <= radius]
         expected = []
         for line in closed_form_spectrum(spin, radius):
             signs = (1.0,) if line.lam == 0.0 else (-1.0, 1.0)
             expected += [(s * line.lam, line.mult_c, line.mult_h) for s in signs]
         expected.sort()
+        _, lams, mult_c = ms.flat_clusters
+        inside = np.abs(lams) <= radius
+        table = list(zip(lams[inside].tolist(), mult_c[inside].tolist()))
+        _require(table == [(el, ec) for el, ec, _ in expected],
+                 f"flat cluster table differs from the lattice count for delta={spin}")
         _require(len(got) == len(expected), f"cluster count mismatch for delta={spin}")
         for (gl, gc, gh), (el, ec, eh) in zip(got, expected):
             _require(abs(gl - el) <= tol, f"eigenvalue {gl} vs {el} for delta={spin}")
@@ -94,13 +100,13 @@ def check_first_order_rates(seed, cases, min_order=1.9, mismatch_coeff=10.0):
     for case in range(cases):
         spin = deltas[case % len(deltas)]
         ms = build_mode_set(2, spin)
-        res = flat_spectrum(ms)
-        positive = [c for c in res.clusters if 0 < c.lam < ms.N - 0.6]
-        info = positive[int(rng.integers(0, len(positive)))]
-        cluster = extract_cluster(ms, lam=info.lam)
+        _, lams, _ = ms.flat_clusters
+        positive = np.flatnonzero((lams > 0) & (lams < ms.N - 0.6))
+        cluster = extract_cluster(ms, index=int(positive[rng.integers(0, len(positive))]))
         factor = random_factor(int(rng.integers(0, 2**31)), 2, float(rng.uniform(0.2, 0.5)))
         fd = fd_check(cluster, factor, [1e-2, 1e-3, 1e-4])
-        _require(fd.order >= min_order, f"order {fd.order:.3f} for delta={spin}, lambda={info.lam}")
+        _require(fd.order >= min_order,
+                 f"order {fd.order:.3f} for delta={spin}, lambda={cluster.lam}")
         for t, m in zip(fd.t_values, fd.mismatches):
             _require(m <= mismatch_coeff * t**2, f"mismatch {m:.3e} not O(t^2) at t={t}")
         lowest = min(lowest, fd.order)

@@ -80,6 +80,33 @@ class TestOracle:
         assert err == f"error: lam_max must be finite, got {value}\n"
         assert out == ""
 
+    def test_lambda_max_from_a_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda_max": 3.0}))
+        runs = []
+        for source in (["--lambda-max", "3.0"], ["--config", str(cfg)]):
+            out = tmp_path / f"oracle{len(runs)}.json"
+            code, text, _ = run(capsys, "oracle", "--delta", "1,0,0", *source, "--out", str(out))
+            assert code == 0
+            runs.append((text, out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][1])["lambda_max"] == 3.0
+
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ('{"lambda_max": "3"}', "error: config key 'lambda_max' must be float, got '3'\n"),
+            ('{"lambda_max": Infinity}', "error: lam_max must be finite, got inf\n"),
+            ('{"lambda_max": NaN}', "error: lam_max must be finite, got nan\n"),
+        ],
+    )
+    def test_bad_lambda_max_in_a_config_file(self, capsys, tmp_path, text, err):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out, got = run(capsys, "oracle", "--delta", "1,0,0", "--config", str(cfg))
+        assert_bad_input(code, out, got)
+        assert got == err
+
 
 class TestSpectrum:
     def test_flat_matches_oracle(self, capsys, tmp_path):
@@ -464,6 +491,7 @@ FLAG_CASES = [
     ("perturb", ["--cluster-index", "2"], {"cluster_index": 2}),
     ("perturb", ["--cluster-lambda", "1.5"], {"cluster_lambda": 1.5}),
     ("split-search", ["--max-degree", "3"], {"max_degree": 3}),
+    ("oracle", ["--lambda-max", "3.0"], {"lambda_max": 3.0}),
 ]
 
 
@@ -584,6 +612,17 @@ class TestNonObjectFactors:
             assert err == f"error: a factor must be a JSON object, got {kind}\n"
 
 
+@pytest.mark.parametrize("flag, noun", [("--f-json", "inline factor"), ("--f-file", "factor file")])
+def test_infinite_factor_degree(capsys, tmp_path, flag, noun):
+    doc = '{"degree": Infinity, "coeffs": []}'
+    path = tmp_path / "f.json"
+    path.write_text(doc)
+    source = doc if flag == "--f-json" else str(path)
+    code, out, err = run(capsys, "spectrum", "--N", "1", "--t", "0.05", flag, source)
+    assert_bad_input(code, out, err)
+    assert err.startswith(f"error: {noun} has a malformed schema: cannot convert float infinity")
+
+
 class TestNonFiniteFactors:
     @pytest.mark.parametrize(
         "argv",
@@ -652,6 +691,51 @@ class TestMemoryGuard:
         assert err.startswith(f"error: lambda-max={float(value)} needs about ")
         assert err.endswith("; use lambda-max <= 372\n")
         assert peak < 2**24  # nothing was enumerated
+
+    def test_exp_grid_estimate(self):
+        # at N=1 the grid of side 256 (degree <= 31) fits in 7 GiB, that of side 512 does not
+        available, estimate = 7 * 2**30, cli.exp_grid_memory_estimate
+        assert estimate(1, 2) == cli.EXP_GRID_BYTES_PER_POINT * 64**3
+        assert estimate(1, 31) <= available < estimate(1, 32)
+        assert estimate(1, 10**400) == estimate(1, 2**40)
+
+    def test_degree_that_fits_passes(self, seven_gb):
+        cli.RunConfig(N=1, t=0.05, degree=31).validate("genericity")
+        with pytest.raises(cli.ConfigError, match=r"degree=32 .*use degree <= 31"):
+            cli.RunConfig(N=1, t=0.05, degree=32).validate("genericity")
+
+    @pytest.mark.parametrize(
+        "argv, name, fits",
+        [
+            (["spectrum", "--N", "1", "--t", "0.05", "--f-cos", "3,-2000,1"], "degree", 31),
+            (["spectrum", "--N", "1", "--t", "0.05", "--f-random", "1,3000,0.3"], "degree", 31),
+            (["spectrum", "--N", "1", "--f-json", '{"degree": 5000, "coeffs": []}'], "degree", 31),
+            (["spectrum", "--N", "1", "--f-file", "FILE"], "degree", 31),
+            (["perturb", "--N", "2", "--cluster-index", "0", "--f-cos", "2000,0,0"], "degree", 30),
+            (["simplicity", "--N", "3", "--t", "0.05", "--f-cos", "0,0,2000"], "degree", 29),
+            (["genericity", "--N", "1", "--trials", "1", "--degree", "3000"], "degree", 31),
+            (["genericity", "--N", "1", "--degree", "1" + "0" * 400], "degree", 31),
+            (
+                ["split-search", "--delta", "0,0,0", "--N", "2", "--cluster-lambda", "1.0",
+                 "--max-degree", "3000"],
+                "max-degree", 30,
+            ),
+        ],
+    )
+    def test_factor_degree_too_large(self, capsys, tmp_path, seven_gb, argv, name, fits):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"degree": 2000, "coeffs": []}))
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_bad_input(code, out, err)
+        assert err.startswith(f"error: {name}=") and " needs about " in err
+        assert err.endswith(f"; use {name} <= {fits}\n")
+        assert peak < 2**24  # no factor cube and no grid were allocated
 
 
 class TestUsageErrors:

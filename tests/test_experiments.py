@@ -276,7 +276,7 @@ class TestValueWindow:
         full = deformed_spectrum(f, 0.02, ms, keep_vectors=False)
         lo, hi = flat_cluster_window(ms, lam)
         expected = full.eigenvalues[(full.eigenvalues > lo) & (full.eigenvalues < hi)]
-        vals, res = deformed_cluster_values(f, 0.02, ms, lam, len(expected))
+        vals, res = deformed_cluster_values(f, 0.02, extract_cluster(ms, lam=lam))
         assert len(res.eigenvalues) == len(expected) == 8
         assert_allclose(vals, expected, rtol=0, atol=1e-12)
 

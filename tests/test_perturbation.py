@@ -14,6 +14,7 @@ from spintorus.torus_dirac import (
     apply_J_field,
     apply_flat_dirac,
     build_mode_set,
+    closed_form_spectrum,
     l2_inner,
     pointwise_density,
 )
@@ -87,6 +88,39 @@ class TestExtractCluster:
         assert (cl.p_c, cl.j_closed) == (8, True)
 
 
+class TestFlatClusters:
+    """``ModeSet.flat_clusters`` against the dense flat solve and the lattice count."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("spin", all_spin_structures(), ids=str)
+    def test_matches_the_dense_flat_solve(self, spin, N):
+        ms = build_mode_set(N, spin)
+        keys, lams, mult_c = ms.flat_clusters
+        clusters = flat_spectrum(ms).clusters
+        assert len(keys) == len(lams) == len(mult_c) == len(clusters)
+        assert np.all(np.diff(keys) > 0)
+        assert_allclose(lams, [c.lam for c in clusters], rtol=0, atol=1e-12)
+        assert mult_c.tolist() == [c.mult_c for c in clusters]
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    @pytest.mark.parametrize("spin", all_spin_structures(), ids=str)
+    def test_lattice_count_and_windows_inside_the_radius(self, spin, N):
+        ms = build_mode_set(N, spin)
+        keys, lams, mult_c = ms.flat_clusters
+        assert ms.first_nonnegative_index == mult_c[keys < 0].sum()
+        inside = np.abs(lams) <= N - 0.5
+        signed = [(s * line.lam, line.mult_c) for line in closed_form_spectrum(spin, N - 0.5)
+                  for s in ((1.0,) if line.lam == 0.0 else (-1.0, 1.0))]
+        assert list(zip(lams[inside].tolist(), mult_c[inside].tolist())) == sorted(signed)
+        # the window a cluster gets from its lattice neighbours, as before the table
+        lattice = closed_form_spectrum(spin, N + 2.0)
+        reps = sorted({line.lam for line in lattice} | {-line.lam for line in lattice})
+        for lam in lams[inside]:
+            pos = reps.index(lam)
+            expected = (0.5 * (reps[pos - 1] + reps[pos]), 0.5 * (reps[pos] + reps[pos + 1]))
+            assert pt.flat_cluster_window(ms, lam) == expected
+
+
 class TestRateSingle:
     def test_constant_factor(self, shifted_ms):
         ms = shifted_ms
@@ -127,7 +161,7 @@ class TestRateSingle:
         rate = pt.rate_single(0.5, cl.fields()[0], f)
         errs = []
         for t in (1e-2, 1e-3):
-            vals, _ = pt.deformed_cluster_values(f, t, ms, 0.5, 2)
+            vals, _ = pt.deformed_cluster_values(f, t, cl)
             errs.append(abs((vals.mean() - 0.5) / t - rate))
         assert 5.0 < errs[0] / errs[1] < 20.0
 
@@ -358,9 +392,7 @@ class TestFdCheck:
         # a huge homothety drags the cluster out of its midpoint window
         # (constant factors have zero oscillation, so no range warning)
         with pytest.raises(ClusterNotIsolatedError):
-            pt.deformed_cluster_values(
-                ConformalFactor.constant(3.0), 0.9, ms, 0.5, cl.p_c
-            )
+            pt.deformed_cluster_values(ConformalFactor.constant(3.0), 0.9, cl)
 
     def test_report_serialization(self, shifted_ms):
         ms = shifted_ms
