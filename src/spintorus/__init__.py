@@ -39,14 +39,10 @@ from .experiments import (
 from .perturbation import (
     EigenCluster,
     PerturbationReport,
-    alpha_beta,
     extract_cluster,
     fd_check,
     perturbation_matrix,
-    pointwise_gram,
-    quaternionic_orthonormalize,
     rate_single,
-    unitary_rotate,
 )
 from .spinor_algebra import apply_J, clifford_mul, dirac_symbol, herm_inner
 from .torus_dirac import (

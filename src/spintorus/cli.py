@@ -27,6 +27,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -288,7 +289,17 @@ def _write_artifact(cfg, json_doc, csv_rows=None):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors are invalid input (exit 3)."""
+    """Argument parser whose usage errors are invalid input (exit 3).
+
+    Every flag takes one value and no flag looks like a number, so a token
+    that starts like a negative number (-1e-2, -0.01,0,0.01, -inf) is a
+    value.  argparse tests tokens with ``_negative_number_matcher``, whose
+    own pattern admits only plain numbers such as -0.05.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise ConfigError(message)

@@ -15,6 +15,11 @@ validated against finite differences of the deformed spectra rather than
 asserted.  Integrals are evaluated in Fourier space (finite convolution sums,
 exact for band-limited data); a grid-quadrature path exists purely as a
 cross-check oracle.
+
+The Fourier sums read only the modes where the basis is nonzero.  For a flat
+cluster that is its shell, so the cluster matrix costs p_c^2 coefficient
+lookups and no dim x dim memory, and for a shell inside the truncation
+radius N - 1/2 it is the cluster matrix of the untruncated operator.
 """
 
 from __future__ import annotations
@@ -25,16 +30,9 @@ import numpy as np
 
 from . import eigensolver
 from .artifact import NOT_ARTIFACT, Artifact
-from .conformal import deformed_spectrum, factor_multiplication_matrix
+from .conformal import deformed_spectrum
 from .errors import ClusterNotIsolatedError
-from .torus_dirac import (
-    SpinorField,
-    apply_J_coeffs,
-    apply_J_field,
-    field_on_grid,
-    l2_inner,
-    require_product_grid,
-)
+from .torus_dirac import SpinorField, apply_flat_dirac_coeffs, apply_J_coeffs, field_on_grid
 
 #: Tolerance for the quaternionic pairing of cluster-matrix eigenvalues.
 PAIR_TOL = 1e-8
@@ -76,8 +74,7 @@ def validate_cluster(cluster):
     gerr = float(np.max(np.abs(gram - np.eye(cluster.p_c))))
     if gerr > 1e-10:
         raise ValueError(f"cluster basis not orthonormal: Gram error {gerr:.3e}")
-    A = cluster.mode_set.flat_matrix
-    res = np.linalg.norm(A @ V - cluster.lam * V, axis=0)
+    res = np.linalg.norm(apply_flat_dirac_coeffs(cluster.mode_set, V) - cluster.lam * V, axis=0)
     bound = 1e-9 * max(1.0, abs(cluster.lam))
     if res.size and float(res.max()) > bound:
         raise ValueError(
@@ -139,10 +136,21 @@ def rate_single(lam, phi, factor):
     nrm = phi.norm()
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"eigenspinor must be normalized, got |phi| = {nrm!r}")
-    F = factor_multiplication_matrix(factor, phi.mode_set)
-    v = phi.vector
-    val = np.vdot(v, F @ v)
+    val = _cluster_form(factor, phi.mode_set, phi.vector[:, None])[0, 0]
     return float(-lam * val.real)
+
+
+def _cluster_form(factor, mode_set, V):
+    """V^H F V, F the Galerkin matrix of multiplication by f, read only on the
+    modes where the columns of V are nonzero and symmetrized as in
+    ``conformal.assemble_multiplication``."""
+    p = V.shape[1]
+    W = V.reshape(mode_set.n_modes, 2, p)
+    rows = np.any(W != 0, axis=(1, 2))
+    k, W = mode_set.k_values[rows], W[rows]
+    vals = factor.lookup(k[:, None] - k[None])
+    FW = np.tensordot(0.5 * (vals + vals.conj().T), W, axes=(1, 0))
+    return W.reshape(-1, p).conj().T @ FW.reshape(-1, p)
 
 
 @dataclass
@@ -176,9 +184,7 @@ def perturbation_matrix(cluster, factor):
     """
     if cluster.p_c == 0:
         raise ValueError("cluster is empty")
-    F = factor_multiplication_matrix(factor, cluster.mode_set)
-    V = cluster.vectors
-    P = -cluster.lam * (V.conj().T @ (F @ V))
+    P = -cluster.lam * _cluster_form(factor, cluster.mode_set, cluster.vectors)
     asym = float(np.max(np.abs(P - P.conj().T)))
     scale = max(1.0, float(np.max(np.abs(P))))
     if asym > 1e-12 * scale:
@@ -221,119 +227,6 @@ def perturbation_matrix_quadrature(cluster, factor):
             gram = np.sum(grids[j] * np.conj(grids[i]), axis=-1)
             P[i, j] = -cluster.lam * np.mean(fg * gram)
     return 0.5 * (P + P.conj().T)
-
-
-def unitary_rotate(cluster, U):
-    """Change the cluster basis by phi_i -> sum_j U_ij phi_j.
-
-    The span is unchanged and the cluster matrix transforms by conjugation,
-    so the rates are invariant.
-    """
-    U = np.asarray(U, dtype=np.complex128)
-    p = cluster.p_c
-    if U.shape != (p, p):
-        raise ValueError(f"unitary must be {p}x{p}")
-    err = float(np.max(np.abs(U.conj().T @ U - np.eye(p))))
-    if err > 1e-12:
-        raise ValueError(f"matrix is not unitary: deviation {err:.3e}")
-    return EigenCluster(
-        cluster.mode_set, cluster.lam, cluster.vectors @ U.T, cluster.j_closed
-    )
-
-
-def quaternionic_orthonormalize(cluster):
-    """A quaternionically orthonormal basis phi_1 .. phi_{p_h} of the cluster.
-
-    Gram-Schmidt over the quaternions: each step removes the complex span of
-    {phi_j, J phi_j} (an orthonormal pair, since <phi, J phi> = 0
-    identically).  The output satisfies unit norms with
-    (phi_i, phi_j) = (phi_i, J phi_j) = 0 for i != j.
-    """
-    if not cluster.j_closed:
-        raise ValueError("cluster is not J-closed")
-    ms = cluster.mode_set
-    chosen = []
-    for j in range(cluster.p_c):
-        v = cluster.vectors[:, j].copy()
-        for phi, jphi in chosen:
-            v -= phi * np.vdot(phi, v)
-            v -= jphi * np.vdot(jphi, v)
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-8:
-            continue
-        v /= nrm
-        jv = apply_J_coeffs(ms, v)
-        chosen.append((v, jv))
-        if len(chosen) == cluster.p_h:
-            break
-    if len(chosen) < cluster.p_h:
-        raise RuntimeError("quaternionic Gram-Schmidt exhausted the basis early")
-    return [SpinorField.from_vector(ms, v) for v, _ in chosen]
-
-
-def check_quaternionic_pair(phi1, phi2):
-    """Verify the orthonormality preconditions for alpha/beta combinations."""
-    tol = 1e-8
-    for name, phi in (("phi1", phi1), ("phi2", phi2)):
-        if abs(phi.norm() - 1.0) > tol:
-            raise ValueError(f"{name} is not normalized")
-    h = l2_inner(phi1, phi2)
-    hj = l2_inner(phi1, apply_J_field(phi2))
-    if abs(h) > tol or abs(hj) > tol:
-        raise ValueError(
-            f"inputs are not quaternionically orthonormal: |(phi1,phi2)| = {abs(h):.3e}, "
-            f"|(phi1,J phi2)| = {abs(hj):.3e}"
-        )
-
-
-def alpha_beta(phi1, phi2, p, q):
-    """Normalized combinations 2^{-1/2}(phi1 +/- i^p J^q phi2), p, q in {0, 1}.
-
-    Both outputs have unit norm, and if the inputs are eigenvectors for the
-    same eigenvalue then so are the outputs.
-    """
-    if p not in (0, 1) or q not in (0, 1):
-        raise ValueError("p and q must be 0 or 1")
-    check_quaternionic_pair(phi1, phi2)
-    psi = apply_J_field(phi2) if q else phi2
-    if p:
-        psi = 1j * psi
-    inv = 1.0 / np.sqrt(2.0)
-    return inv * (phi1 + psi), inv * (phi1 - psi)
-
-
-@dataclass
-class GramFunctions:
-    """Pointwise Gram functions of two fields and their sup norms."""
-
-    h1: np.ndarray  # <phi1, phi2>(x)
-    h2: np.ndarray  # <phi1, J phi2>(x)
-    sup_h1: float
-    sup_h2: float
-
-
-def pointwise_gram(phi1, phi2, G):
-    """Evaluate <phi1, phi2>(x) and <phi1, J phi2>(x) on the grid.
-
-    Because the spinor bundle has quaternionic rank one, both functions can
-    only vanish simultaneously where one of the fields vanishes; for
-    eigenspinors this is the numerical witness that generic deformations
-    separate them.
-    """
-    if not phi1.mode_set.same_modes(phi2.mode_set):
-        raise ValueError("fields live on different mode sets")
-    require_product_grid(phi1.mode_set, G)
-    v1 = field_on_grid(phi1, G)
-    v2 = field_on_grid(phi2, G)
-    vj = field_on_grid(apply_J_field(phi2), G)
-    h1 = np.sum(v1 * np.conj(v2), axis=-1)
-    h2 = np.sum(v1 * np.conj(vj), axis=-1)
-    return GramFunctions(
-        h1=h1,
-        h2=h2,
-        sup_h1=float(np.max(np.abs(h1))),
-        sup_h2=float(np.max(np.abs(h2))),
-    )
 
 
 def flat_cluster_window(mode_set, lam):

@@ -212,9 +212,6 @@ class SpinorField:
     def norm(self):
         return float(np.linalg.norm(self.coeffs))
 
-    def copy(self):
-        return SpinorField(self.mode_set, self.coeffs.copy())
-
     def __add__(self, other):
         _require_same_modes(self, other)
         return SpinorField(self.mode_set, self.coeffs + other.coeffs)
@@ -265,10 +262,16 @@ def l2_inner(phi, psi):
     return complex(np.sum(herm_inner(phi.coeffs, psi.coeffs)))
 
 
+def apply_flat_dirac_coeffs(mode_set, V):
+    """Flat Dirac operator mode by mode, u_kappa -> -sigma.kappa u_kappa, on
+    coefficients in any layout ``apply_J_coeffs`` takes (stacked columns too)."""
+    c = np.asarray(V).reshape(mode_set.n_modes, 2, -1)
+    return np.einsum("mab,mbp->map", mode_set.symbols, c).reshape(np.shape(V))
+
+
 def apply_flat_dirac(phi):
-    """Apply the flat Dirac operator mode by mode: u_kappa -> -sigma.kappa u_kappa."""
-    out = np.einsum("mab,mb->ma", phi.mode_set.symbols, phi.coeffs)
-    return SpinorField(phi.mode_set, out)
+    """Flat Dirac operator on fields (see ``apply_flat_dirac_coeffs``)."""
+    return SpinorField(phi.mode_set, apply_flat_dirac_coeffs(phi.mode_set, phi.coeffs))
 
 
 def assemble_flat_dirac(mode_set):
@@ -343,17 +346,12 @@ def field_on_grid(phi, G):
     return vals
 
 
-def require_product_grid(mode_set, G):
-    """Require G >= 2 (2N + 1): the product of two fields on mode_set is then
-    sampled without aliasing, so its grid mean is its exact integral."""
-    need = 2 * (2 * mode_set.N + 1)
+def pointwise_density(phi, G):
+    """|phi|^2 on the grid.  Requires G >= 2 (2N + 1), so that the product is
+    sampled without aliasing and its grid mean is its exact integral."""
+    need = 2 * (2 * phi.mode_set.N + 1)
     if G < need:
         raise ValueError(f"grid size {G} too small: need at least {need}")
-
-
-def pointwise_density(phi, G):
-    """|phi|^2 on the grid (see ``require_product_grid`` for G)."""
-    require_product_grid(phi.mode_set, G)
     vals = field_on_grid(phi, G)
     return np.sum(np.abs(vals) ** 2, axis=-1)
 

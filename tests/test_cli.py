@@ -284,6 +284,40 @@ class TestSpectrum:
         assert len(err.strip().splitlines()) == 1
 
 
+class TestNegativeValues:
+    """A flag's value may start with "-" in either spelling, --flag value or --flag=value."""
+
+    @pytest.mark.parametrize(
+        "flag,value,rest",
+        [
+            ("--t", "-1e-2", ("--f-cos", "1,0,0")),
+            ("--f-const", "-5e-1", ("--t", "0.05")),
+            ("--t-grid", "-0.01,0,0.01", ("--f-cos", "1,0,0", "--format", "csv")),
+            ("--f-cos", "-1,1,0", ("--t", "0.01")),
+        ],
+    )
+    def test_both_spellings_agree(self, capsys, tmp_path, flag, value, rest):
+        out = tmp_path / "out"
+        head = ("spectrum", "--delta", "1,0,0", "--N", "2", *rest, "--out", str(out))
+        results = []
+        for spelling in ((flag, value), (f"{flag}={value}",)):
+            code, text, _ = run(capsys, *head, *spelling)
+            results.append((code, text, out.read_bytes()))
+            out.unlink()
+        assert results[0] == results[1]
+        assert results[0][0] == 0
+
+    @pytest.mark.parametrize("spelling", [("--t", "-inf"), ("--t=-inf",), ("--t", "-NaN")])
+    def test_non_finite_value_is_named(self, capsys, spelling):
+        assert run(capsys, "spectrum", "--N", "1", *spelling) == (3, "", "error: t must be finite\n")
+
+    def test_missing_value_is_a_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "spectrum", "--N", "1", "--t", "--out", str(tmp_path / "x"))
+        assert (code, out) == (3, "")
+        assert err == "error: argument --t: expected one argument\n"
+        assert not (tmp_path / "x").exists()
+
+
 class TestPerturb:
     def test_report_and_fd(self, capsys, tmp_path):
         out = tmp_path / "perturb.json"

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,17 +7,21 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from spintorus import perturbation as pt
-from spintorus.conformal import ConformalFactor, deformed_spectrum, flat_spectrum
+from spintorus.conformal import (
+    ConformalFactor,
+    deformed_spectrum,
+    factor_multiplication_matrix,
+    flat_spectrum,
+)
 from spintorus.errors import ClusterNotIsolatedError
 from spintorus.experiments import random_factor
 from spintorus.torus_dirac import (
     all_spin_structures,
-    apply_J_field,
-    apply_flat_dirac,
+    apply_J_coeffs,
     build_mode_set,
     closed_form_spectrum,
-    l2_inner,
     pointwise_density,
+    random_field,
 )
 
 from helpers import zero_field
@@ -78,6 +83,16 @@ class TestExtractCluster:
             assert np.max(np.abs(cl.vectors @ cl.vectors.conj().T - X @ X.conj().T)) <= 1e-12
         if spin.trivial:
             assert pt.extract_cluster(ms, lam=0.0).p_c == 2
+
+    def test_columns_are_J_orthogonal(self, lambda_one_cluster, shifted_ms, rng):
+        # <phi, J phi> = 0 for every field, so for the columns of a J-closed
+        # cluster in the extracted basis and in a rotated one
+        for cl in (lambda_one_cluster, pt.extract_cluster(shifted_ms, lam=1.118034)):
+            assert cl.j_closed
+            Z = rng.standard_normal((cl.p_c, cl.p_c)) + 1j * rng.standard_normal((cl.p_c, cl.p_c))
+            for V in (cl.vectors, cl.vectors @ np.linalg.qr(Z)[0].T):
+                JV = apply_J_coeffs(cl.mode_set, V)
+                assert np.max(np.abs(np.sum(V * JV.conj(), axis=0))) < 1e-14
 
     def test_runs_no_dense_eigensolve(self, monkeypatch):
         def no_eigh(*args, **kwargs):
@@ -243,119 +258,67 @@ class TestPerturbationMatrix:
 
 
 class TestUnitaryRotate:
-    def test_identity_and_permutation(self, lambda_one_cluster):
-        rep0 = pt.perturbation_matrix(lambda_one_cluster, random_factor(5, 2, 0.5))
-        same = pt.unitary_rotate(lambda_one_cluster, np.eye(6))
-        assert_allclose(same.vectors, lambda_one_cluster.vectors)
-        perm = np.eye(6)[[3, 0, 1, 2, 5, 4]]
-        rotated = pt.unitary_rotate(lambda_one_cluster, perm)
-        rep1 = pt.perturbation_matrix(rotated, random_factor(5, 2, 0.5))
-        assert_allclose(np.sort(rep0.rates), np.sort(rep1.rates), atol=1e-12)
+    """Rates under a unitary change of the cluster basis, phi_i -> sum_j U_ij phi_j."""
 
     def test_random_unitary_invariance(self, lambda_one_cluster, rng):
         Z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         U, _ = np.linalg.qr(Z)
         f = random_factor(6, 2, 0.5)
         rep0 = pt.perturbation_matrix(lambda_one_cluster, f)
-        rotated = pt.unitary_rotate(lambda_one_cluster, U)
+        cl = lambda_one_cluster
+        rotated = pt.EigenCluster(cl.mode_set, cl.lam, cl.vectors @ U.T, cl.j_closed)
         rep1 = pt.perturbation_matrix(rotated, f)
         assert_allclose(np.sort(rep0.rates), np.sort(rep1.rates), atol=1e-10)
         # P transforms by conjugation with conj(U)
         assert_allclose(rep1.P, np.conj(U) @ rep0.P @ U.T, atol=1e-10)
 
-    def test_rejects_non_unitary(self, lambda_one_cluster):
-        with pytest.raises(ValueError, match="unitary"):
-            pt.unitary_rotate(lambda_one_cluster, 2.0 * np.eye(6))
 
+class TestClusterForm:
+    """The cluster matrix, read on the cluster's shell, against the dense
+    multiplication matrix (``factor_multiplication_matrix``)."""
 
-class TestQuaternionicBasis:
-    def test_orthonormalize(self, lambda_one_cluster):
-        basis = pt.quaternionic_orthonormalize(lambda_one_cluster)
-        assert len(basis) == 3
-        for i, phi in enumerate(basis):
-            assert abs(phi.norm() - 1.0) < 1e-10
-            assert abs(l2_inner(phi, apply_J_field(phi))) < 1e-10
-            for j in range(i):
-                assert abs(l2_inner(phi, basis[j])) < 1e-10
-                assert abs(l2_inner(phi, apply_J_field(basis[j]))) < 1e-10
-
-
-class TestAlphaBeta:
-    def test_formula_p0_q0(self, lambda_one_cluster):
-        basis = pt.quaternionic_orthonormalize(lambda_one_cluster)
-        a, b = pt.alpha_beta(basis[0], basis[1], 0, 0)
-        expected = (basis[0] + basis[1]) / np.sqrt(2.0)
-        assert_allclose(a.coeffs, expected.coeffs, atol=1e-14)
-        expected_b = (basis[0] - basis[1]) / np.sqrt(2.0)
-        assert_allclose(b.coeffs, expected_b.coeffs, atol=1e-14)
-
-    @pytest.mark.parametrize("p,q", [(0, 0), (0, 1), (1, 0), (1, 1)])
-    def test_norms_and_eigen_residuals(self, lambda_one_cluster, p, q):
-        basis = pt.quaternionic_orthonormalize(lambda_one_cluster)
-        a, b = pt.alpha_beta(basis[0], basis[2], p, q)
-        assert abs(a.norm() - 1.0) < 1e-10
-        assert abs(b.norm() - 1.0) < 1e-10
-        assert abs(a.norm() ** 2 + b.norm() ** 2 - 2.0) < 1e-10
-        for x in (a, b):
-            res = (apply_flat_dirac(x) - 1.0 * x).norm()
-            assert res < 1e-10
-
-    def test_span(self, lambda_one_cluster):
-        basis = pt.quaternionic_orthonormalize(lambda_one_cluster)
-        a, _ = pt.alpha_beta(basis[0], basis[1], 1, 1)
-        span = np.column_stack(
-            [
-                basis[0].vector,
-                basis[1].vector,
-                apply_J_field(basis[1]).vector,
-            ]
-        )
-        coef, *_ = np.linalg.lstsq(span, a.vector, rcond=None)
-        assert np.linalg.norm(span @ coef - a.vector) < 1e-12
-
-    def test_precondition_violation(self, lambda_one_cluster):
-        fields = lambda_one_cluster.fields()
-        bad = (fields[0] + fields[1]) / np.sqrt(2.0)
-        with pytest.raises(ValueError):
-            pt.alpha_beta(fields[0], bad * (1.0 / bad.norm() * 1.5), 0, 0)
-
-
-class TestPointwiseGram:
-    def test_self_gram_is_density(self, lambda_one_cluster):
-        phi = lambda_one_cluster.fields()[0]
-        G = 2 * (2 * phi.mode_set.N + 1)
-        g = pt.pointwise_gram(phi, phi, G)
-        rho = pointwise_density(phi, G)
-        assert_allclose(g.h1.real, rho, atol=1e-12)
-        assert np.max(np.abs(g.h1.imag)) < 1e-12
-        assert g.sup_h1 >= phi.norm() ** 2 - 1e-10
-
-    def test_J_partner_gram(self, lambda_one_cluster):
-        phi = lambda_one_cluster.fields()[0]
-        G = 2 * (2 * phi.mode_set.N + 1)
-        g = pt.pointwise_gram(phi, apply_J_field(phi), G)
-        rho = pointwise_density(phi, G)
-        # h2(x) = <phi, J(J phi)> = -|phi|^2 pointwise
-        assert_allclose(g.h2.real, -rho, atol=1e-12)
-        assert_allclose(np.abs(g.h2), rho, atol=1e-12)
-
-    def test_witness_bounded_away_from_zero(self, lambda_one_cluster, rng):
-        # any two quaternionically orthonormal eigenvectors have a pointwise
-        # Gram witness: sup|h1| + sup|h2| stays away from 0
-        G = 2 * (2 * lambda_one_cluster.mode_set.N + 1)
-        for _ in range(5):
-            Z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    @pytest.mark.parametrize("delta", [(0, 0, 0), (1, 0, 0), (1, 1, 1)], ids=str)
+    def test_flat_clusters_match_the_dense_form(self, delta, rng):
+        ms = build_mode_set(3, delta)
+        f = random_factor(8, 2, 0.5)
+        F = factor_multiplication_matrix(f, ms)
+        _, lams, _ = ms.flat_clusters
+        inside = np.flatnonzero(np.abs(lams) <= ms.N - 0.5)
+        assert len(inside) >= 5
+        for index in inside:
+            cl = pt.extract_cluster(ms, index=int(index))
+            Z = rng.standard_normal((cl.p_c, cl.p_c)) + 1j * rng.standard_normal((cl.p_c, cl.p_c))
             U, _ = np.linalg.qr(Z)
-            basis = pt.quaternionic_orthonormalize(
-                pt.unitary_rotate(lambda_one_cluster, U)
-            )
-            g = pt.pointwise_gram(basis[0], basis[1], G)
-            assert g.sup_h1 + g.sup_h2 > 0.5
+            rotated = pt.EigenCluster(ms, cl.lam, cl.vectors @ U.T, cl.j_closed)
+            for basis in (cl, rotated):
+                V = basis.vectors
+                P = -basis.lam * (V.conj().T @ F @ V)
+                P = 0.5 * (P + P.conj().T)
+                assert np.max(np.abs(pt.perturbation_matrix(basis, f).P - P)) <= 1e-14
 
-    def test_grid_too_small(self, lambda_one_cluster):
-        phi = lambda_one_cluster.fields()[0]
-        with pytest.raises(ValueError, match="too small"):
-            pt.pointwise_gram(phi, phi, 4)
+    def test_rate_single_of_a_full_field(self, shifted_ms, rng):
+        f = random_factor(12, 2, 0.5)
+        F = factor_multiplication_matrix(f, shifted_ms)
+        phi = random_field(shifted_ms, rng)
+        assert np.all(phi.coeffs != 0)
+        expected = -0.7 * np.vdot(phi.vector, F @ phi.vector).real
+        assert abs(pt.rate_single(0.7, phi, f) - expected) <= 1e-14
+
+    def test_rate_path_allocates_no_dense_matrix(self):
+        # one dim x dim complex array is 93.7 MB at N=5; the shell is 8 modes
+        ms = build_mode_set(5, (1, 0, 0))
+        f = random_factor(np.random.SeedSequence(601), 2, 0.3)
+        tracemalloc.start()
+        try:
+            cl = pt.extract_cluster(ms, lam=1.118034)
+            rep = pt.perturbation_matrix(cl, f)
+            rate = pt.rate_single(cl.lam, cl.fields()[0], f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cl.p_c == 8 and rep.P.shape == (8, 8)
+        assert abs(rep.P[0, 0].real - rate) < 1e-14
+        assert peak < 5e6
 
 
 class TestFdCheck:
