@@ -6,7 +6,7 @@ failure of the deformation weight, 3 invalid input (usage error, bad config,
 malformed or non-finite factor or a factor JSON that is not an object,
 out-of-range cluster index, a cluster lambda off the flat spectrum or a
 cluster past the truncation radius N - 1/2, violated precondition, a
-truncation whose dense solve, a factor or degree whose e^{tf} grid or an
+truncation whose dense solve, a factor or degree whose sampling grids or an
 ``oracle --lambda-max`` whose lattice enumeration would not fit in physical
 memory, an unreadable input file or an unwritable ``--out``), reported as
 one ``error:`` line.
@@ -40,12 +40,14 @@ from .conformal import (
     cluster_tolerance,
     deformed_spectrum,
     exp_grid_size,
+    extrema_grid_size,
     trusted_spectrum,
 )
 from .errors import PositiveDefiniteError, SplitSearchError
 from .experiments import genericity_scan, random_factor, simplicity_certificate, split_search
 from .perturbation import extract_cluster, fd_check, perturbation_matrix
 from .torus_dirac import (
+    TORUS_DIM,
     ModeSet,
     SpinStructure,
     build_mode_set,
@@ -70,9 +72,9 @@ DENSE_MATRICES_AT_PEAK = 6.5
 #: lambda_max = 40, 17.2 at 160).
 LATTICE_BYTES_PER_POINT = 18
 #: Peak bytes per point of the G^3 grid on which ``conformal.exp_coeffs``
-#: samples e^{tf}, factor grid cache included (tracemalloc: 89-128 at G = 64
-#: and 95-143 at G = 128; the most when the band grows to the grid's limit).
-EXP_GRID_BYTES_PER_POINT = 144
+#: samples e^{tf}, factor grid cache included (tracemalloc: 56.0-56.3 at
+#: G = 54-216; at most 77 on grids of side 36 and below).
+EXP_GRID_BYTES_PER_POINT = 64
 
 
 class ConfigError(ValueError):
@@ -94,11 +96,29 @@ def lattice_memory_estimate(lambda_max):
     return LATTICE_BYTES_PER_POINT * side * side * side
 
 
-def exp_grid_memory_estimate(N, degree):
-    """Estimated peak bytes of ``exp_coeffs`` for a factor of this degree at
-    order N, whose band is 2N (a degree past 2**40 fits nowhere and counts as 2**40)."""
-    side = float(exp_grid_size(2 * N, min(degree, 2**40)))
+def exp_grid_memory_estimate(N, degree, weight=0.0):
+    """Estimated peak bytes of sampling a factor of this degree at order N,
+    with |t| ||fhat||_1 at most ``weight``, on the largest of its grids: that
+    of ``ConformalFactor.extrema``, the ``exp_coeffs`` grid of B (band 2N)
+    and that of the deformed volume (band 0, weight n t) (a degree past
+    2**40 fits nowhere and counts as 2**40; inf past ``EXP_WEIGHT_MAX``)."""
+    degree = min(degree, 2**40)
+    try:
+        side = float(max(
+            extrema_grid_size(degree),
+            exp_grid_size(2 * N, degree, weight),
+            exp_grid_size(0, degree, TORUS_DIM * weight),
+        ))
+    except ValueError:
+        return math.inf
     return EXP_GRID_BYTES_PER_POINT * side * side * side
+
+
+def random_l1_bound(amplitude):
+    """Bound on ||fhat||_1 of ``random_factor`` at degree d: its (2d + 1)^3
+    coefficients have l2 norm ||f||_2 <= |amplitude| (the mean of f^2 over the
+    sampling grid is exact), so by Cauchy-Schwarz l1 <= |amplitude| (2d + 1)^(3/2)."""
+    return lambda d: abs(amplitude) * (2.0 * min(d, 2**40) + 1.0) ** 1.5
 
 
 def require_memory(name, value, estimate, what):
@@ -180,9 +200,10 @@ class RunConfig:
                 "N", self.N, lambda n: dense_memory_estimate(n, self.delta), "for its dense solve"
             )
         if "degree" in flags:
-            self.require_degree("degree", self.degree)
+            self.require_degree("degree", self.degree, random_l1_bound(self.amplitude))
         if "max-degree" in flags:
-            self.require_degree("max-degree", self.max_degree)
+            # split-search tries random mixes of amplitude 1 and unit cosines
+            self.require_degree("max-degree", self.max_degree, random_l1_bound(1.0))
         # closed_form_spectrum rejects a lambda_max that is not finite
         if "lambda-max" in flags and math.isfinite(self.lambda_max):
             require_memory(
@@ -190,11 +211,19 @@ class RunConfig:
             )
         return self
 
-    def require_degree(self, name, degree):
-        """Reject a factor degree whose e^{tf} grid would not fit in physical memory."""
-        require_memory(
-            name, degree, lambda d: exp_grid_memory_estimate(self.N, d), "for its e^{tf} grid"
-        )
+    def require_degree(self, name, degree, l1_bound=lambda d: 0.0):
+        """Reject a factor degree whose sampling grids would not fit in physical
+        memory (see ``exp_grid_memory_estimate``).  ``l1_bound(d)`` bounds
+        ||fhat||_1 of the factor at degree d; the default 0 sizes the smallest
+        grids a factor of that degree needs."""
+        t_max = max([abs(self.t)] + [abs(t) for t in self.t_grid or []])
+
+        def estimate(d):
+            weight = t_max * l1_bound(d)
+            # a factor with a non-finite amplitude is rejected when it is built
+            return exp_grid_memory_estimate(self.N, d, weight if math.isfinite(weight) else 0.0)
+
+        require_memory(name, degree, estimate, "for its sampling grids")
 
     def spin_structure(self):
         return SpinStructure(tuple(self.delta))
@@ -211,7 +240,7 @@ class RunConfig:
                 raise ConfigError("--f-cos expects m1,m2,m3[,amplitude]")
             m = tuple(int(p) for p in parts[:3])
             amp = float(parts[3]) if len(parts) == 4 else 1.0
-            self.require_degree("degree", max(abs(x) for x in m))
+            self.require_degree("degree", max(abs(x) for x in m), lambda d: abs(amp))
             return ConformalFactor.cosine(m, amp)
         if kind == "json":
             return _read_json(
@@ -226,15 +255,18 @@ class RunConfig:
             if len(parts) != 3:
                 raise ConfigError("--f-random expects seed,degree,amplitude")
             seed, degree, amp = int(parts[0]), int(parts[1]), float(parts[2])
-            self.require_degree("degree", degree)
+            self.require_degree("degree", degree, random_l1_bound(amp))
             return random_factor(seed, degree, amp, label=f"random:{seed}:d={degree},a={amp!r}")
         raise ConfigError(f"unknown factor kind {kind!r}")
 
     def _json_factor(self, doc, label):
-        """The factor of a JSON document, its degree checked before it is built."""
+        """The factor of a JSON document, its degree checked before it is built
+        and its e^{tf} grid once its coefficients are known."""
         if isinstance(doc, dict) and "degree" in doc:
             self.require_degree("degree", int(doc["degree"]))
-        return ConformalFactor.from_json_dict(doc, label=label)
+        factor = ConformalFactor.from_json_dict(doc, label=label)
+        self.require_degree("degree", factor.degree, lambda d: factor.l1_norm())
+        return factor
 
 
 def _read_json(noun, build, path=None, text=None):

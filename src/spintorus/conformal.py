@@ -18,11 +18,12 @@ tested pointwise identity rather than by trust.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import eigensolver
 from .errors import PositiveDefiniteError
@@ -47,9 +48,20 @@ T_RANGE_LIMIT = 1.0
 #: Reality-constraint tolerance for loaded Fourier coefficients.
 REALITY_TOL = 1e-14
 
-#: Max-norm tolerance, relative to max e^{tf}, of the reconstruction of e^{tf}
-#: from the block that ``exp_coeffs`` returns.
-EXP_RECON_TOL = 1e-12
+#: Certified l1 bound on the aliasing error of the coefficients that
+#: ``exp_coeffs`` returns, relative to e^{-|t| ||fhat||_1}, a lower bound for
+#: min e^{tf} and so for the smallest eigenvalue of B.
+EXP_ALIAS_TOL = 1e-15
+
+#: Largest weight |t| ||fhat||_1 whose e^{tf} coefficients are certified; at
+#: it the grid side is already about 380 times the factor's degree.
+EXP_WEIGHT_MAX = 100.0
+
+#: Largest |t| osc(f) that ``assemble_B`` accepts.  The condition number of
+#: B is at most max e^{tf} / min e^{tf} = e^{|t| osc(f)}; past log(1 / eps)
+#: that bound exceeds 1 / eps, so B need not be positive definite in
+#: floating point.
+B_OSC_MAX = -math.log(np.finfo(float).eps)
 
 #: Half-width, in clustering tolerances at the trust radius, of the band that
 #: ``trusted_spectrum`` solves past the radius so edge clusters come out whole.
@@ -63,10 +75,69 @@ def _next_pow2(n):
     return p
 
 
-def exp_grid_size(band, degree):
-    """Side G of the FFT grid on which ``exp_coeffs`` samples e^{tf}: the
-    smallest power of two at or above max(64, 4 band + 8 max(1, degree))."""
-    return _next_pow2(max(64, 4 * band + 8 * max(1, degree)))
+def _fft_size(n):
+    """Smallest 2^a 3^b at or above n: the FFT-friendly grid sides."""
+    best, p3 = None, 1
+    while True:
+        p = p3
+        while p < n:
+            p *= 2
+        best = p if best is None else min(best, p)
+        if p3 >= n:
+            return best
+        p3 *= 3
+
+
+def exp_tail(weight, K):
+    """Upper bound on sum_{k >= K} weight^k / k!, the l1 mass of the terms
+    (tf)^k / k!, k >= K, of e^{tf} when weight = |t| ||fhat||_1.
+
+    After the K-th term each term shrinks by at least weight / (K + 1), so the
+    sum is at most weight^K / K! * (K + 1) / (K + 1 - weight); inf when
+    K + 1 <= weight, where that geometric bound does not hold.
+    """
+    if weight == 0:
+        return float(K == 0)
+    if K + 1 <= weight:
+        return math.inf
+    return math.exp(K * math.log(weight) - math.lgamma(K + 1)) * (K + 1) / (K + 1 - weight)
+
+
+def weight_band(degree, weight):
+    """Radius past which the Fourier coefficients of e^{tf} have l1 mass at
+    most ``EXP_ALIAS_TOL * e^{-weight}``, for f of this degree and weight =
+    |t| ||fhat||_1: (K - 1) degree for the smallest such K, since (tf)^k has
+    degree k degree.  Raises ValueError past ``EXP_WEIGHT_MAX``."""
+    if not weight <= EXP_WEIGHT_MAX:
+        raise ValueError(
+            f"weight |t| ||fhat||_1 = {weight:.3g} exceeds {EXP_WEIGHT_MAX:g}: the "
+            "coefficients of e^{tf} cannot be certified"
+        )
+    tol = EXP_ALIAS_TOL * math.exp(-weight)
+    K = 1
+    while exp_tail(weight, K) > tol:
+        K += 1
+    return (K - 1) * degree
+
+
+def exp_grid_size(band, degree, weight=0.0):
+    """Side G of the FFT grid on which ``exp_coeffs`` samples e^{tf}.
+
+    The coefficients |m|_inf <= band of a G^3 FFT alias those at |m|_inf >=
+    G - band, so their summed error is at most the l1 mass there, which
+    ``weight_band`` bounds.  G is the smallest FFT-friendly side with G >=
+    band + weight_band + 1, G >= 2 band + 1 (no two kept modes share a bin)
+    and G >= 2 degree + 2 (``ConformalFactor.grid_values``).  With the
+    default weight 0 it is the smallest grid any factor of this degree needs.
+    """
+    return _fft_size(
+        max(2 * band + 1, 2 * degree + 2, band + weight_band(degree, weight) + 1)
+    )
+
+
+def extrema_grid_size(degree):
+    """Side of the grid on which ``ConformalFactor.extrema`` samples f."""
+    return max(64, 4 * degree + 4)
 
 
 def cube_modes(radius):
@@ -228,7 +299,7 @@ class ConformalFactor(CenteredCube):
     def extrema(self):
         """(min f, max f) sampled on a grid fine enough for the band limit."""
         if self._extrema is None:
-            g = self.grid_values(max(64, 4 * self.degree + 4))
+            g = self.grid_values(extrema_grid_size(self.degree))
             self._extrema = (float(g.min()), float(g.max()))
         return self._extrema
 
@@ -242,6 +313,11 @@ class ConformalFactor(CenteredCube):
 
     def mean(self):
         return float(np.real(self.coeff((0, 0, 0))))
+
+    def l1_norm(self):
+        """sum_m |fhat(m)|, a bound for sup|f| that also bounds every power:
+        the coefficients of f^k have l1 norm at most ``l1_norm() ** k``."""
+        return float(np.sum(np.abs(self.values)))
 
     def scaled(self, s):
         """The factor s * f for s > 0; its extrema are this factor's times s,
@@ -293,9 +369,11 @@ class ConformalFactor(CenteredCube):
 class ExpCoeffs(CenteredCube):
     """Fourier coefficients of e^{tf} on a centered cube |m|_inf <= band_used.
 
-    ``recon_error`` is the max-norm error, relative to max |e^{tf}|, of
-    reconstructing e^{tf} on the sampling grid from the retained block; the
-    band is expanded beyond the request until this is below the tolerance.
+    ``recon_error`` is the certified bound on their summed aliasing error
+    (see ``exp_grid_size``): the coefficients differ from the exact ones by
+    at most this much in l1, so the Galerkin matrix built from them differs
+    from the exact one by at most this much in the 2-norm, FFT roundoff
+    aside.
     """
 
     band_used: int
@@ -304,57 +382,34 @@ class ExpCoeffs(CenteredCube):
 
 
 def exp_coeffs(factor, t, band):
-    """Fourier coefficients of e^{tf} for |m|_inf <= band (expanded as needed).
+    """Fourier coefficients of e^{tf} for |m|_inf <= band, from one FFT.
 
-    The FFT grid is oversampled (G = ``exp_grid_size(band, degree)``), so
-    aliasing of the analytic weight decays spectrally; the returned block is
-    grown beyond ``band`` until the reconstruction of e^{tf} from it meets
-    ``EXP_RECON_TOL`` on the sampling grid, and the final reconstruction error
-    is measured, not assumed.
+    e^{tf} is sampled on the grid of side ``exp_grid_size(band, degree,
+    |t| ||fhat||_1)``, whose aliasing error is certified a priori below
+    ``EXP_ALIAS_TOL * e^{-|t| ||fhat||_1}``; the bound is returned as
+    ``recon_error``.  Raises ValueError when the weight exceeds
+    ``EXP_WEIGHT_MAX``.
     """
     band = int(band)
     if band < 0:
         raise ValueError("band must be >= 0")
+    side = 2 * band + 1
     if t == 0 or factor.is_constant:
-        side = 2 * band + 1
         vals = np.zeros((side, side, side), dtype=np.complex128)
         vals[band, band, band] = np.exp(t * factor.mean()) if t != 0 else 1.0
         return ExpCoeffs(band, vals, 0.0)
 
-    G = exp_grid_size(band, factor.degree)
+    d = factor.degree
+    weight = abs(t) * factor.l1_norm()
+    G = exp_grid_size(band, d, weight)
     h = np.exp(t * factor.grid_values(G))
     hhat = np.fft.fftn(h) / G**3
-    scale = float(np.max(np.abs(h)))
-    # Kill FFT noise dust: keeps the mass heuristic meaningful and the
-    # support of the returned block equal to the analytic support.
-    hhat[np.abs(hhat) < 1e-15 * scale] = 0.0
-    total = float(np.sum(np.abs(hhat)))
-
-    def block(b):
-        side = 2 * b + 1
-        return hhat[fft_bins(cube_modes(b), G)].reshape(side, side, side)
-
-    b = band
-    b_max = G // 2 - 1
-    # Dropped-mass pre-pass (an upper bound for the max-norm error) ...
-    while b < b_max:
-        kept = float(np.sum(np.abs(block(b))))
-        if total - kept <= EXP_RECON_TOL * scale:
-            break
-        b += 1
-    # ... then measure the actual reconstruction error and grow if needed.
-    while True:
-        vals = block(b)
-        exp = ExpCoeffs(b, 0.5 * (vals + np.conj(vals[::-1, ::-1, ::-1])), 0.0)
-        exp.recon_error = float(np.max(np.abs(exp.on_grid(G) - h))) / scale
-        if exp.recon_error <= EXP_RECON_TOL:
-            return exp
-        if b >= b_max:
-            raise ValueError(
-                f"cannot reach reconstruction tolerance {EXP_RECON_TOL:.1e} within the FFT grid "
-                f"(got {exp.recon_error:.3e}); deformation parameter likely out of range"
-            )
-        b += 1
+    vals = hhat[fft_bins(cube_modes(band), G)].reshape(side, side, side)
+    # Zero the FFT roundoff dust, so that the support of the block (and the
+    # sparsity of B) is the analytic one.
+    vals[np.abs(vals) < 1e-15 * float(np.max(h))] = 0.0
+    vals = 0.5 * (vals + np.conj(vals[::-1, ::-1, ::-1]))
+    return ExpCoeffs(band, vals, exp_tail(weight, -(-(G - band) // d)))
 
 
 def required_band(mode_set):
@@ -363,84 +418,109 @@ def required_band(mode_set):
 
 
 def assemble_multiplication(mode_set, coeff_lookup):
-    """Galerkin matrix of multiplication by a function with the given
-    coefficient lookup (callable on an integer difference array).
-
-    The scalar block is symmetrized first and then placed on both spin
-    components, which is its Kronecker product with I_2.
-    """
+    """Scalar block of the Galerkin matrix of multiplication by a function
+    with the given coefficient lookup (callable on an integer difference
+    array), symmetrized.  The full matrix acts on both spin components alike:
+    it is ``kron_spin`` of this block."""
     vals = coeff_lookup(mode_set.mode_diffs)
-    vals = 0.5 * (vals + vals.conj().T)
-    out = np.zeros((mode_set.dim, mode_set.dim), dtype=np.complex128)
-    out[0::2, 0::2] = vals
-    out[1::2, 1::2] = vals
+    return 0.5 * (vals + vals.conj().T)
+
+
+def kron_spin(S):
+    """The dense matrix S (x) I_2 in mode-major layout: S on both spin components."""
+    n = S.shape[0]
+    out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    out[0::2, 0::2] = S
+    out[1::2, 1::2] = S
     return out
 
 
 def factor_multiplication_matrix(factor, mode_set):
     """Exact Galerkin matrix of multiplication by the trig polynomial f."""
-    return assemble_multiplication(mode_set, factor.lookup)
+    return kron_spin(assemble_multiplication(mode_set, factor.lookup))
+
+
+@dataclass
+class ScalarWeight:
+    """The Galerkin weight B = B_s (x) I_2, held as its scalar block B_s and
+    the lower Cholesky factor L of B_s = L L^H."""
+
+    B_s: np.ndarray
+    L: np.ndarray
+
+    @property
+    def shape(self):
+        """Shape of B_s, the one matrix of the weight that is assembled."""
+        return self.B_s.shape
 
 
 def assemble_B(factor, t, mode_set):
-    """Hermitian positive definite Galerkin matrix of multiplication by e^{tf}.
+    """Galerkin matrix B of multiplication by e^{tf}, as a ``ScalarWeight``.
 
-    Entries are ``B[kappa, kappa'] = exp_hat(kappa - kappa') I_2`` (mode
-    differences are always integer vectors).  Emits a warning outside the
-    accepted deformation range and raises PositiveDefiniteError when the
-    Cholesky factorization fails.  Since ``B = B_s (x) I_2``, B is positive
-    definite exactly when its scalar block ``B_s = B[::2, ::2]`` is, so the
-    factorization runs on that block.
+    B = B_s (x) I_2 with ``B_s[kappa, kappa'] = exp_hat(kappa - kappa')``
+    (mode differences are always integer vectors), so only B_s is assembled.
+    It is Hermitian, and positive definite exactly when B is; its Cholesky
+    factorization is the positive-definiteness check, and the factor is kept
+    for the solve.  Emits a warning outside the accepted deformation range
+    and raises PositiveDefiniteError when the factorization fails.
     """
-    if abs(t) * factor.oscillation() > T_RANGE_LIMIT:
+    spread = abs(t) * factor.oscillation()
+    if spread > T_RANGE_LIMIT:
         warnings.warn(
-            f"|t| * osc(f) = {abs(t) * factor.oscillation():.3f} exceeds the accepted "
+            f"|t| * osc(f) = {spread:.3f} exceeds the accepted "
             f"range {T_RANGE_LIMIT}; first-order theory may be unreliable",
             stacklevel=2,
         )
     if t == 0 or factor.is_zero:
-        return np.eye(mode_set.dim, dtype=np.complex128)
+        eye = np.eye(mode_set.n_modes, dtype=np.complex128)
+        return ScalarWeight(eye, eye)
     try:
+        if spread > B_OSC_MAX:
+            raise ValueError(f"|t| * osc(f) = {spread:.3g} exceeds {B_OSC_MAX:.3g}")
         exp = exp_coeffs(factor, t, required_band(mode_set))
     except ValueError as exc:
-        # The weight cannot even be resolved on the oversampled grid; treat
-        # it like the Cholesky failure it would become.
+        # Treat it like the Cholesky failure it may become.
         raise PositiveDefiniteError(
-            f"conformal weight for t={t} is not representable at this truncation: {exc}"
+            f"conformal weight for t={t} is not representable: {exc}"
         ) from exc
-    B = assemble_multiplication(mode_set, exp.lookup)
-    try:
-        scipy.linalg.cholesky(B[::2, ::2], lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise PositiveDefiniteError(
-            f"Galerkin weight for t={t} is not positive definite"
-        ) from exc
-    return B
+    B_s = assemble_multiplication(mode_set, exp.lookup)
+    return ScalarWeight(B_s, eigensolver.cholesky_pd(B_s, f"Galerkin weight for t={t}"))
 
 
 @dataclass
 class DeformedOperator:
-    """The matrix pair (A, B) of one conformal deformation, plus metadata."""
+    """The pencil (A, B) of one conformal deformation, plus metadata.
+
+    The solve reads B through ``weight``; the dense ``B`` is built on first
+    access, for the dense oracle and for curve matching.
+    """
 
     mode_set: ModeSet
     t: float
     factor: ConformalFactor
     A: np.ndarray
-    B: np.ndarray
+    weight: ScalarWeight
+
+    @cached_property
+    def B(self):
+        return kron_spin(self.weight.B_s)
 
     @property
     def volume(self):
-        """Total volume of the deformed metric, int e^{n t f} dmu."""
-        if self.t == 0 or self.factor.is_zero:
-            return 1.0
-        G = max(64, 4 * self.factor.degree + 4)
-        return float(np.mean(np.exp(TORUS_DIM * self.t * self.factor.grid_values(G))))
+        """Total volume of the deformed metric, int e^{n t f} dmu: the mean of
+        e^{n t f} on the grid that ``exp_grid_size`` certifies for its zero
+        coefficient (band 0, weight n |t| ||fhat||_1)."""
+        nt, f = TORUS_DIM * self.t, self.factor
+        if nt == 0 or f.is_constant:
+            return float(np.exp(nt * f.mean()))
+        G = exp_grid_size(0, f.degree, abs(nt) * f.l1_norm())
+        return float(np.mean(np.exp(nt * f.grid_values(G))))
 
 
 def build_deformed_operator(factor, t, mode_set):
     A = mode_set.flat_matrix
-    B = assemble_B(factor, t, mode_set)
-    return DeformedOperator(mode_set, float(t), factor, A, B)
+    weight = assemble_B(factor, t, mode_set)
+    return DeformedOperator(mode_set, float(t), factor, A, weight)
 
 
 def cluster_tolerance(
@@ -495,9 +575,10 @@ def deformed_spectrum(
     identity_B = t == 0 or factor.is_zero
     w, V, residual_max = eigensolver.solve_gen_hermitian(
         op.A,
-        None if identity_B else op.B,
+        None if identity_B else op.weight.B_s,
         subset_by_index=subset_by_index,
         subset_by_value=subset_by_value,
+        chol=None if identity_B else op.weight.L,
     )
     meta = {
         "delta": list(mode_set.spin_structure.delta),
@@ -590,16 +671,16 @@ def apply_deformed_dirac(factor, t, phi):
     """Apply the deformed Dirac operator to a field, on an enlarged mode set.
 
     Implements ``e^{-tf} (D phi + ((n-1)/2) t c(grad f) phi)`` with n = 3.
-    The output mode set is enlarged by the factor degree plus the band of the
-    e^{-tf} expansion, so the only truncation loss is the measured spectral
-    tail of the weight (below the ``exp_coeffs`` tolerance).
+    The output mode set is enlarged by the factor degree plus the band past
+    which the coefficients of e^{-tf} have l1 mass below the ``exp_coeffs``
+    tolerance (``weight_band``), so that tail is the only truncation loss.
     """
     ms = phi.mode_set
     if t == 0 or factor.is_zero:
         return apply_flat_dirac(phi)
     d = factor.degree
-    exp_neg = exp_coeffs(factor, -t, max(d + 2, 4))
-    n_out = ms.N + d + exp_neg.band_used
+    # At least one shell past phi's modes, so leakage out of them shows.
+    n_out = ms.N + max(1, d + weight_band(d, abs(t) * factor.l1_norm()))
     out_ms = build_mode_set(n_out, ms.spin_structure)
 
     inner = embed_field(apply_flat_dirac(phi), out_ms)

@@ -1,14 +1,18 @@
 """Dense Hermitian(-definite) eigensolver, degeneracy clustering, curve tracking.
 
-One BLAS per solve: every dense product and factorization of a deformed
-solve (the positive-definiteness check in ``conformal.assemble_B``,
-``scipy.linalg.eigh`` and the residual gate through ``blas_matmul``) runs on
-scipy's BLAS.  The numpy and scipy wheels each bundle their own OpenBLAS
-with its own thread pool, whose idle threads keep spinning for a while after
-a call; a solve that alternates between the two pools makes them compete for
-the cores, which cost about a third of the 50-trial genericity scan on two
-vCPUs.  Curve matching keeps its numpy products: changing the overlap
-arithmetic would re-pair near-tied trajectories.
+One Cholesky and one BLAS per solve.  The weight of a deformed solve is
+B = B_s (x) I_2, and ``conformal.assemble_B`` factors B_s = L L^H as its
+positive-definiteness check; ``solve_gen_hermitian`` reuses L to reduce the
+pencil to standard form by triangular solves of side n_modes, so nothing
+factors B again.  Every dense product and factorization of the solve (that
+Cholesky factorization, the triangular solves, ``scipy.linalg.eigh`` and the
+residual gate through ``blas_matmul``) runs on scipy's BLAS.  The numpy and
+scipy wheels each bundle their own OpenBLAS with its own thread pool, whose
+idle threads keep spinning for a while after a call; a solve that alternates
+between the two pools makes them compete for the cores, which cost about a
+third of the 50-trial genericity scan on two vCPUs.  Curve matching keeps its
+numpy products: changing the overlap arithmetic would re-pair near-tied
+trajectories.
 """
 
 from __future__ import annotations
@@ -99,13 +103,46 @@ def blas_matmul(a, b):
     )
 
 
-def solve_gen_hermitian(A, B=None, subset_by_index=None, subset_by_value=None):
-    """Solve A x = lambda B x for Hermitian A and Hermitian PD B.
+def cholesky_pd(B_s, what="weight matrix"):
+    """Lower Cholesky factor L of a Hermitian B_s = L L^H; PositiveDefiniteError
+    (naming ``what``) when B_s is not positive definite."""
+    try:
+        return scipy.linalg.cholesky(B_s, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise PositiveDefiniteError(f"{what} is not positive definite") from exc
+
+
+def _kron_solve(L, X, adjoint=False):
+    """(L^{-1} (x) I_2) X, or (L^{-H} (x) I_2) X, for X with mode-major rows.
+
+    Row 2i + a of X is spin component a of mode i, so as an (n, -1) array
+    the product is L^{-1} X.  For a C-contiguous complex X it is formed in
+    place: that array's transpose is Fortran-contiguous, and L^{-1} X =
+    (X^T L^{-T})^T, so BLAS trsm works on it from the right.  The adjoint
+    solve back-transforms eigenvectors, a few columns, on a copy.
+    """
+    n = L.shape[0]
+    Xn = X.reshape(n, -1)
+    trsm = scipy.linalg.get_blas_funcs("trsm", (L, Xn))
+    if adjoint:
+        return trsm(1.0, L, Xn, lower=1, trans_a=2).reshape(X.shape)
+    return trsm(1.0, L, Xn.T, side=1, lower=1, trans_a=1, overwrite_b=1).T.reshape(X.shape)
+
+
+def solve_gen_hermitian(A, B_s=None, subset_by_index=None, subset_by_value=None, chol=None):
+    """Solve A x = lambda B x for Hermitian A and B = B_s (x) I_2, B_s Hermitian PD.
+
+    B acts on mode-major vectors of length 2n (``torus_dirac.ModeSet``):
+    B_s on both spin components.  With B_s = L L^H (``chol`` when the caller
+    already holds the factor) the pencil is reduced once to the standard
+    Hermitian problem C y = lambda y, C = (L^{-1} (x) I_2) A (L^{-H} (x) I_2),
+    by two triangular solves of side n, and x = (L^{-H} (x) I_2) y (Golub &
+    Van Loan, Matrix Computations, sec. 8.7).  Without B_s, B = I.
 
     Returns ascending eigenvalues, B-orthonormal phase-canonicalized
     eigenvectors, and the largest per-vector residual
-    ``||A x - lambda B x||_2`` (with ``||x||_B = 1``), which must stay below
-    ``RESIDUAL_BOUND * max(1, max |lambda|)``.
+    ``||A x - lambda B x||_2`` (with ``||x||_B = 1``) on the original pencil,
+    which must stay below ``RESIDUAL_BOUND * max(1, max |lambda|)``.
 
     ``subset_by_index`` (inclusive ``[lo, hi]``) or ``subset_by_value``
     (half-open ``(lo, hi]``) restricts the solve to a window of eigenpairs;
@@ -113,27 +150,45 @@ def solve_gen_hermitian(A, B=None, subset_by_index=None, subset_by_value=None):
     windowed driver.  Phase canonicalization and the residual bound apply to
     every returned pair either way.
 
-    Raises PositiveDefiniteError when B fails its Cholesky factorization and
+    Raises PositiveDefiniteError when B_s fails its Cholesky factorization and
     RuntimeError for any other solver failure (for example eigenvectors of
     the windowed driver that do not converge) or a violated residual bound.
     """
     A = np.asarray(A)
-    if B is not None:
-        B = np.asarray(B)
-        if B.shape != A.shape:
-            raise ValueError("A and B must have matching shapes")
+    C = A
+    if B_s is not None:
+        B_s = np.asarray(B_s)
+        n = B_s.shape[0]
+        if A.shape != (2 * n, 2 * n) or B_s.shape != (n, n):
+            raise ValueError("A must be 2n x 2n for an n x n scalar block B_s")
+        L = cholesky_pd(B_s) if chol is None else chol
+        X = _kron_solve(L, np.array(A, dtype=np.complex128, order="C"))
+        np.conjugate(X, out=X)
+        C = _kron_solve(L, np.ascontiguousarray(X.T))
+        del X
+        # C is Hermitian: the transpose of its conjugate is C again, laid out
+        # as LAPACK reads it, so eigh may overwrite it without a copy.
+        np.conjugate(C, out=C)
+        C = C.T
+    # A full solve of the reduced pencil uses divide and conquer, as the
+    # generalized driver did; windows use the default MRRR driver.
+    full = B_s is not None and subset_by_index is None and subset_by_value is None
     try:
         w, V = scipy.linalg.eigh(
-            A, B, subset_by_index=subset_by_index, subset_by_value=subset_by_value
+            C,
+            subset_by_index=subset_by_index,
+            subset_by_value=subset_by_value,
+            overwrite_a=C is not A,
+            driver="evd" if full else None,
         )
     except np.linalg.LinAlgError as exc:
-        if "not positive definite" in str(exc):
-            raise PositiveDefiniteError(
-                f"weight matrix is not positive definite: {exc}"
-            ) from exc
         raise RuntimeError(f"eigensolver failed: {exc}") from exc
+    del C
+    if B_s is not None:
+        V = _kron_solve(L, V, adjoint=True)
     V = canonicalize_phases(V)
-    R = blas_matmul(A, V) - (blas_matmul(B, V) if B is not None else V) * w[None, :]
+    BV = V if B_s is None else blas_matmul(B_s, V.reshape(n, -1)).reshape(V.shape)
+    R = blas_matmul(A, V) - BV * w[None, :]
     residuals = np.linalg.norm(R, axis=0)
     residual_max = float(residuals.max()) if residuals.size else 0.0
     scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0

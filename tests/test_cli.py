@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -657,6 +658,21 @@ def test_infinite_factor_degree(capsys, tmp_path, flag, noun):
     assert err.startswith(f"error: {noun} has a malformed schema: cannot convert float infinity")
 
 
+class TestHighDegreeFactors:
+    # A degree whose e^{tf} coefficients once failed a measured-reconstruction
+    # test (exit 2); the certified grid resolves them (degree 15 is covered
+    # in test_conformal.py).
+    def test_spectrum_exits_zero(self, capsys, tmp_path):
+        out = tmp_path / "spec.json"
+        code, msg, err = run(
+            capsys, "spectrum", "--delta", "1,0,0", "--N", "1", "--t", "0.05",
+            "--f-random", "1,8,0.3", "--out", str(out),
+        )
+        assert code == 0 and err == ""
+        doc = json.loads(out.read_text())
+        assert doc["meta"]["trust_radius"] > 0.45 and doc["residual_max"] < 1e-9
+
+
 class TestNonFiniteFactors:
     @pytest.mark.parametrize(
         "argv",
@@ -727,32 +743,38 @@ class TestMemoryGuard:
         assert peak < 2**24  # nothing was enumerated
 
     def test_exp_grid_estimate(self):
-        # at N=1 the grid of side 256 (degree <= 31) fits in 7 GiB, that of side 512 does not
+        # at N=1 and t=0 the extrema grid of side 4 d + 4 binds: side 488
+        # (degree 121) fits in 7 GiB, side 492 does not
         available, estimate = 7 * 2**30, cli.exp_grid_memory_estimate
         assert estimate(1, 2) == cli.EXP_GRID_BYTES_PER_POINT * 64**3
-        assert estimate(1, 31) <= available < estimate(1, 32)
+        assert estimate(1, 121) <= available < estimate(1, 122)
         assert estimate(1, 10**400) == estimate(1, 2**40)
+        # a weight |t| ||fhat||_1 grows the e^{tf} grids past it: for the
+        # degree-8 factor of `--f-random 1,8,0.3` at t = 0.05, 96 for B and
+        # 128 for the volume, the mean of e^{3tf}
+        assert estimate(1, 8, 0.2146) == cli.EXP_GRID_BYTES_PER_POINT * 128**3
+        assert estimate(1, 2, 1e3) == math.inf
 
     def test_degree_that_fits_passes(self, seven_gb):
-        cli.RunConfig(N=1, t=0.05, degree=31).validate("genericity")
-        with pytest.raises(cli.ConfigError, match=r"degree=32 .*use degree <= 31"):
-            cli.RunConfig(N=1, t=0.05, degree=32).validate("genericity")
+        cli.RunConfig(N=1, t=0.05, degree=12).validate("genericity")
+        with pytest.raises(cli.ConfigError, match=r"degree=13 .*use degree <= 12"):
+            cli.RunConfig(N=1, t=0.05, degree=13).validate("genericity")
 
     @pytest.mark.parametrize(
         "argv, name, fits",
         [
-            (["spectrum", "--N", "1", "--t", "0.05", "--f-cos", "3,-2000,1"], "degree", 31),
-            (["spectrum", "--N", "1", "--t", "0.05", "--f-random", "1,3000,0.3"], "degree", 31),
-            (["spectrum", "--N", "1", "--f-json", '{"degree": 5000, "coeffs": []}'], "degree", 31),
-            (["spectrum", "--N", "1", "--f-file", "FILE"], "degree", 31),
-            (["perturb", "--N", "2", "--cluster-index", "0", "--f-cos", "2000,0,0"], "degree", 30),
-            (["simplicity", "--N", "3", "--t", "0.05", "--f-cos", "0,0,2000"], "degree", 29),
-            (["genericity", "--N", "1", "--trials", "1", "--degree", "3000"], "degree", 31),
-            (["genericity", "--N", "1", "--degree", "1" + "0" * 400], "degree", 31),
+            (["spectrum", "--N", "1", "--t", "0.05", "--f-cos", "3,-2000,1"], "degree", 48),
+            (["spectrum", "--N", "1", "--t", "0.05", "--f-random", "1,3000,0.3"], "degree", 12),
+            (["spectrum", "--N", "1", "--f-json", '{"degree": 5000, "coeffs": []}'], "degree", 121),
+            (["spectrum", "--N", "1", "--f-file", "FILE"], "degree", 121),
+            (["perturb", "--N", "2", "--cluster-index", "0", "--f-cos", "2000,0,0"], "degree", 121),
+            (["simplicity", "--N", "3", "--t", "0.05", "--f-cos", "0,0,2000"], "degree", 48),
+            (["genericity", "--N", "1", "--trials", "1", "--degree", "3000"], "degree", 121),
+            (["genericity", "--N", "1", "--degree", "1" + "0" * 400], "degree", 121),
             (
                 ["split-search", "--delta", "0,0,0", "--N", "2", "--cluster-lambda", "1.0",
                  "--max-degree", "3000"],
-                "max-degree", 30,
+                "max-degree", 8,
             ),
         ],
     )

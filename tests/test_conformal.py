@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -222,17 +223,72 @@ class TestExpCoeffs:
         flipped = np.conj(exp.values[::-1, ::-1, ::-1])
         assert_allclose(exp.values, flipped, atol=0)
 
+    @staticmethod
+    def fft_block(f, t, band, G):
+        """Coefficients |m|_inf <= band of e^{tf} from a plain G^3 FFT."""
+        hhat = np.fft.fftn(np.exp(t * f.grid_values(G))) / G**3
+        side = 2 * band + 1
+        return hhat[tuple((cf.cube_modes(band) % G).T)].reshape(side, side, side)
+
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_certified_against_twice_finer_grid(self, degree):
+        f = random_factor(40 + degree, degree, 0.3)
+        t, band = 0.05, 2
+        exp = cf.exp_coeffs(f, t, band)
+        G = cf.exp_grid_size(band, degree, abs(t) * f.l1_norm())
+        assert exp.band_used == band and exp.values.shape == (2 * band + 1,) * 3
+        assert exp.recon_error <= cf.EXP_ALIAS_TOL
+        fine = self.fft_block(f, t, band, 2 * G)
+        assert np.max(np.abs(exp.values - fine)) <= exp.recon_error + 1e-15
+
+    @pytest.mark.parametrize("degree, t, G", [(1, 0.8, 8), (1, 0.8, 10), (2, 0.3, 9), (3, 0.2, 12)])
+    def test_tail_bounds_aliasing_on_small_grids(self, degree, t, G):
+        # on grids far below the certified side the error is large, and the
+        # bound of exp_tail still holds: sum over |m| <= b of the error is at
+        # most the tail from K = ceil((G - b) / d)
+        f = random_factor(60 + degree, degree, 1.0)
+        band = 1
+        weight = t * f.l1_norm()
+        coarse = self.fft_block(f, t, band, G)
+        exact = self.fft_block(f, t, band, cf.exp_grid_size(band, degree, weight))
+        err = float(np.sum(np.abs(coarse - exact)))
+        bound = cf.exp_tail(weight, -(-(G - band) // degree))
+        assert 1e-12 < err <= bound + 1e-15
+
+    def test_exp_tail_matches_series(self):
+        for weight in (0.04, 0.7, 3.0):
+            for K in (4, 9, 15):
+                series = sum(weight**k / math.factorial(k) for k in range(K, K + 80))
+                assert series <= cf.exp_tail(weight, K) <= series * (1 + weight / (K + 1 - weight))
+        assert cf.exp_tail(0.0, 3) == 0.0 and cf.exp_tail(5.0, 4) == math.inf
+
+    def test_grid_size_rule(self):
+        # the benchmark factors (weight about 0.04, degree 2, band 6 at N=3)
+        # and the degree-8 factor of `--f-random 1,8,0.3` at N=1
+        assert cf.exp_grid_size(6, 2, 0.042) == 24
+        assert cf.exp_grid_size(2, 8, 0.2146) == 96
+        # weight 0: the smallest grid any factor of the degree needs
+        assert cf.exp_grid_size(6, 2) == 16 and cf.exp_grid_size(2, 31) == 64
+        with pytest.raises(ValueError, match="certified"):
+            cf.exp_grid_size(2, 1, cf.EXP_WEIGHT_MAX * 1.01)
+
+    def test_high_degree_factor_returns(self):
+        # a measured-reconstruction criterion once failed here on a 128^3 grid
+        exp = cf.exp_coeffs(random_factor(3, 15, 0.3), 0.05, 2)
+        assert exp.band_used == 2 and exp.recon_error <= cf.EXP_ALIAS_TOL
+
 
 class TestAssembleB:
     def test_identity_at_t_zero(self):
         ms = build_mode_set(1, (0, 0, 0))
-        B = cf.assemble_B(random_factor(1, 2, 0.5), 0.0, ms)
-        assert_allclose(B, np.eye(ms.dim))
+        W = cf.assemble_B(random_factor(1, 2, 0.5), 0.0, ms)
+        assert_allclose(cf.kron_spin(W.B_s), np.eye(ms.dim))
+        assert_allclose(W.L, np.eye(ms.n_modes))
 
     def test_constant_scales_identity(self):
         ms = build_mode_set(1, (1, 0, 0))
-        B = cf.assemble_B(cf.ConformalFactor.constant(0.3), 0.5, ms)
-        assert_allclose(B, np.exp(0.15) * np.eye(ms.dim), atol=0)
+        W = cf.assemble_B(cf.ConformalFactor.constant(0.3), 0.5, ms)
+        assert_allclose(cf.kron_spin(W.B_s), np.exp(0.15) * np.eye(ms.dim), atol=0)
 
     def test_sparsity_matches_exp_support(self):
         # f = cos(2 x1): the weight couples exactly the mode pairs whose
@@ -241,7 +297,7 @@ class TestAssembleB:
         ms = build_mode_set(2, (0, 0, 0))
         f = cf.ConformalFactor.cosine((2, 0, 0))
         t = 0.1
-        B = cf.assemble_B(f, t, ms)
+        B = cf.kron_spin(cf.assemble_B(f, t, ms).B_s)
         exp = cf.exp_coeffs(f, t, cf.required_band(ms))
         diffs = ms.mode_diffs
         for i in range(0, ms.n_modes, 7):
@@ -256,8 +312,10 @@ class TestAssembleB:
 
     def test_hermitian_and_pd(self):
         ms = build_mode_set(2, (1, 1, 0))
-        B = cf.assemble_B(random_factor(21, 2, 0.5), 0.08, ms)
+        W = cf.assemble_B(random_factor(21, 2, 0.5), 0.08, ms)
+        B = cf.kron_spin(W.B_s)
         assert_allclose(B, B.conj().T)
+        assert_allclose(W.L @ W.L.conj().T, W.B_s, atol=1e-14)
         w = np.linalg.eigvalsh(B)
         assert w.min() > 0
 
@@ -268,7 +326,7 @@ class TestAssembleB:
         exp = cf.exp_coeffs(f, t, cf.required_band(ms))
         out = np.kron(exp.lookup(ms.mode_diffs), np.eye(2, dtype=np.complex128))
         reference = 0.5 * (out + out.conj().T)
-        B = cf.assemble_B(f, t, ms)
+        B = cf.kron_spin(cf.assemble_B(f, t, ms).B_s)
         assert B.dtype == reference.dtype
         assert B.tobytes() == reference.tobytes()
 
@@ -308,6 +366,13 @@ class TestAssembleB:
         expected_vol = np.mean(np.exp(3 * t * f.grid_values(64)))
         assert op.volume > 0
         assert abs(op.volume - expected_vol) < 1e-12
+
+    @pytest.mark.parametrize("seed, degree, t", [(5, 1, 0.3), (6, 2, 0.05), (7, 3, -0.2), (8, 5, 0.1)])
+    def test_volume_from_certified_grid(self, seed, degree, t):
+        ms = build_mode_set(1, (1, 0, 0))
+        f = random_factor(seed, degree, 0.5)
+        op = cf.build_deformed_operator(f, t, ms)
+        assert abs(op.volume - np.mean(np.exp(3 * t * f.grid_values(64)))) < 1e-14
 
     def test_out_of_range_warns(self):
         ms = build_mode_set(1, (0, 0, 0))
@@ -414,6 +479,30 @@ class TestDeformedSpectrum:
         res = cf.deformed_spectrum(f, 0.07, ms)
         V, B = res.vectors, res.B
         assert_allclose(V.conj().T @ B @ V, np.eye(ms.dim), atol=1e-10)
+
+
+class TestStandardFormSolve:
+    """The one-Cholesky standard-form solve against the dense generalized eigh."""
+
+    @pytest.mark.parametrize("delta", [(0, 0, 0), (1, 0, 0), (1, 1, 1)], ids=str)
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_windows_match_dense_oracle(self, N, delta):
+        ms = build_mode_set(N, delta)
+        i0 = ms.first_nonnegative_index
+        lo, hi = i0 - min(i0, 10), min(i0 + 19, ms.dim - 1)
+        for seed in (71, 72):
+            f = random_factor(seed, 2, 0.3)
+            op = cf.build_deformed_operator(f, 0.05, ms)
+            oracle = scipy.linalg.eigh(op.A, op.B, eigvals_only=True)
+            by_index = cf.deformed_spectrum(f, 0.05, ms, keep_vectors=False, subset_by_index=(lo, hi))
+            ref = oracle[lo : hi + 1]
+            assert np.max(np.abs(by_index.eigenvalues - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
+            by_value = cf.deformed_spectrum(
+                f, 0.05, ms, keep_vectors=False, subset_by_value=(-1.3, 1.3)
+            )
+            ref = oracle[(oracle > -1.3) & (oracle <= 1.3)]
+            assert by_value.eigenvalues.shape == ref.shape
+            assert np.max(np.abs(by_value.eigenvalues - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
 
 
 class TestTrustedSpectrum:

@@ -31,6 +31,11 @@ def random_spd(rng, n):
     return Z @ Z.conj().T + n * np.eye(n)
 
 
+def kron2(B_s):
+    """The weight B = B_s (x) I_2 that ``solve_gen_hermitian`` reads from B_s."""
+    return np.kron(B_s, np.eye(2))
+
+
 class TestSolve:
     def test_plain_hermitian(self, rng):
         A = random_hermitian(rng, 12)
@@ -39,26 +44,41 @@ class TestSolve:
         assert_allclose(V.conj().T @ V, np.eye(12), atol=1e-10)
 
     def test_diagonal_pair(self):
-        A = np.diag([2.0, -3.0, 5.0]).astype(complex)
-        B = np.diag([1.0, 2.0, 4.0]).astype(complex)
-        w, _, _ = es.solve_gen_hermitian(A, B)
-        assert_allclose(w, np.sort([2.0, -1.5, 1.25]), atol=1e-14)
+        A = np.diag([2.0, -3.0, 5.0, 6.0, -8.0, 1.0]).astype(complex)
+        B_s = np.diag([1.0, 2.0, 4.0]).astype(complex)
+        w, _, _ = es.solve_gen_hermitian(A, B_s)
+        assert_allclose(w, np.sort([2.0, -3.0, 2.5, 3.0, -2.0, 0.25]), atol=1e-14)
 
     def test_random_pair_residuals_and_gram(self, rng):
         A = random_hermitian(rng, 50)
-        B = random_spd(rng, 50)
-        w, V, res = es.solve_gen_hermitian(A, B)
+        B_s = random_spd(rng, 25)
+        B = kron2(B_s)
+        w, V, res = es.solve_gen_hermitian(A, B_s)
+        assert_allclose(w, scipy.linalg.eigh(A, B, eigvals_only=True), atol=1e-12)
         # oracle: recompute residuals and B-Gram directly
         R = A @ V - B @ V * w[None, :]
         assert np.max(np.linalg.norm(R, axis=0)) < 1e-10 * max(1.0, np.abs(w).max())
         assert_allclose(V.conj().T @ B @ V, np.eye(50), atol=1e-10)
         assert res <= 1e-9 * max(1.0, np.abs(w).max())
 
+    def test_held_factor_is_used(self, rng):
+        A = random_hermitian(rng, 20)
+        B_s = random_spd(rng, 10)
+        L = scipy.linalg.cholesky(B_s, lower=True)
+        w, V, _ = es.solve_gen_hermitian(A, B_s, chol=L)
+        assert_allclose(w, scipy.linalg.eigh(A, kron2(B_s), eigvals_only=True), atol=1e-12)
+        with pytest.raises(RuntimeError, match="residual"):
+            es.solve_gen_hermitian(A, B_s, chol=1.01 * L)
+
     def test_not_positive_definite(self, rng):
         A = random_hermitian(rng, 6)
-        B = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0]).astype(complex)
+        B_s = np.diag([1.0, 1.0, -1.0]).astype(complex)
         with pytest.raises(PositiveDefiniteError):
-            es.solve_gen_hermitian(A, B)
+            es.solve_gen_hermitian(A, B_s)
+
+    def test_shape_mismatch(self, rng):
+        with pytest.raises(ValueError):
+            es.solve_gen_hermitian(random_hermitian(rng, 6), random_spd(rng, 6))
 
     def test_phase_canonicalization(self, rng):
         V = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
@@ -119,7 +139,7 @@ class TestBlasMatmul:
         assert es.blas_matmul(a, np.zeros((12, 0), complex, order="F")).shape == (12, 0)
         # an empty value window reaches the residual gate with no vectors
         w, V, res = es.solve_gen_hermitian(
-            random_hermitian(rng, 12), random_spd(rng, 12), subset_by_value=(1e3, 2e3)
+            random_hermitian(rng, 12), random_spd(rng, 6), subset_by_value=(1e3, 2e3)
         )
         assert w.shape == (0,) and V.shape == (12, 0) and res == 0.0
 
@@ -133,13 +153,12 @@ def _failing_eigh(message):
 
 class TestSolverErrors:
     def test_pd_message_maps_to_pd_error(self, rng, monkeypatch):
-        monkeypatch.setattr(
-            scipy.linalg,
-            "eigh",
-            _failing_eigh("The leading minor of order 3 of B is not positive definite."),
-        )
+        def failing_cholesky(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("2-th leading minor of the array is not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "cholesky", failing_cholesky)
         with pytest.raises(PositiveDefiniteError):
-            es.solve_gen_hermitian(random_hermitian(rng, 6), random_spd(rng, 6))
+            es.solve_gen_hermitian(random_hermitian(rng, 6), random_spd(rng, 3))
 
     def test_other_failure_is_runtime_error(self, rng, monkeypatch):
         monkeypatch.setattr(
@@ -147,7 +166,7 @@ class TestSolverErrors:
         )
         with pytest.raises(RuntimeError, match="failed to converge") as info:
             es.solve_gen_hermitian(
-                random_hermitian(rng, 6), random_spd(rng, 6), subset_by_index=(0, 2)
+                random_hermitian(rng, 6), random_spd(rng, 3), subset_by_index=(0, 2)
             )
         assert not isinstance(info.value, PositiveDefiniteError)
 
@@ -155,9 +174,11 @@ class TestSolverErrors:
 class TestWindowedSolve:
     def test_index_window_matches_full_solve(self, rng):
         A = random_hermitian(rng, 40)
-        B = random_spd(rng, 40)
-        w_full, _, _ = es.solve_gen_hermitian(A, B)
-        w, V, res = es.solve_gen_hermitian(A, B, subset_by_index=(10, 17))
+        B_s = random_spd(rng, 20)
+        B = kron2(B_s)
+        w_full, _, _ = es.solve_gen_hermitian(A, B_s)
+        assert_allclose(w_full, scipy.linalg.eigh(A, B, eigvals_only=True), atol=1e-12)
+        w, V, res = es.solve_gen_hermitian(A, B_s, subset_by_index=(10, 17))
         assert V.shape == (40, 8)
         assert_allclose(w, w_full[10:18], atol=1e-12)
         assert_allclose(V.conj().T @ B @ V, np.eye(8), atol=1e-10)
@@ -165,10 +186,11 @@ class TestWindowedSolve:
 
     def test_value_window_matches_full_solve(self, rng):
         A = random_hermitian(rng, 40)
-        B = random_spd(rng, 40)
-        w_full, _, _ = es.solve_gen_hermitian(A, B)
+        B_s = random_spd(rng, 20)
+        w_full, _, _ = es.solve_gen_hermitian(A, B_s)
+        assert_allclose(w_full, scipy.linalg.eigh(A, kron2(B_s), eigvals_only=True), atol=1e-12)
         lo, hi = -0.3, 0.4
-        w, _, _ = es.solve_gen_hermitian(A, B, subset_by_value=(lo, hi))
+        w, _, _ = es.solve_gen_hermitian(A, B_s, subset_by_value=(lo, hi))
         inside = w_full[(w_full > lo) & (w_full <= hi)]
         assert len(w) == len(inside) > 0
         assert_allclose(w, inside, atol=1e-12)
@@ -182,9 +204,9 @@ class TestWindowedSolve:
 
         monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
         A = random_hermitian(rng, 30)
-        B = random_spd(rng, 30)
+        B_s = random_spd(rng, 15)
         with pytest.raises(RuntimeError, match="residual"):
-            es.solve_gen_hermitian(A, B, subset_by_index=(5, 9))
+            es.solve_gen_hermitian(A, B_s, subset_by_index=(5, 9))
 
     @pytest.mark.parametrize("spin", all_spin_structures(), ids=str)
     def test_sylvester_index_counts_negative_eigenvalues(self, spin):
