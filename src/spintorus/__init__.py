@@ -16,6 +16,7 @@ from .conformal import (
     exp_coeffs,
     flat_spectrum,
     substitution_identity_error,
+    tracked_spectrum,
     trust_radius,
     trusted_spectrum,
 )
@@ -49,12 +50,9 @@ from .torus_dirac import (
     ModeSet,
     SpinorField,
     SpinStructure,
-    apply_J_field,
     assemble_flat_dirac,
     build_mode_set,
     closed_form_spectrum,
-    l2_inner,
-    pointwise_density,
 )
 
 __version__ = "0.1.0"

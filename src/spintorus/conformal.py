@@ -491,8 +491,8 @@ def assemble_B(factor, t, mode_set):
 class DeformedOperator:
     """The pencil (A, B) of one conformal deformation, plus metadata.
 
-    The solve reads B through ``weight``; the dense ``B`` is built on first
-    access, for the dense oracle and for curve matching.
+    The solve and curve matching read B through ``weight``; the dense ``B``
+    is built on first access, for the dense oracle.
     """
 
     mode_set: ModeSet
@@ -547,7 +547,7 @@ def deformed_spectrum(
     t,
     mode_set,
     tau_rel=None,
-    keep_vectors=True,
+    keep_vectors=False,
     subset_by_index=None,
     subset_by_value=None,
 ):
@@ -558,8 +558,9 @@ def deformed_spectrum(
     tolerance at t = 0 and the split-detection tolerance otherwise.
 
     With ``keep_vectors`` the result keeps the eigenvectors and, for a
-    nontrivial weight, the matrix B, which curve matching reads; without it
-    it keeps neither.
+    nontrivial weight, the scalar block B_s of B = B_s (x) I_2, which curve
+    matching reads (``tracked_spectrum`` is the one caller in the package
+    that asks for them); by default it keeps neither.
 
     ``subset_by_index`` / ``subset_by_value`` restrict the solve to a window
     of eigenpairs (see ``eigensolver.solve_gen_hermitian``); every returned
@@ -595,7 +596,7 @@ def deformed_spectrum(
         tau_rel,
         meta,
         mode_set=mode_set,
-        B=None if (identity_B or not keep_vectors) else op.B,
+        B_s=None if (identity_B or not keep_vectors) else op.weight.B_s,
     )
 
 
@@ -621,14 +622,7 @@ def trusted_spectrum(factor, t, mode_set, tau_rel=None):
     margin = TRUST_MARGIN * tol
     while True:
         edge = radius + margin
-        res = deformed_spectrum(
-            factor,
-            t,
-            mode_set,
-            tau_rel=tau_rel,
-            keep_vectors=False,
-            subset_by_value=(-edge, edge),
-        )
+        res = deformed_spectrum(factor, t, mode_set, tau_rel=tau_rel, subset_by_value=(-edge, edge))
         w = res.eigenvalues
         kept = [c for c in res.clusters if abs(c.lam) <= radius + tol]
         lo, hi = (kept[0].start, kept[-1].stop) if kept else (0, 0)
@@ -648,7 +642,92 @@ def trusted_spectrum(factor, t, mode_set, tau_rel=None):
 
 def flat_spectrum(mode_set):
     """Eigenvalues and clusters of the undeformed operator, from a dense solve."""
-    return deformed_spectrum(ConformalFactor.zero(), 0.0, mode_set, keep_vectors=False)
+    return deformed_spectrum(ConformalFactor.zero(), 0.0, mode_set)
+
+
+class _WindowCut(Exception):
+    """A snapshot's window edge splits a cluster; ``args`` are the (below,
+    above) flags of the edges to widen."""
+
+
+def _window_snapshot(factor, t, mode_set, window, tau_rel):
+    """The eigenpairs [lo, hi) of one deformation, with vectors and B_s.
+
+    Solves one extra eigenpair past each edge that has a neighbour and
+    raises ``_WindowCut`` when an edge does not fall on a cluster boundary
+    of that solve, that is when the extra eigenvalue lies within a
+    clustering tolerance of the window's outermost one.
+    """
+    lo, hi = window
+    a, b = max(lo - 1, 0), min(hi + 1, mode_set.dim)
+    res = deformed_spectrum(
+        factor, t, mode_set, tau_rel=tau_rel, keep_vectors=True, subset_by_index=(a, b - 1)
+    )
+    boundaries = {c.start for c in res.clusters} | {b - a}
+    if lo - a not in boundaries or hi - a not in boundaries:
+        raise _WindowCut(lo - a not in boundaries, hi - a not in boundaries)
+    return eigensolver.build_spectrum_result(
+        res.eigenvalues[lo - a : hi - a],
+        np.ascontiguousarray(res.vectors[:, lo - a : hi - a]),
+        res.residual_max,
+        tau_rel,
+        res.meta,
+        mode_set=mode_set,
+        B_s=res.B_s,
+    )
+
+
+def tracked_spectrum(
+    factor,
+    t_values,
+    mode_set,
+    tolerances=(eigensolver.TAU_REL_DEGENERATE, eigensolver.TAU_REL_SPLIT),
+):
+    """Eigenvalue curves over ``t_values`` on the trusted index window.
+
+    The window [lo, hi) = [i0 - n_neg, i0 + n_pos) holds the flat clusters
+    with -(N - 1/2) <= lambda <= N - 1/2: i0 = ``first_nonnegative_index``,
+    and n_neg, n_pos are their multiplicities from ``ModeSet.flat_clusters``.
+    By Sylvester's law of inertia no eigenvalue crosses zero as t moves, so
+    the window has the same length at every t and the same index range.
+    Each t is solved on the window alone (plus one eigenpair past each edge,
+    see ``_window_snapshot``), and the snapshots are streamed into
+    ``eigensolver.match_curves``, so two are alive at a time.  When an edge
+    cuts a cluster at some t (a clustering tolerance wider than the gap to
+    the next flat shell), that side grows by the next flat shell and the
+    grid restarts.
+
+    ``tolerances`` are the (degenerate, split) clustering tolerances of
+    ``cluster_tolerance``.  The family records ``index_window``, the trust
+    radius R(t) at each t, and per trajectory whether it leaves R(t) by more
+    than a clustering tolerance at some t.
+    """
+    keys, _, mult = mode_set.flat_clusters
+    # offsets[c] is the index of flat cluster c's first eigenvalue, so the
+    # first cluster with key >= 0 starts at i0
+    offsets = np.concatenate([[0], np.cumsum(mult)])
+    # lambda = sqrt(|key|) / 2, so |lambda| <= N - 1/2 exactly when |key| <= (2N - 1)^2
+    edge = (2 * mode_set.N - 1) ** 2
+    lo, hi = int(np.searchsorted(keys, -edge)), int(np.searchsorted(keys, edge, side="right"))
+    taus = [cluster_tolerance(factor, t, *tolerances) for t in t_values]
+    while True:
+        window = (int(offsets[lo]), int(offsets[hi]))
+        snapshots = (
+            _window_snapshot(factor, t, mode_set, window, tau) for t, tau in zip(t_values, taus)
+        )
+        try:
+            family = eigensolver.match_curves(snapshots, rate_bound=factor.sup_abs())
+            break
+        except _WindowCut as cut:
+            below, above = cut.args
+            lo, hi = lo - below, hi + above
+    radii = np.array([trust_radius(factor, t, mode_set.N) for t in t_values])
+    reach = radii + np.array(taus) * np.maximum(1.0, radii)
+    leaves = np.any(np.abs(family.trajectories) > reach[None, :], axis=1)
+    family.index_window = list(window)
+    family.trust_radius = radii.tolist()
+    family.leaves_trust_radius = [bool(x) for x in leaves]
+    return family
 
 
 def gradient_clifford_term(factor, phi, out_mode_set):

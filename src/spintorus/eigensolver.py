@@ -6,13 +6,13 @@ positive-definiteness check; ``solve_gen_hermitian`` reuses L to reduce the
 pencil to standard form by triangular solves of side n_modes, so nothing
 factors B again.  Every dense product and factorization of the solve (that
 Cholesky factorization, the triangular solves, ``scipy.linalg.eigh`` and the
-residual gate through ``blas_matmul``) runs on scipy's BLAS.  The numpy and
-scipy wheels each bundle their own OpenBLAS with its own thread pool, whose
-idle threads keep spinning for a while after a call; a solve that alternates
-between the two pools makes them compete for the cores, which cost about a
-third of the 50-trial genericity scan on two vCPUs.  Curve matching keeps its
-numpy products: changing the overlap arithmetic would re-pair near-tied
-trajectories.
+residual gate through ``blas_matmul``) runs on scipy's BLAS, and so do the
+overlap products of curve matching, which apply B_s the way the residual gate
+does (``apply_weight``).  The numpy and scipy wheels each bundle their own
+OpenBLAS with its own thread pool, whose idle threads keep spinning for a
+while after a call; a solve that alternates between the two pools makes them
+compete for the cores, which cost about a third of the 50-trial genericity
+scan on two vCPUs.
 """
 
 from __future__ import annotations
@@ -52,10 +52,11 @@ class ClusterInfo:
 class SpectrumResult(Artifact):
     """Sorted spectrum of one (A, B) solve with clustering and metadata.
 
-    ``vectors`` are B-orthonormal columns with canonical phases; ``B`` is kept
-    with them so curve matching can score eigenvector overlaps in the
-    deformed inner product.  Serialized artifacts carry only eigenvalues,
-    clusters, the residual bound and metadata.
+    ``vectors`` are B-orthonormal columns with canonical phases; ``B_s``, the
+    scalar block of the weight B = B_s (x) I_2 (None for B = I), is kept with
+    them so curve matching can score eigenvector overlaps in the deformed
+    inner product.  Serialized artifacts carry only eigenvalues, clusters,
+    the residual bound and metadata.
     """
 
     eigenvalues: np.ndarray
@@ -63,7 +64,7 @@ class SpectrumResult(Artifact):
     residual_max: float
     meta: dict
     vectors: np.ndarray | None = field(default=None, metadata=NOT_ARTIFACT)
-    B: np.ndarray | None = field(default=None, metadata=NOT_ARTIFACT)
+    B_s: np.ndarray | None = field(default=None, metadata=NOT_ARTIFACT)
     mode_set: object = field(default=None, metadata=NOT_ARTIFACT)
 
 
@@ -101,6 +102,13 @@ def blas_matmul(a, b):
     return gemm(
         1.0, a.T if trans_a else a, b.T if trans_b else b, trans_a=trans_a, trans_b=trans_b
     )
+
+
+def apply_weight(B_s, V):
+    """(B_s (x) I_2) V for mode-major V (one vector or stacked columns): the
+    n x n block B_s on both spin components, as one gemm of side n."""
+    n = B_s.shape[0]
+    return blas_matmul(B_s, V.reshape(n, -1)).reshape(V.shape)
 
 
 def cholesky_pd(B_s, what="weight matrix"):
@@ -187,7 +195,7 @@ def solve_gen_hermitian(A, B_s=None, subset_by_index=None, subset_by_value=None,
     if B_s is not None:
         V = _kron_solve(L, V, adjoint=True)
     V = canonicalize_phases(V)
-    BV = V if B_s is None else blas_matmul(B_s, V.reshape(n, -1)).reshape(V.shape)
+    BV = V if B_s is None else apply_weight(B_s, V)
     R = blas_matmul(A, V) - BV * w[None, :]
     residuals = np.linalg.norm(R, axis=0)
     residual_max = float(residuals.max()) if residuals.size else 0.0
@@ -234,7 +242,7 @@ def cluster_eigenvalues(values, tau_rel=0.0, tau_abs=0.0):
     return clusters
 
 
-def build_spectrum_result(w, V, residual_max, tau_rel, meta, mode_set=None, B=None):
+def build_spectrum_result(w, V, residual_max, tau_rel, meta, mode_set=None, B_s=None):
     clusters = cluster_eigenvalues(w, tau_rel)
     meta = dict(meta)
     meta["tau_rel"] = tau_rel
@@ -244,7 +252,7 @@ def build_spectrum_result(w, V, residual_max, tau_rel, meta, mode_set=None, B=No
         residual_max=residual_max,
         meta=meta,
         vectors=V,
-        B=B,
+        B_s=B_s,
         mode_set=mode_set,
     )
 
@@ -255,7 +263,10 @@ class CurveFamily(Artifact):
 
     ``flagged`` marks trajectories with a low-overlap step or a per-step jump
     exceeding the first-order Lipschitz estimate |d lambda / dt| <= |lambda|
-    * sup|f| (when a rate bound is supplied to the matcher).
+    * sup|f| (when a rate bound is supplied to the matcher).  A family from
+    ``conformal.tracked_spectrum`` also records the solved index window
+    [lo, hi), the trust radius R(t) at each t and, per trajectory, whether it
+    leaves R(t) somewhere on the grid; ``match_curves`` alone leaves them None.
     """
 
     t_values: list[float]
@@ -263,6 +274,9 @@ class CurveFamily(Artifact):
     overlaps: np.ndarray  # (n_traj, n_t - 1) matching scores in [0, 1]
     flagged: list[bool] = field(default_factory=list)
     ambiguous: bool = False
+    index_window: list[int] | None = None
+    trust_radius: list[float] | None = None
+    leaves_trust_radius: list[bool] | None = None
 
     def csv_rows(self):
         rows = [("t", "trajectory_id", "lambda")]
@@ -280,13 +294,12 @@ def _step_overlap(prev, nxt):
     B-inner product of the later snapshot.  Scoring whole degenerate
     subspaces (Kramers pairs are degenerate at every t) keeps the score at ~1
     inside a cluster instead of depending on the arbitrary basis returned by
-    the solver; for a simple eigenvalue it reduces to |<x_i, x_j>_B|.
+    the solver; for a simple eigenvalue it reduces to |<x_i, x_j>_B|.  Both
+    products run on scipy's BLAS, B through its scalar block B_s.
     """
-    B = nxt.B
-    X = prev.vectors
-    Y = nxt.vectors
-    cross = X.conj().T @ (B @ Y if B is not None else Y)
-    n = X.shape[1]
+    Y = nxt.vectors if nxt.B_s is None else apply_weight(nxt.B_s, nxt.vectors)
+    cross = blas_matmul(prev.vectors.conj().T, Y)
+    n = cross.shape[0]
     scores = np.empty((n, n))
     for c in prev.clusters:
         block = cross[c.start : c.stop, :]
@@ -313,8 +326,22 @@ def _greedy_assign(scores):
     return perm
 
 
+def _require_matchable(snap, n, mode_set):
+    if len(snap.eigenvalues) != n:
+        raise ValueError("snapshots have mismatched dimensions")
+    if snap.vectors is None:
+        raise ValueError("snapshots must retain eigenvectors for matching")
+    if snap.mode_set is not None and not (mode_set is None or mode_set.same_modes(snap.mode_set)):
+        raise ValueError("snapshots live on different mode sets")
+
+
 def match_curves(snapshots, rate_bound=None):
     """Match eigenvalue trajectories across snapshots by eigenvector overlap.
+
+    ``snapshots`` is any iterable of ``SpectrumResult`` with vectors, all of
+    the same length.  It is read once, and only the current and the next
+    snapshot are held, so a generator that solves one snapshot per step
+    keeps at most two alive.  Raises ValueError on fewer than two.
 
     Greedy matching on the overlap matrix, with an optimal-assignment
     fallback when the greedy pairing leaves an overlap below the ambiguity
@@ -327,31 +354,24 @@ def match_curves(snapshots, rate_bound=None):
     |delta lambda| beyond twice the first-order estimate
     ``max(1, |lambda|) * rate_bound * delta t`` also flags the trajectory.
     """
-    if len(snapshots) < 2:
+    snapshots = iter(snapshots)
+    prev = next(snapshots, None)
+    if prev is None:
         raise ValueError("need at least two snapshots")
-    n = len(snapshots[0].eigenvalues)
-    for s in snapshots:
-        if len(s.eigenvalues) != n:
-            raise ValueError("snapshots have mismatched dimensions")
-        if s.vectors is None:
-            raise ValueError("snapshots must retain eigenvectors for matching")
-    first_ms = snapshots[0].mode_set
-    if first_ms is not None:
-        for s in snapshots[1:]:
-            if s.mode_set is not None and not first_ms.same_modes(s.mode_set):
-                raise ValueError("snapshots live on different mode sets")
-
-    n_t = len(snapshots)
-    traj = np.zeros((n, n_t))
-    overlaps = np.ones((n, n_t - 1))
+    n = len(prev.eigenvalues)
+    first_ms = prev.mode_set
+    _require_matchable(prev, n, first_ms)
+    t_values = [float(prev.meta.get("t", 0))]
+    columns = [np.asarray(prev.eigenvalues, dtype=float)]
+    steps = []
     slots = np.arange(n)  # slot -> eigenindex in current snapshot
-    traj[:, 0] = snapshots[0].eigenvalues
     ambiguous = False
-    for k in range(n_t - 1):
-        scores = _step_overlap(snapshots[k], snapshots[k + 1])
+    for nxt in snapshots:
+        _require_matchable(nxt, n, first_ms)
+        scores = _step_overlap(prev, nxt)
         perm = _greedy_assign(scores)
         step = scores[np.arange(n), perm]
-        if step.min() < AMBIGUOUS_OVERLAP:
+        if step.min(initial=1.0) < AMBIGUOUS_OVERLAP:
             from scipy.optimize import linear_sum_assignment
 
             rows, cols = linear_sum_assignment(-scores)
@@ -359,22 +379,26 @@ def match_curves(snapshots, rate_bound=None):
             step = scores[np.arange(n), perm]
             if step.min() < AMBIGUOUS_OVERLAP:
                 ambiguous = True
-        overlaps[:, k] = step[slots]
+        steps.append(step[slots])
         slots = perm[slots]
-        traj[:, k + 1] = snapshots[k + 1].eigenvalues[slots]
+        t_values.append(float(nxt.meta.get("t", len(columns))))
+        columns.append(nxt.eigenvalues[slots])
+        prev = nxt
+    if not steps:
+        raise ValueError("need at least two snapshots")
+    traj = np.column_stack(columns)
+    overlaps = np.column_stack(steps)
     flagged = np.min(overlaps, axis=1) < FLAG_OVERLAP
-    t_values = [float(s.meta.get("t", k)) for k, s in enumerate(snapshots)]
     if rate_bound is not None:
         dt = np.abs(np.diff(np.asarray(t_values)))
         scale = np.maximum(1.0, np.abs(traj[:, :-1]))
         bound = 2.0 * scale * rate_bound * dt[None, :] + 1e-8
         flagged |= np.any(np.abs(np.diff(traj, axis=1)) > bound, axis=1)
-    flagged = list(flagged)
     order = np.argsort(traj[:, 0], kind="stable")
     return CurveFamily(
         t_values=t_values,
         trajectories=traj[order],
         overlaps=overlaps[order],
-        flagged=[flagged[i] for i in order],
+        flagged=[bool(flagged[i]) for i in order],
         ambiguous=ambiguous,
     )

@@ -252,12 +252,7 @@ def lowest_positive_clusters(factor, t, mode_set, m_clusters, tau_rel=None):
     while True:
         stop = min(i0 + k, mode_set.dim)
         res = deformed_spectrum(
-            factor,
-            t,
-            mode_set,
-            tau_rel=tau_rel,
-            keep_vectors=False,
-            subset_by_index=(i0, stop - 1),
+            factor, t, mode_set, tau_rel=tau_rel, subset_by_index=(i0, stop - 1)
         )
         top = [c for c in res.clusters if c.lam > KERNEL_TOL][: m_clusters + 1]
         if len(top) > m_clusters or stop == mode_set.dim:

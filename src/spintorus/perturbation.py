@@ -249,12 +249,7 @@ def deformed_cluster_values(factor, t, cluster, tau_rel=None):
     """
     lo, hi = flat_cluster_window(cluster.mode_set, cluster.lam)
     res = deformed_spectrum(
-        factor,
-        t,
-        cluster.mode_set,
-        tau_rel=tau_rel,
-        keep_vectors=False,
-        subset_by_value=(lo, hi),
+        factor, t, cluster.mode_set, tau_rel=tau_rel, subset_by_value=(lo, hi)
     )
     vals = res.eigenvalues[(res.eigenvalues > lo) & (res.eigenvalues < hi)]
     if len(vals) != cluster.p_c:

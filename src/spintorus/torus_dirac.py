@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spinor_algebra import apply_J, dirac_symbol, herm_inner
+from .spinor_algebra import apply_J, dirac_symbol
 
 #: Dimension of the torus.  A few conformal formulas carry the dimension n
 #: symbolically ((n-1)/2 factors, e^{n t f} volume weights); only n = 3 is
@@ -256,12 +256,6 @@ def embed_field(phi, big_mode_set):
     return SpinorField(big_mode_set, out)
 
 
-def l2_inner(phi, psi):
-    """L^2 inner product (antilinear in psi) via Parseval."""
-    _require_same_modes(phi, psi)
-    return complex(np.sum(herm_inner(phi.coeffs, psi.coeffs)))
-
-
 def apply_flat_dirac_coeffs(mode_set, V):
     """Flat Dirac operator mode by mode, u_kappa -> -sigma.kappa u_kappa, on
     coefficients in any layout ``apply_J_coeffs`` takes (stacked columns too)."""
@@ -292,11 +286,6 @@ def apply_J_coeffs(mode_set, V):
     """
     c = np.asarray(V).reshape(mode_set.n_modes, 2, -1)[mode_set.neg_index]
     return apply_J(c.swapaxes(1, 2)).swapaxes(1, 2).reshape(np.shape(V))
-
-
-def apply_J_field(phi):
-    """Quaternionic structure on fields (see ``apply_J_coeffs``)."""
-    return SpinorField(phi.mode_set, apply_J_coeffs(phi.mode_set, phi.coeffs))
 
 
 def fft_bins(k, G):
@@ -344,16 +333,6 @@ def field_on_grid(phi, G):
                 shape[axis] = G
                 vals = vals * phase.reshape(shape)
     return vals
-
-
-def pointwise_density(phi, G):
-    """|phi|^2 on the grid.  Requires G >= 2 (2N + 1), so that the product is
-    sampled without aliasing and its grid mean is its exact integral."""
-    need = 2 * (2 * phi.mode_set.N + 1)
-    if G < need:
-        raise ValueError(f"grid size {G} too small: need at least {need}")
-    vals = field_on_grid(phi, G)
-    return np.sum(np.abs(vals) ** 2, axis=-1)
 
 
 class SpectrumLine(NamedTuple):

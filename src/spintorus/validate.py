@@ -64,7 +64,7 @@ def check_kramers_pairing(seed, runs):
         f = random_factor(int(rng.integers(0, 2**31)), int(rng.integers(1, 3)),
                           float(rng.uniform(0.1, 0.5)))
         t = float(rng.uniform(0.01, 0.1)) * (1 if rng.integers(0, 2) else -1)
-        res = deformed_spectrum(f, t, ms, keep_vectors=False)
+        res = deformed_spectrum(f, t, ms)
         done += 1
         violations += [c for c in res.clusters if not c.kramers_ok]
     _require(not violations, f"odd multiplicities found: {violations[:3]}")
@@ -80,7 +80,7 @@ def check_homothety(tol=1e-10, rate_tol=1e-12):
         ms = build_mode_set(2, spin)
         flat = flat_spectrum(ms)
         for t in (0.1, 0.5):
-            res = deformed_spectrum(factor, t, ms, keep_vectors=False)
+            res = deformed_spectrum(factor, t, ms)
             err = np.max(np.abs(res.eigenvalues - np.exp(-t * c) * flat.eigenvalues))
             _require(err <= tol, f"homothety error {err:.3e} at t={t}")
             worst = max(worst, err)
@@ -137,7 +137,7 @@ def check_kernel_constancy(seed, runs, kernel_tol=1e-8, min_gap=0.3):
     smallest = np.inf
     for _ in range(runs):
         factor = random_factor(int(rng.integers(0, 2**31)), 2, float(rng.uniform(0.2, 0.6)))
-        res = deformed_spectrum(factor, 0.05, ms, keep_vectors=False)
+        res = deformed_spectrum(factor, 0.05, ms)
         absw = np.abs(res.eigenvalues)
         n_kernel = int(np.sum(absw <= kernel_tol))
         _require(n_kernel == 2, f"kernel dimension {n_kernel}")

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 import spintorus
-from spintorus import cli, validate
+from spintorus import cli, conformal, validate
 from spintorus.conformal import build_deformed_operator, trust_radius
 from spintorus.eigensolver import RESIDUAL_BOUND, cluster_eigenvalues
 from spintorus.experiments import random_factor
@@ -169,13 +169,14 @@ class TestSpectrum:
 
     def test_t_grid_tolerances(self, capsys, monkeypatch):
         seen = []
-        solve = cli.deformed_spectrum
+        solve = conformal.deformed_spectrum
 
         def recording(factor, t, ms, tau_rel=None, **kwargs):
             seen.append((t, tau_rel))
             return solve(factor, t, ms, tau_rel=tau_rel, **kwargs)
 
-        monkeypatch.setattr(cli, "deformed_spectrum", recording)
+        # the t-grid snapshots are solved by conformal.tracked_spectrum
+        monkeypatch.setattr(conformal, "deformed_spectrum", recording)
         taus = ("--tau-degenerate", "1e-5", "--tau-split", "1e-8")
         code, _, _ = run(
             capsys, "spectrum", "--delta", "1,0,0", "--N", "1", "--f-cos", "1,0,0,0.5",
@@ -253,8 +254,8 @@ class TestSpectrum:
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "t,trajectory_id,lambda"
-        # dim = 2 * 18 trajectories at 3 t values
-        assert len(lines) == 1 + 36 * 3
+        # the index window holds the shells at +-1/2, 2 modes each: 4 trajectories at 3 t values
+        assert len(lines) == 1 + 4 * 3
 
     def test_t_grid_curves_json(self, capsys, tmp_path):
         out = tmp_path / "curves.json"
@@ -266,10 +267,38 @@ class TestSpectrum:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["t_values"] == [0.0, 0.02, 0.04]
-        assert len(doc["trajectories"]) == 36
-        assert len(doc["flagged"]) == 36
+        assert len(doc["trajectories"]) == 4
+        assert len(doc["flagged"]) == 4
         assert all(isinstance(f, bool) for f in doc["flagged"])
         assert doc["ambiguous"] is False
+        # i0 = n_modes = 18 negative eigenvalues, the window [i0 - 2, i0 + 2)
+        assert doc["index_window"] == [16, 20]
+        factor = cli.ConformalFactor.cosine((1, 0, 0), 0.5)
+        assert doc["trust_radius"] == [trust_radius(factor, t, 1) for t in (0.0, 0.02, 0.04)]
+        # the +-1/2 shell moves at second order in t, R(t) shrinks at first order
+        assert doc["leaves_trust_radius"] == [True] * 4
+
+    def test_t_grid_widens_a_cut_window(self, capsys, tmp_path):
+        # the default window holds the flat shells with |lambda| <= 1.5; a split
+        # tolerance of 0.2 puts the next shell (1.803) and every one past it
+        # within a clustering tolerance, so each edge widens shell by shell
+        argv = (
+            "spectrum", "--delta", "1,0,0", "--N", "2", "--f-random", "41,2,0.3",
+            "--t-grid", "0,0.05", "--format", "json",
+        )
+        narrow, wide = tmp_path / "narrow.json", tmp_path / "wide.json"
+        assert run(capsys, *argv, "--out", str(narrow))[0] == 0
+        assert run(capsys, *argv, "--tau-split", "0.2", "--out", str(wide))[0] == 0
+        assert json.loads(narrow.read_text())["index_window"] == [80, 120]
+        doc = json.loads(wide.read_text())
+        assert doc["index_window"] == [0, 200]
+        factor, ms = random_factor(41, 2, 0.3), build_mode_set(2, (1, 0, 0))
+        traj = np.array(doc["trajectories"])
+        for k, t in enumerate(doc["t_values"]):
+            op = build_deformed_operator(factor, t, ms)
+            ref = scipy.linalg.eigh(op.A, op.B, eigvals_only=True)
+            got = np.sort(traj[:, k])
+            assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
 
     def test_solver_failure_exit_code(self, capsys, monkeypatch):
         def failing(*args, **kwargs):
@@ -893,7 +922,8 @@ ARTIFACT_TREES = [
         "spectrum --delta 1,0,0 --N 1 --f-cos 1,0,0,0.5 --t-grid 0,0.02 --format json",
         {
             "t_values": FLOATS, "trajectories": [FLOATS], "overlaps": [FLOATS],
-            "flagged": ["bool"], "ambiguous": "bool",
+            "flagged": ["bool"], "ambiguous": "bool", "index_window": ["int"],
+            "trust_radius": FLOATS, "leaves_trust_radius": ["bool"],
         },
     ),
     (

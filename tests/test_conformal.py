@@ -15,6 +15,7 @@ from spintorus.experiments import random_factor
 from spintorus.torus_dirac import (
     apply_flat_dirac,
     build_mode_set,
+    closed_form_spectrum,
     random_field,
 )
 
@@ -476,8 +477,8 @@ class TestDeformedSpectrum:
     def test_b_orthonormal_vectors(self):
         ms = build_mode_set(1, (1, 1, 0))
         f = random_factor(17, 2, 0.4)
-        res = cf.deformed_spectrum(f, 0.07, ms)
-        V, B = res.vectors, res.B
+        res = cf.deformed_spectrum(f, 0.07, ms, keep_vectors=True)
+        V, B = res.vectors, cf.kron_spin(res.B_s)
         assert_allclose(V.conj().T @ B @ V, np.eye(ms.dim), atol=1e-10)
 
 
@@ -542,6 +543,58 @@ class TestTrustedSpectrum:
             cf.ConformalFactor.constant(1.0), 0.9, build_mode_set(1, (1, 1, 1))
         )
         assert res.clusters == [] and res.eigenvalues.size == 0
+
+
+class TestTrackedSpectrum:
+    """t-grid curves on the index window of the flat shells with |lambda| <= N - 1/2."""
+
+    @pytest.mark.parametrize("delta", [(0, 0, 0), (1, 0, 0), (1, 1, 1)], ids=str)
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_flat_column_is_the_lattice_count(self, N, delta):
+        ms = build_mode_set(N, delta)
+        fam = cf.tracked_spectrum(random_factor(43, 2, 0.3), [0.0, 0.02], ms)
+        radius = N - 0.5
+        ref = np.sort([
+            sign * line.lam
+            for line in closed_form_spectrum(delta, radius)
+            for sign in ((1.0,) if line.lam == 0 else (1.0, -1.0))
+            for _ in range(line.mult_c)
+        ])
+        flat = np.sort(fam.trajectories[:, 0])
+        # every shell with |lambda| <= N - 1/2 is whole in the truncation, so
+        # the window holds exactly the lattice count, edge shells included
+        assert flat.shape == ref.shape
+        lo, hi = fam.index_window
+        assert hi - lo == len(ref)
+        inside = np.abs(ref) < radius - 1e-9
+        assert np.max(np.abs(flat[inside] - ref[inside]), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("delta", [(1, 0, 0), (1, 1, 1)], ids=str)
+    def test_window_values_match_the_dense_solve(self, delta):
+        ms = build_mode_set(3, delta)
+        f = random_factor(44, 2, 0.3)
+        ts = [0.0, 0.04, 0.08]
+        fam = cf.tracked_spectrum(f, ts, ms)
+        lo, hi = fam.index_window
+        assert not fam.ambiguous and hi - lo == fam.trajectories.shape[0]
+        for k, t in enumerate(ts):
+            op = cf.build_deformed_operator(f, t, ms)
+            ref = scipy.linalg.eigh(op.A, op.B, eigvals_only=True)[lo:hi]
+            got = np.sort(fam.trajectories[:, k])
+            assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
+        assert fam.trust_radius == [cf.trust_radius(f, t, 3) for t in ts]
+
+    def test_edge_shell_leaves_the_trust_radius(self):
+        # delta = (1,0,0) has a shell at exactly N - 1/2 = 2.5: it starts on
+        # R(0) and R(t) shrinks faster than the shell moves; shells at
+        # |lambda| <= 2.06 stay well inside
+        ms = build_mode_set(3, (1, 0, 0))
+        fam = cf.tracked_spectrum(random_factor(44, 2, 0.3), [0.0, 0.05], ms)
+        start = np.abs(fam.trajectories[:, 0])
+        leaves = np.array(fam.leaves_trust_radius)
+        assert all(type(x) is bool for x in fam.leaves_trust_radius)
+        assert leaves[np.abs(start - 2.5) < 1e-12].all()
+        assert not leaves[start < 2.1].any()
 
 
 class TestApplyDeformedDirac:

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -327,8 +328,8 @@ class TestSpectrumResultSerialization:
 class TestCurveMatching:
     def test_identical_snapshots(self):
         ms = build_mode_set(1, (1, 0, 0))
-        a = deformed_spectrum(ConformalFactor.zero(), 0.0, ms)
-        b = deformed_spectrum(ConformalFactor.zero(), 0.0, ms)
+        a = deformed_spectrum(ConformalFactor.zero(), 0.0, ms, keep_vectors=True)
+        b = deformed_spectrum(ConformalFactor.zero(), 0.0, ms, keep_vectors=True)
         fam = es.match_curves([a, b])
         assert not fam.ambiguous
         assert not any(fam.flagged)
@@ -340,7 +341,7 @@ class TestCurveMatching:
         c = 0.2
         ts = [0.0, 0.1, 0.2, 0.3]
         snaps = [
-            deformed_spectrum(ConformalFactor.constant(c), t, ms) for t in ts
+            deformed_spectrum(ConformalFactor.constant(c), t, ms, keep_vectors=True) for t in ts
         ]
         fam = es.match_curves(snaps)
         assert not fam.ambiguous
@@ -354,7 +355,7 @@ class TestCurveMatching:
         ms = build_mode_set(3, (0, 0, 0))
         factor = ConformalFactor.cosine((0, 1, -1))
         ts = [0.0, 0.005, 0.01, 0.015, 0.02]
-        snaps = [deformed_spectrum(factor, t, ms) for t in ts]
+        snaps = [deformed_spectrum(factor, t, ms, keep_vectors=True) for t in ts]
         fam = es.match_curves(snaps)
         traj = fam.trajectories
         sel = np.abs(traj[:, 0] - 1.0) < 1e-9
@@ -367,7 +368,9 @@ class TestCurveMatching:
 
     def test_dimension_mismatch(self):
         a, b = (
-            deformed_spectrum(ConformalFactor.zero(), 0.0, build_mode_set(N, (1, 0, 0)))
+            deformed_spectrum(
+                ConformalFactor.zero(), 0.0, build_mode_set(N, (1, 0, 0)), keep_vectors=True
+            )
             for N in (1, 2)
         )
         with pytest.raises(ValueError):
@@ -377,7 +380,7 @@ class TestCurveMatching:
         ms = build_mode_set(1, (1, 0, 0))
         c = 0.2
         snaps = [
-            deformed_spectrum(ConformalFactor.constant(c), t, ms)
+            deformed_spectrum(ConformalFactor.constant(c), t, ms, keep_vectors=True)
             for t in (0.0, 0.1, 0.2)
         ]
         # rates are -lambda c, well inside the bound scale sup|f| = c
@@ -389,8 +392,38 @@ class TestCurveMatching:
 
     def test_csv_rows(self):
         ms = build_mode_set(1, (1, 1, 1))
-        snaps = [deformed_spectrum(ConformalFactor.zero(), 0.0, ms) for _ in range(2)]
+        snaps = [
+            deformed_spectrum(ConformalFactor.zero(), 0.0, ms, keep_vectors=True) for _ in range(2)
+        ]
         fam = es.match_curves(snaps)
         rows = fam.csv_rows()
         assert rows[0] == ("t", "trajectory_id", "lambda")
         assert len(rows) == 1 + 2 * fam.trajectories.shape[0]
+
+    def test_streams_two_snapshots_at_a_time(self):
+        ms = build_mode_set(1, (1, 0, 0))
+        ts = (0.0, 0.1, 0.2, 0.3)
+        refs, alive = [], []
+
+        def snapshots():
+            for t in ts:
+                snap = deformed_spectrum(ConformalFactor.constant(0.2), t, ms, keep_vectors=True)
+                refs.append(weakref.ref(snap))
+                alive.append(sum(r() is not None for r in refs))
+                yield snap
+
+        fam = es.match_curves(snapshots())
+        assert max(alive) == 2
+        listed = es.match_curves(list(snapshots()))
+        assert fam.trajectories.tobytes() == listed.trajectories.tobytes()
+        assert fam.t_values == list(ts)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_an_iterator_needs_two_snapshots(self, count):
+        ms = build_mode_set(1, (1, 0, 0))
+        snaps = (
+            deformed_spectrum(ConformalFactor.zero(), 0.0, ms, keep_vectors=True)
+            for _ in range(count)
+        )
+        with pytest.raises(ValueError, match="at least two snapshots"):
+            es.match_curves(snaps)

@@ -20,7 +20,7 @@ from spintorus.torus_dirac import (
     apply_J_coeffs,
     build_mode_set,
     closed_form_spectrum,
-    pointwise_density,
+    field_on_grid,
     random_field,
 )
 
@@ -67,7 +67,7 @@ class TestExtractCluster:
         # every cluster against the dense oracle: value, multiplicity, eigenspace
         ms = build_mode_set(2, spin)
         clusters = flat_spectrum(ms).clusters
-        dense = deformed_spectrum(ConformalFactor.zero(), 0.0, ms)
+        dense = deformed_spectrum(ConformalFactor.zero(), 0.0, ms, keep_vectors=True)
         assert dense.clusters == clusters
         with pytest.raises(ValueError, match="out of range"):
             pt.extract_cluster(ms, index=len(clusters))
@@ -155,7 +155,7 @@ class TestRateSingle:
         w, U = np.linalg.eigh(sym)
         phi.coeffs[i] = U[:, 1]  # +|kappa| eigenvector
         lam = w[1]
-        rho = pointwise_density(phi, 2 * (2 * ms.N + 1))
+        rho = np.sum(np.abs(field_on_grid(phi, 2 * (2 * ms.N + 1))) ** 2, axis=-1)
         assert_allclose(rho, 1.0, atol=1e-13)
         f = ConformalFactor.cosine((1, 2, 0), 0.8)
         assert abs(pt.rate_single(lam, phi, f)) < 1e-13
