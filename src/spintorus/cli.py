@@ -178,9 +178,9 @@ class RunConfig:
             raise ConfigError("t must be finite")
         if not np.isfinite(self.amplitude):
             raise ConfigError("amplitude must be finite")
-        if self.t_grid is not None and (
-            len(self.t_grid) < 1 or any(not np.isfinite(t) for t in self.t_grid)
-        ):
+        if self.t_grid is not None and len(self.t_grid) < 2:  # for curves and finite differences
+            raise ConfigError(f"a t grid needs at least two values, got {len(self.t_grid)}")
+        if any(not np.isfinite(t) for t in self.t_grid or []):
             raise ConfigError("t grid entries must be finite")
         if self.trials < 0:
             raise ConfigError("trials must be >= 0")

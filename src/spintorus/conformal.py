@@ -63,10 +63,6 @@ EXP_WEIGHT_MAX = 100.0
 #: floating point.
 B_OSC_MAX = -math.log(np.finfo(float).eps)
 
-#: Half-width, in clustering tolerances at the trust radius, of the band that
-#: ``trusted_spectrum`` solves past the radius so edge clusters come out whole.
-TRUST_MARGIN = 8
-
 
 def _next_pow2(n):
     p = 1
@@ -567,7 +563,7 @@ def deformed_spectrum(
     pair still passes the residual bound.  Clusters are then formed from the
     window alone, so a cluster cut by either window edge is incomplete:
     callers read only clusters they know to lie strictly inside (see
-    ``trusted_spectrum`` for the trust-radius window).  Without a window the
+    ``_solve_shells`` for the index-window rule).  Without a window the
     whole spectrum is solved.
     """
     if tau_rel is None:
@@ -600,38 +596,91 @@ def deformed_spectrum(
     )
 
 
-def trusted_spectrum(factor, t, mode_set, tau_rel=None):
-    """The clusters with |lambda| <= ``trust_radius``, from a value-window solve.
+class _Grow(Exception):
+    """A window side must grow; ``args`` are the (below, above) flags."""
 
-    Solves the window ``|lambda| <= R + TRUST_MARGIN * tol``, where tol =
-    ``tau_rel * max(1, R)`` is the clustering tolerance at R, and keeps the
-    clusters whose value is at most R + tol: a cluster numerically equal to R
-    (such as a flat shell at exactly N - 1/2) counts as inside.  A kept
-    cluster ends whole when its outermost member lies more than a clustering
-    tolerance inside the window edge, because every eigenvalue beyond the
-    edge is then too far away to join it; otherwise the margin grows and the
-    solve repeats.  So the clusters, eigenvalues and multiplicities are those
-    of the full solve restricted to |lambda| <= R.  Eigenvectors are not
-    kept; the residual bound holds on every computed pair, and
-    ``meta["trust_radius"]`` records R.
+
+def _solve_shells(factor, t_values, taus, mode_set, shells, read=next,
+                  outgrown=lambda res, below, above: (False, False), keep_vectors=False):
+    """``read`` of the solves over ``t_values`` of the flat clusters [a, b) =
+    ``shells``, and their index window [lo, hi) = ``mode_set.cluster_starts[[a, b]]``.
+
+    Each t is solved, at its tolerance from ``taus``, on the window plus one
+    eigenpair past each edge that has a neighbour, and ``read`` consumes the
+    window results (vectors only with ``keep_vectors``) from a generator that
+    solves one t per step.  A side is cut when the eigenvalue past its edge
+    joins the window's outermost cluster, and outgrown when ``outgrown(res,
+    below, above)`` says so for the window result and the eigenvalues past
+    the edges (None where there is none).  A cut or outgrown side takes 1, 2,
+    4, ... more flat clusters at its successive growths, and every t is
+    solved again.  With both edges on cluster boundaries the window's
+    clusters are those of the full solve.
+    """
+    starts = mode_set.cluster_starts
+    (a, b), step = shells, [1, 1]
+
+    def snapshots(lo, hi):
+        first, stop = max(lo - 1, 0), min(hi + 1, mode_set.dim)
+        i, j = lo - first, hi - first
+        for t, tau in zip(t_values, taus):
+            res = deformed_spectrum(factor, t, mode_set, tau_rel=tau, keep_vectors=keep_vectors,
+                                    subset_by_index=(first, stop - 1))
+            w, V = res.eigenvalues, res.vectors
+            window = eigensolver.build_spectrum_result(
+                w[i:j], None if V is None else np.ascontiguousarray(V[:, i:j]),
+                res.residual_max, tau, res.meta, mode_set=mode_set, B_s=res.B_s,
+            )
+            bounds = {c.start for c in res.clusters} | {len(w)}
+            below, above = outgrown(window, w[0] if i else None, w[-1] if j < len(w) else None)
+            grow = (i > 0 and (below or i not in bounds), j < len(w) and (above or j not in bounds))
+            if any(grow):
+                raise _Grow(*grow)
+            yield window
+
+    while True:
+        lo, hi = int(starts[a]), int(starts[b])
+        try:
+            return read(snapshots(lo, hi)), [lo, hi]
+        except _Grow as grow:
+            below, above = grow.args
+            a, b = max(a - below * step[0], 0), min(b + above * step[1], len(starts) - 1)
+            step = [2 * s if g else s for s, g in zip(step, grow.args)]
+
+
+def _trusted_shells(mode_set):
+    """The flat clusters [a, b) with |lambda| = sqrt(|key|) / 2 <= N - 1/2."""
+    keys, edge = mode_set.flat_clusters[0], (2 * mode_set.N - 1) ** 2
+    return int(np.searchsorted(keys, -edge)), int(np.searchsorted(keys, edge, side="right"))
+
+
+def trusted_spectrum(factor, t, mode_set, tau_rel=None):
+    """The clusters with |lambda| <= ``trust_radius``, from an index-window solve.
+
+    Solves the flat clusters with |lambda| <= N - 1/2, whose deformed
+    eigenvalues cover every one with |lambda| <= R, and keeps the clusters
+    whose value is at most R + tol, where tol = ``tau_rel * max(1, R)`` is
+    the clustering tolerance at R: a cluster numerically equal to R (such as
+    a flat shell at exactly N - 1/2) counts as inside.  A side grows while it
+    is cut or the eigenvalue past its edge lies within R + tol (only when the
+    sampled sup|f| runs low; ``_solve_shells``).  So the clusters,
+    eigenvalues and multiplicities are those of the full solve restricted to
+    |lambda| <= R.  Eigenvectors are not kept; the residual bound holds on
+    every computed pair, and ``meta["trust_radius"]`` records R.
     """
     if tau_rel is None:
         tau_rel = cluster_tolerance(factor, t)
     radius = trust_radius(factor, t, mode_set.N)
-    tol = tau_rel * max(1.0, radius)
-    margin = TRUST_MARGIN * tol
-    while True:
-        edge = radius + margin
-        res = deformed_spectrum(factor, t, mode_set, tau_rel=tau_rel, subset_by_value=(-edge, edge))
-        w = res.eigenvalues
-        kept = [c for c in res.clusters if abs(c.lam) <= radius + tol]
-        lo, hi = (kept[0].start, kept[-1].stop) if kept else (0, 0)
-        outermost = float(np.max(np.abs(w[lo:hi]), initial=0.0))
-        if len(w) == mode_set.dim or edge - outermost > tau_rel * max(1.0, edge):
-            break
-        margin *= 4.0
+    reach = radius + tau_rel * max(1.0, radius)
+
+    def outgrown(res, below, above):
+        return below is not None and below >= -reach, above is not None and above <= reach
+
+    res, _ = _solve_shells(factor, [t], [tau_rel], mode_set, _trusted_shells(mode_set),
+                           outgrown=outgrown)
+    kept = [c for c in res.clusters if abs(c.lam) <= reach]
+    lo, hi = (kept[0].start, kept[-1].stop) if kept else (0, 0)
     return eigensolver.build_spectrum_result(
-        w[lo:hi],
+        res.eigenvalues[lo:hi],
         None,
         res.residual_max,
         tau_rel,
@@ -645,38 +694,6 @@ def flat_spectrum(mode_set):
     return deformed_spectrum(ConformalFactor.zero(), 0.0, mode_set)
 
 
-class _WindowCut(Exception):
-    """A snapshot's window edge splits a cluster; ``args`` are the (below,
-    above) flags of the edges to widen."""
-
-
-def _window_snapshot(factor, t, mode_set, window, tau_rel):
-    """The eigenpairs [lo, hi) of one deformation, with vectors and B_s.
-
-    Solves one extra eigenpair past each edge that has a neighbour and
-    raises ``_WindowCut`` when an edge does not fall on a cluster boundary
-    of that solve, that is when the extra eigenvalue lies within a
-    clustering tolerance of the window's outermost one.
-    """
-    lo, hi = window
-    a, b = max(lo - 1, 0), min(hi + 1, mode_set.dim)
-    res = deformed_spectrum(
-        factor, t, mode_set, tau_rel=tau_rel, keep_vectors=True, subset_by_index=(a, b - 1)
-    )
-    boundaries = {c.start for c in res.clusters} | {b - a}
-    if lo - a not in boundaries or hi - a not in boundaries:
-        raise _WindowCut(lo - a not in boundaries, hi - a not in boundaries)
-    return eigensolver.build_spectrum_result(
-        res.eigenvalues[lo - a : hi - a],
-        np.ascontiguousarray(res.vectors[:, lo - a : hi - a]),
-        res.residual_max,
-        tau_rel,
-        res.meta,
-        mode_set=mode_set,
-        B_s=res.B_s,
-    )
-
-
 def tracked_spectrum(
     factor,
     t_values,
@@ -685,46 +702,29 @@ def tracked_spectrum(
 ):
     """Eigenvalue curves over ``t_values`` on the trusted index window.
 
-    The window [lo, hi) = [i0 - n_neg, i0 + n_pos) holds the flat clusters
-    with -(N - 1/2) <= lambda <= N - 1/2: i0 = ``first_nonnegative_index``,
-    and n_neg, n_pos are their multiplicities from ``ModeSet.flat_clusters``.
-    By Sylvester's law of inertia no eigenvalue crosses zero as t moves, so
-    the window has the same length at every t and the same index range.
-    Each t is solved on the window alone (plus one eigenpair past each edge,
-    see ``_window_snapshot``), and the snapshots are streamed into
-    ``eigensolver.match_curves``, so two are alive at a time.  When an edge
-    cuts a cluster at some t (a clustering tolerance wider than the gap to
-    the next flat shell), that side grows by the next flat shell and the
-    grid restarts.
+    The window holds the flat clusters with |lambda| <= N - 1/2, the same
+    index range at every t (``ModeSet.cluster_starts``).  Each t is solved on
+    the window alone, plus one eigenpair past each edge, and the snapshots
+    are streamed into ``eigensolver.match_curves``, so two are alive at a
+    time.  When an edge cuts a cluster at some t (a clustering tolerance
+    wider than the gap to the next flat shell), that side grows by 1, 2, 4,
+    ... flat shells and the grid restarts (``_solve_shells``).
 
     ``tolerances`` are the (degenerate, split) clustering tolerances of
     ``cluster_tolerance``.  The family records ``index_window``, the trust
     radius R(t) at each t, and per trajectory whether it leaves R(t) by more
     than a clustering tolerance at some t.
     """
-    keys, _, mult = mode_set.flat_clusters
-    # offsets[c] is the index of flat cluster c's first eigenvalue, so the
-    # first cluster with key >= 0 starts at i0
-    offsets = np.concatenate([[0], np.cumsum(mult)])
-    # lambda = sqrt(|key|) / 2, so |lambda| <= N - 1/2 exactly when |key| <= (2N - 1)^2
-    edge = (2 * mode_set.N - 1) ** 2
-    lo, hi = int(np.searchsorted(keys, -edge)), int(np.searchsorted(keys, edge, side="right"))
     taus = [cluster_tolerance(factor, t, *tolerances) for t in t_values]
-    while True:
-        window = (int(offsets[lo]), int(offsets[hi]))
-        snapshots = (
-            _window_snapshot(factor, t, mode_set, window, tau) for t, tau in zip(t_values, taus)
-        )
-        try:
-            family = eigensolver.match_curves(snapshots, rate_bound=factor.sup_abs())
-            break
-        except _WindowCut as cut:
-            below, above = cut.args
-            lo, hi = lo - below, hi + above
+    family, window = _solve_shells(
+        factor, t_values, taus, mode_set, _trusted_shells(mode_set),
+        read=lambda snaps: eigensolver.match_curves(snaps, rate_bound=factor.sup_abs()),
+        keep_vectors=True,
+    )
     radii = np.array([trust_radius(factor, t, mode_set.N) for t in t_values])
     reach = radii + np.array(taus) * np.maximum(1.0, radii)
     leaves = np.any(np.abs(family.trajectories) > reach[None, :], axis=1)
-    family.index_window = list(window)
+    family.index_window = window
     family.trust_radius = radii.tolist()
     family.leaves_trust_radius = [bool(x) for x in leaves]
     return family

@@ -24,9 +24,11 @@ from . import eigensolver
 from .artifact import Artifact
 from .conformal import (
     ConformalFactor,
+    _solve_shells,
+    _trusted_shells,
     cluster_tolerance,
     cube_modes,
-    deformed_spectrum,
+    trust_radius,
     trusted_spectrum,
 )
 from .errors import ClusterNotIsolatedError, PositiveDefiniteError, SplitSearchError
@@ -229,35 +231,39 @@ class GenericityReport(Artifact):
         return rows
 
 
-def _initial_window(mode_set, m_clusters):
-    """Eigenpairs spanning the kernel and the first m_clusters + 1 positive flat shells."""
-    keys, _, mult_c = mode_set.flat_clusters
-    return int(mult_c[keys == 0].sum() + mult_c[keys > 0][: m_clusters + 1].sum())
-
-
 def lowest_positive_clusters(factor, t, mode_set, m_clusters, tau_rel=None):
     """The first ``m_clusters`` positive clusters of the deformed spectrum.
 
-    Solves only the index window ``[i0, i0 + k)`` starting at the first
-    non-negative eigenvalue (``ModeSet.first_nonnegative_index``), so the
-    window's lower edge is exact.  The window must hold more than
-    ``m_clusters`` positive clusters, because its last cluster may be cut by
-    the upper edge; otherwise k doubles and the solve repeats, until the
-    window reaches the end of the spectrum.  Clustering only compares
-    neighbouring eigenvalues, so the clusters returned are the ones a full
-    solve gives.
+    Solves the index window of the flat clusters from the kernel through the
+    first ``m_clusters`` positive shells, and no shell past |lambda| = N -
+    1/2 (``conformal._solve_shells``), so the clusters are those of a full
+    solve.  The upper side grows while the window holds fewer than
+    ``m_clusters`` positive clusters and the eigenvalue past it lies within R
+    + tol, R = ``trust_radius`` and tol = ``tau_rel * max(1, R)``.  Raises
+    ValueError when the last cluster asked for lies past R + tol, where
+    Galerkin eigenvalues are truncation artifacts.
     """
-    i0 = mode_set.first_nonnegative_index
-    k = _initial_window(mode_set, m_clusters)
-    while True:
-        stop = min(i0 + k, mode_set.dim)
-        res = deformed_spectrum(
-            factor, t, mode_set, tau_rel=tau_rel, subset_by_index=(i0, stop - 1)
+    if tau_rel is None:
+        tau_rel = cluster_tolerance(factor, t)
+    radius = trust_radius(factor, t, mode_set.N)
+    reach = radius + tau_rel * max(1.0, radius)
+    keys = mode_set.flat_clusters[0]
+    first, positive_first = np.searchsorted(keys, 0), np.searchsorted(keys, 0, side="right")
+    shells = int(first), min(int(positive_first) + m_clusters, _trusted_shells(mode_set)[1])
+
+    def positive(res):
+        return [c for c in res.clusters if c.lam > KERNEL_TOL][:m_clusters]
+
+    def outgrown(res, below, above):
+        return False, len(positive(res)) < m_clusters and above is not None and above <= reach
+
+    res, _ = _solve_shells(factor, [t], [tau_rel], mode_set, shells, outgrown=outgrown)
+    top = positive(res)
+    if len(top) < m_clusters or (top and top[-1].lam > reach):
+        raise ValueError(
+            f"m_clusters={m_clusters} reaches past the trustworthy truncation radius {radius:.3f}"
         )
-        top = [c for c in res.clusters if c.lam > KERNEL_TOL][: m_clusters + 1]
-        if len(top) > m_clusters or stop == mode_set.dim:
-            return top[:m_clusters]
-        k *= 2
+    return top
 
 
 def genericity_scan(
@@ -278,8 +284,10 @@ def genericity_scan(
     sequences, trials run in index order).  Per-trial solver failures are
     recorded, not fatal.  Each trial solves only the eigenpairs its clusters
     need (see ``lowest_positive_clusters``); the residual bound holds on all
-    of them.  ``tolerances`` is the (degenerate, split) pair of clustering
-    tolerances, resolved per trial by ``conformal.cluster_tolerance``.
+    of them.  A trial whose ``m_clusters``-th positive cluster lies past the
+    trust radius raises ValueError: truncation artifacts are not statistics.
+    ``tolerances`` is the (degenerate, split) pair of clustering tolerances,
+    resolved per trial by ``conformal.cluster_tolerance``.
     """
     trials = int(trials)
     if trials < 0:
@@ -311,14 +319,8 @@ def genericity_scan(
         except (PositiveDefiniteError, RuntimeError) as exc:
             return GenericityTrial(i, label, [], [], [], False, error=str(exc))
         mult_h = [c.mult_h for c in top]
-        return GenericityTrial(
-            i,
-            label,
-            [c.lam for c in top],
-            [c.mult_c for c in top],
-            mult_h,
-            all_simple=len(top) >= m_clusters and all(h == 1 for h in mult_h),
-        )
+        return GenericityTrial(i, label, [c.lam for c in top], [c.mult_c for c in top], mult_h,
+                               all_simple=all(h == 1 for h in mult_h))
 
     rows = report.trial_rows = [run_trial(i) for i in range(trials)]
     ok_rows = [r for r in rows if r.error is None]

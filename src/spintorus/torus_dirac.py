@@ -111,6 +111,13 @@ class ModeSet:
             np.concatenate([-self.shell_keys, self.shell_keys]), return_counts=True
         )
         self.flat_clusters = (keys, np.sign(keys) * np.sqrt(np.abs(keys)) / 2.0, mult_c)
+        #: Eigenvalue index of each flat cluster's first eigenvalue, then dim: the
+        #: ascending eigenvalues of a pencil (A, B), B = L L^H > 0, move
+        #: continuously with B from those of A, and by Sylvester's law of inertia
+        #: (L^{-1} A L^{-H} is congruent to A) never change sign, so flat cluster c
+        #: names the indices [cluster_starts[c], cluster_starts[c + 1]) of every
+        #: deformation (spectrum slicing; see Parlett, The Symmetric Eigenvalue Problem).
+        self.cluster_starts = np.concatenate([[0], np.cumsum(mult_c)])
         self.n_modes = self.modes.shape[0]
         self.dim = 2 * self.n_modes
         self.neg_index = self.positions_of(-self.modes)
@@ -157,20 +164,8 @@ class ModeSet:
 
     @property
     def first_nonnegative_index(self):
-        """Index of the first non-negative eigenvalue of every pencil (A, B), B > 0.
-
-        The flat matrix A has eigenvalues +|kappa| and -|kappa| for each mode,
-        so exactly ``n_modes - [delta trivial]`` of them are negative: the
-        zero mode of the trivial structure gives a two-dimensional kernel
-        instead.  For Hermitian positive definite B = L L^H the pencil has
-        the eigenvalues of L^{-1} A L^{-H}, which is congruent to A, so by
-        Sylvester's law of inertia it has the same numbers of negative, zero
-        and positive eigenvalues as A.  Counting ascending from 0, this index
-        is therefore exact for every conformal weight (spectrum slicing; see
-        Parlett, The Symmetric Eigenvalue Problem); for the trivial structure
-        it is the first kernel eigenvalue.
-        """
-        return self.n_modes - (1 if self.spin_structure.trivial else 0)
+        """Index of the first non-negative eigenvalue of every pencil (A, B), B > 0."""
+        return int(self.cluster_starts[np.searchsorted(self.flat_clusters[0], 0)])
 
     def same_modes(self, other):
         return self is other or (

@@ -18,6 +18,8 @@ from spintorus.eigensolver import RESIDUAL_BOUND, cluster_eigenvalues
 from spintorus.experiments import random_factor
 from spintorus.torus_dirac import build_mode_set, closed_form_spectrum
 
+from helpers import record_solves
+
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -300,6 +302,36 @@ class TestSpectrum:
             got = np.sort(traj[:, k])
             assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
 
+    def test_t_grid_cut_windows_grow_geometrically(self, capsys, monkeypatch, tmp_path):
+        # at --tau-split 0.2 every shell past 2.5 joins the edge clusters; a
+        # cut side takes 1, 2, 4, ... more shells and restarts the grid, so
+        # the 11-point grid needs far fewer than the 39 solves of growing
+        # shell by shell
+        calls = record_solves(monkeypatch)
+        out = tmp_path / "curves.json"
+        code, _, _ = run(
+            capsys, "spectrum", "--delta", "1,0,0", "--N", "3",
+            "--t-grid", ",".join(f"{k / 100:g}" for k in range(11)),
+            "--f-random", "11,2,0.3", "--tau-split", "0.2", "--format", "json", "--out", str(out),
+        )
+        assert code == 0
+        assert len(calls) < 25
+        assert json.loads(out.read_text())["index_window"] == [0, 588]
+
+    def test_one_point_t_grid_is_rejected_before_any_solve(self, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a one-point t grid")
+
+        monkeypatch.setattr(conformal, "deformed_spectrum", no_solve)
+        for argv in (
+            ("spectrum", "--delta", "1,0,0", "--N", "2", "--t-grid", "0.05", "--f-cos", "1,0,0"),
+            ("perturb", "--delta", "1,0,0", "--N", "2", "--cluster-index", "0",
+             "--f-cos", "1,0,0", "--t-grid", "1e-2"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 3 and out == ""
+            assert err == "error: a t grid needs at least two values, got 1\n"
+
     def test_solver_failure_exit_code(self, capsys, monkeypatch):
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("2 eigenvectors failed to converge.")
@@ -493,10 +525,22 @@ class TestGenericityCommand:
     def test_tolerance_flags(self, capsys, t, flag):
         args = ["genericity", "--delta", "1,0,0", "--N", "2", "--trials", "2", "--t", t]
         code, default, _ = run(capsys, *args)
-        assert code == 0
-        code, merged, _ = run(capsys, *args, flag, "0.5")
-        assert code == 0
-        assert "pattern [1,49]: 2" in merged and merged != default
+        assert code == 0 and "pattern [1," in default
+        # 0.5 merges every shell past 1.118 into one cluster up to the top of
+        # the spectrum, a truncation artifact past the trust radius
+        code, merged, err = run(capsys, *args, flag, "0.5")
+        assert code == 3 and merged == ""
+        assert err.startswith("error: m_clusters=3 reaches past the trustworthy truncation radius")
+
+    def test_clusters_past_the_trust_radius_are_rejected(self, capsys):
+        # N = 2 trusts only |lambda| <= 1.5 e^{-0.05 sup|f|}: three positive
+        # flat shells, so no 40 positive clusters
+        code, out, err = run(
+            capsys, "genericity", "--delta", "1,0,0", "--N", "2", "--trials", "2",
+            "--t", "0.05", "--m-clusters", "40",
+        )
+        assert code == 3 and out == ""
+        assert err == "error: m_clusters=40 reaches past the trustworthy truncation radius 1.478\n"
 
 
 class TestSimplicityCommand:

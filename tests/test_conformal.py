@@ -19,6 +19,8 @@ from spintorus.torus_dirac import (
     random_field,
 )
 
+from helpers import record_solves
+
 
 class TestConformalFactor:
     def test_zero_and_constant(self):
@@ -512,26 +514,58 @@ class TestTrustedSpectrum:
         assert cf.trust_radius(f, 0.0, 3) == 2.5
         assert cf.trust_radius(f, -0.05, 4) == 3.5 * np.exp(-0.05 * f.sup_abs())
 
-    def test_margin_grows_until_edge_clusters_are_whole(self, monkeypatch):
-        ms = build_mode_set(3, (1, 0, 0))
-        f = cf.ConformalFactor.zero()
-        expected = cf.trusted_spectrum(f, 0.0, ms)
-        calls = []
-        solve = cf.deformed_spectrum
+    @staticmethod
+    def dense_trusted(factor, t, ms, tau_rel=None, radius=None):
+        """The full solve's clusters with |lambda| <= R + tol, and their eigenvalues."""
+        res = cf.deformed_spectrum(factor, t, ms, tau_rel=tau_rel)
+        if radius is None:
+            radius = cf.trust_radius(factor, t, ms.N)
+        tau = res.meta["tau_rel"]
+        kept = [c for c in res.clusters if abs(c.lam) <= radius + tau * max(1.0, radius)]
+        lo, hi = (kept[0].start, kept[-1].stop) if kept else (0, 0)
+        return kept, res.eigenvalues[lo:hi]
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs["subset_by_value"])
-            return solve(*args, **kwargs)
+    def assert_dense(self, res, factor, t, ms, tau_rel=None, radius=None):
+        kept, ref = self.dense_trusted(factor, t, ms, tau_rel, radius)
+        assert [c.mult_c for c in res.clusters] == [c.mult_c for c in kept]
+        assert res.eigenvalues.shape == ref.shape
+        assert np.max(np.abs(res.eigenvalues - ref) / np.maximum(1.0, np.abs(ref)),
+                      initial=0.0) < 1e-12
 
-        # a margin far inside one clustering tolerance leaves the 2.5 shell
-        # touching the window edge, so the window has to widen
-        monkeypatch.setattr(cf, "TRUST_MARGIN", 1e-3)
-        monkeypatch.setattr(cf, "deformed_spectrum", counting)
-        res = cf.trusted_spectrum(f, 0.0, ms)
+    @pytest.mark.parametrize("delta", [(0, 0, 0), (1, 0, 0), (1, 1, 1)], ids=str)
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_matches_the_dense_solve(self, N, delta):
+        ms = build_mode_set(N, delta)
+        # a random factor, the flat spectrum, and a constant factor at large t
+        # (only the kernel, or nothing, stays inside at N = 1)
+        for f, t in [
+            (random_factor(45, 2, 0.3), 0.05),
+            (cf.ConformalFactor.zero(), 0.0),
+            (cf.ConformalFactor.constant(1.0), 0.9),
+        ]:
+            self.assert_dense(cf.trusted_spectrum(f, t, ms), f, t, ms)
+
+    def test_a_wide_tolerance_grows_the_window(self, monkeypatch):
+        # at tau_rel = 0.2 the shells past 2.5 join the edge clusters, so
+        # both edges are cut and grow until the clusters are whole
+        ms, f = build_mode_set(3, (1, 0, 0)), random_factor(45, 2, 0.3)
+        calls = record_solves(monkeypatch)
+        res = cf.trusted_spectrum(f, 0.05, ms, tau_rel=0.2)
         assert len(calls) > 1
-        assert calls[-1][1] > calls[0][1]
-        assert [c.mult_c for c in res.clusters] == [c.mult_c for c in expected.clusters]
-        assert_allclose(res.eigenvalues, expected.eigenvalues, atol=1e-12)
+        assert calls[-1][0] < calls[0][0] and calls[-1][1] > calls[0][1]
+        self.assert_dense(res, f, 0.05, ms, tau_rel=0.2)
+
+    def test_grows_past_the_trusted_shells_while_eigenvalues_lie_inside(self, monkeypatch):
+        # a sampled sup|f| that ran low would put R past the eigenvalues of the
+        # trusted shells: the window grows until the eigenvalue past each edge
+        # lies outside R + tol
+        ms, f = build_mode_set(2, (1, 0, 0)), random_factor(45, 2, 0.3)
+        monkeypatch.setattr(cf, "trust_radius", lambda factor, t, N: 2.2)
+        calls = record_solves(monkeypatch)
+        res = cf.trusted_spectrum(f, 0.05, ms)
+        assert len(calls) > 1 and res.meta["trust_radius"] == 2.2
+        assert np.max(np.abs(res.eigenvalues)) > 1.5
+        self.assert_dense(res, f, 0.05, ms, radius=2.2)
 
     def test_empty_window(self):
         # a constant factor scales the spectrum and R alike: at large t only

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spintorus import experiments as ex
-from spintorus.conformal import ConformalFactor, deformed_spectrum
+from spintorus.conformal import ConformalFactor, deformed_spectrum, trust_radius
 from spintorus.errors import SplitSearchError
 from spintorus.perturbation import (
     deformed_cluster_values,
@@ -14,6 +14,8 @@ from spintorus.perturbation import (
     perturbation_matrix,
 )
 from spintorus.torus_dirac import build_mode_set, closed_form_spectrum
+
+from helpers import record_solves
 
 
 @pytest.fixture(scope="module")
@@ -147,12 +149,16 @@ class TestSplitSearch:
 
 class TestGenericityScan:
     def test_t_zero_reproduces_flat_multiplicities(self):
-        rep = ex.genericity_scan((0, 0, 0), 4, 0.0, 2, 2, 0.3, seed=1, m_clusters=3)
-        lines = [l for l in closed_form_spectrum((0, 0, 0), 2.0) if l.lam > 0][:3]
+        # N = 2 trusts |lambda| <= 1.5: the positive shells at 1 and sqrt(2)
+        rep = ex.genericity_scan((0, 0, 0), 4, 0.0, 2, 2, 0.3, seed=1, m_clusters=2)
+        lines = [l for l in closed_form_spectrum((0, 0, 0), 1.5) if l.lam > 0]
         expected = [l.mult_h for l in lines]
+        assert len(expected) == 2
         for row in rep.trial_rows:
             assert row.mult_h == expected
         assert rep.fraction_all_simple == 0.0
+        with pytest.raises(ValueError, match="reaches past the trustworthy truncation radius"):
+            ex.genericity_scan((0, 0, 0), 4, 0.0, 2, 2, 0.3, seed=1, m_clusters=3)
 
     def test_trials_zero_empty_report(self):
         rep = ex.genericity_scan((1, 0, 0), 0, 0.05, 2, 2, 0.3, seed=1)
@@ -202,14 +208,17 @@ class TestGenericityScan:
 
 
 def full_solve_clusters(delta, trials, t, N, seed, m_clusters, degree=2, amplitude=0.3):
-    """Lowest positive clusters per genericity trial, from whole-spectrum solves."""
+    """Lowest positive clusters with lambda <= R + tol per genericity trial, from
+    whole-spectrum solves (R the trust radius, tol the clustering tolerance at R)."""
     ms = build_mode_set(N, delta)
     children = np.random.SeedSequence(seed).spawn(trials)
     out = []
     for i in range(trials):
         factor = ex.random_factor(children[i], degree, amplitude)
         res = deformed_spectrum(factor, t, ms, keep_vectors=False)
-        out.append([c for c in res.clusters if c.lam > ex.KERNEL_TOL][:m_clusters])
+        radius = trust_radius(factor, t, N)
+        reach = radius + res.meta["tau_rel"] * max(1.0, radius)
+        out.append([c for c in res.clusters if ex.KERNEL_TOL < c.lam <= reach][:m_clusters])
     return out
 
 
@@ -226,46 +235,58 @@ class TestGenericityWindow:
     @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("delta", [(0, 0, 0), (1, 0, 0), (0, 1, 1)], ids=str)
     def test_matches_full_solve(self, delta, N, t):
-        rep = ex.genericity_scan(delta, 2, t, N, 2, 0.3, seed=13, m_clusters=3)
-        assert_matches_full_solve(rep, full_solve_clusters(delta, 2, t, N, 13, 3))
+        # the full solve either holds three trusted positive clusters in every
+        # trial, and the scan reports them, or not, and the scan refuses
+        reference = full_solve_clusters(delta, 2, t, N, 13, 3)
+        if all(len(ref) == 3 for ref in reference):
+            rep = ex.genericity_scan(delta, 2, t, N, 2, 0.3, seed=13, m_clusters=3)
+            assert_matches_full_solve(rep, reference)
+        else:
+            with pytest.raises(ValueError, match="reaches past the trustworthy truncation radius"):
+                ex.genericity_scan(delta, 2, t, N, 2, 0.3, seed=13, m_clusters=3)
 
-    def test_doubling_reaches_the_same_clusters(self, monkeypatch):
-        calls = []
-        real = ex.deformed_spectrum
+    def test_window_is_the_kernel_and_the_first_shells(self, monkeypatch):
+        calls = record_solves(monkeypatch)
+        f = ex.random_factor(2, 2, 0.3)
+        ms = build_mode_set(3, (0, 0, 0))
+        i0 = ms.first_nonnegative_index
+        ex.lowest_positive_clusters(f, 0.05, ms, 3)
+        # the kernel and |kappa|^2 = 1, 2, 3 with 6, 12, 8 modes, plus one
+        # eigenpair past each edge
+        assert calls == [(i0 - 1, i0 + 2 + 6 + 12 + 8)]
+        calls.clear()
+        ms = build_mode_set(3, (1, 0, 0))
+        i0 = ms.first_nonnegative_index
+        assert ex.lowest_positive_clusters(f, 0.05, ms, 0) == []
+        assert calls == [(i0 - 1, i0)]
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs["subset_by_index"])
-            return real(*args, **kwargs)
+    def test_clusters_past_the_trust_radius_raise(self, monkeypatch):
+        # N = 2 trusts three positive flat shells (1/2, sqrt(5)/2, 3/2), at
+        # most 10 positive clusters: the window stops at them
+        calls = record_solves(monkeypatch)
+        ms = build_mode_set(2, (1, 0, 0))
+        with pytest.raises(ValueError, match="m_clusters=40 reaches past the trustworthy"):
+            ex.lowest_positive_clusters(ex.random_factor(2, 2, 0.3), 0.05, ms, 40)
+        i0 = ms.first_nonnegative_index
+        assert calls == [(i0 - 1, i0 + 2 + 8 + 10)]
 
-        monkeypatch.setattr(ex, "deformed_spectrum", counting)
-        monkeypatch.setattr(ex, "_initial_window", lambda mode_set, m_clusters: 1)
-        rep = ex.genericity_scan((1, 0, 0), 1, 0.05, 2, 2, 0.3, seed=13, m_clusters=3)
-        assert len(calls) > 1
-        sizes = [hi - lo + 1 for lo, hi in calls]
-        assert sizes == [2**j for j in range(len(calls))]
-        assert_matches_full_solve(rep, full_solve_clusters((1, 0, 0), 1, 0.05, 2, 13, 3))
-
-    def test_window_reaching_dim_returns_what_exists(self):
-        # N = 1 with the trivial structure has n_modes - 1 = 26 positive
-        # eigenvalues, so at most 13 positive clusters: asking for 20 runs
-        # the window to the end of the spectrum
-        ms = build_mode_set(1, (0, 0, 0))
-        assert ms.first_nonnegative_index + ex._initial_window(ms, 20) >= ms.dim
-        top = ex.lowest_positive_clusters(ex.random_factor(2, 2, 0.3), 0.05, ms, 20)
-        assert sum(c.mult_c for c in top) == ms.n_modes - 1
-        rep = ex.genericity_scan((0, 0, 0), 1, 0.05, 1, 2, 0.3, seed=0, m_clusters=20)
-        assert_matches_full_solve(rep, full_solve_clusters((0, 0, 0), 1, 0.05, 1, 0, 20))
-        assert not rep.trial_rows[0].all_simple
+    def test_grows_while_the_next_eigenvalue_lies_inside(self, monkeypatch):
+        # a sampled sup|f| that ran low would put R past the trusted shells:
+        # the window grows while the eigenvalue past it lies inside R + tol
+        monkeypatch.setattr(ex, "trust_radius", lambda factor, t, N: 2.9)
+        calls = record_solves(monkeypatch)
+        f = ex.random_factor(2, 2, 0.3)
+        ms = build_mode_set(2, (1, 0, 0))
+        top = ex.lowest_positive_clusters(f, 0.05, ms, 20)
+        assert len(calls) > 1 and calls[-1][1] > calls[0][1]
+        res = deformed_spectrum(f, 0.05, ms)
+        ref = [c for c in res.clusters if c.lam > ex.KERNEL_TOL][:20]
+        assert [c.mult_c for c in top] == [c.mult_c for c in ref]
+        assert_allclose([c.lam for c in top], [c.lam for c in ref], rtol=0, atol=1e-12)
 
     def test_negative_cluster_count_rejected(self):
         with pytest.raises(ValueError, match="m_clusters"):
             ex.genericity_scan((1, 0, 0), 1, 0.05, 1, 2, 0.3, seed=0, m_clusters=-1)
-
-    def test_initial_window_counts_shells_and_kernel(self):
-        ms = build_mode_set(3, (0, 0, 0))
-        # |kappa|^2 = 1, 2, 3, 4 carry 6, 12, 8, 6 modes
-        assert ex._initial_window(ms, 3) == 2 + 6 + 12 + 8 + 6
-        assert ex._initial_window(build_mode_set(3, (1, 0, 0)), 0) == 2
 
 
 class TestValueWindow:
