@@ -66,9 +66,11 @@ EXIT_BAD_INPUT = 3
 
 #: The t at which split-search verifies a split when no t is given.
 DEFAULT_T_VERIFY = 0.05
-#: Peak memory of a dense solve in dim x dim complex matrices (peak RSS at
-#: N=5, dim 2420, is 585 MB).
-DENSE_MATRICES_AT_PEAK = 6.5
+#: Peak memory of a dense solve in dim x dim complex matrices: peak RSS
+#: less the import baseline is at most 3.24 of them for every --N command at
+#: N=4, 5 and 6 (perturb at N=5, dim 2420: 348 MB, 58 MB of it the import);
+#: 4.0 leaves 23% headroom.
+DENSE_MATRICES_AT_PEAK = 4.0
 #: Peak bytes per point of the lattice cube that ``closed_form_spectrum``
 #: enumerates: the int64 keys, the ball mask, and the ball's keys and their
 #: sorted copy, 8 + 1 + 2 * 8 pi / 6 = 17.4 (tracemalloc: 16.4 at

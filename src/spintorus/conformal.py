@@ -167,17 +167,29 @@ class CenteredCube:
         """Samples of sum_m c(m) e^{i<m, x>} on the uniform G^3 grid (see ``to_grid``)."""
         return to_grid(self.values.reshape(-1), cube_modes(self.radius), G)
 
-    def lookup(self, diffs):
-        """Coefficients for an integer difference array of shape (..., 3)."""
-        r = self.radius
-        diffs = np.asarray(diffs, dtype=np.int64)
-        inside = np.all(np.abs(diffs) <= r, axis=-1)
-        idx = np.where(inside[..., None], diffs + r, 0)
-        out = self.values[idx[..., 0], idx[..., 1], idx[..., 2]]
-        return np.where(inside, out, 0.0)
+    def lookup(self, k):
+        """The matrix [c(k_i - k_j)] for integer modes k of shape (n, 3).
+
+        One flat gather: m sits at ``values.reshape(-1)[ctr + off(m)]``, ctr
+        the zero mode and off(m) = (m_1 side + m_2) side + m_3 linear in m,
+        so k_i - k_j sits at ctr + off(k_i) - off(k_j).  Differences outside
+        the cube, possible only when k spreads wider than the radius along
+        an axis, read 0.
+        """
+        r, flat = self.radius, self.values.reshape(-1)
+        side = 2 * r + 1
+        k = np.asarray(k, dtype=np.int64)
+        off = (k[:, 0] * side + k[:, 1]) * side + k[:, 2]
+        idx = flat.size // 2 + off[:, None] - off[None, :]
+        if np.all(np.ptp(k, axis=0) <= r):
+            return flat[idx]
+        inside = np.all(np.abs(k[:, None] - k[None]) <= r, axis=-1)
+        return np.where(inside, flat[np.where(inside, idx, 0)], 0.0)
 
     def coeff(self, m):
-        return complex(self.lookup(m))
+        """c(m); 0 outside the cube."""
+        r, m = self.radius, np.asarray(m, dtype=np.int64)
+        return complex(self.values[tuple(m + r)]) if np.all(np.abs(m) <= r) else 0j
 
 
 class ConformalFactor(CenteredCube):
@@ -413,12 +425,13 @@ def required_band(mode_set):
     return 2 * mode_set.N
 
 
-def assemble_multiplication(mode_set, coeff_lookup):
-    """Scalar block of the Galerkin matrix of multiplication by a function
-    with the given coefficient lookup (callable on an integer difference
-    array), symmetrized.  The full matrix acts on both spin components alike:
-    it is ``kron_spin`` of this block."""
-    vals = coeff_lookup(mode_set.mode_diffs)
+def assemble_multiplication(mode_set, cube):
+    """Scalar block of the Galerkin matrix of multiplication by the function
+    whose Fourier coefficients ``cube`` holds (a ``CenteredCube``),
+    symmetrized: entry (i, j) is c(kappa_i - kappa_j) (``CenteredCube.lookup``).
+    The full matrix acts on both spin components alike: it is ``kron_spin``
+    of this block."""
+    vals = cube.lookup(mode_set.k_values)
     return 0.5 * (vals + vals.conj().T)
 
 
@@ -433,7 +446,7 @@ def kron_spin(S):
 
 def factor_multiplication_matrix(factor, mode_set):
     """Exact Galerkin matrix of multiplication by the trig polynomial f."""
-    return kron_spin(assemble_multiplication(mode_set, factor.lookup))
+    return kron_spin(assemble_multiplication(mode_set, factor))
 
 
 @dataclass
@@ -479,7 +492,7 @@ def assemble_B(factor, t, mode_set):
         raise PositiveDefiniteError(
             f"conformal weight for t={t} is not representable: {exc}"
         ) from exc
-    B_s = assemble_multiplication(mode_set, exp.lookup)
+    B_s = assemble_multiplication(mode_set, exp)
     return ScalarWeight(B_s, eigensolver.cholesky_pd(B_s, f"Galerkin weight for t={t}"))
 
 
@@ -487,15 +500,20 @@ def assemble_B(factor, t, mode_set):
 class DeformedOperator:
     """The pencil (A, B) of one conformal deformation, plus metadata.
 
-    The solve and curve matching read B through ``weight``; the dense ``B``
-    is built on first access, for the dense oracle.
+    A is the flat operator, whose 2 x 2 mode symbols (``mode_set.symbols``)
+    the solve reads; B = B_s (x) I_2 is the weight, which the solve and curve
+    matching read through ``weight``.  The dense ``A`` and ``B`` are built on
+    first access, for the dense oracle and tests; no solve touches them.
     """
 
     mode_set: ModeSet
     t: float
     factor: ConformalFactor
-    A: np.ndarray
     weight: ScalarWeight
+
+    @cached_property
+    def A(self):
+        return self.mode_set.flat_matrix
 
     @cached_property
     def B(self):
@@ -514,9 +532,9 @@ class DeformedOperator:
 
 
 def build_deformed_operator(factor, t, mode_set):
-    A = mode_set.flat_matrix
-    weight = assemble_B(factor, t, mode_set)
-    return DeformedOperator(mode_set, float(t), factor, A, weight)
+    """The pencil of the deformation by e^{2tf} on ``mode_set``: assembles only
+    the weight (``assemble_B``); the flat operator stays in its mode symbols."""
+    return DeformedOperator(mode_set, float(t), factor, assemble_B(factor, t, mode_set))
 
 
 def cluster_tolerance(
@@ -571,7 +589,7 @@ def deformed_spectrum(
     op = build_deformed_operator(factor, t, mode_set)
     identity_B = t == 0 or factor.is_zero
     w, V, residual_max = eigensolver.solve_gen_hermitian(
-        op.A,
+        mode_set.symbols,
         None if identity_B else op.weight.B_s,
         subset_by_index=subset_by_index,
         subset_by_value=subset_by_value,
@@ -635,6 +653,7 @@ def _solve_shells(factor, t_values, taus, mode_set, shells, read=next,
             grow = (i > 0 and (below or i not in bounds), j < len(w) and (above or j not in bounds))
             if any(grow):
                 raise _Grow(*grow)
+            del res, V  # while the next t is solved, only the window is alive
             yield window
 
     while True:

@@ -1,14 +1,19 @@
 """Dense Hermitian(-definite) eigensolver, degeneracy clustering, curve tracking.
 
-One Cholesky and one BLAS per solve.  The weight of a deformed solve is
-B = B_s (x) I_2, and ``conformal.assemble_B`` factors B_s = L L^H as its
-positive-definiteness check; ``solve_gen_hermitian`` reuses L to reduce the
-pencil to standard form by triangular solves of side n_modes, so nothing
-factors B again.  Every dense product and factorization of the solve (that
-Cholesky factorization, the triangular solves, ``scipy.linalg.eigh`` and the
-residual gate through ``blas_matmul``) runs on scipy's BLAS, and so do the
-overlap products of curve matching, which apply B_s the way the residual gate
-does (``apply_weight``).  The numpy and scipy wheels each bundle their own
+One Cholesky, one dim x dim matrix and one BLAS per solve.  The flat operator
+A is block diagonal over modes, and the solve reads it as its 2 x 2 mode
+symbols; the weight of a deformed solve is B = B_s (x) I_2, and
+``conformal.assemble_B`` factors B_s = L L^H as its positive-definiteness
+check.  ``solve_gen_hermitian`` reuses L to build the standard-form matrix
+C = (L^{-1} (x) I_2) A (L^{-H} (x) I_2) straight from the symbols, spin block
+by spin block with n_modes x n_modes products, into the one dim x dim array
+of the solve, which ``scipy.linalg.eigh`` overwrites; nothing factors B
+again and no dense A or B is formed.  Every dense product and factorization
+of the solve (that Cholesky factorization, the triangular inverse, products
+and solve, ``scipy.linalg.eigh`` and the residual gate's B_s product through
+``blas_matmul``) runs on scipy's BLAS, and so do the overlap products of
+curve matching, which apply B_s the way the residual gate does
+(``apply_weight``).  The numpy and scipy wheels each bundle their own
 OpenBLAS with its own thread pool, whose idle threads keep spinning for a
 while after a call; a solve that alternates between the two pools makes them
 compete for the cores, which cost about a third of the 50-trial genericity
@@ -72,19 +77,16 @@ def canonicalize_phases(V):
     """Rotate each column so its first significant entry is real positive.
 
     Eigenvectors are defined up to phase; fixing it makes derived artifacts
-    reproducible.
+    reproducible.  A column's first significant entry is its first of modulus
+    above 1e-8 times the column's largest; a zero column is left as it is.
     """
     V = np.array(V, copy=True)
     absV = np.abs(V)
-    for j in range(V.shape[1]):
-        col = absV[:, j]
-        m = col.max()
-        if m == 0.0:
-            continue
-        i = int(np.argmax(col > 1e-8 * m))
-        z = V[i, j]
-        if z != 0:
-            V[:, j] *= np.conj(z) / abs(z)
+    first = np.argmax(absV > 1e-8 * absV.max(axis=0, initial=0.0), axis=0)
+    del absV
+    z = V[first, np.arange(V.shape[1])]
+    # hypot, not np.abs: the modulus the scalar abs() of one entry gives.
+    V *= np.divide(z.conj(), np.hypot(z.real, z.imag), out=np.ones_like(z), where=z != 0)
     return V
 
 
@@ -120,37 +122,66 @@ def cholesky_pd(B_s, what="weight matrix"):
         raise PositiveDefiniteError(f"{what} is not positive definite") from exc
 
 
-def _kron_solve(L, X, adjoint=False):
-    """(L^{-1} (x) I_2) X, or (L^{-H} (x) I_2) X, for X with mode-major rows.
+def apply_symbols(symbols, V):
+    """A V for mode-major V (one vector or stacked columns), A the block
+    diagonal matrix whose 2 x 2 diagonal blocks are ``symbols`` (n, 2, 2)."""
+    n = symbols.shape[0]
+    return np.einsum("mab,mbp->map", symbols, V.reshape(n, 2, -1)).reshape(V.shape)
 
-    Row 2i + a of X is spin component a of mode i, so as an (n, -1) array
-    the product is L^{-1} X.  For a C-contiguous complex X it is formed in
-    place: that array's transpose is Fortran-contiguous, and L^{-1} X =
-    (X^T L^{-T})^T, so BLAS trsm works on it from the right.  The adjoint
-    solve back-transforms eigenvectors, a few columns, on a copy.
+
+def _reduce(symbols, L):
+    """C = (L^{-1} (x) I_2) A (L^{-H} (x) I_2) for A = blockdiag(``symbols``),
+    as one Fortran-ordered dim x dim array (the whole of A for L = None).
+
+    Spin block (a, b) of C, the entries C[2p + a, 2q + b], is M diag(s_ab) M^H
+    for M = L^{-1} and s_ab the (a, b) entries of the symbols: one in-place
+    trmm of side n on an n x n work array each.  The (0, 1) block is the
+    adjoint of the (1, 0) block, so three blocks cost 1.5 n^3 complex
+    multiply-adds after the n^3 / 3 of inverting L.
     """
-    n = L.shape[0]
-    Xn = X.reshape(n, -1)
-    trsm = scipy.linalg.get_blas_funcs("trsm", (L, Xn))
-    if adjoint:
-        return trsm(1.0, L, Xn, lower=1, trans_a=2).reshape(X.shape)
-    return trsm(1.0, L, Xn.T, side=1, lower=1, trans_a=1, overwrite_b=1).T.reshape(X.shape)
+    n = symbols.shape[0]
+    C = np.zeros((2 * n, 2 * n), dtype=np.complex128, order="F")
+    if L is None:
+        modes = np.arange(n)
+        for a in (0, 1):
+            for b in (0, 1):
+                C[2 * modes + a, 2 * modes + b] = symbols[:, a, b]
+        return C
+    M, info = scipy.linalg.get_lapack_funcs("trtri", (L,))(L, lower=1)
+    if info != 0:
+        raise RuntimeError(f"triangular inverse failed: info={info}")
+    W = np.empty((n, n), dtype=np.complex128, order="F")
+    trmm = scipy.linalg.get_blas_funcs("trmm", (M, W))
+    for a, b in ((0, 0), (1, 1), (1, 0)):
+        np.conjugate(M.T, out=W)
+        W *= symbols[:, a, b, None]
+        C[a::2, b::2] = trmm(1.0, M, W, lower=1, overwrite_b=1)
+    np.conjugate(C[1::2, 0::2].T, out=C[0::2, 1::2])
+    return C
 
 
-def solve_gen_hermitian(A, B_s=None, subset_by_index=None, subset_by_value=None, chol=None):
-    """Solve A x = lambda B x for Hermitian A and B = B_s (x) I_2, B_s Hermitian PD.
+def solve_gen_hermitian(symbols, B_s=None, subset_by_index=None, subset_by_value=None, chol=None):
+    """Solve A x = lambda B x for A = blockdiag(``symbols``) and B = B_s (x) I_2.
 
-    B acts on mode-major vectors of length 2n (``torus_dirac.ModeSet``):
-    B_s on both spin components.  With B_s = L L^H (``chol`` when the caller
-    already holds the factor) the pencil is reduced once to the standard
-    Hermitian problem C y = lambda y, C = (L^{-1} (x) I_2) A (L^{-H} (x) I_2),
-    by two triangular solves of side n, and x = (L^{-H} (x) I_2) y (Golub &
-    Van Loan, Matrix Computations, sec. 8.7).  Without B_s, B = I.
+    A, the flat operator, is given by its 2 x 2 Hermitian diagonal blocks
+    ``symbols`` (shape (n, 2, 2)) and is never formed as a dense matrix.  B,
+    with B_s Hermitian positive definite, acts on mode-major vectors of
+    length 2n (``torus_dirac.ModeSet``): B_s on both spin components.  With
+    B_s = L L^H (``chol`` when the caller already holds the factor) the
+    pencil is reduced to the standard Hermitian problem C y = lambda y,
+    C = (L^{-1} (x) I_2) A (L^{-H} (x) I_2), and x = (L^{-H} (x) I_2) y
+    (Golub & Van Loan, Matrix Computations, sec. 8.7).  C is built straight
+    from the symbols into one dim x dim array (``_reduce``), which
+    ``scipy.linalg.eigh`` then overwrites; every other array of the solve has
+    side n or holds the returned vectors.  (A value window is the exception:
+    there LAPACK's zheevr sizes its eigenvector array for the whole
+    spectrum.)  Without B_s, B = I and C is A entry for entry.
 
     Returns ascending eigenvalues, B-orthonormal phase-canonicalized
     eigenvectors, and the largest per-vector residual
     ``||A x - lambda B x||_2`` (with ``||x||_B = 1``) on the original pencil,
-    which must stay below ``RESIDUAL_BOUND * max(1, max |lambda|)``.
+    A applied through the symbols and B through B_s, which must stay below
+    ``RESIDUAL_BOUND * max(1, max |lambda|)``.
 
     ``subset_by_index`` (inclusive ``[lo, hi]``) or ``subset_by_value``
     (half-open ``(lo, hi]``) restricts the solve to a window of eigenpairs;
@@ -162,22 +193,17 @@ def solve_gen_hermitian(A, B_s=None, subset_by_index=None, subset_by_value=None,
     RuntimeError for any other solver failure (for example eigenvectors of
     the windowed driver that do not converge) or a violated residual bound.
     """
-    A = np.asarray(A)
-    C = A
+    symbols = np.asarray(symbols)
+    n = symbols.shape[0]
+    if symbols.shape != (n, 2, 2):
+        raise ValueError(f"symbols must have shape (n, 2, 2), got {symbols.shape}")
+    L = None
     if B_s is not None:
         B_s = np.asarray(B_s)
-        n = B_s.shape[0]
-        if A.shape != (2 * n, 2 * n) or B_s.shape != (n, n):
-            raise ValueError("A must be 2n x 2n for an n x n scalar block B_s")
+        if B_s.shape != (n, n):
+            raise ValueError(f"B_s must be {n} x {n} for {n} mode symbols, got {B_s.shape}")
         L = cholesky_pd(B_s) if chol is None else chol
-        X = _kron_solve(L, np.array(A, dtype=np.complex128, order="C"))
-        np.conjugate(X, out=X)
-        C = _kron_solve(L, np.ascontiguousarray(X.T))
-        del X
-        # C is Hermitian: the transpose of its conjugate is C again, laid out
-        # as LAPACK reads it, so eigh may overwrite it without a copy.
-        np.conjugate(C, out=C)
-        C = C.T
+    C = _reduce(symbols, L)
     # A full solve of the reduced pencil uses divide and conquer, as the
     # generalized driver did; windows use the default MRRR driver.
     full = B_s is not None and subset_by_index is None and subset_by_value is None
@@ -186,17 +212,33 @@ def solve_gen_hermitian(A, B_s=None, subset_by_index=None, subset_by_value=None,
             C,
             subset_by_index=subset_by_index,
             subset_by_value=subset_by_value,
-            overwrite_a=C is not A,
+            overwrite_a=True,
             driver="evd" if full else None,
         )
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed: {exc}") from exc
     del C
-    if B_s is not None:
-        V = _kron_solve(L, V, adjoint=True)
+    if L is not None:
+        # x = (L^{-H} (x) I_2) y: one triangular solve of side n with the two
+        # spin components of every vector side by side.
+        k = V.shape[1]
+        X = np.empty((n, 2 * k), dtype=np.complex128, order="F")
+        X[:, :k], X[:, k:] = V[0::2], V[1::2]
+        del V
+        trsm = scipy.linalg.get_blas_funcs("trsm", (L, X))
+        X = trsm(1.0, L, X, lower=1, trans_a=2, overwrite_b=1)
+        V = np.empty((2 * n, k), dtype=np.complex128)
+        V[0::2], V[1::2] = X[:, :k], X[:, k:]
+        del X
     V = canonicalize_phases(V)
-    BV = V if B_s is None else apply_weight(B_s, V)
-    R = blas_matmul(A, V) - BV * w[None, :]
+    R = apply_symbols(symbols, V)
+    if B_s is None:
+        R -= V * w
+    else:
+        BV = apply_weight(B_s, V)
+        BV *= w
+        R -= BV
+        del BV
     residuals = np.linalg.norm(R, axis=0)
     residual_max = float(residuals.max()) if residuals.size else 0.0
     scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0

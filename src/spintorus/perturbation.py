@@ -148,7 +148,7 @@ def _cluster_form(factor, mode_set, V):
     W = V.reshape(mode_set.n_modes, 2, p)
     rows = np.any(W != 0, axis=(1, 2))
     k, W = mode_set.k_values[rows], W[rows]
-    vals = factor.lookup(k[:, None] - k[None])
+    vals = factor.lookup(k)
     FW = np.tensordot(0.5 * (vals + vals.conj().T), W, axes=(1, 0))
     return W.reshape(-1, p).conj().T @ FW.reshape(-1, p)
 

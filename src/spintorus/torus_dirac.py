@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .eigensolver import apply_symbols
 from .spinor_algebra import apply_J, dirac_symbol
 
 #: Dimension of the torus.  A few conformal formulas carry the dimension n
@@ -149,7 +150,10 @@ class ModeSet:
 
     @property
     def mode_diffs(self):
-        """Integer difference table kappa_i - kappa_j, shape (M, M, 3), int16."""
+        """Integer difference table kappa_i - kappa_j, shape (M, M, 3), int16.
+
+        Assembly does not build it: ``conformal.CenteredCube.lookup`` gathers
+        by flat index."""
         if self._diffs is None:
             k = self.k_values.astype(np.int16)  # the shift delta/2 cancels
             self._diffs = k[:, None] - k[None]
@@ -254,8 +258,7 @@ def embed_field(phi, big_mode_set):
 def apply_flat_dirac_coeffs(mode_set, V):
     """Flat Dirac operator mode by mode, u_kappa -> -sigma.kappa u_kappa, on
     coefficients in any layout ``apply_J_coeffs`` takes (stacked columns too)."""
-    c = np.asarray(V).reshape(mode_set.n_modes, 2, -1)
-    return np.einsum("mab,mbp->map", mode_set.symbols, c).reshape(np.shape(V))
+    return apply_symbols(mode_set.symbols, np.asarray(V))
 
 
 def apply_flat_dirac(phi):
@@ -264,7 +267,10 @@ def apply_flat_dirac(phi):
 
 
 def assemble_flat_dirac(mode_set):
-    """Dense flat Dirac matrix: block diagonal with blocks -sigma . kappa."""
+    """Dense flat Dirac matrix: block diagonal with blocks -sigma . kappa.
+
+    Solves never build it (they read ``ModeSet.symbols``); it serves the
+    dense oracle and tests."""
     M = mode_set.n_modes
     A = np.zeros((2 * M, 2 * M), dtype=np.complex128)
     sym = mode_set.symbols

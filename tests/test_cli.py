@@ -767,16 +767,50 @@ class TestNonFiniteFactors:
 
 
 class TestMemoryGuard:
-    @pytest.fixture
-    def seven_gb(self, monkeypatch):
-        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 7 * 2**30 // 4096}
+    @staticmethod
+    def physical_memory(monkeypatch, gib):
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": gib * 2**30 // 4096}
         monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
 
-    def test_estimate(self):
-        # dim 9248 at N=8, delta=(1,0,0): 6.5 dense complex matrices
-        assert cli.dense_memory_estimate(8, (1, 0, 0)) == 6.5 * 9248**2 * 16
+    @pytest.fixture
+    def seven_gb(self, monkeypatch):
+        self.physical_memory(monkeypatch, 7)
 
-    def test_too_large_n_names_a_smaller_one(self, seven_gb):
+    @pytest.fixture
+    def four_gb(self, monkeypatch):
+        # N <= 8 is capped, and N=8 (5.1 GiB at delta=(1,0,0)) fits in 7 GiB
+        self.physical_memory(monkeypatch, 4)
+
+    def test_estimate(self):
+        # dim 9248 at N=8, delta=(1,0,0): 4 dense complex matrices
+        assert cli.dense_memory_estimate(8, (1, 0, 0)) == 4.0 * 9248**2 * 16
+
+    @pytest.mark.parametrize("argv", [
+        ["perturb", "--cluster-lambda", "1.118033988749895", "--f-random", "11,2,0.3"],
+        ["spectrum", "--f-random", "11,2,0.3", "--t-grid", "0,0.05,0.1", "--format", "json"],
+    ], ids=lambda argv: argv[0])
+    def test_estimate_covers_the_measured_peak(self, tmp_path, argv):
+        # The two commands with the largest peak per dim^2 (value-window
+        # solves, and two snapshots with vectors), each in a fresh child;
+        # peak RSS less the import baseline stays below the estimate.
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+
+        def peak_bytes(*args):
+            probe = (
+                "import resource, subprocess, sys; "
+                "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+            )
+            out = subprocess.run([sys.executable, "-c", probe, sys.executable, *args], env=env,
+                                 cwd=tmp_path, capture_output=True, text=True, check=True)
+            return 1024 * int(out.stdout)
+
+        base = peak_bytes("-c", "import spintorus.cli")
+        peak = peak_bytes("-m", "spintorus.cli", argv[0], "--delta", "1,0,0", "--N", "4", *argv[1:])
+        assert peak - base <= cli.dense_memory_estimate(4, (1, 0, 0))
+
+    def test_too_large_n_names_a_smaller_one(self, four_gb):
         tracemalloc.start()
         try:
             with pytest.raises(cli.ConfigError, match=r"N=8 .*use N <= 7"):
@@ -786,7 +820,7 @@ class TestMemoryGuard:
             tracemalloc.stop()
         assert peak < 2**26  # far below one 1.3 GiB dense matrix at N=8
 
-    def test_cli_exit_code(self, capsys, seven_gb):
+    def test_cli_exit_code(self, capsys, four_gb):
         code, out, err = run(capsys, "genericity", "--delta", "1,0,0", "--N", "8")
         assert code == 3
         assert err.startswith("error: N=8 ") and len(err.strip().splitlines()) == 1

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from spintorus import conformal as cf
 from spintorus.errors import PositiveDefiniteError
 from spintorus.experiments import random_factor
 from spintorus.torus_dirac import (
+    ModeSet,
     apply_flat_dirac,
     build_mode_set,
     closed_form_spectrum,
@@ -152,10 +154,14 @@ class TestCenteredCube:
         c = f if cube == "factor" else cf.exp_coeffs(f, 0.05, 3)
         r = c.radius
         assert c.values.shape == (2 * r + 1,) * 3
-        diffs = np.stack(np.meshgrid(*[np.arange(-r - 2, r + 3)] * 3, indexing="ij"), axis=-1)
-        looked = c.lookup(diffs)
-        for m in diffs.reshape(-1, 3)[::7]:
-            assert looked[tuple(m + r + 2)] == c.coeff(m)
+        # modes spreading past the radius (masked gather) and within it (plain gather)
+        for k in (cf.cube_modes(r // 2 + 2) + [1, -2, 0], cf.cube_modes(r // 2)):
+            looked = c.lookup(k)
+            assert looked.shape == (len(k), len(k))
+            for i, j in zip(range(0, len(k), 3), range(len(k) - 1, -1, -5)):
+                d = k[i] - k[j]
+                expected = c.values[tuple(d + r)] if np.all(np.abs(d) <= r) else 0.0
+                assert looked[i, j] == c.coeff(d) == expected
         assert c.coeff((r + 1, 0, 0)) == 0.0
         assert c.coeff((0, 0, 0)) == c.values[r, r, r]
 
@@ -327,7 +333,8 @@ class TestAssembleB:
         f = random_factor(8, 2, 0.3)
         t = 0.05
         exp = cf.exp_coeffs(f, t, cf.required_band(ms))
-        out = np.kron(exp.lookup(ms.mode_diffs), np.eye(2, dtype=np.complex128))
+        d = ms.mode_diffs.astype(np.int64) + exp.radius
+        out = np.kron(exp.values[d[..., 0], d[..., 1], d[..., 2]], np.eye(2, dtype=np.complex128))
         reference = 0.5 * (out + out.conj().T)
         B = cf.kron_spin(cf.assemble_B(f, t, ms).B_s)
         assert B.dtype == reference.dtype
@@ -506,6 +513,45 @@ class TestStandardFormSolve:
             ref = oracle[(oracle > -1.3) & (oracle <= 1.3)]
             assert by_value.eigenvalues.shape == ref.shape
             assert np.max(np.abs(by_value.eigenvalues - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
+
+    def test_deformed_solves_never_build_a_dense_flat_operator(self, monkeypatch):
+        from spintorus.experiments import lowest_positive_clusters
+        from spintorus.perturbation import deformed_cluster_values, extract_cluster
+
+        def forbidden(self):
+            raise AssertionError("ModeSet.flat_matrix built")
+
+        monkeypatch.setattr(ModeSet, "flat_matrix", property(forbidden))
+        ms = build_mode_set(3, (1, 0, 0))
+        f = random_factor(73, 2, 0.3)
+        for t in (0.0, 0.05):
+            assert len(cf.trusted_spectrum(f, t, ms).eigenvalues) > 0
+        fam = cf.tracked_spectrum(f, [0.0, 0.02, 0.04], ms)
+        assert not fam.ambiguous
+        assert len(lowest_positive_clusters(f, 0.05, ms, 3)) == 3
+        cluster = extract_cluster(ms, lam=np.sqrt(5) / 2)
+        vals, _ = deformed_cluster_values(f, 0.05, cluster)
+        assert len(vals) == cluster.p_c
+        with pytest.raises(AssertionError, match="flat_matrix"):
+            cf.build_deformed_operator(f, 0.05, ms).A
+
+    def test_trusted_solve_holds_one_dense_matrix(self):
+        # One N=4 trusted solve, from build_deformed_operator through the
+        # residual gate, allocates less than 2.5 dense dim x dim complex
+        # matrices at its peak: the reduced matrix C (which eigh overwrites)
+        # plus n x n blocks (B_s, its factor, L^{-1}, one work array) and the
+        # window's vectors.
+        ms = build_mode_set(4, (1, 0, 0))
+        f = random_factor(11, 2, 0.3)
+        dense = 16 * ms.dim**2
+        tracemalloc.start()
+        try:
+            res = cf.trusted_spectrum(f, 0.05, ms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.eigenvalues) > 0
+        assert peak < 2.5 * dense, peak / dense
 
 
 class TestTrustedSpectrum:

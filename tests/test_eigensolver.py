@@ -32,6 +32,17 @@ def random_spd(rng, n):
     return Z @ Z.conj().T + n * np.eye(n)
 
 
+def random_symbols(rng, n):
+    """n random Hermitian 2 x 2 blocks, shape (n, 2, 2)."""
+    Z = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    return 0.5 * (Z + Z.conj().transpose(0, 2, 1))
+
+
+def block_diag(symbols):
+    """The dense A = blockdiag(symbols) that ``solve_gen_hermitian`` reads from its blocks."""
+    return scipy.linalg.block_diag(*symbols)
+
+
 def kron2(B_s):
     """The weight B = B_s (x) I_2 that ``solve_gen_hermitian`` reads from B_s."""
     return np.kron(B_s, np.eye(2))
@@ -39,22 +50,23 @@ def kron2(B_s):
 
 class TestSolve:
     def test_plain_hermitian(self, rng):
-        A = random_hermitian(rng, 12)
-        w, V, _ = es.solve_gen_hermitian(A)
-        assert_allclose(np.sort(np.linalg.eigvalsh(A)), w, atol=1e-10)
+        S = random_symbols(rng, 6)
+        w, V, _ = es.solve_gen_hermitian(S)
+        assert_allclose(np.sort(np.linalg.eigvalsh(block_diag(S))), w, atol=1e-10)
         assert_allclose(V.conj().T @ V, np.eye(12), atol=1e-10)
 
     def test_diagonal_pair(self):
-        A = np.diag([2.0, -3.0, 5.0, 6.0, -8.0, 1.0]).astype(complex)
+        S = np.array([np.diag(d) for d in ([2.0, -3.0], [5.0, 6.0], [-8.0, 1.0])], dtype=complex)
         B_s = np.diag([1.0, 2.0, 4.0]).astype(complex)
-        w, _, _ = es.solve_gen_hermitian(A, B_s)
+        w, _, _ = es.solve_gen_hermitian(S, B_s)
         assert_allclose(w, np.sort([2.0, -3.0, 2.5, 3.0, -2.0, 0.25]), atol=1e-14)
 
     def test_random_pair_residuals_and_gram(self, rng):
-        A = random_hermitian(rng, 50)
+        S = random_symbols(rng, 25)
+        A = block_diag(S)
         B_s = random_spd(rng, 25)
         B = kron2(B_s)
-        w, V, res = es.solve_gen_hermitian(A, B_s)
+        w, V, res = es.solve_gen_hermitian(S, B_s)
         assert_allclose(w, scipy.linalg.eigh(A, B, eigvals_only=True), atol=1e-12)
         # oracle: recompute residuals and B-Gram directly
         R = A @ V - B @ V * w[None, :]
@@ -63,23 +75,48 @@ class TestSolve:
         assert res <= 1e-9 * max(1.0, np.abs(w).max())
 
     def test_held_factor_is_used(self, rng):
-        A = random_hermitian(rng, 20)
+        S = random_symbols(rng, 10)
         B_s = random_spd(rng, 10)
         L = scipy.linalg.cholesky(B_s, lower=True)
-        w, V, _ = es.solve_gen_hermitian(A, B_s, chol=L)
-        assert_allclose(w, scipy.linalg.eigh(A, kron2(B_s), eigvals_only=True), atol=1e-12)
+        w, V, _ = es.solve_gen_hermitian(S, B_s, chol=L)
+        assert_allclose(
+            w, scipy.linalg.eigh(block_diag(S), kron2(B_s), eigvals_only=True), atol=1e-12
+        )
         with pytest.raises(RuntimeError, match="residual"):
-            es.solve_gen_hermitian(A, B_s, chol=1.01 * L)
+            es.solve_gen_hermitian(S, B_s, chol=1.01 * L)
 
     def test_not_positive_definite(self, rng):
-        A = random_hermitian(rng, 6)
+        S = random_symbols(rng, 3)
         B_s = np.diag([1.0, 1.0, -1.0]).astype(complex)
         with pytest.raises(PositiveDefiniteError):
-            es.solve_gen_hermitian(A, B_s)
+            es.solve_gen_hermitian(S, B_s)
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
-            es.solve_gen_hermitian(random_hermitian(rng, 6), random_spd(rng, 6))
+            es.solve_gen_hermitian(random_symbols(rng, 3), random_spd(rng, 6))
+        # a dense A is not accepted in place of its blocks
+        with pytest.raises(ValueError):
+            es.solve_gen_hermitian(random_hermitian(rng, 6), random_spd(rng, 3))
+
+    def test_reduction_matches_dense_congruence(self, rng):
+        S = random_symbols(rng, 9)
+        L = scipy.linalg.cholesky(random_spd(rng, 9), lower=True)
+        C = es._reduce(S, L)
+        assert C.flags.f_contiguous and C.shape == (18, 18)
+        Minv = kron2(np.linalg.inv(L))
+        assert_allclose(C, Minv @ block_diag(S) @ Minv.conj().T, atol=1e-13)
+        assert es._reduce(S, None).tobytes(order="F") == block_diag(S).tobytes(order="F")
+
+    @pytest.mark.parametrize("spin", [(0, 0, 0), (1, 0, 0)], ids=str)
+    def test_t_zero_is_bit_identical_to_dense_eigh(self, spin):
+        ms = build_mode_set(2, spin)
+        w_ref, V_ref = scipy.linalg.eigh(assemble_flat_dirac(ms))
+        w, V, _ = es.solve_gen_hermitian(ms.symbols)
+        assert w.tobytes() == w_ref.tobytes()
+        assert V.tobytes() == es.canonicalize_phases(V_ref).tobytes()
+        res = deformed_spectrum(ConformalFactor.zero(), 0.0, ms, keep_vectors=True)
+        assert res.eigenvalues.tobytes() == w_ref.tobytes()
+        assert res.vectors.tobytes() == V.tobytes()
 
     def test_phase_canonicalization(self, rng):
         V = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
@@ -91,6 +128,43 @@ class TestSolve:
             assert C[i, j].real > 0
         # idempotent
         assert_allclose(es.canonicalize_phases(C), C)
+
+    @staticmethod
+    def canonicalize_by_column(V):
+        """The column loop that ``canonicalize_phases`` replaces."""
+        V = np.array(V, copy=True)
+        absV = np.abs(V)
+        for j in range(V.shape[1]):
+            col = absV[:, j]
+            m = col.max()
+            if m == 0.0:
+                continue
+            i = int(np.argmax(col > 1e-8 * m))
+            z = V[i, j]
+            if z != 0:
+                V[:, j] *= np.conj(z) / abs(z)
+        return V
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_phases_bit_identical_to_column_loop(self, rng, order):
+        # Columns with magnitudes over 40 decades, leading entries below the
+        # 1e-8 cut, and zero columns.  Bit identity needs two rows or more
+        # (solve vectors have 2 per mode): numpy multiplies a one-element
+        # column in place along another path, which may round differently in
+        # the last bit, so one-row vectors are compared to a few ulps.
+        for _ in range(40):
+            n, k = int(rng.integers(2, 120)), int(rng.integers(0, 30))
+            V = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+            V *= 10.0 ** rng.uniform(-20, 20, size=k)
+            V[: int(rng.integers(0, n)), :] *= 1e-9
+            V[:, rng.random(k) < 0.2] = 0.0
+            V = np.asarray(V, order=order)
+            out = es.canonicalize_phases(V)
+            assert out.shape == V.shape
+            assert out.tobytes() == self.canonicalize_by_column(V).tobytes()
+        V = rng.standard_normal((1, 30)) + 1j * rng.standard_normal((1, 30))
+        ref = self.canonicalize_by_column(V)
+        assert np.all(np.abs(es.canonicalize_phases(V) - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
 
 
 def _operand(rng, shape, layout, dtype=complex):
@@ -140,7 +214,7 @@ class TestBlasMatmul:
         assert es.blas_matmul(a, np.zeros((12, 0), complex, order="F")).shape == (12, 0)
         # an empty value window reaches the residual gate with no vectors
         w, V, res = es.solve_gen_hermitian(
-            random_hermitian(rng, 12), random_spd(rng, 6), subset_by_value=(1e3, 2e3)
+            random_symbols(rng, 6), random_spd(rng, 6), subset_by_value=(1e3, 2e3)
         )
         assert w.shape == (0,) and V.shape == (12, 0) and res == 0.0
 
@@ -159,7 +233,7 @@ class TestSolverErrors:
 
         monkeypatch.setattr(scipy.linalg, "cholesky", failing_cholesky)
         with pytest.raises(PositiveDefiniteError):
-            es.solve_gen_hermitian(random_hermitian(rng, 6), random_spd(rng, 3))
+            es.solve_gen_hermitian(random_symbols(rng, 3), random_spd(rng, 3))
 
     def test_other_failure_is_runtime_error(self, rng, monkeypatch):
         monkeypatch.setattr(
@@ -167,31 +241,33 @@ class TestSolverErrors:
         )
         with pytest.raises(RuntimeError, match="failed to converge") as info:
             es.solve_gen_hermitian(
-                random_hermitian(rng, 6), random_spd(rng, 3), subset_by_index=(0, 2)
+                random_symbols(rng, 3), random_spd(rng, 3), subset_by_index=(0, 2)
             )
         assert not isinstance(info.value, PositiveDefiniteError)
 
 
 class TestWindowedSolve:
     def test_index_window_matches_full_solve(self, rng):
-        A = random_hermitian(rng, 40)
+        S = random_symbols(rng, 20)
         B_s = random_spd(rng, 20)
         B = kron2(B_s)
-        w_full, _, _ = es.solve_gen_hermitian(A, B_s)
-        assert_allclose(w_full, scipy.linalg.eigh(A, B, eigvals_only=True), atol=1e-12)
-        w, V, res = es.solve_gen_hermitian(A, B_s, subset_by_index=(10, 17))
+        w_full, _, _ = es.solve_gen_hermitian(S, B_s)
+        assert_allclose(w_full, scipy.linalg.eigh(block_diag(S), B, eigvals_only=True), atol=1e-12)
+        w, V, res = es.solve_gen_hermitian(S, B_s, subset_by_index=(10, 17))
         assert V.shape == (40, 8)
         assert_allclose(w, w_full[10:18], atol=1e-12)
         assert_allclose(V.conj().T @ B @ V, np.eye(8), atol=1e-10)
         assert res <= es.RESIDUAL_BOUND * max(1.0, np.abs(w).max())
 
     def test_value_window_matches_full_solve(self, rng):
-        A = random_hermitian(rng, 40)
+        S = random_symbols(rng, 20)
         B_s = random_spd(rng, 20)
-        w_full, _, _ = es.solve_gen_hermitian(A, B_s)
-        assert_allclose(w_full, scipy.linalg.eigh(A, kron2(B_s), eigvals_only=True), atol=1e-12)
+        w_full, _, _ = es.solve_gen_hermitian(S, B_s)
+        assert_allclose(
+            w_full, scipy.linalg.eigh(block_diag(S), kron2(B_s), eigvals_only=True), atol=1e-12
+        )
         lo, hi = -0.3, 0.4
-        w, _, _ = es.solve_gen_hermitian(A, B_s, subset_by_value=(lo, hi))
+        w, _, _ = es.solve_gen_hermitian(S, B_s, subset_by_value=(lo, hi))
         inside = w_full[(w_full > lo) & (w_full <= hi)]
         assert len(w) == len(inside) > 0
         assert_allclose(w, inside, atol=1e-12)
@@ -204,10 +280,10 @@ class TestWindowedSolve:
             return w + 1e-6, V
 
         monkeypatch.setattr(scipy.linalg, "eigh", perturbed)
-        A = random_hermitian(rng, 30)
+        S = random_symbols(rng, 15)
         B_s = random_spd(rng, 15)
         with pytest.raises(RuntimeError, match="residual"):
-            es.solve_gen_hermitian(A, B_s, subset_by_index=(5, 9))
+            es.solve_gen_hermitian(S, B_s, subset_by_index=(5, 9))
 
     @pytest.mark.parametrize("spin", all_spin_structures(), ids=str)
     def test_sylvester_index_counts_negative_eigenvalues(self, spin):
