@@ -67,9 +67,9 @@ EXIT_BAD_INPUT = 3
 #: The t at which split-search verifies a split when no t is given.
 DEFAULT_T_VERIFY = 0.05
 #: Peak memory of a dense solve in dim x dim complex matrices: peak RSS
-#: less the import baseline is at most 3.24 of them for every --N command at
-#: N=4, 5 and 6 (perturb at N=5, dim 2420: 348 MB, 58 MB of it the import);
-#: 4.0 leaves 23% headroom.
+#: less the import baseline is at most 3.22 of them for every --N command at
+#: N=4 and 5 (spectrum --t-grid at N=4, dim 1296, with two snapshots'
+#: vectors alive: 140 MB, 58 MB of it the import); 4.0 leaves 24% headroom.
 DENSE_MATRICES_AT_PEAK = 4.0
 #: Peak bytes per point of the lattice cube that ``closed_form_spectrum``
 #: enumerates: the int64 keys, the ball mask, and the ball's keys and their
@@ -537,7 +537,7 @@ def cmd_perturb(cfg):
     print(f"{'t':>10}  {'max mismatch':>14}")
     for t, m in zip(fd.t_values, fd.mismatches):
         print(f"{t:>10.2e}  {m:>14.6e}")
-    print(f"observed order: {fd.order:.3f}")
+    print("observed order: n/a (kernel)" if fd.order is None else f"observed order: {fd.order:.3f}")
     return EXIT_OK
 
 

@@ -64,13 +64,6 @@ EXP_WEIGHT_MAX = 100.0
 B_OSC_MAX = -math.log(np.finfo(float).eps)
 
 
-def _next_pow2(n):
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 def _fft_size(n):
     """Smallest 2^a 3^b at or above n: the FFT-friendly grid sides."""
     best, p3 = None, 1
@@ -556,15 +549,7 @@ def trust_radius(factor, t, N):
     return (N - 0.5) * float(np.exp(-abs(t) * factor.sup_abs()))
 
 
-def deformed_spectrum(
-    factor,
-    t,
-    mode_set,
-    tau_rel=None,
-    keep_vectors=False,
-    subset_by_index=None,
-    subset_by_value=None,
-):
+def deformed_spectrum(factor, t, mode_set, tau_rel=None, keep_vectors=False, subset_by_index=None):
     """Solve the deformed eigenproblem and cluster the spectrum.
 
     At t = 0 the weight matrix is the exact identity and the flat spectrum is
@@ -576,13 +561,12 @@ def deformed_spectrum(
     matching reads (``tracked_spectrum`` is the one caller in the package
     that asks for them); by default it keeps neither.
 
-    ``subset_by_index`` / ``subset_by_value`` restrict the solve to a window
-    of eigenpairs (see ``eigensolver.solve_gen_hermitian``); every returned
-    pair still passes the residual bound.  Clusters are then formed from the
-    window alone, so a cluster cut by either window edge is incomplete:
-    callers read only clusters they know to lie strictly inside (see
-    ``_solve_shells`` for the index-window rule).  Without a window the
-    whole spectrum is solved.
+    ``subset_by_index`` restricts the solve to a window of eigenpairs (see
+    ``eigensolver.solve_gen_hermitian``); every returned pair still passes
+    the residual bound.  Clusters are then formed from the window alone, so a
+    cluster cut by either window edge is incomplete: ``_solve_shells``, the
+    one caller that passes a window, grows it until both edges fall on
+    cluster boundaries.  Without a window the whole spectrum is solved.
     """
     if tau_rel is None:
         tau_rel = cluster_tolerance(factor, t)
@@ -592,7 +576,6 @@ def deformed_spectrum(
         mode_set.symbols,
         None if identity_B else op.weight.B_s,
         subset_by_index=subset_by_index,
-        subset_by_value=subset_by_value,
         chol=None if identity_B else op.weight.L,
     )
     meta = {
@@ -788,7 +771,7 @@ def apply_deformed_dirac(factor, t, phi):
 
     # Multiply by e^{-tf} through an oversampled grid; gather back onto the
     # enlarged mode set.
-    G = _next_pow2(max(64, 2 * (n_out + 1)))
+    G = _fft_size(max(64, 2 * (n_out + 1)))
     vals = to_grid(psi.coeffs, out_ms.k_values, G)
     vals *= np.exp(-t * factor.grid_values(G))[..., None]
     return SpinorField(out_ms, from_grid(vals, out_ms.k_values, G))
@@ -832,7 +815,7 @@ def substitution_identity_error(factor, t, phi):
 
     ms = phi.mode_set
     dphi = apply_deformed_dirac(factor, t, phi)
-    G = max(64, _next_pow2(2 * dphi.mode_set.N + 2))
+    G = _fft_size(max(64, 2 * dphi.mode_set.N + 2))
     fg = factor.grid_values(G)
     phi_vals = field_on_grid(phi, G)
     lhs = _grid_dirac(

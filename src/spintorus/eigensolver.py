@@ -160,7 +160,7 @@ def _reduce(symbols, L):
     return C
 
 
-def solve_gen_hermitian(symbols, B_s=None, subset_by_index=None, subset_by_value=None, chol=None):
+def solve_gen_hermitian(symbols, B_s=None, subset_by_index=None, chol=None):
     """Solve A x = lambda B x for A = blockdiag(``symbols``) and B = B_s (x) I_2.
 
     A, the flat operator, is given by its 2 x 2 Hermitian diagonal blocks
@@ -173,9 +173,8 @@ def solve_gen_hermitian(symbols, B_s=None, subset_by_index=None, subset_by_value
     (Golub & Van Loan, Matrix Computations, sec. 8.7).  C is built straight
     from the symbols into one dim x dim array (``_reduce``), which
     ``scipy.linalg.eigh`` then overwrites; every other array of the solve has
-    side n or holds the returned vectors.  (A value window is the exception:
-    there LAPACK's zheevr sizes its eigenvector array for the whole
-    spectrum.)  Without B_s, B = I and C is A entry for entry.
+    side n or holds the returned vectors.  Without B_s, B = I and C is A
+    entry for entry.
 
     Returns ascending eigenvalues, B-orthonormal phase-canonicalized
     eigenvectors, and the largest per-vector residual
@@ -183,11 +182,10 @@ def solve_gen_hermitian(symbols, B_s=None, subset_by_index=None, subset_by_value
     A applied through the symbols and B through B_s, which must stay below
     ``RESIDUAL_BOUND * max(1, max |lambda|)``.
 
-    ``subset_by_index`` (inclusive ``[lo, hi]``) or ``subset_by_value``
-    (half-open ``(lo, hi]``) restricts the solve to a window of eigenpairs;
-    both are passed unchanged to ``scipy.linalg.eigh``, which then uses its
-    windowed driver.  Phase canonicalization and the residual bound apply to
-    every returned pair either way.
+    ``subset_by_index`` (inclusive ``[lo, hi]``) restricts the solve to a
+    window of eigenpairs; it is passed unchanged to ``scipy.linalg.eigh``,
+    which then uses its windowed driver.  Phase canonicalization and the
+    residual bound apply to every returned pair either way.
 
     Raises PositiveDefiniteError when B_s fails its Cholesky factorization and
     RuntimeError for any other solver failure (for example eigenvectors of
@@ -206,14 +204,10 @@ def solve_gen_hermitian(symbols, B_s=None, subset_by_index=None, subset_by_value
     C = _reduce(symbols, L)
     # A full solve of the reduced pencil uses divide and conquer, as the
     # generalized driver did; windows use the default MRRR driver.
-    full = B_s is not None and subset_by_index is None and subset_by_value is None
+    full = B_s is not None and subset_by_index is None
     try:
         w, V = scipy.linalg.eigh(
-            C,
-            subset_by_index=subset_by_index,
-            subset_by_value=subset_by_value,
-            overwrite_a=True,
-            driver="evd" if full else None,
+            C, subset_by_index=subset_by_index, overwrite_a=True, driver="evd" if full else None
         )
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed: {exc}") from exc
@@ -239,9 +233,8 @@ def solve_gen_hermitian(symbols, B_s=None, subset_by_index=None, subset_by_value
         BV *= w
         R -= BV
         del BV
-    residuals = np.linalg.norm(R, axis=0)
-    residual_max = float(residuals.max()) if residuals.size else 0.0
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
+    residual_max = float(np.linalg.norm(R, axis=0).max())
+    scale = max(1.0, float(np.abs(w).max()))
     if residual_max > RESIDUAL_BOUND * scale:
         raise RuntimeError(
             f"eigensolver residual {residual_max:.3e} exceeds bound "

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import eigensolver
 from .artifact import NOT_ARTIFACT, Artifact
-from .conformal import deformed_spectrum
+from .conformal import _solve_shells, cluster_tolerance
 from .errors import ClusterNotIsolatedError
 from .torus_dirac import SpinorField, apply_flat_dirac_coeffs, apply_J_coeffs, field_on_grid
 
@@ -240,23 +240,37 @@ def flat_cluster_window(mode_set, lam):
 
 
 def deformed_cluster_values(factor, t, cluster, tau_rel=None):
-    """Eigenvalues of the deformed spectrum descending from the flat cluster.
+    """The deformed spectrum descending from the flat cluster, as the
+    ``SpectrumResult`` of its index window.
 
-    Solves only the eigenpairs inside the cluster's midpoint window and
-    checks that exactly ``cluster.p_c`` of them are present (otherwise the
-    cluster is not isolated at this t).  Returns the sorted values and the
-    windowed result.
+    Flat cluster c owns the eigenvalue indices [lo, hi) =
+    ``mode_set.cluster_starts[[c, c + 1]]`` at every t, and the solve takes
+    them plus one eigenpair past each edge (``conformal._solve_shells``).
+    The cluster is isolated at this t when the window's eigenvalues lie
+    strictly inside ``flat_cluster_window`` and those past its edges lie
+    outside it, so that exactly ``cluster.p_c`` eigenvalues lie in the
+    midpoint window; otherwise ClusterNotIsolatedError is raised (an edge
+    that cuts a cluster grows the window into a neighbouring shell, which
+    fails the test).  The default tolerance is ``conformal.cluster_tolerance``.
     """
-    lo, hi = flat_cluster_window(cluster.mode_set, cluster.lam)
-    res = deformed_spectrum(
-        factor, t, cluster.mode_set, tau_rel=tau_rel, subset_by_value=(lo, hi)
-    )
-    vals = res.eigenvalues[(res.eigenvalues > lo) & (res.eigenvalues < hi)]
-    if len(vals) != cluster.p_c:
-        raise ClusterNotIsolatedError(
-            f"expected {cluster.p_c} eigenvalues near {cluster.lam} at t={t}, found {len(vals)}"
-        )
-    return np.sort(vals), res
+    ms = cluster.mode_set
+    if tau_rel is None:
+        tau_rel = cluster_tolerance(factor, t)
+    c = flat_cluster_index(ms, cluster.lam)
+    lo, hi = flat_cluster_window(ms, cluster.lam)
+
+    def outgrown(res, below, above):
+        w = res.eigenvalues
+        if not (lo < w[0] and w[-1] < hi and (below is None or below <= lo)
+                and (above is None or above >= hi)):
+            raise ClusterNotIsolatedError(
+                f"the {cluster.p_c} eigenvalues descending from {cluster.lam} at t={t} "
+                f"leave its midpoint window ({lo}, {hi})"
+            )
+        return False, False
+
+    res, _ = _solve_shells(factor, [t], [tau_rel], ms, (c, c + 1), outgrown=outgrown)
+    return res
 
 
 @dataclass
@@ -267,7 +281,7 @@ class FdReport(Artifact):
     f_ref: str
     t_values: list[float]
     mismatches: list[float]
-    order: float
+    order: float | None
 
 
 def fd_check(cluster, factor, t_values):
@@ -276,7 +290,9 @@ def fd_check(cluster, factor, t_values):
     The per-t mismatch is the maximum absolute difference between the sorted
     deformed cluster eigenvalues and the sorted first-order predictions; the
     empirical convergence order is the log-log slope (expected >= 2, i.e.
-    the first-order rates are exact to O(t^2)).
+    the first-order rates are exact to O(t^2)).  The kernel does not move
+    under a conformal change (harmonic spinors are conformally invariant), so
+    its mismatches are roundoff and no order is fitted: ``order`` is None.
     """
     t_values = [float(t) for t in t_values]
     if len(t_values) < 2:
@@ -289,15 +305,17 @@ def fd_check(cluster, factor, t_values):
     predicted_rates = np.sort(report.rates)
     mismatches = []
     for t in t_values:
-        vals, _ = deformed_cluster_values(factor, t, cluster)
+        vals = deformed_cluster_values(factor, t, cluster).eigenvalues
         predicted = cluster.lam + t * predicted_rates
         mismatches.append(float(np.max(np.abs(vals - predicted))))
-    logs = np.log(np.maximum(mismatches, 1e-300))
-    slope = np.polyfit(np.log(t_values), logs, 1)[0]
+    order = None
+    if cluster.lam != 0:
+        logs = np.log(np.maximum(mismatches, 1e-300))
+        order = float(np.polyfit(np.log(t_values), logs, 1)[0])
     return FdReport(
         lam=cluster.lam,
         f_ref=factor.describe(),
         t_values=t_values,
         mismatches=mismatches,
-        order=float(slope),
+        order=order,
     )

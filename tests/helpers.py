@@ -11,8 +11,8 @@ def zero_field(mode_set):
 
 
 def record_solves(monkeypatch):
-    """Record the ``subset_by_index`` window (None for a full or value-window
-    solve) of every ``conformal.deformed_spectrum`` call, in order."""
+    """Record the ``subset_by_index`` window (None for a full solve) of every
+    ``conformal.deformed_spectrum`` call, in order."""
     calls = []
     solve = conformal.deformed_spectrum
 

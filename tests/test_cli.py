@@ -790,9 +790,10 @@ class TestMemoryGuard:
         ["spectrum", "--f-random", "11,2,0.3", "--t-grid", "0,0.05,0.1", "--format", "json"],
     ], ids=lambda argv: argv[0])
     def test_estimate_covers_the_measured_peak(self, tmp_path, argv):
-        # The two commands with the largest peak per dim^2 (value-window
-        # solves, and two snapshots with vectors), each in a fresh child;
-        # peak RSS less the import baseline stays below the estimate.
+        # spectrum --t-grid, which keeps two snapshots' vectors, has the
+        # largest peak per dim^2, and perturb solves a flat cluster at two t;
+        # each runs in a fresh child, and its peak RSS less the import
+        # baseline stays below the estimate.
         src = Path(cli.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
 

@@ -13,6 +13,7 @@ from scipy.special import iv
 from spintorus import conformal as cf
 from spintorus.errors import PositiveDefiniteError
 from spintorus.experiments import random_factor
+from spintorus.perturbation import deformed_cluster_values, extract_cluster
 from spintorus.torus_dirac import (
     ModeSet,
     apply_flat_dirac,
@@ -432,7 +433,7 @@ class TestDeformedSpectrum:
         assert max(abs(c.lam - 1.0) for c in sub) < 5 * t**2
 
     def test_splitting_factor_first_order_positions(self):
-        from spintorus.perturbation import extract_cluster, flat_cluster_window, perturbation_matrix
+        from spintorus.perturbation import flat_cluster_window, perturbation_matrix
 
         ms = build_mode_set(3, (0, 0, 0))
         factor = cf.ConformalFactor.cosine((1, -1, 0))
@@ -507,16 +508,9 @@ class TestStandardFormSolve:
             by_index = cf.deformed_spectrum(f, 0.05, ms, keep_vectors=False, subset_by_index=(lo, hi))
             ref = oracle[lo : hi + 1]
             assert np.max(np.abs(by_index.eigenvalues - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
-            by_value = cf.deformed_spectrum(
-                f, 0.05, ms, keep_vectors=False, subset_by_value=(-1.3, 1.3)
-            )
-            ref = oracle[(oracle > -1.3) & (oracle <= 1.3)]
-            assert by_value.eigenvalues.shape == ref.shape
-            assert np.max(np.abs(by_value.eigenvalues - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
 
     def test_deformed_solves_never_build_a_dense_flat_operator(self, monkeypatch):
         from spintorus.experiments import lowest_positive_clusters
-        from spintorus.perturbation import deformed_cluster_values, extract_cluster
 
         def forbidden(self):
             raise AssertionError("ModeSet.flat_matrix built")
@@ -530,23 +524,26 @@ class TestStandardFormSolve:
         assert not fam.ambiguous
         assert len(lowest_positive_clusters(f, 0.05, ms, 3)) == 3
         cluster = extract_cluster(ms, lam=np.sqrt(5) / 2)
-        vals, _ = deformed_cluster_values(f, 0.05, cluster)
-        assert len(vals) == cluster.p_c
+        assert len(deformed_cluster_values(f, 0.05, cluster).eigenvalues) == cluster.p_c
         with pytest.raises(AssertionError, match="flat_matrix"):
             cf.build_deformed_operator(f, 0.05, ms).A
 
-    def test_trusted_solve_holds_one_dense_matrix(self):
-        # One N=4 trusted solve, from build_deformed_operator through the
-        # residual gate, allocates less than 2.5 dense dim x dim complex
-        # matrices at its peak: the reduced matrix C (which eigh overwrites)
-        # plus n x n blocks (B_s, its factor, L^{-1}, one work array) and the
-        # window's vectors.
+    @pytest.mark.parametrize("solve", [
+        lambda f, ms: cf.trusted_spectrum(f, 0.05, ms),
+        lambda f, ms: deformed_cluster_values(f, 0.05, extract_cluster(ms, lam=np.sqrt(5) / 2)),
+    ], ids=["trusted", "cluster"])
+    def test_trusted_solve_holds_one_dense_matrix(self, solve):
+        # One N=4 index-window solve (the trusted shells, or one flat
+        # cluster), from build_deformed_operator through the residual gate,
+        # allocates less than 2.5 dense dim x dim complex matrices at its
+        # peak: the reduced matrix C (which eigh overwrites) plus n x n blocks
+        # (B_s, its factor, L^{-1}, one work array) and the window's vectors.
         ms = build_mode_set(4, (1, 0, 0))
         f = random_factor(11, 2, 0.3)
         dense = 16 * ms.dim**2
         tracemalloc.start()
         try:
-            res = cf.trusted_spectrum(f, 0.05, ms)
+            res = solve(f, ms)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -696,10 +693,14 @@ class TestApplyDeformedDirac:
         mask[pos] = False
         assert np.max(np.abs(out.coeffs[mask])) < 1e-13
 
-    @pytest.mark.parametrize("delta", [(0, 0, 0), (1, 0, 0), (1, 1, 1)])
-    def test_substitution_identity(self, delta, rng):
+    @pytest.mark.parametrize("delta, t", [
+        ((0, 0, 0), None), ((1, 0, 0), None), ((1, 1, 1), None),
+        ((1, 0, 0), 0.5),  # n_out = 34: a grid of 72, past the floor of 64
+    ], ids=["delta0", "delta1", "delta2", "wide_grid"])
+    def test_substitution_identity(self, delta, t, rng):
         ms = build_mode_set(2, delta)
         f = random_factor(int(rng.integers(0, 2**31)), 2, 0.5)
-        t = float(rng.uniform(-0.12, 0.12))
+        drawn = float(rng.uniform(-0.12, 0.12))
+        t = drawn if t is None else t
         phi = random_field(ms, rng)
         assert cf.substitution_identity_error(f, t, phi) < 1e-10

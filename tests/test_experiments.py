@@ -10,6 +10,8 @@ from spintorus.errors import SplitSearchError
 from spintorus.perturbation import (
     deformed_cluster_values,
     extract_cluster,
+    fd_check,
+    flat_cluster_index,
     flat_cluster_window,
     perturbation_matrix,
 )
@@ -289,7 +291,7 @@ class TestGenericityWindow:
             ex.genericity_scan((1, 0, 0), 1, 0.05, 1, 2, 0.3, seed=0, m_clusters=-1)
 
 
-class TestValueWindow:
+class TestClusterWindow:
     def test_cluster_values_match_filtered_full_solve(self):
         ms = build_mode_set(2, (1, 0, 0))
         f = ex.random_factor(6, 2, 0.3)
@@ -297,9 +299,24 @@ class TestValueWindow:
         full = deformed_spectrum(f, 0.02, ms, keep_vectors=False)
         lo, hi = flat_cluster_window(ms, lam)
         expected = full.eigenvalues[(full.eigenvalues > lo) & (full.eigenvalues < hi)]
-        vals, res = deformed_cluster_values(f, 0.02, extract_cluster(ms, lam=lam))
+        res = deformed_cluster_values(f, 0.02, extract_cluster(ms, lam=lam))
         assert len(res.eigenvalues) == len(expected) == 8
-        assert_allclose(vals, expected, rtol=0, atol=1e-12)
+        assert_allclose(res.eigenvalues, expected, rtol=0, atol=1e-12)
+
+    def test_fd_check_and_verification_solve_the_index_window(self, monkeypatch):
+        # one solve per t (or verification) of the flat cluster's indices
+        # [start, stop), plus one eigenpair past each edge
+        ms = build_mode_set(3, (1, 0, 0))
+        cluster = extract_cluster(ms, lam=1.118034)
+        c = flat_cluster_index(ms, cluster.lam)
+        start, stop = (int(i) for i in ms.cluster_starts[[c, c + 1]])
+        f = ex.random_factor(11, 2, 0.3)
+        calls = record_solves(monkeypatch)
+        fd_check(cluster, f, [1e-2, 1e-3])
+        assert calls == [(start - 1, stop)] * 2
+        calls.clear()
+        ex._verify_split(cluster, f, perturbation_matrix(cluster, f), 0.05)
+        assert calls == [(start - 1, stop)]
 
 
 class TestSimplicityCertificate:

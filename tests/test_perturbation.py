@@ -176,7 +176,7 @@ class TestRateSingle:
         rate = pt.rate_single(0.5, cl.fields()[0], f)
         errs = []
         for t in (1e-2, 1e-3):
-            vals, _ = pt.deformed_cluster_values(f, t, cl)
+            vals = pt.deformed_cluster_values(f, t, cl).eigenvalues
             errs.append(abs((vals.mean() - 0.5) / t - rate))
         assert 5.0 < errs[0] / errs[1] < 20.0
 
@@ -344,6 +344,14 @@ class TestFdCheck:
             lambda_one_cluster, ConformalFactor.cosine((0, 1, -1)), [1e-2, 1e-3, 1e-4]
         )
         assert fd.order >= 1.9
+
+    def test_kernel_fits_no_order(self, trivial_ms):
+        # harmonic spinors are conformally invariant: the kernel stays at 0,
+        # so its mismatches are roundoff and a fitted slope would be noise
+        cl = pt.extract_cluster(trivial_ms, lam=0.0)
+        fd = pt.fd_check(cl, ConformalFactor.cosine((0, 1, 1)), [1e-2, 1e-3])
+        assert fd.order is None and fd.to_json_dict()["order"] is None
+        assert max(fd.mismatches) <= 1e-14
 
     def test_requires_decreasing_t(self, lambda_one_cluster):
         with pytest.raises(ValueError):
