@@ -67,9 +67,12 @@ EXIT_BAD_INPUT = 3
 #: The t at which split-search verifies a split when no t is given.
 DEFAULT_T_VERIFY = 0.05
 #: Peak memory of a dense solve in dim x dim complex matrices: peak RSS
-#: less the import baseline is at most 3.22 of them for every --N command at
-#: N=4 and 5 (spectrum --t-grid at N=4, dim 1296, with two snapshots'
-#: vectors alive: 140 MB, 58 MB of it the import); 4.0 leaves 24% headroom.
+#: less the import baseline is at most 2.88 of them for every --N command at
+#: N=4 and 5 with the default tolerances (spectrum --t-grid at N=5, dim 2420,
+#: with two snapshots' vectors alive: 315 MB, 58 MB of it the import); 4.0
+#: leaves 39% headroom.  A spectrum --t-grid whose --tau-split grows the
+#: tracked window to the whole spectrum is not covered: it reads 7.82 at N=4
+#: and 6.63 at N=5 (ROADMAP, dense memory).
 DENSE_MATRICES_AT_PEAK = 4.0
 #: Peak bytes per point of the lattice cube that ``closed_form_spectrum``
 #: enumerates: the int64 keys, the ball mask, and the ball's keys and their
@@ -525,7 +528,7 @@ def cmd_perturb(cfg):
     cluster = _select_cluster(cfg, "perturb")
     report = perturbation_matrix(cluster, factor)
     t_grid = cfg.t_grid or [1e-2, 1e-3]
-    fd = fd_check(cluster, factor, sorted(t_grid, reverse=True))
+    fd = fd_check(cluster, factor, report, sorted(t_grid, reverse=True))
     doc = report.to_json_dict()
     doc["fd"] = fd.to_json_dict()
     _write_artifact(cfg, doc)

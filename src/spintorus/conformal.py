@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -423,9 +423,14 @@ def assemble_multiplication(mode_set, cube):
     whose Fourier coefficients ``cube`` holds (a ``CenteredCube``),
     symmetrized: entry (i, j) is c(kappa_i - kappa_j) (``CenteredCube.lookup``).
     The full matrix acts on both spin components alike: it is ``kron_spin``
-    of this block."""
+    of this block.  The block is a new Fortran-ordered array, which LAPACK
+    factors in place (``eigensolver.inverse_factor``)."""
     vals = cube.lookup(mode_set.k_values)
-    return 0.5 * (vals + vals.conj().T)
+    out = np.empty(vals.shape, dtype=np.complex128, order="F")
+    np.conjugate(vals.T, out=out)
+    out += vals
+    out *= 0.5
+    return out
 
 
 def kron_spin(S):
@@ -443,17 +448,33 @@ def factor_multiplication_matrix(factor, mode_set):
 
 
 @dataclass
-class ScalarWeight:
-    """The Galerkin weight B = B_s (x) I_2, held as its scalar block B_s and
-    the lower Cholesky factor L of B_s = L L^H."""
+class ScalarWeight(eigensolver.Weight):
+    """The Galerkin weight B = B_s (x) I_2 on ``mode_set``, held as the e^{tf}
+    block ``exp`` that B_s is gathered from (None for the identity weight),
+    not as n x n matrices.
 
-    B_s: np.ndarray
-    L: np.ndarray
+    ``B_s`` gathers a fresh Fortran-ordered B_s on each read, for the solve's
+    back-transformation and residual gate, curve matching and the dense
+    ``DeformedOperator.B``.  ``inverse`` holds M = L^{-1} for B_s = L L^H from
+    ``assemble_B`` until the one solve that reduces the pencil takes it
+    (``take_inverse_factor``), so that M lives only through the reduction.
+    """
+
+    mode_set: ModeSet
+    exp: ExpCoeffs | None
+    inverse: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def shape(self):
-        """Shape of B_s, the one matrix of the weight that is assembled."""
-        return self.B_s.shape
+        """Shape of B_s, the n x n scalar block of the weight."""
+        n = self.mode_set.n_modes
+        return (n, n)
+
+    @property
+    def B_s(self):
+        if self.exp is None:
+            return np.eye(self.mode_set.n_modes, dtype=np.complex128, order="F")
+        return assemble_multiplication(self.mode_set, self.exp)
 
 
 def assemble_B(factor, t, mode_set):
@@ -461,10 +482,12 @@ def assemble_B(factor, t, mode_set):
 
     B = B_s (x) I_2 with ``B_s[kappa, kappa'] = exp_hat(kappa - kappa')``
     (mode differences are always integer vectors), so only B_s is assembled.
-    It is Hermitian, and positive definite exactly when B is; its Cholesky
-    factorization is the positive-definiteness check, and the factor is kept
-    for the solve.  Emits a warning outside the accepted deformation range
-    and raises PositiveDefiniteError when the factorization fails.
+    It is Hermitian, and positive definite exactly when B is.  One gather of
+    B_s is factored and inverted in place (``eigensolver.inverse_factor``):
+    the factorization is the positive-definiteness check, and the weight
+    holds M = L^{-1} for the solve; B_s itself is not kept.  Emits a warning
+    outside the accepted deformation range and raises PositiveDefiniteError
+    when the factorization fails.
     """
     spread = abs(t) * factor.oscillation()
     if spread > T_RANGE_LIMIT:
@@ -474,8 +497,7 @@ def assemble_B(factor, t, mode_set):
             stacklevel=2,
         )
     if t == 0 or factor.is_zero:
-        eye = np.eye(mode_set.n_modes, dtype=np.complex128)
-        return ScalarWeight(eye, eye)
+        return ScalarWeight(mode_set, None)
     try:
         if spread > B_OSC_MAX:
             raise ValueError(f"|t| * osc(f) = {spread:.3g} exceeds {B_OSC_MAX:.3g}")
@@ -485,8 +507,10 @@ def assemble_B(factor, t, mode_set):
         raise PositiveDefiniteError(
             f"conformal weight for t={t} is not representable: {exc}"
         ) from exc
-    B_s = assemble_multiplication(mode_set, exp)
-    return ScalarWeight(B_s, eigensolver.cholesky_pd(B_s, f"Galerkin weight for t={t}"))
+    M = eigensolver.inverse_factor(
+        assemble_multiplication(mode_set, exp), f"Galerkin weight for t={t}"
+    )
+    return ScalarWeight(mode_set, exp, M)
 
 
 @dataclass
@@ -495,7 +519,8 @@ class DeformedOperator:
 
     A is the flat operator, whose 2 x 2 mode symbols (``mode_set.symbols``)
     the solve reads; B = B_s (x) I_2 is the weight, which the solve and curve
-    matching read through ``weight``.  The dense ``A`` and ``B`` are built on
+    matching read through ``weight``: the solve takes its M = L^{-1} and
+    gathers B_s again after ``eigh``.  The dense ``A`` and ``B`` are built on
     first access, for the dense oracle and tests; no solve touches them.
     """
 
@@ -557,9 +582,10 @@ def deformed_spectrum(factor, t, mode_set, tau_rel=None, keep_vectors=False, sub
     tolerance at t = 0 and the split-detection tolerance otherwise.
 
     With ``keep_vectors`` the result keeps the eigenvectors and, for a
-    nontrivial weight, the scalar block B_s of B = B_s (x) I_2, which curve
-    matching reads (``tracked_spectrum`` is the one caller in the package
-    that asks for them); by default it keeps neither.
+    nontrivial weight, the scalar block B_s of B = B_s (x) I_2, gathered
+    after the solve, which curve matching reads (``tracked_spectrum`` is the
+    one caller in the package that asks for them); by default it keeps
+    neither.
 
     ``subset_by_index`` restricts the solve to a window of eigenpairs (see
     ``eigensolver.solve_gen_hermitian``); every returned pair still passes
@@ -573,10 +599,7 @@ def deformed_spectrum(factor, t, mode_set, tau_rel=None, keep_vectors=False, sub
     op = build_deformed_operator(factor, t, mode_set)
     identity_B = t == 0 or factor.is_zero
     w, V, residual_max = eigensolver.solve_gen_hermitian(
-        mode_set.symbols,
-        None if identity_B else op.weight.B_s,
-        subset_by_index=subset_by_index,
-        chol=None if identity_B else op.weight.L,
+        mode_set.symbols, None if identity_B else op.weight, subset_by_index=subset_by_index
     )
     meta = {
         "delta": list(mode_set.spin_structure.delta),

@@ -1,16 +1,33 @@
 """Dense Hermitian(-definite) eigensolver, degeneracy clustering, curve tracking.
 
-One Cholesky, one dim x dim matrix and one BLAS per solve.  The flat operator
-A is block diagonal over modes, and the solve reads it as its 2 x 2 mode
-symbols; the weight of a deformed solve is B = B_s (x) I_2, and
-``conformal.assemble_B`` factors B_s = L L^H as its positive-definiteness
-check.  ``solve_gen_hermitian`` reuses L to build the standard-form matrix
-C = (L^{-1} (x) I_2) A (L^{-H} (x) I_2) straight from the symbols, spin block
-by spin block with n_modes x n_modes products, into the one dim x dim array
-of the solve, which ``scipy.linalg.eigh`` overwrites; nothing factors B
-again and no dense A or B is formed.  Every dense product and factorization
-of the solve (that Cholesky factorization, the triangular inverse, products
-and solve, ``scipy.linalg.eigh`` and the residual gate's B_s product through
+One dim x dim matrix and one BLAS per solve.  The flat operator A is block
+diagonal over modes, and the solve reads it as its 2 x 2 mode symbols; the
+weight of a deformed solve is B = B_s (x) I_2, and the solve reads B_s from a
+``Weight`` that gathers it afresh on each read.  The arrays alive at each
+stage of a deformed solve, n = dim / 2 the number of modes:
+
+- weight (``conformal.assemble_B``): B_s is gathered into one
+  Fortran-ordered n x n buffer, which is factored in place, B_s = L L^H (the
+  positive-definiteness check), and inverted in place to M = L^{-1};
+- reduction (``_reduce``): the standard-form matrix
+  C = (M (x) I_2) A (M^H (x) I_2) is built straight from the symbols, spin
+  block by spin block, into the one dim x dim array of the solve, with M and
+  one n x n work array, which are then freed;
+- ``scipy.linalg.eigh``: only C, which it overwrites, and the window's
+  vectors;
+- back-transformation: C is freed, B_s is gathered again, a copy of it is
+  factored to L, and one triangular solve with L maps the vectors back;
+- residual gate: L is freed, and B_s applies B to the vectors.
+
+So the weight is factored twice.  Keeping L or M alive through ``eigh``
+would hold one or two n x n arrays, a quarter of C each, beside C at the
+solve's peak; the second factorization costs n^3 / 3 complex multiply-adds
+(1-2% of ``eigh``) and, from the same bits of B_s, gives the same L, so
+the eigenpairs are those of a solve that kept it.  No dense A or B is formed.
+
+Every dense product and factorization of the solve (the two Cholesky
+factorizations, the triangular inverse, products and solve,
+``scipy.linalg.eigh`` and the residual gate's B_s product through
 ``blas_matmul``) runs on scipy's BLAS, and so do the overlap products of
 curve matching, which apply B_s the way the residual gate does
 (``apply_weight``).  The numpy and scipy wheels each bundle their own
@@ -115,11 +132,60 @@ def apply_weight(B_s, V):
 
 def cholesky_pd(B_s, what="weight matrix"):
     """Lower Cholesky factor L of a Hermitian B_s = L L^H; PositiveDefiniteError
-    (naming ``what``) when B_s is not positive definite."""
+    (naming ``what``) when B_s is not positive definite.
+
+    A Fortran-ordered complex B_s is factored in its own buffer, which L
+    then is: pass a copy to keep B_s.  Other arrays are copied first.
+    """
     try:
-        return scipy.linalg.cholesky(B_s, lower=True, check_finite=False)
+        return scipy.linalg.cholesky(B_s, lower=True, overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise PositiveDefiniteError(f"{what} is not positive definite") from exc
+
+
+def inverse_factor(B_s, what="weight matrix"):
+    """M = L^{-1} for the lower Cholesky factor L of a Hermitian B_s = L L^H.
+
+    Factors (``cholesky_pd``, the positive-definiteness check) and inverts
+    in B_s's own buffer when B_s is a Fortran-ordered complex array, so M
+    needs no memory beyond it.
+    """
+    L = cholesky_pd(B_s, what)
+    M, info = scipy.linalg.get_lapack_funcs("trtri", (L,))(L, lower=1, overwrite_c=1)
+    if info != 0:
+        raise RuntimeError(f"triangular inverse failed: info={info}")
+    return M
+
+
+class Weight:
+    """The weight B = B_s (x) I_2 of a solve, as ``solve_gen_hermitian`` reads it.
+
+    ``B_s`` returns B_s, Hermitian positive definite, as a new
+    Fortran-ordered complex array on each read, so that no one has to hold
+    it through ``eigh``; ``shape`` is its shape.  ``inverse`` may hold
+    M = L^{-1} (``inverse_factor``), computed ahead: ``conformal.assemble_B``
+    computes it as its positive-definiteness check.
+    """
+
+    inverse = None
+
+    def take_inverse_factor(self):
+        """M = L^{-1}, handed over once (the weight lets go of a held M), or
+        computed from a fresh B_s when none is held."""
+        M, self.inverse = self.inverse, None
+        return inverse_factor(self.B_s) if M is None else M
+
+
+class ArrayWeight(Weight):
+    """A weight given as the array B_s, which the caller keeps."""
+
+    def __init__(self, B_s):
+        self.array = np.asarray(B_s)
+        self.shape = self.array.shape
+
+    @property
+    def B_s(self):
+        return np.array(self.array, dtype=np.complex128, order="F")
 
 
 def apply_symbols(symbols, V):
@@ -129,27 +195,25 @@ def apply_symbols(symbols, V):
     return np.einsum("mab,mbp->map", symbols, V.reshape(n, 2, -1)).reshape(V.shape)
 
 
-def _reduce(symbols, L):
-    """C = (L^{-1} (x) I_2) A (L^{-H} (x) I_2) for A = blockdiag(``symbols``),
-    as one Fortran-ordered dim x dim array (the whole of A for L = None).
+def _reduce(symbols, M):
+    """C = (M (x) I_2) A (M^H (x) I_2) for A = blockdiag(``symbols``) and the
+    lower triangular M = L^{-1} (``inverse_factor``), as one Fortran-ordered
+    dim x dim array (the whole of A for M = None).
 
     Spin block (a, b) of C, the entries C[2p + a, 2q + b], is M diag(s_ab) M^H
-    for M = L^{-1} and s_ab the (a, b) entries of the symbols: one in-place
-    trmm of side n on an n x n work array each.  The (0, 1) block is the
+    for s_ab the (a, b) entries of the symbols: one in-place trmm of side n
+    on an n x n work array each, freed on return.  The (0, 1) block is the
     adjoint of the (1, 0) block, so three blocks cost 1.5 n^3 complex
-    multiply-adds after the n^3 / 3 of inverting L.
+    multiply-adds.
     """
     n = symbols.shape[0]
     C = np.zeros((2 * n, 2 * n), dtype=np.complex128, order="F")
-    if L is None:
+    if M is None:
         modes = np.arange(n)
         for a in (0, 1):
             for b in (0, 1):
                 C[2 * modes + a, 2 * modes + b] = symbols[:, a, b]
         return C
-    M, info = scipy.linalg.get_lapack_funcs("trtri", (L,))(L, lower=1)
-    if info != 0:
-        raise RuntimeError(f"triangular inverse failed: info={info}")
     W = np.empty((n, n), dtype=np.complex128, order="F")
     trmm = scipy.linalg.get_blas_funcs("trmm", (M, W))
     for a, b in ((0, 0), (1, 1), (1, 0)):
@@ -160,21 +224,24 @@ def _reduce(symbols, L):
     return C
 
 
-def solve_gen_hermitian(symbols, B_s=None, subset_by_index=None, chol=None):
+def solve_gen_hermitian(symbols, weight=None, subset_by_index=None):
     """Solve A x = lambda B x for A = blockdiag(``symbols``) and B = B_s (x) I_2.
 
     A, the flat operator, is given by its 2 x 2 Hermitian diagonal blocks
     ``symbols`` (shape (n, 2, 2)) and is never formed as a dense matrix.  B,
     with B_s Hermitian positive definite, acts on mode-major vectors of
-    length 2n (``torus_dirac.ModeSet``): B_s on both spin components.  With
-    B_s = L L^H (``chol`` when the caller already holds the factor) the
-    pencil is reduced to the standard Hermitian problem C y = lambda y,
+    length 2n (``torus_dirac.ModeSet``): B_s on both spin components.
+    ``weight`` is the ``Weight`` that gathers B_s (``conformal.ScalarWeight``,
+    or ``ArrayWeight`` for a given array).  With B_s = L L^H the pencil is
+    reduced to the standard Hermitian problem C y = lambda y,
     C = (L^{-1} (x) I_2) A (L^{-H} (x) I_2), and x = (L^{-H} (x) I_2) y
     (Golub & Van Loan, Matrix Computations, sec. 8.7).  C is built straight
-    from the symbols into one dim x dim array (``_reduce``), which
-    ``scipy.linalg.eigh`` then overwrites; every other array of the solve has
-    side n or holds the returned vectors.  Without B_s, B = I and C is A
-    entry for entry.
+    from the symbols with the weight's M = L^{-1} (``_reduce``), and M is
+    freed before ``scipy.linalg.eigh`` overwrites C.  After ``eigh`` C is
+    freed, and B_s is gathered again and a copy factored to L for the one
+    triangular solve back; so with a ``Weight`` only C and the window's
+    vectors live through ``eigh``.  Without a weight, B = I and C is A entry
+    for entry.
 
     Returns ascending eigenvalues, B-orthonormal phase-canonicalized
     eigenvectors, and the largest per-vector residual
@@ -195,16 +262,16 @@ def solve_gen_hermitian(symbols, B_s=None, subset_by_index=None, chol=None):
     n = symbols.shape[0]
     if symbols.shape != (n, 2, 2):
         raise ValueError(f"symbols must have shape (n, 2, 2), got {symbols.shape}")
-    L = None
-    if B_s is not None:
-        B_s = np.asarray(B_s)
-        if B_s.shape != (n, n):
-            raise ValueError(f"B_s must be {n} x {n} for {n} mode symbols, got {B_s.shape}")
-        L = cholesky_pd(B_s) if chol is None else chol
-    C = _reduce(symbols, L)
+    M = None
+    if weight is not None:
+        if weight.shape != (n, n):
+            raise ValueError(f"B_s must be {n} x {n} for {n} mode symbols, got {weight.shape}")
+        M = weight.take_inverse_factor()
+    C = _reduce(symbols, M)
+    del M
     # A full solve of the reduced pencil uses divide and conquer, as the
     # generalized driver did; windows use the default MRRR driver.
-    full = B_s is not None and subset_by_index is None
+    full = weight is not None and subset_by_index is None
     try:
         w, V = scipy.linalg.eigh(
             C, subset_by_index=subset_by_index, overwrite_a=True, driver="evd" if full else None
@@ -212,21 +279,24 @@ def solve_gen_hermitian(symbols, B_s=None, subset_by_index=None, chol=None):
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed: {exc}") from exc
     del C
-    if L is not None:
+    if weight is not None:
         # x = (L^{-H} (x) I_2) y: one triangular solve of side n with the two
         # spin components of every vector side by side.
+        B_s = weight.B_s
+        L = cholesky_pd(B_s.copy(order="F"))
         k = V.shape[1]
         X = np.empty((n, 2 * k), dtype=np.complex128, order="F")
         X[:, :k], X[:, k:] = V[0::2], V[1::2]
         del V
         trsm = scipy.linalg.get_blas_funcs("trsm", (L, X))
         X = trsm(1.0, L, X, lower=1, trans_a=2, overwrite_b=1)
+        del L
         V = np.empty((2 * n, k), dtype=np.complex128)
         V[0::2], V[1::2] = X[:, :k], X[:, k:]
         del X
     V = canonicalize_phases(V)
     R = apply_symbols(symbols, V)
-    if B_s is None:
+    if weight is None:
         R -= V * w
     else:
         BV = apply_weight(B_s, V)

@@ -284,11 +284,13 @@ class FdReport(Artifact):
     order: float | None
 
 
-def fd_check(cluster, factor, t_values):
+def fd_check(cluster, factor, report, t_values):
     """Compare deformed sub-eigenvalues with lambda + t * rates over a t list.
 
-    The per-t mismatch is the maximum absolute difference between the sorted
-    deformed cluster eigenvalues and the sorted first-order predictions; the
+    ``report`` is the cluster's ``perturbation_matrix(cluster, factor)``,
+    which the caller has already built.  The per-t mismatch is the maximum
+    absolute difference between the sorted deformed cluster eigenvalues and
+    the sorted first-order predictions; the
     empirical convergence order is the log-log slope (expected >= 2, i.e.
     the first-order rates are exact to O(t^2)).  The kernel does not move
     under a conformal change (harmonic spinors are conformally invariant), so
@@ -301,7 +303,6 @@ def fd_check(cluster, factor, t_values):
         b >= a for a, b in zip(t_values, t_values[1:])
     ):
         raise ValueError("t values must be positive and strictly decreasing")
-    report = perturbation_matrix(cluster, factor)
     predicted_rates = np.sort(report.rates)
     mismatches = []
     for t in t_values:

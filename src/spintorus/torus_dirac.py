@@ -305,8 +305,19 @@ def to_grid(coeffs, k, G):
     if len(k) and np.max(np.ptp(k, axis=0)) >= G:
         raise ValueError(f"grid size {G} too small for frequencies spanning {np.ptp(k, axis=0)}")
     arr = np.zeros((G, G, G) + coeffs.shape[1:], dtype=np.complex128)
-    arr[fft_bins(k, G)] = coeffs
-    return np.fft.ifftn(arr, axes=(0, 1, 2)) * G**3
+    bins = fft_bins(k, G)
+    arr[bins] = coeffs
+    # np.fft.ifftn(arr, axes=(0, 1, 2)) transforms axis 2, then 1, then 0, one
+    # line at a time.  The same transforms, skipping the lines that are still
+    # zero (along axis 2 all but the frequencies' (m_1, m_2) lines, along
+    # axis 1 all but their m_1 planes), give the same bits.
+    i, j = np.unique(np.stack(bins[:2]), axis=1)
+    arr[i, j] = np.fft.ifft(arr[i, j], axis=1)
+    i = np.unique(bins[0])
+    arr[i] = np.fft.ifft(arr[i], axis=1)
+    arr = np.fft.ifft(arr, axis=0)
+    arr *= G**3
+    return arr
 
 
 def from_grid(vals, k, G):

@@ -13,7 +13,7 @@ import numpy as np
 from . import spinor_algebra as sa
 from .conformal import ConformalFactor, deformed_spectrum, flat_spectrum, substitution_identity_error
 from .experiments import random_factor
-from .perturbation import extract_cluster, fd_check, rate_single
+from .perturbation import extract_cluster, fd_check, perturbation_matrix, rate_single
 from .torus_dirac import all_spin_structures, build_mode_set, closed_form_spectrum, random_field
 
 
@@ -104,7 +104,7 @@ def check_first_order_rates(seed, cases, min_order=1.9, mismatch_coeff=10.0):
         positive = np.flatnonzero((lams > 0) & (lams < ms.N - 0.6))
         cluster = extract_cluster(ms, index=int(positive[rng.integers(0, len(positive))]))
         factor = random_factor(int(rng.integers(0, 2**31)), 2, float(rng.uniform(0.2, 0.5)))
-        fd = fd_check(cluster, factor, [1e-2, 1e-3, 1e-4])
+        fd = fd_check(cluster, factor, perturbation_matrix(cluster, factor), [1e-2, 1e-3, 1e-4])
         _require(fd.order >= min_order,
                  f"order {fd.order:.3f} for delta={spin}, lambda={cluster.lam}")
         for t, m in zip(fd.t_values, fd.mismatches):

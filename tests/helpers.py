@@ -22,3 +22,19 @@ def record_solves(monkeypatch):
 
     monkeypatch.setattr(conformal, "deformed_spectrum", recording)
     return calls
+
+
+def record_calls(monkeypatch, name, *modules):
+    """Record the positional arguments of every call of the function ``name``
+    of ``modules[0]``, which is wrapped in each of ``modules`` (the module
+    that defines it and those that import it by name)."""
+    calls = []
+    func = getattr(modules[0], name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, recording)
+    return calls

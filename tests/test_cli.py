@@ -12,13 +12,13 @@ import pytest
 import scipy.linalg
 
 import spintorus
-from spintorus import cli, conformal, validate
+from spintorus import cli, conformal, perturbation, validate
 from spintorus.conformal import build_deformed_operator, trust_radius
 from spintorus.eigensolver import RESIDUAL_BOUND, cluster_eigenvalues
 from spintorus.experiments import random_factor
 from spintorus.torus_dirac import build_mode_set, closed_form_spectrum
 
-from helpers import record_solves
+from helpers import record_calls, record_solves
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -391,6 +391,15 @@ class TestPerturb:
         doc = json.loads(out.read_text())
         assert np.allclose(doc["rates"], -0.5 * 0.3)
         assert doc["fd"]["order"] >= 1.9
+
+    def test_builds_the_cluster_matrix_once(self, capsys, monkeypatch):
+        # the report and the FD check's predicted rates share one cluster matrix
+        calls = record_calls(monkeypatch, "perturbation_matrix", perturbation, cli)
+        code, _, _ = run(
+            capsys, "perturb", "--delta", "1,0,0", "--N", "2",
+            "--cluster-lambda", "1.118033988749895", "--f-random", "11,2,0.3",
+        )
+        assert code == 0 and len(calls) == 1
 
     def test_cluster_index_out_of_range(self, capsys):
         code, _, err = run(

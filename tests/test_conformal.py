@@ -293,7 +293,7 @@ class TestAssembleB:
         ms = build_mode_set(1, (0, 0, 0))
         W = cf.assemble_B(random_factor(1, 2, 0.5), 0.0, ms)
         assert_allclose(cf.kron_spin(W.B_s), np.eye(ms.dim))
-        assert_allclose(W.L, np.eye(ms.n_modes))
+        assert_allclose(W.take_inverse_factor(), np.eye(ms.n_modes))
 
     def test_constant_scales_identity(self):
         ms = build_mode_set(1, (1, 0, 0))
@@ -325,7 +325,10 @@ class TestAssembleB:
         W = cf.assemble_B(random_factor(21, 2, 0.5), 0.08, ms)
         B = cf.kron_spin(W.B_s)
         assert_allclose(B, B.conj().T)
-        assert_allclose(W.L @ W.L.conj().T, W.B_s, atol=1e-14)
+        # M = L^{-1} of B_s = L L^H: lower triangular, and M B_s M^H = I
+        M = W.inverse
+        assert np.all(np.triu(M, 1) == 0)
+        assert_allclose(M @ W.B_s @ M.conj().T, np.eye(ms.n_modes), atol=1e-14)
         w = np.linalg.eigvalsh(B)
         assert w.min() > 0
 
@@ -345,7 +348,7 @@ class TestAssembleB:
         ms = build_mode_set(1, (0, 1, 0))
         shapes = []
 
-        def failing_cholesky(a, lower=False, check_finite=True):
+        def failing_cholesky(a, lower=False, overwrite_a=False, check_finite=True):
             shapes.append(a.shape)
             raise scipy.linalg.LinAlgError("Matrix is not positive definite")
 
@@ -353,6 +356,22 @@ class TestAssembleB:
         with pytest.raises(PositiveDefiniteError):
             cf.assemble_B(random_factor(4, 2, 0.3), 0.05, ms)
         assert shapes == [(ms.n_modes, ms.n_modes)]
+
+    def test_weight_is_factored_and_inverted_in_place(self, monkeypatch):
+        # assemble_B gathers B_s once into a Fortran-ordered buffer, and M =
+        # L^{-1} is that buffer, factored and inverted in place, with the bits
+        # of inverting a separate factor
+        ms = build_mode_set(2, (1, 0, 0))
+        gathered = []
+        gather = cf.assemble_multiplication
+        monkeypatch.setattr(cf, "assemble_multiplication",
+                            lambda *args: gathered.append(gather(*args)) or gathered[-1])
+        W = cf.assemble_B(random_factor(8, 2, 0.3), 0.05, ms)
+        assert len(gathered) == 1 and gathered[0].flags.f_contiguous
+        assert np.shares_memory(W.inverse, gathered[0])
+        L = scipy.linalg.cholesky(np.ascontiguousarray(W.B_s), lower=True)
+        assert W.inverse.tobytes() == scipy.linalg.lapack.ztrtri(L, lower=1)[0].tobytes()
+        assert W.shape == (ms.n_modes, ms.n_modes)
 
     def test_deformed_solve_makes_no_numpy_linalg_call(self, monkeypatch):
         # A deformed solve stays on scipy's BLAS (see the eigensolver module
@@ -535,9 +554,11 @@ class TestStandardFormSolve:
     def test_trusted_solve_holds_one_dense_matrix(self, solve):
         # One N=4 index-window solve (the trusted shells, or one flat
         # cluster), from build_deformed_operator through the residual gate,
-        # allocates less than 2.5 dense dim x dim complex matrices at its
-        # peak: the reduced matrix C (which eigh overwrites) plus n x n blocks
-        # (B_s, its factor, L^{-1}, one work array) and the window's vectors.
+        # allocates less than 1.75 dense dim x dim complex matrices at its
+        # peak: the reduced matrix C plus two n x n blocks (L^{-1} and one
+        # work array, a quarter of C each) while C is built, C and the
+        # window's vectors through eigh, and after it the vectors with B_s
+        # and its factor L.
         ms = build_mode_set(4, (1, 0, 0))
         f = random_factor(11, 2, 0.3)
         dense = 16 * ms.dim**2
@@ -548,7 +569,7 @@ class TestStandardFormSolve:
         finally:
             tracemalloc.stop()
         assert len(res.eigenvalues) > 0
-        assert peak < 2.5 * dense, peak / dense
+        assert peak < 1.75 * dense, peak / dense
 
 
 class TestTrustedSpectrum:

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spintorus import eigensolver as es
-from spintorus.conformal import ConformalFactor, deformed_spectrum, flat_spectrum
+from spintorus.conformal import (
+    ConformalFactor,
+    build_deformed_operator,
+    deformed_spectrum,
+    flat_spectrum,
+)
 from spintorus.errors import PositiveDefiniteError
 from spintorus.experiments import random_factor
 from spintorus.torus_dirac import (
@@ -58,7 +63,7 @@ class TestSolve:
     def test_diagonal_pair(self):
         S = np.array([np.diag(d) for d in ([2.0, -3.0], [5.0, 6.0], [-8.0, 1.0])], dtype=complex)
         B_s = np.diag([1.0, 2.0, 4.0]).astype(complex)
-        w, _, _ = es.solve_gen_hermitian(S, B_s)
+        w, _, _ = es.solve_gen_hermitian(S, es.ArrayWeight(B_s))
         assert_allclose(w, np.sort([2.0, -3.0, 2.5, 3.0, -2.0, 0.25]), atol=1e-14)
 
     def test_random_pair_residuals_and_gram(self, rng):
@@ -66,7 +71,7 @@ class TestSolve:
         A = block_diag(S)
         B_s = random_spd(rng, 25)
         B = kron2(B_s)
-        w, V, res = es.solve_gen_hermitian(S, B_s)
+        w, V, res = es.solve_gen_hermitian(S, es.ArrayWeight(B_s))
         assert_allclose(w, scipy.linalg.eigh(A, B, eigvals_only=True), atol=1e-12)
         # oracle: recompute residuals and B-Gram directly
         R = A @ V - B @ V * w[None, :]
@@ -74,34 +79,62 @@ class TestSolve:
         assert_allclose(V.conj().T @ B @ V, np.eye(50), atol=1e-10)
         assert res <= 1e-9 * max(1.0, np.abs(w).max())
 
-    def test_held_factor_is_used(self, rng):
+    def test_held_factor_is_used(self, rng, monkeypatch):
+        # The factors of B_s that reduce the pencil and map its vectors back
+        # are the solve's own, and the residual gate checks them: a wrong
+        # factor, 1.01 L in both places, trips it.
         S = random_symbols(rng, 10)
         B_s = random_spd(rng, 10)
-        L = scipy.linalg.cholesky(B_s, lower=True)
-        w, V, _ = es.solve_gen_hermitian(S, B_s, chol=L)
+        w, V, _ = es.solve_gen_hermitian(S, es.ArrayWeight(B_s))
         assert_allclose(
             w, scipy.linalg.eigh(block_diag(S), kron2(B_s), eigvals_only=True), atol=1e-12
         )
+        cholesky_pd = es.cholesky_pd
+        monkeypatch.setattr(es, "cholesky_pd", lambda a, what="": 1.01 * cholesky_pd(a, what))
         with pytest.raises(RuntimeError, match="residual"):
-            es.solve_gen_hermitian(S, B_s, chol=1.01 * L)
+            es.solve_gen_hermitian(S, es.ArrayWeight(B_s))
+
+    @pytest.mark.parametrize("window", [None, (40, 59)], ids=["full", "window"])
+    def test_bit_identical_to_one_held_factor(self, window):
+        # The solve factors one gather of B_s in place for M = L^{-1} and a
+        # copy of a second gather for L.  A reference that factors the same
+        # B_s once with scipy.linalg.cholesky, keeps L through eigh and maps
+        # the vectors back with trsm gives the same bits.
+        ms = build_mode_set(2, (1, 0, 0))
+        op = build_deformed_operator(random_factor(11, 2, 0.3), 0.05, ms)
+        B_s = np.ascontiguousarray(op.weight.B_s)
+        w, V, res = es.solve_gen_hermitian(ms.symbols, op.weight, subset_by_index=window)
+        L = scipy.linalg.cholesky(B_s, lower=True)
+        C = es._reduce(ms.symbols, scipy.linalg.lapack.ztrtri(L, lower=1)[0])
+        w_ref, Y = scipy.linalg.eigh(C, subset_by_index=window, overwrite_a=True,
+                                     driver=None if window else "evd")
+        k = Y.shape[1]
+        X = scipy.linalg.blas.ztrsm(1.0, L, np.hstack([Y[0::2], Y[1::2]]), lower=1, trans_a=2)
+        V_ref = np.empty((ms.dim, k), dtype=complex)
+        V_ref[0::2], V_ref[1::2] = X[:, :k], X[:, k:]
+        V_ref = es.canonicalize_phases(V_ref)
+        R = es.apply_symbols(ms.symbols, V_ref) - es.apply_weight(B_s, V_ref) * w_ref
+        assert w.tobytes() == w_ref.tobytes()
+        assert V.tobytes() == V_ref.tobytes()
+        assert res == float(np.linalg.norm(R, axis=0).max())
 
     def test_not_positive_definite(self, rng):
         S = random_symbols(rng, 3)
         B_s = np.diag([1.0, 1.0, -1.0]).astype(complex)
         with pytest.raises(PositiveDefiniteError):
-            es.solve_gen_hermitian(S, B_s)
+            es.solve_gen_hermitian(S, es.ArrayWeight(B_s))
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
-            es.solve_gen_hermitian(random_symbols(rng, 3), random_spd(rng, 6))
+            es.solve_gen_hermitian(random_symbols(rng, 3), es.ArrayWeight(random_spd(rng, 6)))
         # a dense A is not accepted in place of its blocks
         with pytest.raises(ValueError):
-            es.solve_gen_hermitian(random_hermitian(rng, 6), random_spd(rng, 3))
+            es.solve_gen_hermitian(random_hermitian(rng, 6), es.ArrayWeight(random_spd(rng, 3)))
 
     def test_reduction_matches_dense_congruence(self, rng):
         S = random_symbols(rng, 9)
         L = scipy.linalg.cholesky(random_spd(rng, 9), lower=True)
-        C = es._reduce(S, L)
+        C = es._reduce(S, scipy.linalg.lapack.ztrtri(L, lower=1)[0])
         assert C.flags.f_contiguous and C.shape == (18, 18)
         Minv = kron2(np.linalg.inv(L))
         assert_allclose(C, Minv @ block_diag(S) @ Minv.conj().T, atol=1e-13)
@@ -228,7 +261,7 @@ class TestSolverErrors:
 
         monkeypatch.setattr(scipy.linalg, "cholesky", failing_cholesky)
         with pytest.raises(PositiveDefiniteError):
-            es.solve_gen_hermitian(random_symbols(rng, 3), random_spd(rng, 3))
+            es.solve_gen_hermitian(random_symbols(rng, 3), es.ArrayWeight(random_spd(rng, 3)))
 
     def test_other_failure_is_runtime_error(self, rng, monkeypatch):
         monkeypatch.setattr(
@@ -236,7 +269,7 @@ class TestSolverErrors:
         )
         with pytest.raises(RuntimeError, match="failed to converge") as info:
             es.solve_gen_hermitian(
-                random_symbols(rng, 3), random_spd(rng, 3), subset_by_index=(0, 2)
+                random_symbols(rng, 3), es.ArrayWeight(random_spd(rng, 3)), subset_by_index=(0, 2)
             )
         assert not isinstance(info.value, PositiveDefiniteError)
 
@@ -246,9 +279,9 @@ class TestWindowedSolve:
         S = random_symbols(rng, 20)
         B_s = random_spd(rng, 20)
         B = kron2(B_s)
-        w_full, _, _ = es.solve_gen_hermitian(S, B_s)
+        w_full, _, _ = es.solve_gen_hermitian(S, es.ArrayWeight(B_s))
         assert_allclose(w_full, scipy.linalg.eigh(block_diag(S), B, eigvals_only=True), atol=1e-12)
-        w, V, res = es.solve_gen_hermitian(S, B_s, subset_by_index=(10, 17))
+        w, V, res = es.solve_gen_hermitian(S, es.ArrayWeight(B_s), subset_by_index=(10, 17))
         assert V.shape == (40, 8)
         assert_allclose(w, w_full[10:18], atol=1e-12)
         assert_allclose(V.conj().T @ B @ V, np.eye(8), atol=1e-10)
@@ -265,7 +298,7 @@ class TestWindowedSolve:
         S = random_symbols(rng, 15)
         B_s = random_spd(rng, 15)
         with pytest.raises(RuntimeError, match="residual"):
-            es.solve_gen_hermitian(S, B_s, subset_by_index=(5, 9))
+            es.solve_gen_hermitian(S, es.ArrayWeight(B_s), subset_by_index=(5, 9))
 
     @pytest.mark.parametrize("spin", all_spin_structures(), ids=str)
     def test_sylvester_index_counts_negative_eigenvalues(self, spin):

@@ -312,7 +312,7 @@ class TestClusterWindow:
         start, stop = (int(i) for i in ms.cluster_starts[[c, c + 1]])
         f = ex.random_factor(11, 2, 0.3)
         calls = record_solves(monkeypatch)
-        fd_check(cluster, f, [1e-2, 1e-3])
+        fd_check(cluster, f, perturbation_matrix(cluster, f), [1e-2, 1e-3])
         assert calls == [(start - 1, stop)] * 2
         calls.clear()
         ex._verify_split(cluster, f, perturbation_matrix(cluster, f), 0.05)

@@ -326,22 +326,26 @@ class TestFdCheck:
         ms = shifted_ms
         cl = pt.extract_cluster(ms, lam=0.5)
         c = 0.4
-        fd = pt.fd_check(cl, ConformalFactor.constant(c), [1e-2, 1e-3])
+        f = ConformalFactor.constant(c)
+        fd = pt.fd_check(cl, f, pt.perturbation_matrix(cl, f), [1e-2, 1e-3])
         for t, m in zip(fd.t_values, fd.mismatches):
             expected = 0.5 * abs(np.exp(-t * c) - 1.0 + t * c)
             assert abs(m - expected) < 1e-12
         assert fd.order >= 1.9
 
     def test_zero_rate_even_factor_ratio_100(self, lambda_one_cluster):
+        f = ConformalFactor.cosine((2, 0, 0))
         fd = pt.fd_check(
-            lambda_one_cluster, ConformalFactor.cosine((2, 0, 0)), [1e-2, 1e-3]
+            lambda_one_cluster, f, pt.perturbation_matrix(lambda_one_cluster, f), [1e-2, 1e-3]
         )
         ratio = fd.mismatches[0] / fd.mismatches[1]
         assert 50.0 < ratio < 200.0
 
     def test_splitting_factor_order_two(self, lambda_one_cluster):
+        f = ConformalFactor.cosine((0, 1, -1))
         fd = pt.fd_check(
-            lambda_one_cluster, ConformalFactor.cosine((0, 1, -1)), [1e-2, 1e-3, 1e-4]
+            lambda_one_cluster, f, pt.perturbation_matrix(lambda_one_cluster, f),
+            [1e-2, 1e-3, 1e-4],
         )
         assert fd.order >= 1.9
 
@@ -349,13 +353,16 @@ class TestFdCheck:
         # harmonic spinors are conformally invariant: the kernel stays at 0,
         # so its mismatches are roundoff and a fitted slope would be noise
         cl = pt.extract_cluster(trivial_ms, lam=0.0)
-        fd = pt.fd_check(cl, ConformalFactor.cosine((0, 1, 1)), [1e-2, 1e-3])
+        f = ConformalFactor.cosine((0, 1, 1))
+        fd = pt.fd_check(cl, f, pt.perturbation_matrix(cl, f), [1e-2, 1e-3])
         assert fd.order is None and fd.to_json_dict()["order"] is None
         assert max(fd.mismatches) <= 1e-14
 
     def test_requires_decreasing_t(self, lambda_one_cluster):
         with pytest.raises(ValueError):
-            pt.fd_check(lambda_one_cluster, ConformalFactor.constant(0.1), [1e-3, 1e-2])
+            f = ConformalFactor.constant(0.1)
+            pt.fd_check(lambda_one_cluster, f, pt.perturbation_matrix(lambda_one_cluster, f),
+                        [1e-3, 1e-2])
 
     def test_not_isolated_error(self, shifted_ms):
         ms = shifted_ms
@@ -368,7 +375,8 @@ class TestFdCheck:
     def test_report_serialization(self, shifted_ms):
         ms = shifted_ms
         cl = pt.extract_cluster(ms, lam=0.5)
-        fd = pt.fd_check(cl, ConformalFactor.constant(0.2), [1e-2, 1e-3])
+        f = ConformalFactor.constant(0.2)
+        fd = pt.fd_check(cl, f, pt.perturbation_matrix(cl, f), [1e-2, 1e-3])
         doc = fd.to_json_dict()
         assert doc["t_values"] == [1e-2, 1e-3]
         assert len(doc["mismatches"]) == 2

@@ -298,6 +298,22 @@ class TestGridTransforms:
         for G in (6, 16):
             assert_allclose(td.from_grid(td.to_grid(c, k, G), k, G), c, atol=1e-13)
 
+    @pytest.mark.parametrize("spin_axis", [False, True])
+    @pytest.mark.parametrize("G", [6, 9, 16, 25, 64])
+    def test_bit_identical_to_the_full_inverse_fft(self, rng, G, spin_axis):
+        # to_grid skips the lines of the G^3 transform that hold only zeros;
+        # for random sparse frequency sets (and an empty one) it gives the
+        # bits of the inverse FFT of the whole array
+        for size in (0, 1, 7, 40):
+            k = rng.integers(-(G // 2), (G + 1) // 2, size=(size, 3))
+            k = np.unique(k, axis=0)
+            shape = (len(k), 2) if spin_axis else (len(k),)
+            c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            arr = np.zeros((G, G, G) + shape[1:], dtype=np.complex128)
+            arr[td.fft_bins(k, G)] = c
+            ref = np.fft.ifftn(arr, axes=(0, 1, 2)) * G**3
+            assert td.to_grid(c, k, G).tobytes() == ref.tobytes()
+
     def test_grid_must_separate_the_frequencies(self, rng):
         k = self.frequencies(rng)
         with pytest.raises(ValueError, match="too small"):
