@@ -160,23 +160,31 @@ class CenteredCube:
         """Samples of sum_m c(m) e^{i<m, x>} on the uniform G^3 grid (see ``to_grid``)."""
         return to_grid(self.values.reshape(-1), cube_modes(self.radius), G)
 
-    def lookup(self, k):
-        """The matrix [c(k_i - k_j)] for integer modes k of shape (n, 3).
+    def lookup(self, k, cols=None):
+        """The matrix [c(k_i - k'_j)] for integer modes k of shape (n, 3)
+        (the rows) and k' = ``cols`` of shape (p, 3) (the columns; k itself
+        when None).
 
         One flat gather: m sits at ``values.reshape(-1)[ctr + off(m)]``, ctr
         the zero mode and off(m) = (m_1 side + m_2) side + m_3 linear in m,
-        so k_i - k_j sits at ctr + off(k_i) - off(k_j).  Differences outside
-        the cube, possible only when k spreads wider than the radius along
-        an axis, read 0.
+        so k_i - k'_j sits at ctr + off(k_i) - off(k'_j).  Differences outside
+        the cube, possible only when k and k' spread wider than the radius
+        along an axis, read 0.
         """
         r, flat = self.radius, self.values.reshape(-1)
         side = 2 * r + 1
         k = np.asarray(k, dtype=np.int64)
-        off = (k[:, 0] * side + k[:, 1]) * side + k[:, 2]
-        idx = flat.size // 2 + off[:, None] - off[None, :]
-        if np.all(np.ptp(k, axis=0) <= r):
+        kc = k if cols is None else np.asarray(cols, dtype=np.int64)
+
+        def off(m):
+            return (m[:, 0] * side + m[:, 1]) * side + m[:, 2]
+
+        idx = flat.size // 2 + off(k)[:, None] - off(kc)[None, :]
+        # the largest |k_i - k'_j| along each axis
+        reach = np.maximum(k.max(axis=0) - kc.min(axis=0), kc.max(axis=0) - k.min(axis=0))
+        if np.all(reach <= r):
             return flat[idx]
-        inside = np.all(np.abs(k[:, None] - k[None]) <= r, axis=-1)
+        inside = np.all(np.abs(k[:, None] - kc[None]) <= r, axis=-1)
         return np.where(inside, flat[np.where(inside, idx, 0)], 0.0)
 
     def coeff(self, m):
@@ -418,17 +426,29 @@ def required_band(mode_set):
     return 2 * mode_set.N
 
 
+#: Columns per panel of ``assemble_multiplication``'s gather.
+GATHER_PANEL = 64
+
+
 def assemble_multiplication(mode_set, cube):
     """Scalar block of the Galerkin matrix of multiplication by the function
     whose Fourier coefficients ``cube`` holds (a ``CenteredCube``),
-    symmetrized: entry (i, j) is c(kappa_i - kappa_j) (``CenteredCube.lookup``).
-    The full matrix acts on both spin components alike: it is ``kron_spin``
-    of this block.  The block is a new Fortran-ordered array, which LAPACK
-    factors in place (``eigensolver.inverse_factor``)."""
-    vals = cube.lookup(mode_set.k_values)
-    out = np.empty(vals.shape, dtype=np.complex128, order="F")
-    np.conjugate(vals.T, out=out)
-    out += vals
+    symmetrized: entry (i, j) is (V_ij + conj(V_ji)) / 2 for
+    V_ij = c(kappa_i - kappa_j) (``CenteredCube.lookup``).  The full matrix
+    acts on both spin components alike: it is ``kron_spin`` of this block.
+
+    The block is a new Fortran-ordered array, which LAPACK factors in place
+    (``eigensolver.inverse_factor``).  It is written ``GATHER_PANEL`` columns
+    at a time, from the panels V[:, j0:j1] and V[j0:j1, :] of V, so the
+    gather needs no n x n index table or copy beside it; the entries are
+    those of the whole-V formula bit for bit."""
+    k = mode_set.k_values
+    n = len(k)
+    out = np.empty((n, n), dtype=np.complex128, order="F")
+    for j0 in range(0, n, GATHER_PANEL):
+        panel = slice(j0, j0 + GATHER_PANEL)
+        np.conjugate(cube.lookup(k[panel], k).T, out=out[:, panel])
+        out[:, panel] += cube.lookup(k, k[panel])
     out *= 0.5
     return out
 
@@ -454,8 +474,9 @@ class ScalarWeight(eigensolver.Weight):
     not as n x n matrices.
 
     ``B_s`` gathers a fresh Fortran-ordered B_s on each read, for the solve's
-    back-transformation and residual gate, curve matching and the dense
-    ``DeformedOperator.B``.  ``inverse`` holds M = L^{-1} for B_s = L L^H from
+    back-transformation and residual gate and the dense
+    ``DeformedOperator.B``; curve matching keeps the solve's own
+    (``gathered``).  ``inverse`` holds M = L^{-1} for B_s = L L^H from
     ``assemble_B`` until the one solve that reduces the pencil takes it
     (``take_inverse_factor``), so that M lives only through the reduction.
     """
@@ -582,10 +603,10 @@ def deformed_spectrum(factor, t, mode_set, tau_rel=None, keep_vectors=False, sub
     tolerance at t = 0 and the split-detection tolerance otherwise.
 
     With ``keep_vectors`` the result keeps the eigenvectors and, for a
-    nontrivial weight, the scalar block B_s of B = B_s (x) I_2, gathered
-    after the solve, which curve matching reads (``tracked_spectrum`` is the
-    one caller in the package that asks for them); by default it keeps
-    neither.
+    nontrivial weight, the scalar block B_s of B = B_s (x) I_2 that the
+    solve gathered for its residual gate (``Weight.gathered``), which curve
+    matching reads (``tracked_spectrum`` is the one caller in the package
+    that asks for them); by default it keeps neither.
 
     ``subset_by_index`` restricts the solve to a window of eigenpairs (see
     ``eigensolver.solve_gen_hermitian``); every returned pair still passes
@@ -616,7 +637,7 @@ def deformed_spectrum(factor, t, mode_set, tau_rel=None, keep_vectors=False, sub
         tau_rel,
         meta,
         mode_set=mode_set,
-        B_s=None if (identity_B or not keep_vectors) else op.weight.B_s,
+        B_s=None if (identity_B or not keep_vectors) else op.weight.gathered,
     )
 
 
@@ -632,7 +653,9 @@ def _solve_shells(factor, t_values, taus, mode_set, shells, read=next,
     Each t is solved, at its tolerance from ``taus``, on the window plus one
     eigenpair past each edge that has a neighbour, and ``read`` consumes the
     window results (vectors only with ``keep_vectors``) from a generator that
-    solves one t per step.  A side is cut when the eigenvalue past its edge
+    solves one t per step.  A window result lets go of its B_s when the
+    next is requested: curve matching reads B_s only of the later snapshot
+    of a step.  A side is cut when the eigenvalue past its edge
     joins the window's outermost cluster, and outgrown when ``outgrown(res,
     below, above)`` says so for the window result and the eigenvalues past
     the edges (None where there is none).  A cut or outgrown side takes 1, 2,
@@ -661,6 +684,7 @@ def _solve_shells(factor, t_values, taus, mode_set, shells, read=next,
                 raise _Grow(*grow)
             del res, V  # while the next t is solved, only the window is alive
             yield window
+            window.B_s = None  # read only as the later snapshot of a step
 
     while True:
         lo, hi = int(starts[a]), int(starts[b])

@@ -7,34 +7,45 @@ weight of a deformed solve is B = B_s (x) I_2, and the solve reads B_s from a
 stage of a deformed solve, n = dim / 2 the number of modes:
 
 - weight (``conformal.assemble_B``): B_s is gathered into one
-  Fortran-ordered n x n buffer, which is factored in place, B_s = L L^H (the
-  positive-definiteness check), and inverted in place to M = L^{-1};
+  Fortran-ordered n x n buffer, a panel of columns at a time, so no n x n
+  index table or copy is made beside it; the buffer is factored in place,
+  B_s = L L^H (the positive-definiteness check), and inverted in place to
+  M = L^{-1};
 - reduction (``_reduce``): the standard-form matrix
   C = (M (x) I_2) A (M^H (x) I_2) is built straight from the symbols, spin
-  block by spin block, into the one dim x dim array of the solve, with M and
-  one n x n work array, which are then freed;
+  block by spin block and a panel of columns at a time, into the one
+  dim x dim array of the solve, with M and an n x P work array, which are
+  then freed; for Dirac symbols the (1, 1) block is the exact negation of
+  the (0, 0) block;
 - ``scipy.linalg.eigh``: only C, which it overwrites, and the window's
   vectors;
 - back-transformation: C is freed, B_s is gathered again, a copy of it is
   factored to L, and one triangular solve with L maps the vectors back;
-- residual gate: L is freed, and B_s applies B to the vectors.
+- residual gate: L is freed, and one gemm with B_s applies B to both spin
+  components of the vectors side by side; that product is scaled and
+  subtracted in place, with no reshaped copy.  The weight keeps this B_s
+  (``Weight.gathered``) for curve matching.
 
 So the weight is factored twice.  Keeping L or M alive through ``eigh``
 would hold one or two n x n arrays, a quarter of C each, beside C at the
 solve's peak; the second factorization costs n^3 / 3 complex multiply-adds
 (1-2% of ``eigh``) and, from the same bits of B_s, gives the same L, so
-the eigenpairs are those of a solve that kept it.  No dense A or B is formed.
+the eigenpairs are those of a solve that kept it.  No dense A or B is
+formed, and neither the gather, the reduction nor the residual gate makes
+an n x n or vectors-sized temporary: they work in column panels or in
+place.  In a process that repeats solves, such temporaries come from the C
+heap once its mmap threshold has risen, and their freed blocks stay
+resident into the next solve's ``eigh``.
 
 Every dense product and factorization of the solve (the two Cholesky
 factorizations, the triangular inverse, products and solve,
 ``scipy.linalg.eigh`` and the residual gate's B_s product through
 ``blas_matmul``) runs on scipy's BLAS, and so do the overlap products of
-curve matching, which apply B_s the way the residual gate does
-(``apply_weight``).  The numpy and scipy wheels each bundle their own
-OpenBLAS with its own thread pool, whose idle threads keep spinning for a
-while after a call; a solve that alternates between the two pools makes them
-compete for the cores, which cost about a third of the 50-trial genericity
-scan on two vCPUs.
+curve matching (``apply_weight``).  The numpy and scipy wheels each bundle
+their own OpenBLAS with its own thread pool, whose idle threads keep
+spinning for a while after a call; a solve that alternates between the two
+pools makes them compete for the cores, which cost about a third of the
+50-trial genericity scan on two vCPUs.
 """
 
 from __future__ import annotations
@@ -164,10 +175,14 @@ class Weight:
     Fortran-ordered complex array on each read, so that no one has to hold
     it through ``eigh``; ``shape`` is its shape.  ``inverse`` may hold
     M = L^{-1} (``inverse_factor``), computed ahead: ``conformal.assemble_B``
-    computes it as its positive-definiteness check.
+    computes it as its positive-definiteness check.  ``gathered`` holds the
+    B_s that the last solve gathered after ``eigh`` for its
+    back-transformation and residual gate, so that a caller that keeps the
+    vectors keeps that array rather than gathering another.
     """
 
     inverse = None
+    gathered = None
 
     def take_inverse_factor(self):
         """M = L^{-1}, handed over once (the weight lets go of a held M), or
@@ -195,16 +210,26 @@ def apply_symbols(symbols, V):
     return np.einsum("mab,mbp->map", symbols, V.reshape(n, 2, -1)).reshape(V.shape)
 
 
+#: Columns per panel of the work array in ``_reduce``.
+REDUCE_PANEL = 128
+
+
 def _reduce(symbols, M):
     """C = (M (x) I_2) A (M^H (x) I_2) for A = blockdiag(``symbols``) and the
     lower triangular M = L^{-1} (``inverse_factor``), as one Fortran-ordered
     dim x dim array (the whole of A for M = None).
 
     Spin block (a, b) of C, the entries C[2p + a, 2q + b], is M diag(s_ab) M^H
-    for s_ab the (a, b) entries of the symbols: one in-place trmm of side n
-    on an n x n work array each, freed on return.  The (0, 1) block is the
-    adjoint of the (1, 0) block, so three blocks cost 1.5 n^3 complex
-    multiply-adds.
+    for s_ab the (a, b) entries of the symbols.  It is built
+    ``REDUCE_PANEL`` columns at a time: the panel of diag(s_ab) M^H goes into
+    an n x P work array, which one in-place trmm of side n turns into that
+    panel of the block, so no n x n array is needed beside C and M.  The
+    (0, 1) block is the adjoint of the (1, 0) block.  When s_11 = -s_00, as
+    for every Dirac symbol -sigma . kappa, the (1, 1) block is the negated
+    (0, 0) block, which is exact under round-to-nearest; other symbols take
+    a third trmm.  So a Dirac reduction costs n^3 complex multiply-adds, and
+    a general one 1.5 n^3.  Every entry has the bits of the same formula
+    computed on whole n x n blocks.
     """
     n = symbols.shape[0]
     C = np.zeros((2 * n, 2 * n), dtype=np.complex128, order="F")
@@ -214,13 +239,25 @@ def _reduce(symbols, M):
             for b in (0, 1):
                 C[2 * modes + a, 2 * modes + b] = symbols[:, a, b]
         return C
-    W = np.empty((n, n), dtype=np.complex128, order="F")
+    negate = np.array_equal(symbols[:, 1, 1], -symbols[:, 0, 0])
+    blocks = ((0, 0), (1, 0)) if negate else ((0, 0), (1, 1), (1, 0))
+    W = np.empty((n, min(n, REDUCE_PANEL)), dtype=np.complex128, order="F")
     trmm = scipy.linalg.get_blas_funcs("trmm", (M, W))
-    for a, b in ((0, 0), (1, 1), (1, 0)):
-        np.conjugate(M.T, out=W)
-        W *= symbols[:, a, b, None]
-        C[a::2, b::2] = trmm(1.0, M, W, lower=1, overwrite_b=1)
-    np.conjugate(C[1::2, 0::2].T, out=C[0::2, 1::2])
+    for j0 in range(0, n, REDUCE_PANEL):
+        cols = slice(j0, j0 + REDUCE_PANEL)
+        P = W[:, : min(REDUCE_PANEL, n - j0)]
+        for a, b in blocks:
+            np.conjugate(M[cols].T, out=P)
+            P *= symbols[:, a, b, None]
+            P = trmm(1.0, M, P, lower=1, overwrite_b=1)
+            C[a::2, b::2][:, cols] = P
+            if a != b:
+                np.conjugate(P.T, out=C[0::2, 1::2][cols])
+            elif negate:
+                # 0 - P, not -P: a zero entry (such as the imaginary part of
+                # a diagonal entry, a cancellation in the trmm) stays +0, as
+                # the trmm of -s_00 leaves it
+                np.subtract(0.0, P, out=C[1::2, 1::2][:, cols])
     return C
 
 
@@ -247,7 +284,10 @@ def solve_gen_hermitian(symbols, weight=None, subset_by_index=None):
     eigenvectors, and the largest per-vector residual
     ``||A x - lambda B x||_2`` (with ``||x||_B = 1``) on the original pencil,
     A applied through the symbols and B through B_s, which must stay below
-    ``RESIDUAL_BOUND * max(1, max |lambda|)``.
+    ``RESIDUAL_BOUND * max(1, max |lambda|)``; a NaN residual or eigenvalue
+    fails the bound.  B x lambda is one gemm of B_s with the vectors' two
+    spin components side by side, scaled and subtracted in place, and the
+    B_s it used is left on the weight as ``weight.gathered``.
 
     ``subset_by_index`` (inclusive ``[lo, hi]``) restricts the solve to a
     window of eigenpairs; it is passed unchanged to ``scipy.linalg.eigh``,
@@ -299,13 +339,19 @@ def solve_gen_hermitian(symbols, weight=None, subset_by_index=None):
     if weight is None:
         R -= V * w
     else:
-        BV = apply_weight(B_s, V)
-        BV *= w
-        R -= BV
-        del BV
+        # B x lambda as one gemm G = B_s [V_0 V_1], the spin components side
+        # by side, scaled and subtracted from R's spin components in place
+        G = blas_matmul(B_s, V.reshape(n, 2 * k))
+        G *= np.tile(w, 2)
+        R_spin = R.reshape(n, 2, k)
+        R_spin[:, 0] -= G[:, :k]
+        R_spin[:, 1] -= G[:, k:]
+        del G
+        weight.gathered = B_s
     residual_max = float(np.linalg.norm(R, axis=0).max())
-    scale = max(1.0, float(np.abs(w).max()))
-    if residual_max > RESIDUAL_BOUND * scale:
+    # NaN-aware: a NaN residual or eigenvalue fails the comparison below
+    scale = float(np.maximum(1.0, np.abs(w).max()))
+    if not residual_max <= RESIDUAL_BOUND * scale:
         raise RuntimeError(
             f"eigensolver residual {residual_max:.3e} exceeds bound "
             f"{RESIDUAL_BOUND:.3e} * {scale:.3e}"
@@ -404,6 +450,7 @@ def _step_overlap(prev, nxt):
     """
     Y = nxt.vectors if nxt.B_s is None else apply_weight(nxt.B_s, nxt.vectors)
     cross = blas_matmul(prev.vectors.conj().T, Y)
+    del Y
     n = cross.shape[0]
     scores = np.empty((n, n))
     for c in prev.clusters:

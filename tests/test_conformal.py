@@ -166,6 +166,27 @@ class TestCenteredCube:
         assert c.coeff((r + 1, 0, 0)) == 0.0
         assert c.coeff((0, 0, 0)) == c.values[r, r, r]
 
+    @pytest.mark.parametrize("cube", ["factor", "exp"])
+    def test_rectangular_lookup(self, cube):
+        f = random_factor(4, 2, 0.3)
+        c = f if cube == "factor" else cf.exp_coeffs(f, 0.05, 3)
+        r = c.radius
+        # a block of the square lookup, over modes spreading past the radius
+        k = cf.cube_modes(r // 2 + 2) + [1, -2, 0]
+        rows, cols = np.arange(0, len(k), 7), np.arange(3, len(k), 5)
+        block = c.lookup(k[rows], k[cols])
+        assert block.shape == (len(rows), len(cols))
+        assert block.tobytes() == c.lookup(k)[np.ix_(rows, cols)].tobytes()
+        # row and column modes that each lie within the radius but whose
+        # differences do not
+        near = cf.cube_modes(1)
+        far = near + [r, 0, 0]
+        block = c.lookup(near, far)
+        assert block.shape == (len(near), len(far))
+        assert all(block[i, j] == c.coeff(near[i] - far[j])
+                   for i in range(len(near)) for j in range(len(far)))
+        assert np.count_nonzero(block == 0) > 0
+
     def test_factor_multiplication_matrix(self):
         ms = build_mode_set(2, (1, 0, 1))
         f = random_factor(9, 2, 0.4)
@@ -343,6 +364,22 @@ class TestAssembleB:
         B = cf.kron_spin(cf.assemble_B(f, t, ms).B_s)
         assert B.dtype == reference.dtype
         assert B.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("cube", ["exp", "factor"])
+    def test_panelled_gather_is_bit_identical_to_whole_lookup(self, cube):
+        # B_s written a panel of columns at a time has the bits of
+        # (conj(V^T) + V) / 2 for the whole V = lookup(k).  n = 294 modes is
+        # above the panel width and not a multiple of it, and the mode set
+        # spreads wider than the degree-2 factor's cube.
+        ms = build_mode_set(3, (1, 0, 0))
+        assert ms.n_modes > cf.GATHER_PANEL and ms.n_modes % cf.GATHER_PANEL
+        f = random_factor(8, 2, 0.3)
+        c = cf.exp_coeffs(f, 0.05, cf.required_band(ms)) if cube == "exp" else f
+        assert (np.ptp(ms.k_values, axis=0).max() > c.radius) == (cube == "factor")
+        V = c.lookup(ms.k_values)
+        out = cf.assemble_multiplication(ms, c)
+        assert out.flags.f_contiguous
+        assert out.tobytes(order="F") == (0.5 * (V.conj().T + V)).tobytes(order="F")
 
     def test_block_cholesky_failure_is_pd_error(self, monkeypatch):
         ms = build_mode_set(1, (0, 1, 0))
@@ -554,11 +591,12 @@ class TestStandardFormSolve:
     def test_trusted_solve_holds_one_dense_matrix(self, solve):
         # One N=4 index-window solve (the trusted shells, or one flat
         # cluster), from build_deformed_operator through the residual gate,
-        # allocates less than 1.75 dense dim x dim complex matrices at its
-        # peak: the reduced matrix C plus two n x n blocks (L^{-1} and one
-        # work array, a quarter of C each) while C is built, C and the
+        # allocates less than 1.45 dense dim x dim complex matrices at its
+        # peak (1.35 and 1.32 measured): the reduced matrix C plus L^{-1}, a
+        # quarter of C, and one n x 128 panel while C is built, C and the
         # window's vectors through eigh, and after it the vectors with B_s
-        # and its factor L.
+        # and its factor L.  A whole n x n work array, or an n^2 index table
+        # in the gather, would exceed it.
         ms = build_mode_set(4, (1, 0, 0))
         f = random_factor(11, 2, 0.3)
         dense = 16 * ms.dim**2
@@ -569,7 +607,7 @@ class TestStandardFormSolve:
         finally:
             tracemalloc.stop()
         assert len(res.eigenvalues) > 0
-        assert peak < 1.75 * dense, peak / dense
+        assert peak < 1.45 * dense, peak / dense
 
 
 class TestTrustedSpectrum:
@@ -693,6 +731,31 @@ class TestTrackedSpectrum:
         assert all(type(x) is bool for x in fam.leaves_trust_radius)
         assert leaves[np.abs(start - 2.5) < 1e-12].all()
         assert not leaves[start < 2.1].any()
+
+    def test_snapshots_keep_the_gates_B_s_until_matched(self, monkeypatch):
+        # Each t > 0 gathers B_s twice, for assemble_B and for the solve's
+        # back-transformation and residual gate, and its snapshot keeps the
+        # second gather.  A snapshot lets go of it once the next one is
+        # requested: curve matching reads B_s only of a step's later snapshot.
+        ms = build_mode_set(2, (1, 0, 0))
+        f = random_factor(45, 2, 0.3)
+        gathers = []
+        gather = cf.assemble_multiplication
+        monkeypatch.setattr(cf, "assemble_multiplication",
+                            lambda *args: gathers.append(gather(*args)) or gathers[-1])
+        ts = [0.02, 0.04, 0.06]
+        seen = []
+
+        def read(snapshots):
+            for snap in snapshots:
+                assert snap.B_s is gathers[-1]
+                assert all(s.B_s is None for s in seen)
+                seen.append(snap)
+
+        cf._solve_shells(f, ts, [cf.cluster_tolerance(f, t) for t in ts], ms,
+                         cf._trusted_shells(ms), read=read, keep_vectors=True)
+        assert len(seen) == len(ts) and len(gathers) == 2 * len(ts)
+        assert seen[-1].B_s is None
 
 
 class TestApplyDeformedDirac:

@@ -140,6 +140,29 @@ class TestSolve:
         assert_allclose(C, Minv @ block_diag(S) @ Minv.conj().T, atol=1e-13)
         assert es._reduce(S, None).tobytes(order="F") == block_diag(S).tobytes(order="F")
 
+    @pytest.mark.parametrize("symbols", ["dirac", "random"])
+    def test_panelled_reduction_is_bit_identical_to_whole_blocks(self, rng, symbols):
+        # C built a panel of columns at a time, with the (1, 1) block the
+        # negated (0, 0) block for Dirac symbols, has the bits of C built
+        # from whole n x n blocks, one trmm each.  n = 294 modes is above the
+        # panel width and not a multiple of it.
+        ms = build_mode_set(3, (1, 0, 0))
+        n = ms.n_modes
+        assert n > es.REDUCE_PANEL and n % es.REDUCE_PANEL
+        S = ms.symbols if symbols == "dirac" else random_symbols(rng, n)
+        assert np.array_equal(S[:, 1, 1], -S[:, 0, 0]) == (symbols == "dirac")
+        M = build_deformed_operator(random_factor(11, 2, 0.3), 0.05, ms).weight.inverse
+        W = np.empty((n, n), dtype=complex, order="F")
+        C_ref = np.zeros((2 * n, 2 * n), dtype=complex, order="F")
+        for a, b in ((0, 0), (1, 1), (1, 0)):
+            np.conjugate(M.T, out=W)
+            W *= S[:, a, b, None]
+            C_ref[a::2, b::2] = scipy.linalg.blas.ztrmm(1.0, M, W, lower=1, overwrite_b=1)
+        np.conjugate(C_ref[1::2, 0::2].T, out=C_ref[0::2, 1::2])
+        C = es._reduce(S, M)
+        assert C.flags.f_contiguous
+        assert C.tobytes(order="F") == C_ref.tobytes(order="F")
+
     @pytest.mark.parametrize("spin", [(0, 0, 0), (1, 0, 0)], ids=str)
     def test_t_zero_is_bit_identical_to_dense_eigh(self, spin):
         ms = build_mode_set(2, spin)
@@ -272,6 +295,26 @@ class TestSolverErrors:
                 random_symbols(rng, 3), es.ArrayWeight(random_spd(rng, 3)), subset_by_index=(0, 2)
             )
         assert not isinstance(info.value, PositiveDefiniteError)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["identity", "weighted"])
+    @pytest.mark.parametrize("where", ["vector", "eigenvalue"])
+    def test_nan_fails_the_residual_gate(self, rng, monkeypatch, weighted, where):
+        # Every comparison with NaN is false, so a NaN residual or eigenvalue
+        # must fail a gate that asks for the residual to be within its bound.
+        real_eigh = scipy.linalg.eigh
+
+        def nan_pair(*args, **kwargs):
+            w, V = real_eigh(*args, **kwargs)
+            if where == "vector":
+                V[:, 1] = np.nan
+            else:
+                w[1] = np.nan
+            return w, V
+
+        monkeypatch.setattr(scipy.linalg, "eigh", nan_pair)
+        weight = es.ArrayWeight(random_spd(rng, 4)) if weighted else None
+        with pytest.raises(RuntimeError, match="residual nan"), np.errstate(invalid="ignore"):
+            es.solve_gen_hermitian(random_symbols(rng, 4), weight)
 
 
 class TestWindowedSolve:
