@@ -67,13 +67,15 @@ EXIT_BAD_INPUT = 3
 #: The t at which split-search verifies a split when no t is given.
 DEFAULT_T_VERIFY = 0.05
 #: Peak memory of a dense solve in dim x dim complex matrices: peak RSS
-#: less the import baseline is at most 2.81 of them for every --N command at
-#: N=4 and 5 with the default tolerances (spectrum --t-grid at N=5, dim 2420,
-#: with two snapshots' vectors alive: 309 MB, 58 MB of it the import), and
-#: at most 1.76 for every single-t command (split-search at N=4); 4.0 leaves
-#: 42% headroom.  A spectrum --t-grid whose --tau-split grows the tracked
-#: window to the whole spectrum is not covered: it reads 7.20 at N=4 and
-#: 6.40 at N=5 (ROADMAP, dense memory).
+#: less the import baseline is at most 2.47 of them for every --N command at
+#: N=4 and 5 with the default tolerances (spectrum --t-grid at N=4, dim 1296,
+#: with two snapshots' vectors alive: 121 MB, 58 MB of it the import; 1.91 at
+#: N=5), and at most 1.76 for every single-t command (split-search at N=4).
+#: At N=5, where C's unwritten upper half stays out of memory, every
+#: single-t command reads 1.02-1.13.  4.0 leaves 62% headroom.  A spectrum
+#: --t-grid whose --tau-split grows the tracked window to the whole spectrum
+#: is not covered: it reads 7.24 at N=4 and 6.36 at N=5 (ROADMAP, dense
+#: memory).
 DENSE_MATRICES_AT_PEAK = 4.0
 #: Peak bytes per point of the lattice cube that ``closed_form_spectrum``
 #: enumerates: the int64 keys, the ball mask, and the ball's keys and their

@@ -11,31 +11,39 @@ stage of a deformed solve, n = dim / 2 the number of modes:
   index table or copy is made beside it; the buffer is factored in place,
   B_s = L L^H (the positive-definiteness check), and inverted in place to
   M = L^{-1};
-- reduction (``_reduce``): the standard-form matrix
-  C = (M (x) I_2) A (M^H (x) I_2) is built straight from the symbols, spin
-  block by spin block and a panel of columns at a time, into the one
-  dim x dim array of the solve, with M and an n x P work array, which are
-  then freed; for Dirac symbols the (1, 1) block is the exact negation of
-  the (0, 0) block;
+- reduction (``_reduce``): the lower triangle of the standard-form matrix
+  C = (M (x) I_2) A (M^H (x) I_2), which is all that ``eigh`` reads, is
+  built straight from the symbols, spin block by spin block and a panel of
+  columns at a time, into the one dim x dim array of the solve, with M and
+  an n x P work array, which are then freed; for Dirac symbols the (1, 1)
+  block is the exact negation of the (0, 0) block.  From 32 MiB on, C lives
+  in its own mapping without huge pages, where a page that holds only
+  entries above the diagonal is never written and never becomes resident:
+  at N=5, 57 of C's 89.4 MiB are resident;
 - ``scipy.linalg.eigh``: only C, which it overwrites, and the window's
   vectors;
-- back-transformation: C is freed, B_s is gathered again, a copy of it is
-  factored to L, and one triangular solve with L maps the vectors back;
-- residual gate: L is freed, and one gemm with B_s applies B to both spin
-  components of the vectors side by side; that product is scaled and
-  subtracted in place, with no reshaped copy.  The weight keeps this B_s
-  (``Weight.gathered``) for curve matching.
+- back-transformation: C is freed, the vectors are copied into one n x 2k
+  array with their spin components side by side and freed, and only then is
+  B_s gathered again and a copy of it factored to L; one triangular solve
+  with L maps them back, and L is freed;
+- phases and residual gate: the vectors are rotated in place, one gemm with
+  B_s applies B to both their spin components side by side, and A x, the
+  subtraction and the column norms are taken ``REDUCE_PANEL`` columns at a
+  time.  The weight keeps this B_s (``Weight.gathered``) for curve matching.
 
-So the weight is factored twice.  Keeping L or M alive through ``eigh``
-would hold one or two n x n arrays, a quarter of C each, beside C at the
-solve's peak; the second factorization costs n^3 / 3 complex multiply-adds
-(1-2% of ``eigh``) and, from the same bits of B_s, gives the same L, so
-the eigenpairs are those of a solve that kept it.  No dense A or B is
-formed, and neither the gather, the reduction nor the residual gate makes
-an n x n or vectors-sized temporary: they work in column panels or in
-place.  In a process that repeats solves, such temporaries come from the C
-heap once its mmap threshold has risen, and their freed blocks stay
-resident into the next solve's ``eigh``.
+At N=5, B_s and L take 22 MiB each and the vectors of the trusted window
+30 MiB, and at most three arrays of these sizes are alive together after
+``eigh``, so no later stage outgrows the ``eigh`` stage, C's resident 57 MiB
+and the vectors.  The weight is factored twice.  Keeping L or M alive
+through ``eigh`` would hold one or two n x n arrays, a quarter of C each,
+beside C at the solve's peak; the second factorization costs n^3 / 3
+complex multiply-adds (1-2% of ``eigh``) and, from the same bits of B_s,
+gives the same L, so the eigenpairs are those of a solve that kept it.  No
+dense A or B is formed, and neither the gather, the reduction nor the
+residual gate makes an n x n or vectors-sized temporary: they work in
+column panels or in place.  In a process that repeats solves, such
+temporaries come from the C heap once its mmap threshold has risen, and
+their freed blocks stay resident into the next solve's ``eigh``.
 
 Every dense product and factorization of the solve (the two Cholesky
 factorizations, the triangular inverse, products and solve,
@@ -50,6 +58,8 @@ pools makes them compete for the cores, which cost about a third of the
 
 from __future__ import annotations
 
+import contextlib
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,13 +112,14 @@ class SpectrumResult(Artifact):
 
 
 def canonicalize_phases(V):
-    """Rotate each column so its first significant entry is real positive.
+    """Rotate each column of V in place so its first significant entry is
+    real positive, and return V.
 
     Eigenvectors are defined up to phase; fixing it makes derived artifacts
     reproducible.  A column's first significant entry is its first of modulus
     above 1e-8 times the column's largest; a zero column is left as it is.
+    Pass a copy to keep the original.
     """
-    V = np.array(V, copy=True)
     absV = np.abs(V)
     first = np.argmax(absV > 1e-8 * absV.max(axis=0, initial=0.0), axis=0)
     del absV
@@ -210,14 +221,51 @@ def apply_symbols(symbols, V):
     return np.einsum("mab,mbp->map", symbols, V.reshape(n, 2, -1)).reshape(V.shape)
 
 
-#: Columns per panel of the work array in ``_reduce``.
+#: Columns per panel of the work array in ``_reduce`` and of the residual
+#: gate in ``solve_gen_hermitian``.
 REDUCE_PANEL = 128
+#: A C of at least this many bytes gets its own anonymous mapping without
+#: huge pages (``_lower_buffer``).  32 MiB is glibc's largest dynamic mmap
+#: threshold: from there on numpy's array is a fresh mapping anyway, while
+#: below it numpy reuses heap blocks that are already resident, where a
+#: fresh mapping would fault its pages in again on every solve.
+OWN_MAPPING_BYTES = 32 << 20
+
+
+def _lower_buffer(dim):
+    """A zeroed Fortran-ordered dim x dim complex array for C.
+
+    From ``OWN_MAPPING_BYTES`` on it lives in its own anonymous private
+    mapping, advised against transparent huge pages, so that a page holding
+    only entries above the diagonal, which neither ``_reduce`` nor ``eigh``
+    touches, never becomes resident (numpy advises its large arrays towards
+    huge pages, which fill a 2 MiB page on the first write to it, and every
+    2 MiB of C holds some of the lower triangle).  The price is TLB reach:
+    the N=5 window ``eigh`` took 4.14 s on this C against 3.81 s on numpy's
+    (2-vCPU Haswell).  The mapping is unmapped with the last reference to
+    the array.
+    """
+    size = dim * dim * 16
+    if size < OWN_MAPPING_BYTES or not hasattr(mmap, "MADV_NOHUGEPAGE"):
+        return np.zeros((dim, dim), dtype=np.complex128, order="F")
+    buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    with contextlib.suppress(OSError):  # a kernel without huge pages
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.complex128).reshape((dim, dim), order="F")
+
+
+def _require_finite(block):
+    """The finiteness check that ``scipy.linalg.eigh`` makes by default, on
+    the part of C just computed."""
+    if not np.isfinite(block).all():
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def _reduce(symbols, M):
-    """C = (M (x) I_2) A (M^H (x) I_2) for A = blockdiag(``symbols``) and the
-    lower triangular M = L^{-1} (``inverse_factor``), as one Fortran-ordered
-    dim x dim array (the whole of A for M = None).
+    """The lower triangle of C = (M (x) I_2) A (M^H (x) I_2) for
+    A = blockdiag(``symbols``) and the lower triangular M = L^{-1}
+    (``inverse_factor``), in one Fortran-ordered dim x dim array
+    (``_lower_buffer``); for M = None, the whole of A.
 
     Spin block (a, b) of C, the entries C[2p + a, 2q + b], is M diag(s_ab) M^H
     for s_ab the (a, b) entries of the symbols.  It is built
@@ -228,12 +276,22 @@ def _reduce(symbols, M):
     for every Dirac symbol -sigma . kappa, the (1, 1) block is the negated
     (0, 0) block, which is exact under round-to-nearest; other symbols take
     a third trmm.  So a Dirac reduction costs n^3 complex multiply-adds, and
-    a general one 1.5 n^3.  Every entry has the bits of the same formula
-    computed on whole n x n blocks.
+    a general one 1.5 n^3.
+
+    ``scipy.linalg.eigh`` reads only the lower triangle, so only the stores
+    are restricted: the panel of modes [j0, j1) stores rows p >= j0 of its
+    (0, 0), (1, 0) and (1, 1) blocks, and of the (0, 1) block's rows
+    [j0, j1), which mirror it, the columns q < j1.
+    That covers every entry on or below the diagonal (and a few above it,
+    in the panel's diagonal square); every stored entry has the bits of the
+    same formula computed on whole n x n blocks.  Each panel (and A's
+    blocks for M = None) is checked to be finite as it is computed:
+    ValueError otherwise, since ``eigh`` runs without its own check.
     """
     n = symbols.shape[0]
-    C = np.zeros((2 * n, 2 * n), dtype=np.complex128, order="F")
+    C = _lower_buffer(2 * n)
     if M is None:
+        _require_finite(symbols)
         modes = np.arange(n)
         for a in (0, 1):
             for b in (0, 1):
@@ -244,20 +302,22 @@ def _reduce(symbols, M):
     W = np.empty((n, min(n, REDUCE_PANEL)), dtype=np.complex128, order="F")
     trmm = scipy.linalg.get_blas_funcs("trmm", (M, W))
     for j0 in range(0, n, REDUCE_PANEL):
-        cols = slice(j0, j0 + REDUCE_PANEL)
-        P = W[:, : min(REDUCE_PANEL, n - j0)]
+        j1 = min(j0 + REDUCE_PANEL, n)
+        cols = slice(j0, j1)
+        P = W[:, : j1 - j0]
         for a, b in blocks:
             np.conjugate(M[cols].T, out=P)
             P *= symbols[:, a, b, None]
             P = trmm(1.0, M, P, lower=1, overwrite_b=1)
-            C[a::2, b::2][:, cols] = P
+            _require_finite(P)
+            C[a::2, b::2][j0:, cols] = P[j0:]
             if a != b:
-                np.conjugate(P.T, out=C[0::2, 1::2][cols])
+                np.conjugate(P[:j1].T, out=C[0::2, 1::2][cols, :j1])
             elif negate:
                 # 0 - P, not -P: a zero entry (such as the imaginary part of
                 # a diagonal entry, a cancellation in the trmm) stays +0, as
                 # the trmm of -s_00 leaves it
-                np.subtract(0.0, P, out=C[1::2, 1::2][:, cols])
+                np.subtract(0.0, P[j0:], out=C[1::2, 1::2][j0:, cols])
     return C
 
 
@@ -272,31 +332,36 @@ def solve_gen_hermitian(symbols, weight=None, subset_by_index=None):
     or ``ArrayWeight`` for a given array).  With B_s = L L^H the pencil is
     reduced to the standard Hermitian problem C y = lambda y,
     C = (L^{-1} (x) I_2) A (L^{-H} (x) I_2), and x = (L^{-H} (x) I_2) y
-    (Golub & Van Loan, Matrix Computations, sec. 8.7).  C is built straight
-    from the symbols with the weight's M = L^{-1} (``_reduce``), and M is
-    freed before ``scipy.linalg.eigh`` overwrites C.  After ``eigh`` C is
-    freed, and B_s is gathered again and a copy factored to L for the one
-    triangular solve back; so with a ``Weight`` only C and the window's
-    vectors live through ``eigh``.  Without a weight, B = I and C is A entry
-    for entry.
+    (Golub & Van Loan, Matrix Computations, sec. 8.7).  The lower triangle
+    of C, all that ``scipy.linalg.eigh`` reads, is built straight from the
+    symbols with the weight's M = L^{-1} (``_reduce``), which checks it for
+    finiteness, so ``eigh`` runs without its own check; M is freed before
+    ``eigh`` overwrites C.  After ``eigh`` C is freed, the vectors are
+    copied spin component by spin component and freed, and only then is B_s
+    gathered again and a copy factored to L for the one triangular solve
+    back; so with a ``Weight`` only C and the window's vectors live through
+    ``eigh``, and no later stage holds more.  Without a weight, B = I and C
+    is A entry for entry.
 
-    Returns ascending eigenvalues, B-orthonormal phase-canonicalized
-    eigenvectors, and the largest per-vector residual
+    Returns ascending eigenvalues, B-orthonormal eigenvectors with phases
+    canonicalized in place, and the largest per-vector residual
     ``||A x - lambda B x||_2`` (with ``||x||_B = 1``) on the original pencil,
     A applied through the symbols and B through B_s, which must stay below
     ``RESIDUAL_BOUND * max(1, max |lambda|)``; a NaN residual or eigenvalue
     fails the bound.  B x lambda is one gemm of B_s with the vectors' two
-    spin components side by side, scaled and subtracted in place, and the
-    B_s it used is left on the weight as ``weight.gathered``.
+    spin components side by side, scaled in place, and the B_s it used is
+    left on the weight as ``weight.gathered``; A x, the subtraction and the
+    column norms take ``REDUCE_PANEL`` columns at a time.
 
     ``subset_by_index`` (inclusive ``[lo, hi]``) restricts the solve to a
     window of eigenpairs; it is passed unchanged to ``scipy.linalg.eigh``,
     which then uses its windowed driver.  Phase canonicalization and the
     residual bound apply to every returned pair either way.
 
-    Raises PositiveDefiniteError when B_s fails its Cholesky factorization and
-    RuntimeError for any other solver failure (for example eigenvectors of
-    the windowed driver that do not converge) or a violated residual bound.
+    Raises PositiveDefiniteError when B_s fails its Cholesky factorization,
+    ValueError (``eigh``'s) when C is not finite, and RuntimeError for any
+    other solver failure (for example eigenvectors of the windowed driver
+    that do not converge) or a violated residual bound.
     """
     symbols = np.asarray(symbols)
     n = symbols.shape[0]
@@ -310,45 +375,58 @@ def solve_gen_hermitian(symbols, weight=None, subset_by_index=None):
     C = _reduce(symbols, M)
     del M
     # A full solve of the reduced pencil uses divide and conquer, as the
-    # generalized driver did; windows use the default MRRR driver.
+    # generalized driver did; windows use the default MRRR driver.  _reduce
+    # checked C's finiteness as it built it: eigh's own check would read all
+    # of C, the half that _reduce leaves unwritten included, through a
+    # dim x dim temporary.
     full = weight is not None and subset_by_index is None
     try:
         w, V = scipy.linalg.eigh(
-            C, subset_by_index=subset_by_index, overwrite_a=True, driver="evd" if full else None
+            C,
+            subset_by_index=subset_by_index,
+            overwrite_a=True,
+            check_finite=False,
+            driver="evd" if full else None,
         )
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed: {exc}") from exc
     del C
+    k = V.shape[1]
     if weight is not None:
         # x = (L^{-H} (x) I_2) y: one triangular solve of side n with the two
-        # spin components of every vector side by side.
-        B_s = weight.B_s
-        L = cholesky_pd(B_s.copy(order="F"))
-        k = V.shape[1]
+        # spin components of every vector side by side, in X, which takes
+        # them from eigh's vectors before B_s is gathered and factored.
         X = np.empty((n, 2 * k), dtype=np.complex128, order="F")
         X[:, :k], X[:, k:] = V[0::2], V[1::2]
         del V
+        B_s = weight.B_s
+        L = cholesky_pd(B_s.copy(order="F"))
         trsm = scipy.linalg.get_blas_funcs("trsm", (L, X))
         X = trsm(1.0, L, X, lower=1, trans_a=2, overwrite_b=1)
         del L
         V = np.empty((2 * n, k), dtype=np.complex128)
         V[0::2], V[1::2] = X[:, :k], X[:, k:]
         del X
-    V = canonicalize_phases(V)
-    R = apply_symbols(symbols, V)
-    if weight is None:
-        R -= V * w
-    else:
+    canonicalize_phases(V)
+    if weight is not None:
         # B x lambda as one gemm G = B_s [V_0 V_1], the spin components side
-        # by side, scaled and subtracted from R's spin components in place
+        # by side (one gemm, not panels of it, keeps residual_max's bits)
         G = blas_matmul(B_s, V.reshape(n, 2 * k))
         G *= np.tile(w, 2)
-        R_spin = R.reshape(n, 2, k)
-        R_spin[:, 0] -= G[:, :k]
-        R_spin[:, 1] -= G[:, k:]
-        del G
         weight.gathered = B_s
-    residual_max = float(np.linalg.norm(R, axis=0).max())
+    # A x - B x lambda and its norm, a panel of columns at a time
+    norms = np.empty(k)
+    for j0 in range(0, k, REDUCE_PANEL):
+        cols = slice(j0, min(j0 + REDUCE_PANEL, k))
+        R = apply_symbols(symbols, V[:, cols])
+        if weight is None:
+            R -= V[:, cols] * w[cols]
+        else:
+            R_spin = R.reshape(n, 2, -1)
+            R_spin[:, 0] -= G[:, cols]
+            R_spin[:, 1] -= G[:, k:][:, cols]
+        norms[cols] = np.linalg.norm(R, axis=0)
+    residual_max = float(norms.max())
     # NaN-aware: a NaN residual or eigenvalue fails the comparison below
     scale = float(np.maximum(1.0, np.abs(w).max()))
     if not residual_max <= RESIDUAL_BOUND * scale:

@@ -1,4 +1,6 @@
 import json
+import mmap
+import sys
 import tracemalloc
 import weakref
 
@@ -53,6 +55,20 @@ def kron2(B_s):
     return np.kron(B_s, np.eye(2))
 
 
+def mapping_rss(address):
+    """Resident bytes of the mapping of this process that starts at
+    ``address``, from /proc/self/smaps."""
+    ours = False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            head = line.split()[0]
+            if not head.endswith(":"):  # a mapping's first line: its address range
+                ours = int(head.split("-")[0], 16) == address
+            elif ours and head == "Rss:":
+                return int(line.split()[1]) * 1024
+    raise AssertionError(f"no mapping starts at {address:#x}")
+
+
 class TestSolve:
     def test_plain_hermitian(self, rng):
         S = random_symbols(rng, 6)
@@ -94,13 +110,19 @@ class TestSolve:
         with pytest.raises(RuntimeError, match="residual"):
             es.solve_gen_hermitian(S, es.ArrayWeight(B_s))
 
-    @pytest.mark.parametrize("window", [None, (40, 59)], ids=["full", "window"])
-    def test_bit_identical_to_one_held_factor(self, window):
+    @pytest.mark.parametrize(
+        ("window", "N"),
+        [(None, 2), ((40, 59), 2), (None, 3), ((40, 59), 3)],
+        ids=["full", "window", "full-N3", "window-N3"],
+    )
+    def test_bit_identical_to_one_held_factor(self, window, N):
         # The solve factors one gather of B_s in place for M = L^{-1} and a
         # copy of a second gather for L.  A reference that factors the same
-        # B_s once with scipy.linalg.cholesky, keeps L through eigh and maps
-        # the vectors back with trsm gives the same bits.
-        ms = build_mode_set(2, (1, 0, 0))
+        # B_s once with scipy.linalg.cholesky, keeps L through eigh, maps
+        # the vectors back with trsm and takes the residual of all columns
+        # at once gives the same bits.  At N=3 C is built, and the residual
+        # taken, in several panels.
+        ms = build_mode_set(N, (1, 0, 0))
         op = build_deformed_operator(random_factor(11, 2, 0.3), 0.05, ms)
         B_s = np.ascontiguousarray(op.weight.B_s)
         w, V, res = es.solve_gen_hermitian(ms.symbols, op.weight, subset_by_index=window)
@@ -142,10 +164,11 @@ class TestSolve:
 
     @pytest.mark.parametrize("symbols", ["dirac", "random"])
     def test_panelled_reduction_is_bit_identical_to_whole_blocks(self, rng, symbols):
-        # C built a panel of columns at a time, with the (1, 1) block the
-        # negated (0, 0) block for Dirac symbols, has the bits of C built
-        # from whole n x n blocks, one trmm each.  n = 294 modes is above the
-        # panel width and not a multiple of it.
+        # The lower triangle of C, which is all that eigh reads, built a
+        # panel of columns at a time, with the (1, 1) block the negated
+        # (0, 0) block for Dirac symbols, has the bits of C built from whole
+        # n x n blocks, one trmm each.  n = 294 modes is above the panel
+        # width and not a multiple of it.
         ms = build_mode_set(3, (1, 0, 0))
         n = ms.n_modes
         assert n > es.REDUCE_PANEL and n % es.REDUCE_PANEL
@@ -161,7 +184,52 @@ class TestSolve:
         np.conjugate(C_ref[1::2, 0::2].T, out=C_ref[0::2, 1::2])
         C = es._reduce(S, M)
         assert C.flags.f_contiguous
-        assert C.tobytes(order="F") == C_ref.tobytes(order="F")
+        assert np.tril(C).tobytes(order="F") == np.tril(C_ref).tobytes(order="F")
+
+    def test_non_finite_reduction_is_refused_before_eigh(self, rng, monkeypatch):
+        # eigh runs without its finiteness check, so the reduction makes it:
+        # a NaN in M = L^{-1} raises eigh's ValueError (exit code 3 in the
+        # CLI), and eigh is never called; so does an infinite symbol without
+        # a weight.  n = 150 modes spans two panels.
+        n = 150
+        S = random_symbols(rng, n)
+        M = scipy.linalg.lapack.ztrtri(
+            scipy.linalg.cholesky(random_spd(rng, n), lower=True), lower=1
+        )[0]
+        M[140, 130] = np.nan
+        monkeypatch.setattr(es, "inverse_factor", lambda B_s, what="": M)
+
+        def eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            es.solve_gen_hermitian(S, es.ArrayWeight(random_spd(rng, n)))
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            es.solve_gen_hermitian(np.where(np.arange(n)[:, None, None] == 7, np.inf, S))
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or mmap.PAGESIZE > 4096,
+        reason="reads /proc/self/smaps; needs pages smaller than a column of C",
+    )
+    def test_upper_half_of_c_stays_out_of_memory(self, monkeypatch):
+        # In its own mapping without huge pages, the strictly upper half of
+        # C, which _reduce does not write and eigh does not read, stays out
+        # of memory: not after the reduction and not after eigh.  The pages
+        # that hold entries on or below the diagonal, or in a panel's
+        # diagonal square, are 0.75 of C at N=4, where a column is 5 pages
+        # (0.94 at N=3, where it is 2.3 pages); a C written whole is 1.0.
+        monkeypatch.setattr(es, "OWN_MAPPING_BYTES", 0)
+        ms = build_mode_set(4, (1, 0, 0))
+        M = build_deformed_operator(random_factor(11, 2, 0.3), 0.05, ms).weight.inverse
+        C = es._reduce(ms.symbols, M)
+
+        def resident_share():
+            return mapping_rss(C.ctypes.data) / C.nbytes
+
+        assert resident_share() <= 0.8
+        scipy.linalg.eigh(C, subset_by_index=(600, 700), overwrite_a=True, check_finite=False)
+        assert resident_share() <= 0.8
 
     @pytest.mark.parametrize("spin", [(0, 0, 0), (1, 0, 0)], ids=str)
     def test_t_zero_is_bit_identical_to_dense_eigh(self, spin):
@@ -176,14 +244,16 @@ class TestSolve:
 
     def test_phase_canonicalization(self, rng):
         V = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-        C = es.canonicalize_phases(V)
+        C = es.canonicalize_phases(V.copy())
         for j in range(3):
             col = np.abs(C[:, j])
             i = int(np.argmax(col > 1e-8 * col.max()))
             assert C[i, j].imag == pytest.approx(0.0, abs=1e-14)
             assert C[i, j].real > 0
-        # idempotent
-        assert_allclose(es.canonicalize_phases(C), C)
+        # idempotent, and in place
+        assert_allclose(es.canonicalize_phases(C.copy()), C)
+        assert es.canonicalize_phases(V) is V
+        assert V.tobytes() == C.tobytes()
 
     @staticmethod
     def canonicalize_by_column(V):
@@ -215,7 +285,7 @@ class TestSolve:
             V[: int(rng.integers(0, n)), :] *= 1e-9
             V[:, rng.random(k) < 0.2] = 0.0
             V = np.asarray(V, order=order)
-            out = es.canonicalize_phases(V)
+            out = es.canonicalize_phases(V.copy(order="K"))
             assert out.shape == V.shape
             assert out.tobytes() == self.canonicalize_by_column(V).tobytes()
         V = rng.standard_normal((1, 30)) + 1j * rng.standard_normal((1, 30))
