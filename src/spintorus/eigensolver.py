@@ -3,51 +3,61 @@
 One dim x dim matrix and one BLAS per solve.  The flat operator A is block
 diagonal over modes, and the solve reads it as its 2 x 2 mode symbols; the
 weight of a deformed solve is B = B_s (x) I_2, and the solve reads B_s from a
-``Weight`` that gathers it afresh on each read.  The arrays alive at each
-stage of a deformed solve, n = dim / 2 the number of modes:
+``Weight`` that gathers it afresh on each read.  The stages of a deformed
+solve, n = dim / 2 the number of modes:
 
-- weight (``conformal.assemble_B``): B_s is gathered into one
-  Fortran-ordered n x n buffer, a panel of columns at a time, so no n x n
-  index table or copy is made beside it; the buffer is factored in place,
+- weight (``conformal.assemble_B``): B_s is gathered a panel of columns at a
+  time into one Fortran-ordered n x n buffer, factored in place,
   B_s = L L^H (the positive-definiteness check), and inverted in place to
   M = L^{-1};
 - reduction (``_reduce``): the lower triangle of the standard-form matrix
-  C = (M (x) I_2) A (M^H (x) I_2), which is all that ``eigh`` reads, is
-  built straight from the symbols, spin block by spin block and a panel of
-  columns at a time, into the one dim x dim array of the solve, with M and
-  an n x P work array, which are then freed; for Dirac symbols the (1, 1)
-  block is the exact negation of the (0, 0) block.  From 32 MiB on, C lives
-  in its own mapping without huge pages, where a page that holds only
-  entries above the diagonal is never written and never becomes resident:
-  at N=5, 57 of C's 89.4 MiB are resident;
-- ``scipy.linalg.eigh``: only C, which it overwrites, and the window's
-  vectors;
-- back-transformation: C is freed, the vectors are copied into one n x 2k
-  array with their spin components side by side and freed, and only then is
-  B_s gathered again and a copy of it factored to L; one triangular solve
-  with L maps them back, and L is freed;
-- phases and residual gate: the vectors are rotated in place, one gemm with
-  B_s applies B to both their spin components side by side, and A x, the
-  subtraction and the column norms are taken ``REDUCE_PANEL`` columns at a
-  time.  The weight keeps this B_s (``Weight.gathered``) for curve matching.
+  C = (M (x) I_2) A (M^H (x) I_2), all that the eigensolver reads, is built
+  from the symbols a panel of columns at a time into the one dim x dim
+  array of the solve, and M is freed.  From 32 MiB on, C lives in its own
+  mapping without huge pages, where its upper half never becomes resident;
+- eigensolve, one of two:
+  - ``scipy.linalg.eigh`` on C, which it overwrites (``zheevr`` for a
+    window, ``zheevd`` for a full solve);
+  - for a window of k <= dim / 16 pairs at dim >= 400, the mixed-precision
+    solve (``_mixed_window``): C is built in complex64 and reduced to a
+    tridiagonal T by ``chetrd``, T's window is solved and mapped back in
+    single precision, and one to three correction steps in double bring
+    every pair under the residual gate.  Any failure falls back to
+    ``eigh``.  Median ``solve_gen_hermitian`` time of a window at the
+    middle of the spectrum (2-vCPU Haswell, random factors of seeds 7-20,
+    t = 0.05):
 
-At N=5, B_s and L take 22 MiB each and the vectors of the trusted window
-30 MiB, and at most three arrays of these sizes are alive together after
-``eigh``, so no later stage outgrows the ``eigh`` stage, C's resident 57 MiB
-and the vectors.  The weight is factored twice.  Keeping L or M alive
-through ``eigh`` would hold one or two n x n arrays, a quarter of C each,
-beside C at the solve's peak; the second factorization costs n^3 / 3
-complex multiply-adds (1-2% of ``eigh``) and, from the same bits of B_s,
-gives the same L, so the eigenpairs are those of a solve that kept it.  No
-dense A or B is formed, and neither the gather, the reduction nor the
-residual gate makes an n x n or vectors-sized temporary: they work in
-column panels or in place.  In a process that repeats solves, such
-temporaries come from the C heap once its mmap threshold has risen, and
-their freed blocks stay resident into the next solve's ``eigh``.
+    | dim (N, delta) | k       | mixed          | ``zheevr``     |
+    |----------------|---------|----------------|----------------|
+    | 200 (2, 100)   | 12      | 7.0 ms         | 5.6 ms         |
+    | 250 (2, 000)   | 12      | 9.1 ms         | 9.4 ms         |
+    | 432 (3, 111)   | 12 / 22 | 22.4 / 36.7 ms | 27.9 / 41.7 ms |
+    | 504 (3, 011)   | 12 / 22 | 36.0 / 36.1 ms | 43.7 / 42.7 ms |
+    | 588 (3, 100)   | 22 / 36 | 50.0 / 68.6 ms | 60.7 / 78.7 ms |
+    | 588 (3, 100)   | 72      | 74.9 ms        | 67.3 ms        |
+    | 686 (3, 000)   | 22      | 65.0 ms        | 85.1 ms        |
+    | 1296 (4, 100)  | 22      | 315 ms         | 491 ms         |
 
-Every dense product and factorization of the solve (the two Cholesky
-factorizations, the triangular inverse, products and solve,
-``scipy.linalg.eigh`` and the residual gate's B_s product through
+- back-transformation: C is freed, B_s is gathered again and factored to L
+  (for the mixed solve, before its refinement), and one triangular solve
+  maps the vectors back;
+- phases and the residual gate on the original pencil (``_residual_max``).
+  The weight keeps this B_s (``Weight.gathered``) for curve matching.
+
+Memory: no later stage outgrows the eigensolve's C and the window's vectors.
+M, B_s and L take a quarter of C each; M lives only through the reduction,
+and B_s and L only after the eigensolve (the mixed solve holds its complex64
+C, half of C, and L through its refinement).  So the weight is factored
+twice: a second factorization costs n^3 / 3 complex multiply-adds, 1-2% of
+``eigh``, and gives the same L from the same bits of B_s.  No dense A or B
+is formed, and the gather, the reduction and the residual gate work in
+column panels or in place: in a process that repeats solves, an n x n or
+vectors-sized temporary comes from the C heap, and its freed block stays
+resident into the next solve.
+
+Every dense product and factorization of the solve (the Cholesky
+factorizations, the triangular inverse, products and solves, ``eigh``, the
+mixed solve's LAPACK calls and the residual gate's B_s product through
 ``blas_matmul``) runs on scipy's BLAS, and so do the overlap products of
 curve matching (``apply_weight``).  The numpy and scipy wheels each bundle
 their own OpenBLAS with its own thread pool, whose idle threads keep
@@ -232,8 +242,8 @@ REDUCE_PANEL = 128
 OWN_MAPPING_BYTES = 32 << 20
 
 
-def _lower_buffer(dim):
-    """A zeroed Fortran-ordered dim x dim complex array for C.
+def _lower_buffer(dim, dtype=np.complex128):
+    """A zeroed Fortran-ordered dim x dim array of ``dtype`` for C.
 
     From ``OWN_MAPPING_BYTES`` on it lives in its own anonymous private
     mapping, advised against transparent huge pages, so that a page holding
@@ -245,27 +255,28 @@ def _lower_buffer(dim):
     (2-vCPU Haswell).  The mapping is unmapped with the last reference to
     the array.
     """
-    size = dim * dim * 16
+    size = dim * dim * np.dtype(dtype).itemsize
     if size < OWN_MAPPING_BYTES or not hasattr(mmap, "MADV_NOHUGEPAGE"):
-        return np.zeros((dim, dim), dtype=np.complex128, order="F")
+        return np.zeros((dim, dim), dtype=dtype, order="F")
     buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     with contextlib.suppress(OSError):  # a kernel without huge pages
         buf.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buf, dtype=np.complex128).reshape((dim, dim), order="F")
+    return np.frombuffer(buf, dtype=dtype).reshape((dim, dim), order="F")
 
 
-def _require_finite(block):
+def _require_finite(block, dtype=np.complex128):
     """The finiteness check that ``scipy.linalg.eigh`` makes by default, on
-    the part of C just computed."""
-    if not np.isfinite(block).all():
+    the part of C just computed, as it is stored in ``dtype``: an entry that
+    overflows complex64 counts as infinite."""
+    if not np.isfinite(block.astype(dtype, copy=False)).all():
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _reduce(symbols, M):
+def _reduce(symbols, M, dtype=np.complex128):
     """The lower triangle of C = (M (x) I_2) A (M^H (x) I_2) for
     A = blockdiag(``symbols``) and the lower triangular M = L^{-1}
-    (``inverse_factor``), in one Fortran-ordered dim x dim array
-    (``_lower_buffer``); for M = None, the whole of A.
+    (``inverse_factor``), in one Fortran-ordered dim x dim array of
+    ``dtype`` (``_lower_buffer``); for M = None, the whole of A.
 
     Spin block (a, b) of C, the entries C[2p + a, 2q + b], is M diag(s_ab) M^H
     for s_ab the (a, b) entries of the symbols.  It is built
@@ -276,20 +287,20 @@ def _reduce(symbols, M):
     for every Dirac symbol -sigma . kappa, the (1, 1) block is the negated
     (0, 0) block, which is exact under round-to-nearest; other symbols take
     a third trmm.  So a Dirac reduction costs n^3 complex multiply-adds, and
-    a general one 1.5 n^3.
+    a general one 1.5 n^3.  The panels are computed in double; a complex64
+    C (the mixed-precision window solve) stores them rounded.
 
-    ``scipy.linalg.eigh`` reads only the lower triangle, so only the stores
-    are restricted: the panel of modes [j0, j1) stores rows p >= j0 of its
-    (0, 0), (1, 0) and (1, 1) blocks, and of the (0, 1) block's rows
-    [j0, j1), which mirror it, the columns q < j1.
-    That covers every entry on or below the diagonal (and a few above it,
-    in the panel's diagonal square); every stored entry has the bits of the
-    same formula computed on whole n x n blocks.  Each panel (and A's
-    blocks for M = None) is checked to be finite as it is computed:
-    ValueError otherwise, since ``eigh`` runs without its own check.
+    ``eigh`` and ``chetrd`` read only the lower triangle, so only entries on
+    or below the diagonal are stored: the panel of modes [j0, j1) stores the
+    rows p >= q of its (0, 0), (1, 0) and (1, 1) blocks, and of the (0, 1)
+    block's rows [j0, j1), which mirror it, the columns q < p.  Every stored
+    entry has the bits of the same formula computed on whole n x n blocks.
+    Each panel (and A's blocks for M = None) is checked to be finite, as it
+    is stored, when it is computed: ValueError otherwise, since ``eigh``
+    runs without its own check.
     """
     n = symbols.shape[0]
-    C = _lower_buffer(2 * n)
+    C = _lower_buffer(2 * n, dtype)
     if M is None:
         _require_finite(symbols)
         modes = np.arange(n)
@@ -301,24 +312,223 @@ def _reduce(symbols, M):
     blocks = ((0, 0), (1, 0)) if negate else ((0, 0), (1, 1), (1, 0))
     W = np.empty((n, min(n, REDUCE_PANEL)), dtype=np.complex128, order="F")
     trmm = scipy.linalg.get_blas_funcs("trmm", (M, W))
+    # the entries p >= q, and p > q, of a panel's diagonal square
+    on_or_below = np.tri(W.shape[1], dtype=bool)
+    below = np.tri(W.shape[1], k=-1, dtype=bool)
     for j0 in range(0, n, REDUCE_PANEL):
         j1 = min(j0 + REDUCE_PANEL, n)
-        cols = slice(j0, j1)
+        cols, square = slice(j0, j1), on_or_below[: j1 - j0, : j1 - j0]
         P = W[:, : j1 - j0]
         for a, b in blocks:
             np.conjugate(M[cols].T, out=P)
             P *= symbols[:, a, b, None]
             P = trmm(1.0, M, P, lower=1, overwrite_b=1)
-            _require_finite(P)
-            C[a::2, b::2][j0:, cols] = P[j0:]
+            _require_finite(P, dtype)
+            C[a::2, b::2][j1:, cols] = P[j1:]
+            np.copyto(C[a::2, b::2][cols, cols], P[cols], where=square)
             if a != b:
-                np.conjugate(P[:j1].T, out=C[0::2, 1::2][cols, :j1])
+                mirror = C[0::2, 1::2][cols]
+                np.conjugate(P[:j0].T, out=mirror[:, :j0])
+                np.conjugate(P[cols].T, out=mirror[:, cols], where=below[: j1 - j0, : j1 - j0])
             elif negate:
                 # 0 - P, not -P: a zero entry (such as the imaginary part of
                 # a diagonal entry, a cancellation in the trmm) stays +0, as
                 # the trmm of -s_00 leaves it
-                np.subtract(0.0, P[j0:], out=C[1::2, 1::2][j0:, cols])
+                np.subtract(0.0, P[j1:], out=C[1::2, 1::2][j1:, cols])
+                np.subtract(0.0, P[cols], out=C[1::2, 1::2][cols, cols], where=square)
     return C
+
+
+def _spin_sides(V):
+    """The n x 2k Fortran-ordered array [V_0 V_1] of the two spin components
+    of mode-major V (2n x k), side by side."""
+    k = V.shape[1]
+    S = np.empty((V.shape[0] // 2, 2 * k), dtype=np.complex128, order="F")
+    S[:, :k], S[:, k:] = V[0::2], V[1::2]
+    return S
+
+
+def _mode_major(S):
+    """The mode-major 2n x k array of the spin components [V_0 V_1] = S."""
+    n, k = S.shape[0], S.shape[1] // 2
+    V = np.empty((2 * n, k), dtype=np.complex128)
+    V[0::2], V[1::2] = S[:, :k], S[:, k:]
+    return V
+
+
+def _residual_max(symbols, w, V, B_s):
+    """The largest ||A x - lambda B x||_2 over the columns x of V and w, and
+    the scale max(1, max |lambda|) of its bound.
+
+    B x lambda is one gemm G = B_s [V_0 V_1], the spin components side by
+    side (one gemm, not panels of it, keeps the bits), scaled in place; A x,
+    the subtraction and the column norms take ``REDUCE_PANEL`` columns at a
+    time.  B_s = None is B = I.
+    """
+    n, k = symbols.shape[0], V.shape[1]
+    if B_s is not None:
+        G = blas_matmul(B_s, V.reshape(n, 2 * k))
+        G *= np.tile(w, 2)
+    norms = np.empty(k)
+    for j0 in range(0, k, REDUCE_PANEL):
+        cols = slice(j0, min(j0 + REDUCE_PANEL, k))
+        R = apply_symbols(symbols, V[:, cols])
+        if B_s is None:
+            R -= V[:, cols] * w[cols]
+        else:
+            R_spin = R.reshape(n, 2, -1)
+            R_spin[:, 0] -= G[:, cols]
+            R_spin[:, 1] -= G[:, k:][:, cols]
+        norms[cols] = np.linalg.norm(R, axis=0)
+    return float(norms.max()), float(np.maximum(1.0, np.abs(w).max()))
+
+
+#: Mixed-precision window solves (``_mixed_window``): a deformed solve of a
+#: window of k eigenpairs takes them when dim >= ``MIXED_MIN_DIM`` and
+#: k <= dim / ``MIXED_WINDOW_SHARE``.  Below the floor, and for larger
+#: windows, ``zheevr`` is faster (see the module docstring).
+MIXED_MIN_DIM = 400
+MIXED_WINDOW_SHARE = 16
+#: At most this many correction steps, each followed by a Rayleigh-Ritz step.
+MIXED_MAX_STEPS = 3
+#: Refinement stops when every C-space residual is at most this times
+#: max(1, |theta|), ten times below ``RESIDUAL_BOUND``.
+MIXED_RESIDUAL = 1e-10
+#: Ritz values within this relative distance share one shift of T.
+MIXED_SHIFT_RUN = 1e-5
+
+
+def _takes_mixed_path(dim, subset_by_index):
+    """Whether a deformed solve goes to ``_mixed_window``: an index window of
+    k eigenpairs with k <= dim / ``MIXED_WINDOW_SHARE``, dim >= ``MIXED_MIN_DIM``."""
+    if subset_by_index is None or dim < MIXED_MIN_DIM:
+        return False
+    lo, hi = subset_by_index
+    return 0 <= lo <= hi < dim and (hi - lo + 1) * MIXED_WINDOW_SHARE <= dim
+
+
+def _triangular_solve(L, S, trans_a=0):
+    """L^{-1} S (``trans_a`` 0) or L^{-H} S (2) for the lower triangular L,
+    in the buffer of S, a Fortran-ordered complex array (``_spin_sides``)."""
+    trsm = scipy.linalg.get_blas_funcs("trsm", (L, S))
+    return trsm(1.0, L, S, lower=1, trans_a=trans_a, overwrite_b=1)
+
+
+def _apply_reduced(symbols, L, X):
+    """C X = (L^{-1} (x) I_2) A (L^{-H} (x) I_2) X in double, for mode-major
+    X: two triangular solves of side n with the spin components side by
+    side, around ``apply_symbols``."""
+    S = _triangular_solve(L, _spin_sides(X), trans_a=2)
+    return _mode_major(_triangular_solve(L, _spin_sides(apply_symbols(symbols, _mode_major(S)))))
+
+
+def _mixed_window(symbols, weight, lo, hi):
+    """The eigenpairs lo..hi of the deformed pencil, as ``solve_gen_hermitian``
+    returns them, from a complex64 tridiagonalization refined in double; None
+    when any stage fails, so that the caller solves in double.
+
+    C's lower triangle is built in complex64 (``_reduce``) and reduced to a
+    real tridiagonal T = Q^H C Q by ``chetrd``; the window of T comes from
+    ``sstebz`` and ``sstein`` in single precision, and Q maps it back
+    (``cunmqr`` on the reflectors that ``chetrd`` leaves in C).  B_s is
+    gathered and factored in place to L, and C is applied in double through
+    L (``_apply_reduced``).  A Rayleigh-Ritz step in double, on the k x k
+    pencil (X^H C X, X^H X), gives Ritz pairs (theta, x) and residuals
+    r = C x - theta x.  Until every residual is at most ``MIXED_RESIDUAL``
+    max(1, |theta|), a correction step solves (T - theta I) y = Q^H r in
+    double (``zgtsv``), one shift per run of Ritz values within
+    ``MIXED_SHIFT_RUN``, and sets x <- x - Q y: a Jacobi-Davidson correction
+    (Sleijpen & van der Vorst, SIAM J. Matrix Anal. Appl. 17, 1996) with the
+    single-precision T as its preconditioner, which needs no projection
+    because R is orthogonal to X after Rayleigh-Ritz.  Each step shrinks the
+    residual by about |C - Q T Q^H| / gap, and at most ``MIXED_MAX_STEPS``
+    steps are taken.  Then C is freed, the vectors are mapped back by L, and
+    B_s is gathered again for the residual gate of the double path.
+
+    Every product runs on scipy's BLAS and LAPACK.  Through the refinement
+    only the complex64 C, half of the double path's C, and L, a quarter of
+    it, are held; B_s is gathered a second time rather than held beside
+    them, which costs about 2 ms at N = 3 and keeps the scan's peak RSS
+    below the double path's.
+    """
+    lapack = scipy.linalg.lapack
+    M = weight.take_inverse_factor()
+    try:
+        C = _reduce(symbols, M, np.complex64)
+    except ValueError:  # an entry that overflows complex64, or a NaN
+        return None
+    del M
+    dim, k = C.shape[0], hi - lo + 1
+    lwork = int(lapack.chetrd_lwork(dim, lower=1)[0].real)
+    C, d, e, tau, info = lapack.chetrd(C, lower=1, lwork=lwork, overwrite_a=1)
+    if info or not (np.isfinite(d).all() and np.isfinite(e).all()):
+        return None
+    found, theta, block, split, info = lapack.sstebz(d, e, 2, 0.0, 0.0, lo + 1, hi + 1, 0.0, "B")
+    if info or found != k:
+        return None
+    Z, info = lapack.sstein(d, e, theta[:k], block, split)
+    if info:
+        return None
+    # Q's reflectors in the rows 1.. of C: a view from C's second entry with
+    # C's leading dimension, of which cunmqr reads the first dim - 1 rows.
+    reflectors = C.reshape(-1, order="F")[1 : 1 + dim * (dim - 1)].reshape(
+        (dim, dim - 1), order="F"
+    )
+    Y = Z.astype(np.complex64, order="F")
+    del Z
+    lwork = int(lapack.cunmqr("L", "N", reflectors, tau, Y[1:], -1)[1][0].real)
+
+    def apply_q(Y, trans):
+        """Q Y (``trans`` "N") or Q^H Y ("C") in place, for complex64 Y."""
+        Y[1:], _, info = lapack.cunmqr("L", trans, reflectors, tau, Y[1:], lwork)
+        return info == 0
+
+    if not apply_q(Y, "N"):
+        return None
+    d, e = d.astype(np.float64), e.astype(np.complex128)
+    L = cholesky_pd(weight.B_s)
+    X = Y.astype(np.complex128)
+    for step in range(MIXED_MAX_STEPS + 1):
+        CX = _apply_reduced(symbols, L, X)
+        Xh = X.conj().T
+        w, U, info = lapack.zhegv(blas_matmul(Xh, CX), blas_matmul(Xh, X),
+                                  overwrite_a=1, overwrite_b=1)
+        if info:
+            return None
+        X, R = blas_matmul(X, U), blas_matmul(CX, U)
+        R -= X * w
+        norms = np.linalg.norm(R, axis=0)
+        if not np.isfinite(norms).all():
+            return None
+        if np.all(norms <= MIXED_RESIDUAL * np.maximum(1.0, np.abs(w))):
+            break
+        if step == MIXED_MAX_STEPS:
+            return None
+        Y = R.astype(np.complex64, order="F")
+        if not apply_q(Y, "C"):
+            return None
+        gaps = np.diff(w) > MIXED_SHIFT_RUN * np.maximum(1.0, np.abs(w[1:]))
+        edges = [0, *(np.flatnonzero(gaps) + 1), k]
+        for j0, j1 in zip(edges[:-1], edges[1:]):
+            *_, y, info = lapack.zgtsv(e, d - w[j0:j1].mean(), e, Y[:, j0:j1])
+            if info:
+                return None
+            Y[:, j0:j1] = y
+        if not apply_q(Y, "N"):
+            return None
+        X -= Y
+    del C, reflectors, Y, CX, R
+    S = _triangular_solve(L, _spin_sides(X), trans_a=2)
+    del L, X
+    V = _mode_major(S)
+    del S
+    B_s = weight.B_s
+    canonicalize_phases(V)
+    residual_max, scale = _residual_max(symbols, w, V, B_s)
+    if not residual_max <= RESIDUAL_BOUND * scale:
+        return None
+    weight.gathered = B_s
+    return w, V, residual_max
 
 
 def solve_gen_hermitian(symbols, weight=None, subset_by_index=None):
@@ -346,17 +556,18 @@ def solve_gen_hermitian(symbols, weight=None, subset_by_index=None):
     Returns ascending eigenvalues, B-orthonormal eigenvectors with phases
     canonicalized in place, and the largest per-vector residual
     ``||A x - lambda B x||_2`` (with ``||x||_B = 1``) on the original pencil,
-    A applied through the symbols and B through B_s, which must stay below
-    ``RESIDUAL_BOUND * max(1, max |lambda|)``; a NaN residual or eigenvalue
-    fails the bound.  B x lambda is one gemm of B_s with the vectors' two
-    spin components side by side, scaled in place, and the B_s it used is
-    left on the weight as ``weight.gathered``; A x, the subtraction and the
-    column norms take ``REDUCE_PANEL`` columns at a time.
+    A applied through the symbols and B through B_s (``_residual_max``),
+    which must stay below ``RESIDUAL_BOUND * max(1, max |lambda|)``; a NaN
+    residual or eigenvalue fails the bound.  The B_s that the gate used is
+    left on the weight as ``weight.gathered``.
 
     ``subset_by_index`` (inclusive ``[lo, hi]``) restricts the solve to a
     window of eigenpairs; it is passed unchanged to ``scipy.linalg.eigh``,
-    which then uses its windowed driver.  Phase canonicalization and the
-    residual bound apply to every returned pair either way.
+    which then uses its windowed driver.  A small window of a deformed solve
+    of large enough dim (``_takes_mixed_path``) is solved in mixed precision
+    (``_mixed_window``) instead, and in double as above when that fails at
+    any stage.  Phase canonicalization and the residual bound apply to every
+    returned pair either way.
 
     Raises PositiveDefiniteError when B_s fails its Cholesky factorization,
     ValueError (``eigh``'s) when C is not finite, and RuntimeError for any
@@ -367,10 +578,14 @@ def solve_gen_hermitian(symbols, weight=None, subset_by_index=None):
     n = symbols.shape[0]
     if symbols.shape != (n, 2, 2):
         raise ValueError(f"symbols must have shape (n, 2, 2), got {symbols.shape}")
-    M = None
+    M = B_s = None
     if weight is not None:
         if weight.shape != (n, n):
             raise ValueError(f"B_s must be {n} x {n} for {n} mode symbols, got {weight.shape}")
+        if _takes_mixed_path(2 * n, subset_by_index):
+            solved = _mixed_window(symbols, weight, *subset_by_index)
+            if solved is not None:
+                return solved
         M = weight.take_inverse_factor()
     C = _reduce(symbols, M)
     del M
@@ -391,44 +606,21 @@ def solve_gen_hermitian(symbols, weight=None, subset_by_index=None):
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed: {exc}") from exc
     del C
-    k = V.shape[1]
     if weight is not None:
-        # x = (L^{-H} (x) I_2) y: one triangular solve of side n with the two
-        # spin components of every vector side by side, in X, which takes
-        # them from eigh's vectors before B_s is gathered and factored.
-        X = np.empty((n, 2 * k), dtype=np.complex128, order="F")
-        X[:, :k], X[:, k:] = V[0::2], V[1::2]
+        # x = (L^{-H} (x) I_2) y, on the spin components of eigh's vectors,
+        # which are freed before B_s is gathered and factored.
+        S = _spin_sides(V)
         del V
         B_s = weight.B_s
         L = cholesky_pd(B_s.copy(order="F"))
-        trsm = scipy.linalg.get_blas_funcs("trsm", (L, X))
-        X = trsm(1.0, L, X, lower=1, trans_a=2, overwrite_b=1)
+        _triangular_solve(L, S, trans_a=2)
         del L
-        V = np.empty((2 * n, k), dtype=np.complex128)
-        V[0::2], V[1::2] = X[:, :k], X[:, k:]
-        del X
+        V = _mode_major(S)
+        del S
     canonicalize_phases(V)
+    residual_max, scale = _residual_max(symbols, w, V, B_s)
     if weight is not None:
-        # B x lambda as one gemm G = B_s [V_0 V_1], the spin components side
-        # by side (one gemm, not panels of it, keeps residual_max's bits)
-        G = blas_matmul(B_s, V.reshape(n, 2 * k))
-        G *= np.tile(w, 2)
         weight.gathered = B_s
-    # A x - B x lambda and its norm, a panel of columns at a time
-    norms = np.empty(k)
-    for j0 in range(0, k, REDUCE_PANEL):
-        cols = slice(j0, min(j0 + REDUCE_PANEL, k))
-        R = apply_symbols(symbols, V[:, cols])
-        if weight is None:
-            R -= V[:, cols] * w[cols]
-        else:
-            R_spin = R.reshape(n, 2, -1)
-            R_spin[:, 0] -= G[:, cols]
-            R_spin[:, 1] -= G[:, k:][:, cols]
-        norms[cols] = np.linalg.norm(R, axis=0)
-    residual_max = float(norms.max())
-    # NaN-aware: a NaN residual or eigenvalue fails the comparison below
-    scale = float(np.maximum(1.0, np.abs(w).max()))
     if not residual_max <= RESIDUAL_BOUND * scale:
         raise RuntimeError(
             f"eigensolver residual {residual_max:.3e} exceeds bound "

@@ -315,7 +315,9 @@ def to_grid(coeffs, k, G):
     arr[i, j] = np.fft.ifft(arr[i, j], axis=1)
     i = np.unique(bins[0])
     arr[i] = np.fft.ifft(arr[i], axis=1)
-    arr = np.fft.ifft(arr, axis=0)
+    # Axis 0 a plane of lines at a time, in place: no second G^3 array.
+    for j in range(G):
+        arr[:, j] = np.fft.ifft(arr[:, j], axis=0)
     arr *= G**3
     return arr
 

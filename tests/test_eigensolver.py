@@ -112,7 +112,7 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         ("window", "N"),
-        [(None, 2), ((40, 59), 2), (None, 3), ((40, 59), 3)],
+        [(None, 2), ((40, 59), 2), (None, 3), ((40, 99), 3)],
         ids=["full", "window", "full-N3", "window-N3"],
     )
     def test_bit_identical_to_one_held_factor(self, window, N):
@@ -121,7 +121,8 @@ class TestSolve:
         # B_s once with scipy.linalg.cholesky, keeps L through eigh, maps
         # the vectors back with trsm and takes the residual of all columns
         # at once gives the same bits.  At N=3 C is built, and the residual
-        # taken, in several panels.
+        # taken, in several panels; the window of 60 pairs is above
+        # dim / MIXED_WINDOW_SHARE, so it is solved in double.
         ms = build_mode_set(N, (1, 0, 0))
         op = build_deformed_operator(random_factor(11, 2, 0.3), 0.05, ms)
         B_s = np.ascontiguousarray(op.weight.B_s)
@@ -159,7 +160,8 @@ class TestSolve:
         C = es._reduce(S, scipy.linalg.lapack.ztrtri(L, lower=1)[0])
         assert C.flags.f_contiguous and C.shape == (18, 18)
         Minv = kron2(np.linalg.inv(L))
-        assert_allclose(C, Minv @ block_diag(S) @ Minv.conj().T, atol=1e-13)
+        # only the lower triangle, all that eigh reads, is written
+        assert_allclose(C, np.tril(Minv @ block_diag(S) @ Minv.conj().T), atol=1e-13)
         assert es._reduce(S, None).tobytes(order="F") == block_diag(S).tobytes(order="F")
 
     @pytest.mark.parametrize("symbols", ["dirac", "random"])
@@ -185,6 +187,19 @@ class TestSolve:
         C = es._reduce(S, M)
         assert C.flags.f_contiguous
         assert np.tril(C).tobytes(order="F") == np.tril(C_ref).tobytes(order="F")
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["double", "single"])
+    def test_reduction_stores_only_the_lower_triangle(self, dtype):
+        # Not even inside a panel's diagonal square is an entry above the
+        # diagonal written; a complex64 C holds the double C's entries
+        # rounded.  n = 294 modes spans three panels.
+        ms = build_mode_set(3, (1, 0, 0))
+        M = build_deformed_operator(random_factor(11, 2, 0.3), 0.05, ms).weight.inverse
+        C = es._reduce(ms.symbols, M, dtype)
+        assert C.dtype == dtype and C.flags.f_contiguous
+        assert not np.triu(C, 1).any()
+        lower = np.tril(es._reduce(ms.symbols, M)).astype(dtype)
+        assert C.tobytes(order="F") == lower.tobytes(order="F")
 
     def test_non_finite_reduction_is_refused_before_eigh(self, rng, monkeypatch):
         # eigh runs without its finiteness check, so the reduction makes it:
@@ -216,9 +231,10 @@ class TestSolve:
         # In its own mapping without huge pages, the strictly upper half of
         # C, which _reduce does not write and eigh does not read, stays out
         # of memory: not after the reduction and not after eigh.  The pages
-        # that hold entries on or below the diagonal, or in a panel's
-        # diagonal square, are 0.75 of C at N=4, where a column is 5 pages
-        # (0.94 at N=3, where it is 2.3 pages); a C written whole is 1.0.
+        # that hold entries on or below the diagonal are 0.67 of C at N=4,
+        # where a column is 5 pages (0.84 at N=3, where it is 2.3 pages);
+        # writing the upper half of each panel's diagonal square too makes
+        # it 0.75, and a C written whole is 1.0.
         monkeypatch.setattr(es, "OWN_MAPPING_BYTES", 0)
         ms = build_mode_set(4, (1, 0, 0))
         M = build_deformed_operator(random_factor(11, 2, 0.3), 0.05, ms).weight.inverse
@@ -227,9 +243,9 @@ class TestSolve:
         def resident_share():
             return mapping_rss(C.ctypes.data) / C.nbytes
 
-        assert resident_share() <= 0.8
+        assert resident_share() <= 0.7
         scipy.linalg.eigh(C, subset_by_index=(600, 700), overwrite_a=True, check_finite=False)
-        assert resident_share() <= 0.8
+        assert resident_share() <= 0.7
 
     @pytest.mark.parametrize("spin", [(0, 0, 0), (1, 0, 0)], ids=str)
     def test_t_zero_is_bit_identical_to_dense_eigh(self, spin):
@@ -631,3 +647,188 @@ class TestCurveMatching:
         )
         with pytest.raises(ValueError, match="at least two snapshots"):
             es.match_curves(snaps)
+
+
+def genericity_window(ms, m_clusters=3):
+    """The index window that ``lowest_positive_clusters`` solves first: the
+    flat clusters from the kernel through ``m_clusters`` positive shells, and
+    one eigenpair past each edge (inclusive bounds)."""
+    keys, starts = ms.flat_clusters[0], ms.cluster_starts
+    a = np.searchsorted(keys, 0)
+    b = np.searchsorted(keys, 0, side="right") + m_clusters
+    return int(starts[a]) - 1, int(starts[b])
+
+
+class TestMixedWindow:
+    """Small deformed windows solved in single precision and refined in double."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """A list that records, per call of ``_mixed_window``, whether it
+        returned a result (True) or left the solve to the double path."""
+        taken = []
+        mixed = es._mixed_window
+
+        def spy(*args):
+            out = mixed(*args)
+            taken.append(out is not None)
+            return out
+
+        monkeypatch.setattr(es, "_mixed_window", spy)
+        return taken
+
+    @staticmethod
+    def in_double(monkeypatch, solve):
+        """``solve()`` with the mixed path switched off."""
+        with monkeypatch.context() as m:
+            m.setattr(es, "MIXED_MIN_DIM", sys.maxsize)
+            return solve()
+
+    def assert_agrees(self, mixed, double):
+        w, w_ref = mixed.eigenvalues, double.eigenvalues
+        assert np.all(np.abs(w - w_ref) <= 1e-13 * np.maximum(1.0, np.abs(w_ref)))
+        assert [c.mult_c for c in mixed.clusters] == [c.mult_c for c in double.clusters]
+
+    def test_path_applies_to_small_windows_from_the_dim_floor(self):
+        assert es.MIXED_MIN_DIM > 250  # N = 2 stays on the double path
+        assert es._takes_mixed_path(432, (200, 226))  # 27 <= 432 / 16
+        assert not es._takes_mixed_path(432, (200, 227))
+        assert not es._takes_mixed_path(es.MIXED_MIN_DIM - 2, (0, 3))
+        assert not es._takes_mixed_path(588, None)  # a full solve
+        assert not es._takes_mixed_path(588, (300, 290))  # left to eigh to refuse
+
+    @pytest.mark.parametrize("spin", all_spin_structures(), ids=str)
+    def test_sweep_agrees_with_double(self, spin, monkeypatch):
+        # The genericity window at N = 3 (of fewer positive shells where
+        # three hold more than dim / 16 pairs) for four random factors and
+        # two single cosines, at t = 0.05 and 0.3: every solve takes the
+        # mixed path, its eigenvalues agree with zheevr to 1e-13 relative,
+        # and the clusters at tau = 1e-9 have the same multiplicities.
+        ms = build_mode_set(3, spin)
+        window = next(w for w in (genericity_window(ms, m) for m in (3, 2, 1))
+                      if (w[1] - w[0] + 1) * es.MIXED_WINDOW_SHARE <= ms.dim)
+        factors = [random_factor(seed, 2, 0.3) for seed in (3, 5, 7, 11)]
+        factors += [ConformalFactor.cosine((0, 1, -1)), ConformalFactor.cosine((1, 0, 0))]
+        taken = self.spy(monkeypatch)
+        for f in factors:
+            for t in (0.05, 0.3):
+                def solve(f=f, t=t):
+                    return deformed_spectrum(f, t, ms, subset_by_index=window)
+
+                self.assert_agrees(solve(), self.in_double(monkeypatch, solve))
+        assert taken == [True] * len(factors) * 2
+
+    @pytest.mark.parametrize("t", [0.05, 0.3])
+    def test_window_edges_cutting_kramers_pairs_and_split_shells(self, t, monkeypatch):
+        # Windows that start and end inside a Kramers pair, inside a flat
+        # shell that t splits, and the benchmark's genericity window of its
+        # trial 26, whose split shells lie 4e-4 apart.
+        ms = build_mode_set(3, (1, 0, 0))
+        starts = ms.cluster_starts
+        shell = int(np.searchsorted(starts, ms.dim // 2))
+        windows = [(int(starts[shell]) + 3, int(starts[shell]) + 24),
+                   (int(starts[shell + 1]) - 5, int(starts[shell + 1]) + 6)]
+        factors = [random_factor(17, 2, 0.3),
+                   random_factor(np.random.SeedSequence(11).spawn(50)[26], 2, 0.3)]
+        taken = self.spy(monkeypatch)
+        for f in factors:
+            for window in [*windows, genericity_window(ms)]:
+                def solve(f=f, window=window):
+                    return deformed_spectrum(f, t, ms, subset_by_index=window)
+
+                self.assert_agrees(solve(), self.in_double(monkeypatch, solve))
+        assert all(taken) and len(taken) == 6
+
+    @staticmethod
+    def lapack_failure(name, what="info"):
+        """A patch for ``scipy.linalg.lapack.<name>`` that reports failure:
+        info = 1, or a NaN in its first output."""
+        real = getattr(scipy.linalg.lapack, name)
+
+        def failing(*args, **kwargs):
+            out = list(real(*args, **kwargs))
+            if what == "info":
+                out[-1] = 1
+            else:
+                out[0] = np.full_like(out[0], np.nan)
+            return tuple(out)
+
+        return name, failing
+
+    @pytest.mark.parametrize("failure", [
+        ("MIXED_RESIDUAL", 0.0),  # the refinement never converges
+        ("RESIDUAL_BOUND", None),  # the mixed result fails the pencil gate
+        "chetrd", "sstein", "cunmqr", "zhegv", "zgtsv", "nan",
+    ], ids=["no-convergence", "pencil-gate", "chetrd", "sstein", "cunmqr", "zhegv", "zgtsv",
+            "nan"])
+    def test_failure_falls_back_to_the_bits_of_the_double_path(self, failure, monkeypatch):
+        ms = build_mode_set(3, (1, 0, 0))
+        f, window = random_factor(11, 2, 0.3), genericity_window(ms)
+
+        def solve():
+            op = build_deformed_operator(f, 0.05, ms)
+            return es.solve_gen_hermitian(ms.symbols, op.weight, subset_by_index=window)
+
+        w_ref, V_ref, res_ref = self.in_double(monkeypatch, solve)
+        taken = self.spy(monkeypatch)
+        if failure == ("RESIDUAL_BOUND", None):
+            # the first residual gate, the mixed result's, reads a residual
+            # above the bound; the double path's is left as it is
+            residual_max = es._residual_max
+            calls = []
+
+            def failing_gate(*args):
+                res, scale = residual_max(*args)
+                calls.append(res)
+                return (res + 1.0 if len(calls) == 1 else res), scale
+
+            monkeypatch.setattr(es, "_residual_max", failing_gate)
+        elif isinstance(failure, tuple):
+            monkeypatch.setattr(es, *failure)
+        elif failure == "nan":
+            monkeypatch.setattr(scipy.linalg.lapack, *self.lapack_failure("chetrd", "nan"))
+        else:
+            monkeypatch.setattr(scipy.linalg.lapack, *self.lapack_failure(failure))
+        w, V, res = solve()
+        assert taken == [False]
+        assert w.tobytes() == w_ref.tobytes()
+        assert V.tobytes() == V_ref.tobytes()
+        assert res == res_ref
+
+    def test_entries_that_overflow_single_precision_fall_back(self, monkeypatch):
+        # Symbols of 1e38 |kappa| overflow complex64 in C, not in double.
+        ms = build_mode_set(3, (1, 0, 0))
+        f, window = random_factor(11, 2, 0.3), genericity_window(ms)
+
+        def solve():
+            op = build_deformed_operator(f, 0.05, ms)
+            return es.solve_gen_hermitian(1e38 * ms.symbols, op.weight, subset_by_index=window)
+
+        w_ref, V_ref, _ = self.in_double(monkeypatch, solve)
+        taken = self.spy(monkeypatch)
+        w, V, _ = solve()
+        assert taken == [False]
+        assert w.tobytes() == w_ref.tobytes() and V.tobytes() == V_ref.tobytes()
+
+    def test_trusted_and_tracked_windows_stay_in_double(self, monkeypatch):
+        # The trusted window (single-t spectrum), t-grids, the wide t-grid
+        # whose window grows to the whole spectrum, and simplicity never
+        # reach the mixed path; the genericity window does.
+        from spintorus.conformal import tracked_spectrum, trusted_spectrum
+        from spintorus.experiments import lowest_positive_clusters, simplicity_certificate
+
+        ms = build_mode_set(3, (1, 0, 0))
+        f = random_factor(11, 2, 0.3)
+        taken = self.spy(monkeypatch)
+        assert len(lowest_positive_clusters(f, 0.05, ms, 3)) == 3
+        assert taken == [True]
+
+        def forbidden(*args):
+            raise AssertionError("mixed path taken")
+
+        monkeypatch.setattr(es, "_mixed_window", forbidden)
+        assert len(trusted_spectrum(f, 0.05, ms).eigenvalues) > 0
+        assert tracked_spectrum(f, [0.0, 0.05, 0.1], ms).index_window != [0, ms.dim]
+        wide = tracked_spectrum(f, [0.0, 0.05, 0.1], ms, tolerances=(1e-6, 0.2))
+        assert wide.index_window == [0, ms.dim]
+        simplicity_certificate((1, 0, 0), f, 0.05, 3, 3)

@@ -13,6 +13,13 @@ code, stdout, stderr and the bytes of every file the command wrote (its
 removes the worktree.  Exits 1 when any command differs.  No outputs are
 stored: both sides are run every time, since dense eigensolves can differ in
 their last bits between BLAS builds.
+
+Artifacts are byte-identical only at the same BLAS thread count, and every
+command runs with ``OPENBLAS_NUM_THREADS=1`` unless the caller's environment
+sets it.  Each CLI process otherwise runs two OpenBLAS pools (numpy's and
+scipy's) with a thread per core, whose idle threads keep spinning after each
+call; run beside the test suite, such processes slowed its timed genericity
+criterion past its bound.
 """
 
 import difflib
@@ -39,6 +46,7 @@ def run(tree, argv, workdir):
     """Exit code, stdout, stderr and written files of one command in one tree."""
     workdir.mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
     proc = subprocess.run(
         [sys.executable, "-m", "spintorus.cli", *argv],
         cwd=workdir, env=env, capture_output=True, timeout=TIMEOUT_S,
