@@ -6,10 +6,10 @@ failure of the deformation weight, 3 invalid input (usage error, bad config,
 malformed or non-finite factor or a factor JSON that is not an object,
 out-of-range cluster index, a cluster lambda off the flat spectrum or a
 cluster past the truncation radius N - 1/2, violated precondition, a
-truncation whose dense solve, a factor or degree whose sampling grids or an
-``oracle --lambda-max`` whose lattice enumeration would not fit in physical
-memory, an unreadable input file or an unwritable ``--out``), reported as
-one ``error:`` line.
+truncation whose dense solve, a factor or degree whose sampling grids, a
+``genericity --trials`` whose report or an ``oracle --lambda-max`` whose
+lattice enumeration would not fit in physical memory, an unreadable input
+file or an unwritable ``--out``), reported as one ``error:`` line.
 
 Each subcommand takes only the flags it reads (``COMMANDS``); any other flag
 is a usage error.  Configuration can come from flags or a single JSON config
@@ -18,9 +18,10 @@ other subcommands read); explicit flags override file entries.  JSON
 artifacts are written with sorted keys so identical configurations produce
 byte-identical output, at the same BLAS thread count.  OpenBLAS splits its
 work by thread, so eigenvalues move in their last bits with
-``OPENBLAS_NUM_THREADS``: the benchmark's 50-trial genericity JSON (seed 11,
-N = 3) differs in 130 of its 150 lambdas, by at most 1.8e-15, between one
-and two threads.
+``OPENBLAS_NUM_THREADS``.  Genericity artifacts do not depend on the thread
+count: every trial runs in a worker process pinned to one OpenBLAS thread
+(``experiments.run_trials``), so they equal the output of a run under
+``OPENBLAS_NUM_THREADS=1``.
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ from .conformal import (
     # Not called here: the t grid solves through tracked_spectrum.  The
     # benchmark's tracer self-test checks that it rebinds this by-name import.
     deformed_spectrum,  # noqa: F401
+    dense_memory_estimate,
     exp_grid_size,
     extrema_grid_size,
+    physical_memory,
     tracked_spectrum,
     trusted_spectrum,
 )
@@ -70,17 +73,6 @@ EXIT_BAD_INPUT = 3
 
 #: The t at which split-search verifies a split when no t is given.
 DEFAULT_T_VERIFY = 0.05
-#: Peak memory of a dense solve in dim x dim complex matrices: peak RSS
-#: less the import baseline is at most 2.47 of them for every --N command at
-#: N=4 and 5 with the default tolerances (spectrum --t-grid at N=4, dim 1296,
-#: with two snapshots' vectors alive: 121 MB, 58 MB of it the import; 1.91 at
-#: N=5), and at most 1.76 for every single-t command (split-search at N=4).
-#: At N=5, where C's unwritten upper half stays out of memory, every
-#: single-t command reads 1.02-1.13.  4.0 leaves 62% headroom.  A spectrum
-#: --t-grid whose --tau-split grows the tracked window to the whole spectrum
-#: is not covered: it reads 7.24 at N=4 and 6.36 at N=5 (ROADMAP, dense
-#: memory).
-DENSE_MATRICES_AT_PEAK = 4.0
 #: Peak bytes per point of the lattice cube that ``closed_form_spectrum``
 #: enumerates: the int64 keys, the ball mask, and the ball's keys and their
 #: sorted copy, 8 + 1 + 2 * 8 pi / 6 = 17.4 (tracemalloc: 16.4 at
@@ -90,18 +82,16 @@ LATTICE_BYTES_PER_POINT = 18
 #: samples e^{tf}, factor grid cache included (tracemalloc: 56.0-56.3 at
 #: G = 54-216; at most 77 on grids of side 36 and below).
 EXP_GRID_BYTES_PER_POINT = 64
+#: Peak bytes of one row of a genericity report while the command writes it
+#: (the row, its JSON object and text, and its CSV row), plus those of each
+#: positive cluster in it (tracemalloc over 2000 and 8000 rows: 2925, 3575,
+#: 4777 and 6748 bytes a row with 1, 3, 6 and 12 clusters).
+GENERICITY_ROW_BYTES = 3000
+GENERICITY_CLUSTER_BYTES = 400
 
 
 class ConfigError(ValueError):
     pass
-
-
-def dense_memory_estimate(N, delta):
-    """Estimated peak bytes of a dense solve at truncation order N."""
-    # ModeSet, not build_mode_set: sizing a run builds none of its mode sets,
-    # and the benchmark's tracer counts build_mode_set calls.
-    dim = ModeSet(N, SpinStructure(tuple(delta))).dim
-    return DENSE_MATRICES_AT_PEAK * dim**2 * 16
 
 
 def lattice_memory_estimate(lambda_max):
@@ -129,6 +119,12 @@ def exp_grid_memory_estimate(N, degree, weight=0.0):
     return EXP_GRID_BYTES_PER_POINT * side * side * side
 
 
+def genericity_memory_estimate(trials, m_clusters, dim):
+    """Estimated peak bytes of a genericity report of ``trials`` rows, each
+    holding at most min(m_clusters, dim) clusters (dim eigenvalues in all)."""
+    return trials * (GENERICITY_ROW_BYTES + GENERICITY_CLUSTER_BYTES * min(m_clusters, dim))
+
+
 def random_l1_bound(amplitude):
     """Bound on ||fhat||_1 of ``random_factor`` at degree d: its (2d + 1)^3
     coefficients have l2 norm ||f||_2 <= |amplitude| (the mean of f^2 over the
@@ -140,7 +136,7 @@ def require_memory(name, value, estimate, what):
     """Reject ``name=value`` when its estimated peak of ``estimate(value)`` bytes
     exceeds physical memory, naming the largest integer value that fits (the
     estimate grows with the value)."""
-    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    available = physical_memory()
     need = estimate(value)
     if need > available:
         fits, too_large = 0, math.ceil(value)
@@ -213,6 +209,12 @@ class RunConfig:
         if "N" in flags:
             require_memory(
                 "N", self.N, lambda n: dense_memory_estimate(n, self.delta), "for its dense solve"
+            )
+        if "trials" in flags:
+            dim = ModeSet(self.N, self.spin_structure()).dim
+            require_memory(
+                "trials", self.trials,
+                lambda n: genericity_memory_estimate(n, self.m_clusters, dim), "for its report",
             )
         if "degree" in flags:
             self.require_degree("degree", self.degree, random_l1_bound(self.amplitude))

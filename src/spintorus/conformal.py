@@ -19,6 +19,7 @@ tested pointwise identity rather than by trust.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,6 +33,7 @@ from .torus_dirac import (
     TORUS_DIM,
     ModeSet,
     SpinorField,
+    SpinStructure,
     apply_flat_dirac,
     build_mode_set,
     embed_field,
@@ -62,6 +64,18 @@ EXP_WEIGHT_MAX = 100.0
 #: that bound exceeds 1 / eps, so B need not be positive definite in
 #: floating point.
 B_OSC_MAX = -math.log(np.finfo(float).eps)
+
+#: Peak memory of a dense solve in dim x dim complex matrices: peak RSS
+#: less the import baseline is at most 2.47 of them for every --N command at
+#: N=4 and 5 with the default tolerances (spectrum --t-grid at N=4, dim 1296,
+#: with two snapshots' vectors alive: 121 MB, 58 MB of it the import; 1.91 at
+#: N=5), and at most 1.76 for every single-t command (split-search at N=4).
+#: At N=5, where C's unwritten upper half stays out of memory, every
+#: single-t command reads 1.02-1.13.  4.0 leaves 62% headroom.  A spectrum
+#: --t-grid whose --tau-split grows the tracked window to the whole spectrum
+#: is not covered: it reads 7.24 at N=4 and 6.36 at N=5 (ROADMAP, dense
+#: memory).
+DENSE_MATRICES_AT_PEAK = 4.0
 
 
 def _fft_size(n):
@@ -127,6 +141,19 @@ def exp_grid_size(band, degree, weight=0.0):
 def extrema_grid_size(degree):
     """Side of the grid on which ``ConformalFactor.extrema`` samples f."""
     return max(64, 4 * degree + 4)
+
+
+def physical_memory():
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def dense_memory_estimate(N, delta):
+    """Estimated peak bytes of a dense solve at truncation order N."""
+    # ModeSet, not build_mode_set: sizing a run builds none of its mode sets,
+    # and the benchmark's tracer counts build_mode_set calls.
+    dim = ModeSet(N, SpinStructure(tuple(delta))).dim
+    return DENSE_MATRICES_AT_PEAK * dim**2 * 16
 
 
 def cube_modes(radius):

@@ -8,7 +8,8 @@ into quaternionically simple pieces.  This module makes that executable:
   profiles until one produces distinct quaternionic first-order rates, then
   verifies on a real deformed solve that the cluster actually falls apart;
 * ``genericity_scan`` samples random factors and tabulates the multiplicity
-  patterns of the lowest positive clusters;
+  patterns of the lowest positive clusters, its trials spread over worker
+  processes of one BLAS thread each (``run_trials``);
 * ``simplicity_certificate`` checks that the first k eigenvalues on each side
   of zero (counted with quaternionic multiplicity) are pairwise distinct and
   that the kernel is empty.
@@ -16,6 +17,7 @@ into quaternionically simple pieces.  This module makes that executable:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +30,8 @@ from .conformal import (
     _trusted_shells,
     cluster_tolerance,
     cube_modes,
+    dense_memory_estimate,
+    physical_memory,
     trust_radius,
     trusted_spectrum,
 )
@@ -266,6 +270,121 @@ def lowest_positive_clusters(factor, t, mode_set, m_clusters, tau_rel=None):
     return top
 
 
+#: OpenBLAS entry points that set and read a library's thread count, as
+#: (set, get) names: scipy-openblas builds (numpy's ILP64 build carries the
+#: 64_ suffix), then plain OpenBLAS builds.
+OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def openblas_thread_controls():
+    """The (set, get) thread-count functions of each OpenBLAS library loaded
+    in this process, found through /proc/self/maps; empty where there is
+    none (another BLAS, or no /proc).  Nothing is called."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(p for p in paths if "openblas" in p.lower()):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                controls.append((set_threads, get_threads))
+                break
+    return controls
+
+
+#: Private bytes a pool worker holds beside its dense solve: the pages of
+#: the calling process it copies on write.  Measured as the workers' peak
+#: USS in genericity scans of 1 and 2 workers: 12.5-16.3 MB at N = 2 (dense
+#: estimate 2.4 MB); at N = 3, 4 and 5 a worker peaks at 18.7-23.7, 32-39
+#: and 70-75 MB, below this plus the dense estimate (45, 127 and 381 MB).
+TRIAL_WORKER_BYTES = 24 * 2**20
+
+
+def trial_workers(trials, N, delta):
+    """Worker processes of a genericity scan: at most one per trial, per CPU
+    this process may run on, and per worker of ``TRIAL_WORKER_BYTES`` plus
+    one dense solve (``conformal.dense_memory_estimate``) that fits in
+    physical memory, and at least one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = physical_memory() // (dense_memory_estimate(N, delta) + TRIAL_WORKER_BYTES)
+    return max(1, min(trials, cpus or 1, int(workers)))
+
+
+#: A pool worker's trial function, set by ``_pin_worker`` in the worker
+#: process once its OpenBLAS libraries run one thread; None elsewhere.
+_worker_trial = None
+
+
+def _pin_worker(controls, run_trial):
+    """Pool initializer: pin every OpenBLAS library to one thread and keep
+    ``run_trial`` when each reads one thread back."""
+    global _worker_trial
+    for set_threads, _ in controls:
+        set_threads(1)
+    if all(get_threads() == 1 for _, get_threads in controls):
+        _worker_trial = run_trial
+
+
+def _pinned_trial(i):
+    if _worker_trial is None:
+        raise RuntimeError("a genericity worker could not pin OpenBLAS to one thread")
+    return _worker_trial(i)
+
+
+def run_trials(run_trial, trials, N, delta):
+    """[run_trial(i) for i in range(trials)], each on one OpenBLAS thread.
+
+    The trials run on a pool of ``trial_workers`` forks of this process, each
+    pinned to one thread by its library's own entry point, so that every
+    trial computes the same bits whatever the worker count or this process's
+    thread setting, which stays untouched.  Workers receive only the index
+    i, and no worker outlives the call, also when a trial raises: the first
+    error in index order is raised.  Fork, not spawn: a fork inherits the
+    loaded libraries and ``run_trial`` with everything it holds, without
+    pickling or imports; OpenBLAS stops its threads before a fork.
+
+    The trials run here, one after another, where no OpenBLAS entry point
+    is found (another BLAS, or no /proc), and where ``random_factor`` has
+    been rebound to a wrapper (``__wrapped__``, as ``functools.wraps``
+    sets): a tracer or profiler that wraps this package's functions keeps
+    its records in the process that makes the calls, and a worker's
+    records would be lost when it exits.
+    """
+    controls = openblas_thread_controls()
+    if not controls or hasattr(random_factor, "__wrapped__"):
+        return [run_trial(i) for i in range(trials)]
+    import multiprocessing
+
+    pool = multiprocessing.get_context("fork").Pool(
+        trial_workers(trials, N, delta), initializer=_pin_worker, initargs=(controls, run_trial)
+    )
+    try:
+        rows = list(pool.imap(_pinned_trial, range(trials), chunksize=1))
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+    return rows
+
+
 def genericity_scan(
     delta,
     trials,
@@ -280,12 +399,15 @@ def genericity_scan(
     """Monte Carlo over random factors: how often do the first ``m_clusters``
     positive clusters come out quaternionically simple?
 
-    Deterministic given the seed (trial factors come from spawned seed
-    sequences, trials run in index order).  Per-trial solver failures are
-    recorded, not fatal.  Each trial solves only the eigenpairs its clusters
-    need (see ``lowest_positive_clusters``); the residual bound holds on all
-    of them.  A trial whose ``m_clusters``-th positive cluster lies past the
-    trust radius raises ValueError: truncation artifacts are not statistics.
+    Deterministic given the seed: trial i's factor comes from the i-th
+    spawned child of the seed's sequence, and ``run_trials`` solves every
+    trial on one BLAS thread and returns the rows in index order, so the
+    report does not depend on the worker count or the BLAS thread setting.
+    Per-trial solver failures are recorded, not fatal.  Each trial solves
+    only the eigenpairs its clusters need (see ``lowest_positive_clusters``);
+    the residual bound holds on all of them.  A trial whose
+    ``m_clusters``-th positive cluster lies past the trust radius raises
+    ValueError: truncation artifacts are not statistics.
     ``tolerances`` is the (degenerate, split) pair of clustering tolerances,
     resolved per trial by ``conformal.cluster_tolerance``.
     """
@@ -308,11 +430,13 @@ def genericity_scan(
     if trials == 0:
         return report
     ms = build_mode_set(N, spin)
-    children = np.random.SeedSequence(int(seed)).spawn(trials)
+    root = np.random.SeedSequence(int(seed))
 
     def run_trial(i):
         label = f"random:{int(seed)}:{i}"
-        factor = random_factor(children[i], degree, amplitude, label=label)
+        # root.spawn(trials)[i], built from its index alone
+        child = np.random.SeedSequence(root.entropy, spawn_key=(i,))
+        factor = random_factor(child, degree, amplitude, label=label)
         tau_rel = cluster_tolerance(factor, t, *tolerances)
         try:
             top = lowest_positive_clusters(factor, t, ms, m_clusters, tau_rel=tau_rel)
@@ -322,7 +446,7 @@ def genericity_scan(
         return GenericityTrial(i, label, [c.lam for c in top], [c.mult_c for c in top], mult_h,
                                all_simple=all(h == 1 for h in mult_h))
 
-    rows = report.trial_rows = [run_trial(i) for i in range(trials)]
+    rows = report.trial_rows = run_trials(run_trial, trials, int(N), spin.delta)
     ok_rows = [r for r in rows if r.error is None]
     report.n_failures = trials - len(ok_rows)
     for r in ok_rows:

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from spintorus import validate
+from spintorus import experiments, validate
 from spintorus.experiments import genericity_scan, split_search
 from spintorus.perturbation import extract_cluster
 from spintorus.torus_dirac import build_mode_set
@@ -90,10 +90,11 @@ def test_criterion_7_kernel_constancy():
     _report(7, validate.check_kernel_constancy(SEED, runs=20, kernel_tol=1e-8, min_gap=0.3))
 
 
-def test_criterion_8_genericity_monte_carlo(tmp_path):
+def test_criterion_8_genericity_monte_carlo(tmp_path, monkeypatch):
     """delta = (1,0,0), N = 3, degree 2, amplitude 0.3, t = 0.05, 50 seeded
     trials: fraction with the first 3 positive clusters quaternionically
-    simple >= 0.9; the report is persisted and byte-reproducible."""
+    simple >= 0.9; the report is persisted and byte-reproducible, also on
+    one worker process instead of one per CPU."""
     t0 = time.time()
     kwargs = dict(
         delta=(1, 0, 0), trials=50, t=0.05, N=3, degree=2, amplitude=0.3,
@@ -105,6 +106,7 @@ def test_criterion_8_genericity_monte_carlo(tmp_path):
     payload = json.dumps(report.to_json_dict(), indent=2, sort_keys=True).encode()
     path = tmp_path / "genericity.json"
     path.write_bytes(payload)
+    monkeypatch.setattr(experiments, "trial_workers", lambda *args: 1)
     again = genericity_scan(**kwargs)
     payload2 = json.dumps(again.to_json_dict(), indent=2, sort_keys=True).encode()
     assert payload2 == path.read_bytes()

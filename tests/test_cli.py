@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -871,6 +872,20 @@ class TestMemoryGuard:
         # 128 for the volume, the mean of e^{3tf}
         assert estimate(1, 8, 0.2146) == cli.EXP_GRID_BYTES_PER_POINT * 128**3
         assert estimate(1, 2, 1e3) == math.inf
+
+    def test_too_many_trials(self, capsys, monkeypatch, seven_gb):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("started a scan of 10^9 trials")
+
+        monkeypatch.setattr(cli, "genericity_scan", no_scan)
+        code, out, err = run(capsys, "genericity", "--delta", "1,0,0", "--N", "1",
+                             "--trials", "1000000000")
+        assert_bad_input(code, out, err)
+        # 10^9 rows of 3 clusters, 4200 bytes each
+        fits = 7 * 2**30 // cli.genericity_memory_estimate(1, 3, 10**6)
+        assert err.startswith("error: trials=1000000000 needs about 3911.6 GiB for its report")
+        assert err.endswith(f"; use trials <= {fits}\n")
+        assert multiprocessing.active_children() == []
 
     def test_degree_that_fits_passes(self, seven_gb):
         cli.RunConfig(N=1, t=0.05, degree=12).validate("genericity")

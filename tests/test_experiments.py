@@ -1,4 +1,10 @@
+import functools
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +213,82 @@ class TestGenericityScan:
         rows = rep.csv_rows()
         assert rows[0][0] == "trial"
         assert len(rows) == 3
+
+    # N = 3 windows of a few pairs take the mixed-precision window solve
+    SCAN = dict(delta=(1, 0, 0), trials=3, t=0.05, N=3, degree=2, amplitude=0.3, seed=11)
+
+    def test_bytes_do_not_depend_on_the_worker_count(self, monkeypatch):
+        payloads = []
+        for workers in (1, 2):
+            monkeypatch.setattr(ex, "trial_workers", lambda *args, n=workers: n)
+            rep = ex.genericity_scan(**self.SCAN)
+            payloads.append(json.dumps(rep.to_json_dict(), indent=2, sort_keys=True).encode())
+            assert multiprocessing.active_children() == []
+        assert payloads[0] == payloads[1]
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        src = str(Path(ex.__file__).resolve().parents[1])
+        argv = [
+            sys.executable, "-m", "spintorus.cli", "genericity", "--delta", "1,0,0", "--N", "3",
+            "--trials", "3", "--t", "0.05", "--seed", "11",
+        ]
+        outs = []
+        for threads in ("1", "2"):
+            outs.append(tmp_path / f"threads{threads}.json")
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([*argv, "--out", str(outs[-1])], env=env, check=True,
+                           stdout=subprocess.DEVNULL, timeout=300)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_trials_run_in_forks_pinned_to_one_thread(self):
+        controls = ex.openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS entry point: trials run in this process")
+        before = [get_threads() for _, get_threads in controls]
+        rows = ex.run_trials(
+            lambda i: (i, os.getpid(), [get_threads() for _, get_threads in controls]),
+            4, 1, (1, 0, 0),
+        )
+        assert [i for i, _, _ in rows] == [0, 1, 2, 3]
+        assert all(pid != os.getpid() for _, pid, _ in rows)
+        assert all(counts == [1] * len(controls) for _, _, counts in rows)
+        assert [get_threads() for _, get_threads in controls] == before
+        assert multiprocessing.active_children() == []
+
+    def test_a_wrapped_random_factor_keeps_trials_in_this_process(self, monkeypatch):
+        draw, pids = ex.random_factor, []
+
+        @functools.wraps(draw)
+        def recorded(*args, **kwargs):
+            pids.append(os.getpid())
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "random_factor", recorded)
+        monkeypatch.setattr(ex, "trial_workers", lambda *args: 2)
+        ex.genericity_scan((1, 0, 0), 3, 0.05, 2, 2, 0.3, seed=5)
+        assert pids == [os.getpid()] * 3
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_cannot_pin_fails_the_scan(self, monkeypatch):
+        monkeypatch.setattr(ex, "openblas_thread_controls", lambda: [(lambda n: None, lambda: 2)])
+        with pytest.raises(RuntimeError, match="could not pin OpenBLAS to one thread"):
+            ex.genericity_scan((1, 0, 0), 2, 0.05, 2, 2, 0.3, seed=5)
+        assert multiprocessing.active_children() == []
+
+    def test_first_failing_trial_raises_and_no_worker_outlives_it(self, monkeypatch):
+        draw = ex.random_factor
+
+        def failing(seed, degree, amplitude, label=None):
+            index = int(label.rsplit(":", 1)[1])
+            if index in (3, 7):
+                raise ValueError(f"trial {index} failed")
+            return draw(seed, degree, amplitude, label=label)
+
+        monkeypatch.setattr(ex, "random_factor", failing)
+        monkeypatch.setattr(ex, "trial_workers", lambda *args: 2)
+        with pytest.raises(ValueError, match="^trial 3 failed$"):
+            ex.genericity_scan((1, 0, 0), 10, 0.05, 2, 2, 0.3, seed=5)
+        assert multiprocessing.active_children() == []
 
 
 def full_solve_clusters(delta, trials, t, N, seed, m_clusters, degree=2, amplitude=0.3):
