@@ -326,12 +326,15 @@ def dump_csv(rows, path):
 
 
 def _write_artifact(cfg, json_doc, csv_rows=None):
+    """Write the artifact to ``--out`` in its ``--format``: ``json_doc()``
+    or, where the command has a CSV form, ``csv_rows()``.  Only the encoding
+    written is built, and none without ``--out``."""
     if cfg.out is None:
         return
     if cfg.format == "json" or csv_rows is None:
-        dump_json(json_doc, cfg.out)
+        dump_json(json_doc(), cfg.out)
     else:
-        dump_csv(csv_rows, cfg.out)
+        dump_csv(csv_rows(), cfg.out)
 
 
 # ----------------------------------------------------------------- parsing
@@ -488,8 +491,7 @@ def cmd_spectrum(cfg):
 
     if cfg.t_grid is not None:
         family = tracked_spectrum(factor, cfg.t_grid, ms, (cfg.tau_degenerate, cfg.tau_split))
-        doc = family.to_json_dict()
-        _write_artifact(cfg, doc, family.csv_rows())
+        _write_artifact(cfg, family.to_json_dict, family.csv_rows)
         print(
             f"tracked {family.trajectories.shape[0]} trajectories over "
             f"{len(cfg.t_grid)} deformation steps"
@@ -498,8 +500,7 @@ def cmd_spectrum(cfg):
         return EXIT_OK
     tau_rel = cluster_tolerance(factor, cfg.t, cfg.tau_degenerate, cfg.tau_split)
     res = trusted_spectrum(factor, cfg.t, ms, tau_rel=tau_rel)
-    doc = res.to_json_dict()
-    _write_artifact(cfg, doc, spectrum_csv_rows(res.clusters))
+    _write_artifact(cfg, res.to_json_dict, lambda: spectrum_csv_rows(res.clusters))
     print(f"delta={cfg.spin_structure()} N={cfg.N} t={cfg.t} f={factor.describe()}")
     print(f"{'lambda':>14}  {'mult_C':>6}  {'mult_H':>6}")
     for c in res.clusters:
@@ -509,8 +510,8 @@ def cmd_spectrum(cfg):
 
 def cmd_oracle(cfg):
     lines = closed_form_spectrum(cfg.spin_structure(), cfg.lambda_max)
-    doc = to_json({"delta": cfg.delta, "lambda_max": cfg.lambda_max, "lines": lines})
-    _write_artifact(cfg, doc, spectrum_csv_rows(lines))
+    doc = {"delta": cfg.delta, "lambda_max": cfg.lambda_max, "lines": lines}
+    _write_artifact(cfg, lambda: to_json(doc), lambda: spectrum_csv_rows(lines))
     print(f"{'lambda':>14}  {'mult_C':>6}  {'mult_H':>6}")
     for line in lines:
         print(f"{line.lam:>14.8f}  {line.mult_c:>6}  {line.mult_h:>6}")
@@ -538,9 +539,7 @@ def cmd_perturb(cfg):
     report = perturbation_matrix(cluster, factor)
     t_grid = cfg.t_grid or [1e-2, 1e-3]
     fd = fd_check(cluster, factor, report, sorted(t_grid, reverse=True))
-    doc = report.to_json_dict()
-    doc["fd"] = fd.to_json_dict()
-    _write_artifact(cfg, doc)
+    _write_artifact(cfg, lambda: {**report.to_json_dict(), "fd": fd.to_json_dict()})
     print(f"cluster lambda={cluster.lam} p_C={cluster.p_c} p_H={cluster.p_h}")
     print("rates:", " ".join(f"{r:.6e}" for r in report.rates))
     if report.quaternionic_rates is not None:
@@ -556,7 +555,7 @@ def cmd_perturb(cfg):
 def cmd_split_search(cfg):
     cluster = _select_cluster(cfg, "split-search")
     cert = split_search(cluster, cfg.max_degree, t_verify=cfg.t, seed=cfg.seed)
-    _write_artifact(cfg, cert.to_json_dict())
+    _write_artifact(cfg, cert.to_json_dict)
     print(
         f"split lambda={cert.lam} (p_H {cert.p_h_before} -> max {cert.max_p_h_after}) "
         f"with f = {cert.factor_label}; rate gap {cert.rate_gap:.4e}"
@@ -571,7 +570,7 @@ def cmd_genericity(cfg):
         cfg.spin_structure(), cfg.trials, cfg.t, cfg.N, cfg.degree, cfg.amplitude, cfg.seed,
         m_clusters=cfg.m_clusters, tolerances=(cfg.tau_degenerate, cfg.tau_split),
     )
-    _write_artifact(cfg, report.to_json_dict(), report.csv_rows())
+    _write_artifact(cfg, report.to_json_dict, report.csv_rows)
     frac = report.fraction_all_simple
     print(
         f"delta={cfg.spin_structure()} trials={report.trials} t={report.t} "
@@ -592,7 +591,7 @@ def cmd_simplicity(cfg):
     report = simplicity_certificate(
         cfg.spin_structure(), factor, cfg.t, cfg.k, cfg.N, tau_rel=tau_rel
     )
-    _write_artifact(cfg, report.to_json_dict())
+    _write_artifact(cfg, report.to_json_dict)
     verdict = "passes" if report.passed else f"fails ({report.reason})"
     print(f"simplicity certificate k={report.k}: {verdict}")
     return EXIT_OK

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -464,10 +464,10 @@ def assemble_multiplication(mode_set, cube):
     V_ij = c(kappa_i - kappa_j) (``CenteredCube.lookup``).  The full matrix
     acts on both spin components alike: it is ``kron_spin`` of this block.
 
-    The block is a new Fortran-ordered array, which LAPACK factors in place
-    (``eigensolver.inverse_factor``).  It is written ``GATHER_PANEL`` columns
-    at a time, from the panels V[:, j0:j1] and V[j0:j1, :] of V, so the
-    gather needs no n x n index table or copy beside it; the entries are
+    The block is a new Fortran-ordered array, which LAPACK can factor in
+    place (``eigensolver.inverse_factor``).  It is written ``GATHER_PANEL``
+    columns at a time, from the panels V[:, j0:j1] and V[j0:j1, :] of V, so
+    the gather needs no n x n index table or copy beside it; the entries are
     those of the whole-V formula bit for bit."""
     k = mode_set.k_values
     n = len(k)
@@ -495,22 +495,22 @@ def factor_multiplication_matrix(factor, mode_set):
 
 
 @dataclass
-class ScalarWeight(eigensolver.Weight):
-    """The Galerkin weight B = B_s (x) I_2 on ``mode_set``, held as the e^{tf}
-    block ``exp`` that B_s is gathered from (None for the identity weight),
-    not as n x n matrices.
+class ScalarWeight:
+    """The Galerkin weight B = B_s (x) I_2 of e^{tf} on ``mode_set``, held as
+    the e^{tf} block ``exp`` that B_s is gathered from (None for the
+    identity weight), not as an n x n matrix.
 
-    ``B_s`` gathers a fresh Fortran-ordered B_s on each read, for the solve's
-    back-transformation and residual gate and the dense
-    ``DeformedOperator.B``; curve matching keeps the solve's own
-    (``gathered``).  ``inverse`` holds M = L^{-1} for B_s = L L^H from
-    ``assemble_B`` until the one solve that reduces the pencil takes it
-    (``take_inverse_factor``), so that M lives only through the reduction.
+    Read-only: ``B_s`` gathers a fresh Fortran-ordered B_s on each read, which
+    the solve (``eigensolver.solve_gen_hermitian``) factors in place, and
+    ``str`` names the weight, with its ``t``, in the solve's errors.
     """
 
     mode_set: ModeSet
     exp: ExpCoeffs | None
-    inverse: np.ndarray | None = field(default=None, repr=False)
+    t: float
+
+    def __str__(self):
+        return f"Galerkin weight for t={self.t}"
 
     @property
     def shape(self):
@@ -529,13 +529,11 @@ def assemble_B(factor, t, mode_set):
     """Galerkin matrix B of multiplication by e^{tf}, as a ``ScalarWeight``.
 
     B = B_s (x) I_2 with ``B_s[kappa, kappa'] = exp_hat(kappa - kappa')``
-    (mode differences are always integer vectors), so only B_s is assembled.
-    It is Hermitian, and positive definite exactly when B is.  One gather of
-    B_s is factored and inverted in place (``eigensolver.inverse_factor``):
-    the factorization is the positive-definiteness check, and the weight
-    holds M = L^{-1} for the solve; B_s itself is not kept.  Emits a warning
-    outside the accepted deformation range and raises PositiveDefiniteError
-    when the factorization fails.
+    (mode differences are always integer vectors), so only the exp_hat are
+    computed here; the weight gathers B_s from them.  B_s is Hermitian, and
+    positive definite exactly when B is, which the solve checks by factoring
+    it.  Emits a warning outside the accepted deformation range and raises
+    PositiveDefiniteError when the coefficients are not representable.
     """
     spread = abs(t) * factor.oscillation()
     if spread > T_RANGE_LIMIT:
@@ -545,7 +543,7 @@ def assemble_B(factor, t, mode_set):
             stacklevel=2,
         )
     if t == 0 or factor.is_zero:
-        return ScalarWeight(mode_set, None)
+        return ScalarWeight(mode_set, None, t)
     try:
         if spread > B_OSC_MAX:
             raise ValueError(f"|t| * osc(f) = {spread:.3g} exceeds {B_OSC_MAX:.3g}")
@@ -555,10 +553,7 @@ def assemble_B(factor, t, mode_set):
         raise PositiveDefiniteError(
             f"conformal weight for t={t} is not representable: {exc}"
         ) from exc
-    M = eigensolver.inverse_factor(
-        assemble_multiplication(mode_set, exp), f"Galerkin weight for t={t}"
-    )
-    return ScalarWeight(mode_set, exp, M)
+    return ScalarWeight(mode_set, exp, t)
 
 
 @dataclass
@@ -566,9 +561,8 @@ class DeformedOperator:
     """The pencil (A, B) of one conformal deformation, plus metadata.
 
     A is the flat operator, whose 2 x 2 mode symbols (``mode_set.symbols``)
-    the solve reads; B = B_s (x) I_2 is the weight, which the solve and curve
-    matching read through ``weight``: the solve takes its M = L^{-1} and
-    gathers B_s again after ``eigh``.  The dense ``A`` and ``B`` are built on
+    the solve reads; B = B_s (x) I_2 is the weight, whose B_s the solve
+    gathers through ``weight``.  The dense ``A`` and ``B`` are built on
     first access, for the dense oracle and tests; no solve touches them.
     """
 
@@ -631,9 +625,9 @@ def deformed_spectrum(factor, t, mode_set, tau_rel=None, keep_vectors=False, sub
 
     With ``keep_vectors`` the result keeps the eigenvectors and, for a
     nontrivial weight, the scalar block B_s of B = B_s (x) I_2 that the
-    solve gathered for its residual gate (``Weight.gathered``), which curve
-    matching reads (``tracked_spectrum`` is the one caller in the package
-    that asks for them); by default it keeps neither.
+    solve gathered for its residual gate, which curve matching reads
+    (``tracked_spectrum`` is the one caller in the package that asks for
+    them); by default it keeps neither.
 
     ``subset_by_index`` restricts the solve to a window of eigenpairs (see
     ``eigensolver.solve_gen_hermitian``); every returned pair still passes
@@ -646,7 +640,7 @@ def deformed_spectrum(factor, t, mode_set, tau_rel=None, keep_vectors=False, sub
         tau_rel = cluster_tolerance(factor, t)
     op = build_deformed_operator(factor, t, mode_set)
     identity_B = t == 0 or factor.is_zero
-    w, V, residual_max = eigensolver.solve_gen_hermitian(
+    w, V, residual_max, B_s = eigensolver.solve_gen_hermitian(
         mode_set.symbols, None if identity_B else op.weight, subset_by_index=subset_by_index
     )
     meta = {
@@ -664,7 +658,7 @@ def deformed_spectrum(factor, t, mode_set, tau_rel=None, keep_vectors=False, sub
         tau_rel,
         meta,
         mode_set=mode_set,
-        B_s=None if (identity_B or not keep_vectors) else op.weight.gathered,
+        B_s=B_s if keep_vectors else None,
     )
 
 

@@ -3,28 +3,28 @@
 One dim x dim matrix and one BLAS per solve.  The flat operator A is block
 diagonal over modes, and the solve reads it as its 2 x 2 mode symbols; the
 weight of a deformed solve is B = B_s (x) I_2, and the solve reads B_s from a
-``Weight`` that gathers it afresh on each read.  The stages of a deformed
-solve, n = dim / 2 the number of modes:
+read-only weight (``conformal.ScalarWeight``) that gathers it afresh on each
+read.  The stages of a deformed solve, n = dim / 2 the number of modes:
 
-- weight (``conformal.assemble_B``): B_s is gathered a panel of columns at a
-  time into one Fortran-ordered n x n buffer, factored in place,
-  B_s = L L^H (the positive-definiteness check), and inverted in place to
-  M = L^{-1};
+- factor (``inverse_factor``): B_s is gathered a panel of columns at a time
+  into one Fortran-ordered n x n buffer, factored in place, B_s = L L^H (the
+  positive-definiteness check), and inverted in place to M = L^{-1};
 - reduction (``_reduce``): the lower triangle of the standard-form matrix
   C = (M (x) I_2) A (M^H (x) I_2), all that the eigensolver reads, is built
   from the symbols a panel of columns at a time into the one dim x dim
   array of the solve, and M is freed.  From 32 MiB on, C lives in its own
   mapping without huge pages, where its upper half never becomes resident;
-- eigensolve, one of two:
+- eigensolve, one of two, each returning C-space vectors and L:
   - ``scipy.linalg.eigh`` on C, which it overwrites (``zheevr`` for a
-    window, ``zheevd`` for a full solve);
+    window, ``zheevd`` for a full solve); then C is freed, and B_s is
+    gathered again and a copy factored to L (``_eigh_stage``);
   - for a window of k <= dim / 16 pairs at dim >= 400, the mixed-precision
     solve (``_mixed_window``): C is built in complex64 and reduced to a
     tridiagonal T by ``chetrd``, T's window is solved and mapped back in
     single precision, and one to three correction steps in double bring
-    every pair under the residual gate.  Any failure falls back to
-    ``eigh``.  Median ``solve_gen_hermitian`` time of a window at the
-    middle of the spectrum (2-vCPU Haswell, random factors of seeds 7-20,
+    every pair under the residual gate.  Any failure, the gate's included,
+    falls back to ``eigh``.  Median ``solve_gen_hermitian`` time of a window
+    at the middle of the spectrum (2-vCPU Haswell, random factors of seeds 7-20,
     t = 0.05):
 
     | dim (N, delta) | k       | mixed          | ``zheevr``     |
@@ -38,18 +38,18 @@ solve, n = dim / 2 the number of modes:
     | 686 (3, 000)   | 22      | 65.0 ms        | 85.1 ms        |
     | 1296 (4, 100)  | 22      | 315 ms         | 491 ms         |
 
-- back-transformation: C is freed, B_s is gathered again and factored to L
-  (for the mixed solve, before its refinement), and one triangular solve
+- back-transformation, shared by both stages: one triangular solve by L
   maps the vectors back;
-- phases and the residual gate on the original pencil (``_residual_max``).
-  The weight keeps this B_s (``Weight.gathered``) for curve matching.
+- phases and the residual gate on the original pencil (``_residual_max``),
+  with the B_s of ``eigh``'s stage, or one gathered now after the mixed
+  solve.  The solve returns this B_s for curve matching.
 
 Memory: no later stage outgrows the eigensolve's C and the window's vectors.
 M, B_s and L take a quarter of C each; M lives only through the reduction,
 and B_s and L only after the eigensolve (the mixed solve holds its complex64
-C, half of C, and L through its refinement).  So the weight is factored
-twice: a second factorization costs n^3 / 3 complex multiply-adds, 1-2% of
-``eigh``, and gives the same L from the same bits of B_s.  No dense A or B
+C, half of C, and L through its refinement).  So B_s is factored twice: a
+second factorization costs n^3 / 3 complex multiply-adds, 1-2% of ``eigh``,
+and gives the same L from the same bits of B_s.  No dense A or B
 is formed, and the gather, the reduction and the residual gate work in
 column panels or in place: in a process that repeats solves, an n x n or
 vectors-sized temporary comes from the C heap, and its freed block stays
@@ -187,41 +187,6 @@ def inverse_factor(B_s, what="weight matrix"):
     if info != 0:
         raise RuntimeError(f"triangular inverse failed: info={info}")
     return M
-
-
-class Weight:
-    """The weight B = B_s (x) I_2 of a solve, as ``solve_gen_hermitian`` reads it.
-
-    ``B_s`` returns B_s, Hermitian positive definite, as a new
-    Fortran-ordered complex array on each read, so that no one has to hold
-    it through ``eigh``; ``shape`` is its shape.  ``inverse`` may hold
-    M = L^{-1} (``inverse_factor``), computed ahead: ``conformal.assemble_B``
-    computes it as its positive-definiteness check.  ``gathered`` holds the
-    B_s that the last solve gathered after ``eigh`` for its
-    back-transformation and residual gate, so that a caller that keeps the
-    vectors keeps that array rather than gathering another.
-    """
-
-    inverse = None
-    gathered = None
-
-    def take_inverse_factor(self):
-        """M = L^{-1}, handed over once (the weight lets go of a held M), or
-        computed from a fresh B_s when none is held."""
-        M, self.inverse = self.inverse, None
-        return inverse_factor(self.B_s) if M is None else M
-
-
-class ArrayWeight(Weight):
-    """A weight given as the array B_s, which the caller keeps."""
-
-    def __init__(self, B_s):
-        self.array = np.asarray(B_s)
-        self.shape = self.array.shape
-
-    @property
-    def B_s(self):
-        return np.array(self.array, dtype=np.complex128, order="F")
 
 
 def apply_symbols(symbols, V):
@@ -423,9 +388,11 @@ def _apply_reduced(symbols, L, X):
 
 
 def _mixed_window(symbols, weight, lo, hi):
-    """The eigenpairs lo..hi of the deformed pencil, as ``solve_gen_hermitian``
-    returns them, from a complex64 tridiagonalization refined in double; None
-    when any stage fails, so that the caller solves in double.
+    """The eigensolve stage of the eigenpairs lo..hi of the deformed pencil
+    from a complex64 tridiagonalization refined in double: the Ritz values,
+    the refined vectors in C space as spin components side by side
+    (``_spin_sides``), L, and None for the B_s that the residual gate
+    gathers; None when any step fails, so that the caller solves in double.
 
     C's lower triangle is built in complex64 (``_reduce``) and reduced to a
     real tridiagonal T = Q^H C Q by ``chetrd``; the window of T comes from
@@ -442,17 +409,16 @@ def _mixed_window(symbols, weight, lo, hi):
     single-precision T as its preconditioner, which needs no projection
     because R is orthogonal to X after Rayleigh-Ritz.  Each step shrinks the
     residual by about |C - Q T Q^H| / gap, and at most ``MIXED_MAX_STEPS``
-    steps are taken.  Then C is freed, the vectors are mapped back by L, and
-    B_s is gathered again for the residual gate of the double path.
+    steps are taken.  Then C is freed.
 
     Every product runs on scipy's BLAS and LAPACK.  Through the refinement
     only the complex64 C, half of the double path's C, and L, a quarter of
-    it, are held; B_s is gathered a second time rather than held beside
-    them, which costs about 2 ms at N = 3 and keeps the scan's peak RSS
-    below the double path's.
+    it, are held; the gate gathers B_s a third time rather than have it held
+    beside them, which costs about 2 ms at N = 3 and keeps the scan's peak
+    RSS below the double path's.
     """
     lapack = scipy.linalg.lapack
-    M = weight.take_inverse_factor()
+    M = inverse_factor(weight.B_s, str(weight))
     try:
         C = _reduce(symbols, M, np.complex64)
     except ValueError:  # an entry that overflows complex64, or a NaN
@@ -518,75 +484,19 @@ def _mixed_window(symbols, weight, lo, hi):
             return None
         X -= Y
     del C, reflectors, Y, CX, R
-    S = _triangular_solve(L, _spin_sides(X), trans_a=2)
-    del L, X
-    V = _mode_major(S)
-    del S
-    B_s = weight.B_s
-    canonicalize_phases(V)
-    residual_max, scale = _residual_max(symbols, w, V, B_s)
-    if not residual_max <= RESIDUAL_BOUND * scale:
-        return None
-    weight.gathered = B_s
-    return w, V, residual_max
+    return w, _spin_sides(X), L, None
 
 
-def solve_gen_hermitian(symbols, weight=None, subset_by_index=None):
-    """Solve A x = lambda B x for A = blockdiag(``symbols``) and B = B_s (x) I_2.
-
-    A, the flat operator, is given by its 2 x 2 Hermitian diagonal blocks
-    ``symbols`` (shape (n, 2, 2)) and is never formed as a dense matrix.  B,
-    with B_s Hermitian positive definite, acts on mode-major vectors of
-    length 2n (``torus_dirac.ModeSet``): B_s on both spin components.
-    ``weight`` is the ``Weight`` that gathers B_s (``conformal.ScalarWeight``,
-    or ``ArrayWeight`` for a given array).  With B_s = L L^H the pencil is
-    reduced to the standard Hermitian problem C y = lambda y,
-    C = (L^{-1} (x) I_2) A (L^{-H} (x) I_2), and x = (L^{-H} (x) I_2) y
-    (Golub & Van Loan, Matrix Computations, sec. 8.7).  The lower triangle
-    of C, all that ``scipy.linalg.eigh`` reads, is built straight from the
-    symbols with the weight's M = L^{-1} (``_reduce``), which checks it for
-    finiteness, so ``eigh`` runs without its own check; M is freed before
-    ``eigh`` overwrites C.  After ``eigh`` C is freed, the vectors are
-    copied spin component by spin component and freed, and only then is B_s
-    gathered again and a copy factored to L for the one triangular solve
-    back; so with a ``Weight`` only C and the window's vectors live through
-    ``eigh``, and no later stage holds more.  Without a weight, B = I and C
-    is A entry for entry.
-
-    Returns ascending eigenvalues, B-orthonormal eigenvectors with phases
-    canonicalized in place, and the largest per-vector residual
-    ``||A x - lambda B x||_2`` (with ``||x||_B = 1``) on the original pencil,
-    A applied through the symbols and B through B_s (``_residual_max``),
-    which must stay below ``RESIDUAL_BOUND * max(1, max |lambda|)``; a NaN
-    residual or eigenvalue fails the bound.  The B_s that the gate used is
-    left on the weight as ``weight.gathered``.
-
-    ``subset_by_index`` (inclusive ``[lo, hi]``) restricts the solve to a
-    window of eigenpairs; it is passed unchanged to ``scipy.linalg.eigh``,
-    which then uses its windowed driver.  A small window of a deformed solve
-    of large enough dim (``_takes_mixed_path``) is solved in mixed precision
-    (``_mixed_window``) instead, and in double as above when that fails at
-    any stage.  Phase canonicalization and the residual bound apply to every
-    returned pair either way.
-
-    Raises PositiveDefiniteError when B_s fails its Cholesky factorization,
-    ValueError (``eigh``'s) when C is not finite, and RuntimeError for any
-    other solver failure (for example eigenvectors of the windowed driver
-    that do not converge) or a violated residual bound.
+def _eigh_stage(symbols, weight, subset_by_index):
+    """The double eigensolve stage: ``scipy.linalg.eigh`` on the lower
+    triangle of C, built with M = L^{-1} by ``_reduce``, which checks it for
+    finiteness; M is freed before ``eigh`` overwrites C, and C after it.
+    Returns the eigenvalues and the vectors, and for a weight the vectors'
+    spin components side by side (``_spin_sides``), L and B_s: the vectors
+    are copied and freed before B_s is gathered again and a copy factored to
+    L, so no stage after ``eigh`` holds more than C and the window's vectors.
     """
-    symbols = np.asarray(symbols)
-    n = symbols.shape[0]
-    if symbols.shape != (n, 2, 2):
-        raise ValueError(f"symbols must have shape (n, 2, 2), got {symbols.shape}")
-    M = B_s = None
-    if weight is not None:
-        if weight.shape != (n, n):
-            raise ValueError(f"B_s must be {n} x {n} for {n} mode symbols, got {weight.shape}")
-        if _takes_mixed_path(2 * n, subset_by_index):
-            solved = _mixed_window(symbols, weight, *subset_by_index)
-            if solved is not None:
-                return solved
-        M = weight.take_inverse_factor()
+    M = None if weight is None else inverse_factor(weight.B_s, str(weight))
     C = _reduce(symbols, M)
     del M
     # A full solve of the reduced pencil uses divide and conquer, as the
@@ -606,27 +516,77 @@ def solve_gen_hermitian(symbols, weight=None, subset_by_index=None):
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed: {exc}") from exc
     del C
-    if weight is not None:
-        # x = (L^{-H} (x) I_2) y, on the spin components of eigh's vectors,
-        # which are freed before B_s is gathered and factored.
-        S = _spin_sides(V)
-        del V
-        B_s = weight.B_s
-        L = cholesky_pd(B_s.copy(order="F"))
-        _triangular_solve(L, S, trans_a=2)
-        del L
-        V = _mode_major(S)
-        del S
-    canonicalize_phases(V)
-    residual_max, scale = _residual_max(symbols, w, V, B_s)
-    if weight is not None:
-        weight.gathered = B_s
-    if not residual_max <= RESIDUAL_BOUND * scale:
-        raise RuntimeError(
-            f"eigensolver residual {residual_max:.3e} exceeds bound "
-            f"{RESIDUAL_BOUND:.3e} * {scale:.3e}"
-        )
-    return w, V, residual_max
+    if weight is None:
+        return w, V, None, None
+    S = _spin_sides(V)
+    del V
+    B_s = weight.B_s
+    return w, S, cholesky_pd(B_s.copy(order="F")), B_s
+
+
+def solve_gen_hermitian(symbols, weight=None, subset_by_index=None):
+    """Solve A x = lambda B x for A = blockdiag(``symbols``) and B = B_s (x) I_2.
+
+    A, the flat operator, is given by its 2 x 2 Hermitian diagonal blocks
+    ``symbols`` (shape (n, 2, 2)) and is never formed as a dense matrix.  B,
+    with B_s Hermitian positive definite, acts on mode-major vectors of
+    length 2n (``torus_dirac.ModeSet``): B_s on both spin components.
+    ``weight`` (``conformal.ScalarWeight``) has B_s's ``shape``, gathers a
+    new Fortran-ordered complex B_s on each read of ``B_s`` and names itself
+    in errors (``str``); None is B = I.  With B_s = L L^H the pencil is
+    reduced to the standard problem C y = lambda y,
+    C = (L^{-1} (x) I_2) A (L^{-H} (x) I_2), and x = (L^{-H} (x) I_2) y
+    (Golub & Van Loan, Matrix Computations, sec. 8.7); factoring a gather of
+    B_s (``inverse_factor``) is the positive-definiteness check.  One
+    eigensolve stage gives the pairs of C and L: ``_mixed_window`` for a
+    small window (``_takes_mixed_path``), and ``_eigh_stage`` otherwise or
+    when that fails at any step, the residual gate included.
+
+    Returns ascending eigenvalues, B-orthonormal eigenvectors with phases
+    canonicalized in place, the largest per-vector residual
+    ``||A x - lambda B x||_2`` (with ``||x||_B = 1``) on the original pencil,
+    A applied through the symbols and B through B_s (``_residual_max``), and
+    that B_s (None for B = I).  The residual must stay below
+    ``RESIDUAL_BOUND * max(1, max |lambda|)``; a NaN residual or eigenvalue
+    fails the bound.  ``subset_by_index`` (inclusive ``[lo, hi]``) restricts
+    the solve to a window of eigenpairs; ``eigh`` gets it unchanged.
+
+    Raises PositiveDefiniteError when B_s fails its Cholesky factorization,
+    ValueError (``eigh``'s) when C is not finite, and RuntimeError for any
+    other solver failure (for example eigenvectors of the windowed driver
+    that do not converge) or a violated residual bound.
+    """
+    symbols = np.asarray(symbols)
+    n = symbols.shape[0]
+    if symbols.shape != (n, 2, 2):
+        raise ValueError(f"symbols must have shape (n, 2, 2), got {symbols.shape}")
+    if weight is not None and weight.shape != (n, n):
+        raise ValueError(f"B_s must be {n} x {n} for {n} mode symbols, got {weight.shape}")
+    takes_mixed = weight is not None and _takes_mixed_path(2 * n, subset_by_index)
+    for mixed in (True, False) if takes_mixed else (False,):
+        solved = (_mixed_window(symbols, weight, *subset_by_index) if mixed
+                  else _eigh_stage(symbols, weight, subset_by_index))
+        if solved is None:
+            continue
+        w, V, L, B_s = solved
+        del solved
+        if L is not None:
+            # x = (L^{-H} (x) I_2) y, on the spin components of the vectors
+            _triangular_solve(L, V, trans_a=2)
+            del L
+            V = _mode_major(V)
+        if B_s is None and weight is not None:  # gathered only now after a mixed solve
+            B_s = weight.B_s
+        canonicalize_phases(V)
+        residual_max, scale = _residual_max(symbols, w, V, B_s)
+        if residual_max <= RESIDUAL_BOUND * scale:
+            return w, V, residual_max, B_s
+        if not mixed:
+            raise RuntimeError(
+                f"eigensolver residual {residual_max:.3e} exceeds bound "
+                f"{RESIDUAL_BOUND:.3e} * {scale:.3e}"
+            )
+        del V, B_s
 
 
 def cluster_eigenvalues(values, tau_rel=0.0, tau_abs=0.0):

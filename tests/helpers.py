@@ -6,6 +6,23 @@ from spintorus import conformal
 from spintorus.torus_dirac import SpinorField
 
 
+class ArrayWeight:
+    """A weight given as the array B_s, which the caller keeps: what
+    ``eigensolver.solve_gen_hermitian`` reads of a weight, its ``shape`` and
+    a fresh Fortran-ordered complex B_s on each read."""
+
+    def __init__(self, B_s):
+        self.array = np.asarray(B_s)
+        self.shape = self.array.shape
+
+    def __str__(self):
+        return "weight matrix"
+
+    @property
+    def B_s(self):
+        return np.array(self.array, dtype=np.complex128, order="F")
+
+
 def zero_field(mode_set):
     return SpinorField(mode_set, np.zeros((mode_set.n_modes, 2), dtype=np.complex128))
 

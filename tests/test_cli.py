@@ -243,6 +243,20 @@ class TestSpectrum:
             )
         assert code == 2
 
+    def test_weight_factorization_failure_exit_code(self, capsys, monkeypatch):
+        # The solve's factorization of B_s is the weight's
+        # positive-definiteness check: its failure exits 2 with one line.
+        def failing_cholesky(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "cholesky", failing_cholesky)
+        code, out, err = run(
+            capsys, "spectrum", "--delta", "1,0,0", "--N", "1", "--f-cos", "1,0,0,0.5",
+            "--t", "0.05",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: Galerkin weight for t=0.05 is not positive definite\n"
+
     def test_bad_N(self, capsys):
         code, _, err = run(capsys, "spectrum", "--N", "9")
         assert code == 3
@@ -541,6 +555,26 @@ class TestGenericityCommand:
         code, merged, err = run(capsys, *args, flag, "0.5")
         assert code == 3 and merged == ""
         assert err.startswith("error: m_clusters=3 reaches past the trustworthy truncation radius")
+
+    def test_only_the_written_encoding_is_built(self, capsys, tmp_path, monkeypatch):
+        # A JSON run never builds the CSV rows, a CSV run never builds the
+        # JSON object, and a run without --out builds neither.
+        from spintorus.experiments import GenericityReport
+
+        calls = []
+        for name in ("csv_rows", "to_json_dict"):
+            def counting(report, encode=getattr(GenericityReport, name), name=name):
+                calls.append(name)
+                return encode(report)
+
+            monkeypatch.setattr(GenericityReport, name, counting)
+        args = ["genericity", "--delta", "1,0,0", "--N", "2", "--trials", "2", "--t", "0.05"]
+        for extra, built in ((["--out", str(tmp_path / "a.json")], ["to_json_dict"]),
+                             (["--format", "csv", "--out", str(tmp_path / "a.csv")], ["csv_rows"]),
+                             ([], [])):
+            calls.clear()
+            assert run(capsys, *args, *extra)[0] == 0
+            assert calls == built
 
     def test_clusters_past_the_trust_radius_are_rejected(self, capsys):
         # N = 2 trusts only |lambda| <= 1.5 e^{-0.05 sup|f|}: three positive

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.special import iv
 
 from spintorus import conformal as cf
+from spintorus import eigensolver as es
 from spintorus.errors import PositiveDefiniteError
 from spintorus.experiments import random_factor
 from spintorus.perturbation import deformed_cluster_values, extract_cluster
@@ -314,7 +315,7 @@ class TestAssembleB:
         ms = build_mode_set(1, (0, 0, 0))
         W = cf.assemble_B(random_factor(1, 2, 0.5), 0.0, ms)
         assert_allclose(cf.kron_spin(W.B_s), np.eye(ms.dim))
-        assert_allclose(W.take_inverse_factor(), np.eye(ms.n_modes))
+        assert_allclose(es.inverse_factor(W.B_s), np.eye(ms.n_modes))
 
     def test_constant_scales_identity(self):
         ms = build_mode_set(1, (1, 0, 0))
@@ -347,7 +348,7 @@ class TestAssembleB:
         B = cf.kron_spin(W.B_s)
         assert_allclose(B, B.conj().T)
         # M = L^{-1} of B_s = L L^H: lower triangular, and M B_s M^H = I
-        M = W.inverse
+        M = es.inverse_factor(W.B_s)
         assert np.all(np.triu(M, 1) == 0)
         assert_allclose(M @ W.B_s @ M.conj().T, np.eye(ms.n_modes), atol=1e-14)
         w = np.linalg.eigvalsh(B)
@@ -382,6 +383,8 @@ class TestAssembleB:
         assert out.tobytes(order="F") == (0.5 * (V.conj().T + V)).tobytes(order="F")
 
     def test_block_cholesky_failure_is_pd_error(self, monkeypatch):
+        # assemble_B does not factor; the solve's factorization of B_s is
+        # the positive-definiteness check, and its failure names the weight
         ms = build_mode_set(1, (0, 1, 0))
         shapes = []
 
@@ -390,25 +393,45 @@ class TestAssembleB:
             raise scipy.linalg.LinAlgError("Matrix is not positive definite")
 
         monkeypatch.setattr(scipy.linalg, "cholesky", failing_cholesky)
-        with pytest.raises(PositiveDefiniteError):
-            cf.assemble_B(random_factor(4, 2, 0.3), 0.05, ms)
+        f = random_factor(4, 2, 0.3)
+        cf.assemble_B(f, 0.05, ms)
+        assert shapes == []
+        with pytest.raises(PositiveDefiniteError,
+                           match=r"^Galerkin weight for t=0\.05 is not positive definite$"):
+            cf.deformed_spectrum(f, 0.05, ms)
         assert shapes == [(ms.n_modes, ms.n_modes)]
 
     def test_weight_is_factored_and_inverted_in_place(self, monkeypatch):
-        # assemble_B gathers B_s once into a Fortran-ordered buffer, and M =
-        # L^{-1} is that buffer, factored and inverted in place, with the bits
-        # of inverting a separate factor
+        # Before eigh the solve has gathered B_s once, into a Fortran-ordered
+        # buffer, and its M = L^{-1} is that buffer, factored and inverted
+        # in place, with the bits of inverting a separate factor; after
+        # eigh it gathers B_s once more
         ms = build_mode_set(2, (1, 0, 0))
-        gathered = []
-        gather = cf.assemble_multiplication
+        gathered, reduced = [], []
+        gather, reduce, eigh = (cf.assemble_multiplication, es._reduce,
+                                scipy.linalg.eigh)
         monkeypatch.setattr(cf, "assemble_multiplication",
                             lambda *args: gathered.append(gather(*args)) or gathered[-1])
-        W = cf.assemble_B(random_factor(8, 2, 0.3), 0.05, ms)
-        assert len(gathered) == 1 and gathered[0].flags.f_contiguous
-        assert np.shares_memory(W.inverse, gathered[0])
-        L = scipy.linalg.cholesky(np.ascontiguousarray(W.B_s), lower=True)
-        assert W.inverse.tobytes() == scipy.linalg.lapack.ztrtri(L, lower=1)[0].tobytes()
+
+        def reducing(symbols, M, *args):
+            reduced.append((M, len(gathered)))
+            return reduce(symbols, M, *args)
+
+        def solving(*args, **kwargs):
+            assert len(gathered) == 1
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(es, "_reduce", reducing)
+        monkeypatch.setattr(scipy.linalg, "eigh", solving)
+        f = random_factor(8, 2, 0.3)
+        cf.deformed_spectrum(f, 0.05, ms)
+        ((M, gathers),) = reduced
+        assert gathers == 1 and len(gathered) == 2 and gathered[0].flags.f_contiguous
+        assert np.shares_memory(M, gathered[0])
+        W = cf.assemble_B(f, 0.05, ms)
         assert W.shape == (ms.n_modes, ms.n_modes)
+        L = scipy.linalg.cholesky(np.ascontiguousarray(W.B_s), lower=True)
+        assert M.tobytes() == scipy.linalg.lapack.ztrtri(L, lower=1)[0].tobytes()
 
     def test_deformed_solve_makes_no_numpy_linalg_call(self, monkeypatch):
         # A deformed solve stays on scipy's BLAS (see the eigensolver module
@@ -733,9 +756,9 @@ class TestTrackedSpectrum:
         assert not leaves[start < 2.1].any()
 
     def test_snapshots_keep_the_gates_B_s_until_matched(self, monkeypatch):
-        # Each t > 0 gathers B_s twice, for assemble_B and for the solve's
-        # back-transformation and residual gate, and its snapshot keeps the
-        # second gather.  A snapshot lets go of it once the next one is
+        # Each t > 0 gathers B_s twice, for the solve's M = L^{-1} and for
+        # its back-transformation and residual gate, and its snapshot keeps
+        # the second gather.  A snapshot lets go of it once the next one is
         # requested: curve matching reads B_s only of a step's later snapshot.
         ms = build_mode_set(2, (1, 0, 0))
         f = random_factor(45, 2, 0.3)

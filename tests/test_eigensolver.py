@@ -28,6 +28,8 @@ from spintorus.torus_dirac import (
     spectrum_csv_rows,
 )
 
+from helpers import ArrayWeight
+
 
 def random_hermitian(rng, n):
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -55,6 +57,13 @@ def kron2(B_s):
     return np.kron(B_s, np.eye(2))
 
 
+def inverse_of_weight(ms):
+    """M = L^{-1} for B_s = L L^H of the weight e^{tf} on ``ms``, at t = 0.05
+    for the random factor f of seed 11."""
+    weight = build_deformed_operator(random_factor(11, 2, 0.3), 0.05, ms).weight
+    return es.inverse_factor(weight.B_s)
+
+
 def mapping_rss(address):
     """Resident bytes of the mapping of this process that starts at
     ``address``, from /proc/self/smaps."""
@@ -72,14 +81,14 @@ def mapping_rss(address):
 class TestSolve:
     def test_plain_hermitian(self, rng):
         S = random_symbols(rng, 6)
-        w, V, _ = es.solve_gen_hermitian(S)
+        w, V, _, _ = es.solve_gen_hermitian(S)
         assert_allclose(np.sort(np.linalg.eigvalsh(block_diag(S))), w, atol=1e-10)
         assert_allclose(V.conj().T @ V, np.eye(12), atol=1e-10)
 
     def test_diagonal_pair(self):
         S = np.array([np.diag(d) for d in ([2.0, -3.0], [5.0, 6.0], [-8.0, 1.0])], dtype=complex)
         B_s = np.diag([1.0, 2.0, 4.0]).astype(complex)
-        w, _, _ = es.solve_gen_hermitian(S, es.ArrayWeight(B_s))
+        w, _, _, _ = es.solve_gen_hermitian(S, ArrayWeight(B_s))
         assert_allclose(w, np.sort([2.0, -3.0, 2.5, 3.0, -2.0, 0.25]), atol=1e-14)
 
     def test_random_pair_residuals_and_gram(self, rng):
@@ -87,7 +96,7 @@ class TestSolve:
         A = block_diag(S)
         B_s = random_spd(rng, 25)
         B = kron2(B_s)
-        w, V, res = es.solve_gen_hermitian(S, es.ArrayWeight(B_s))
+        w, V, res, _ = es.solve_gen_hermitian(S, ArrayWeight(B_s))
         assert_allclose(w, scipy.linalg.eigh(A, B, eigvals_only=True), atol=1e-12)
         # oracle: recompute residuals and B-Gram directly
         R = A @ V - B @ V * w[None, :]
@@ -101,14 +110,14 @@ class TestSolve:
         # factor, 1.01 L in both places, trips it.
         S = random_symbols(rng, 10)
         B_s = random_spd(rng, 10)
-        w, V, _ = es.solve_gen_hermitian(S, es.ArrayWeight(B_s))
+        w, V, _, _ = es.solve_gen_hermitian(S, ArrayWeight(B_s))
         assert_allclose(
             w, scipy.linalg.eigh(block_diag(S), kron2(B_s), eigvals_only=True), atol=1e-12
         )
         cholesky_pd = es.cholesky_pd
         monkeypatch.setattr(es, "cholesky_pd", lambda a, what="": 1.01 * cholesky_pd(a, what))
         with pytest.raises(RuntimeError, match="residual"):
-            es.solve_gen_hermitian(S, es.ArrayWeight(B_s))
+            es.solve_gen_hermitian(S, ArrayWeight(B_s))
 
     @pytest.mark.parametrize(
         ("window", "N"),
@@ -126,7 +135,7 @@ class TestSolve:
         ms = build_mode_set(N, (1, 0, 0))
         op = build_deformed_operator(random_factor(11, 2, 0.3), 0.05, ms)
         B_s = np.ascontiguousarray(op.weight.B_s)
-        w, V, res = es.solve_gen_hermitian(ms.symbols, op.weight, subset_by_index=window)
+        w, V, res, _ = es.solve_gen_hermitian(ms.symbols, op.weight, subset_by_index=window)
         L = scipy.linalg.cholesky(B_s, lower=True)
         C = es._reduce(ms.symbols, scipy.linalg.lapack.ztrtri(L, lower=1)[0])
         w_ref, Y = scipy.linalg.eigh(C, subset_by_index=window, overwrite_a=True,
@@ -145,14 +154,14 @@ class TestSolve:
         S = random_symbols(rng, 3)
         B_s = np.diag([1.0, 1.0, -1.0]).astype(complex)
         with pytest.raises(PositiveDefiniteError):
-            es.solve_gen_hermitian(S, es.ArrayWeight(B_s))
+            es.solve_gen_hermitian(S, ArrayWeight(B_s))
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
-            es.solve_gen_hermitian(random_symbols(rng, 3), es.ArrayWeight(random_spd(rng, 6)))
+            es.solve_gen_hermitian(random_symbols(rng, 3), ArrayWeight(random_spd(rng, 6)))
         # a dense A is not accepted in place of its blocks
         with pytest.raises(ValueError):
-            es.solve_gen_hermitian(random_hermitian(rng, 6), es.ArrayWeight(random_spd(rng, 3)))
+            es.solve_gen_hermitian(random_hermitian(rng, 6), ArrayWeight(random_spd(rng, 3)))
 
     def test_reduction_matches_dense_congruence(self, rng):
         S = random_symbols(rng, 9)
@@ -176,7 +185,7 @@ class TestSolve:
         assert n > es.REDUCE_PANEL and n % es.REDUCE_PANEL
         S = ms.symbols if symbols == "dirac" else random_symbols(rng, n)
         assert np.array_equal(S[:, 1, 1], -S[:, 0, 0]) == (symbols == "dirac")
-        M = build_deformed_operator(random_factor(11, 2, 0.3), 0.05, ms).weight.inverse
+        M = inverse_of_weight(ms)
         W = np.empty((n, n), dtype=complex, order="F")
         C_ref = np.zeros((2 * n, 2 * n), dtype=complex, order="F")
         for a, b in ((0, 0), (1, 1), (1, 0)):
@@ -194,7 +203,7 @@ class TestSolve:
         # diagonal written; a complex64 C holds the double C's entries
         # rounded.  n = 294 modes spans three panels.
         ms = build_mode_set(3, (1, 0, 0))
-        M = build_deformed_operator(random_factor(11, 2, 0.3), 0.05, ms).weight.inverse
+        M = inverse_of_weight(ms)
         C = es._reduce(ms.symbols, M, dtype)
         assert C.dtype == dtype and C.flags.f_contiguous
         assert not np.triu(C, 1).any()
@@ -219,7 +228,7 @@ class TestSolve:
 
         monkeypatch.setattr(scipy.linalg, "eigh", eigh)
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-            es.solve_gen_hermitian(S, es.ArrayWeight(random_spd(rng, n)))
+            es.solve_gen_hermitian(S, ArrayWeight(random_spd(rng, n)))
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
             es.solve_gen_hermitian(np.where(np.arange(n)[:, None, None] == 7, np.inf, S))
 
@@ -237,7 +246,7 @@ class TestSolve:
         # it 0.75, and a C written whole is 1.0.
         monkeypatch.setattr(es, "OWN_MAPPING_BYTES", 0)
         ms = build_mode_set(4, (1, 0, 0))
-        M = build_deformed_operator(random_factor(11, 2, 0.3), 0.05, ms).weight.inverse
+        M = inverse_of_weight(ms)
         C = es._reduce(ms.symbols, M)
 
         def resident_share():
@@ -251,7 +260,7 @@ class TestSolve:
     def test_t_zero_is_bit_identical_to_dense_eigh(self, spin):
         ms = build_mode_set(2, spin)
         w_ref, V_ref = scipy.linalg.eigh(assemble_flat_dirac(ms))
-        w, V, _ = es.solve_gen_hermitian(ms.symbols)
+        w, V, _, _ = es.solve_gen_hermitian(ms.symbols)
         assert w.tobytes() == w_ref.tobytes()
         assert V.tobytes() == es.canonicalize_phases(V_ref).tobytes()
         res = deformed_spectrum(ConformalFactor.zero(), 0.0, ms, keep_vectors=True)
@@ -370,7 +379,7 @@ class TestSolverErrors:
 
         monkeypatch.setattr(scipy.linalg, "cholesky", failing_cholesky)
         with pytest.raises(PositiveDefiniteError):
-            es.solve_gen_hermitian(random_symbols(rng, 3), es.ArrayWeight(random_spd(rng, 3)))
+            es.solve_gen_hermitian(random_symbols(rng, 3), ArrayWeight(random_spd(rng, 3)))
 
     def test_other_failure_is_runtime_error(self, rng, monkeypatch):
         monkeypatch.setattr(
@@ -378,7 +387,7 @@ class TestSolverErrors:
         )
         with pytest.raises(RuntimeError, match="failed to converge") as info:
             es.solve_gen_hermitian(
-                random_symbols(rng, 3), es.ArrayWeight(random_spd(rng, 3)), subset_by_index=(0, 2)
+                random_symbols(rng, 3), ArrayWeight(random_spd(rng, 3)), subset_by_index=(0, 2)
             )
         assert not isinstance(info.value, PositiveDefiniteError)
 
@@ -398,7 +407,7 @@ class TestSolverErrors:
             return w, V
 
         monkeypatch.setattr(scipy.linalg, "eigh", nan_pair)
-        weight = es.ArrayWeight(random_spd(rng, 4)) if weighted else None
+        weight = ArrayWeight(random_spd(rng, 4)) if weighted else None
         with pytest.raises(RuntimeError, match="residual nan"), np.errstate(invalid="ignore"):
             es.solve_gen_hermitian(random_symbols(rng, 4), weight)
 
@@ -408,9 +417,9 @@ class TestWindowedSolve:
         S = random_symbols(rng, 20)
         B_s = random_spd(rng, 20)
         B = kron2(B_s)
-        w_full, _, _ = es.solve_gen_hermitian(S, es.ArrayWeight(B_s))
+        w_full, _, _, _ = es.solve_gen_hermitian(S, ArrayWeight(B_s))
         assert_allclose(w_full, scipy.linalg.eigh(block_diag(S), B, eigvals_only=True), atol=1e-12)
-        w, V, res = es.solve_gen_hermitian(S, es.ArrayWeight(B_s), subset_by_index=(10, 17))
+        w, V, res, _ = es.solve_gen_hermitian(S, ArrayWeight(B_s), subset_by_index=(10, 17))
         assert V.shape == (40, 8)
         assert_allclose(w, w_full[10:18], atol=1e-12)
         assert_allclose(V.conj().T @ B @ V, np.eye(8), atol=1e-10)
@@ -427,7 +436,7 @@ class TestWindowedSolve:
         S = random_symbols(rng, 15)
         B_s = random_spd(rng, 15)
         with pytest.raises(RuntimeError, match="residual"):
-            es.solve_gen_hermitian(S, es.ArrayWeight(B_s), subset_by_index=(5, 9))
+            es.solve_gen_hermitian(S, ArrayWeight(B_s), subset_by_index=(5, 9))
 
     @pytest.mark.parametrize("spin", all_spin_structures(), ids=str)
     def test_sylvester_index_counts_negative_eigenvalues(self, spin):
@@ -769,11 +778,12 @@ class TestMixedWindow:
             op = build_deformed_operator(f, 0.05, ms)
             return es.solve_gen_hermitian(ms.symbols, op.weight, subset_by_index=window)
 
-        w_ref, V_ref, res_ref = self.in_double(monkeypatch, solve)
+        w_ref, V_ref, res_ref, B_ref = self.in_double(monkeypatch, solve)
         taken = self.spy(monkeypatch)
         if failure == ("RESIDUAL_BOUND", None):
-            # the first residual gate, the mixed result's, reads a residual
-            # above the bound; the double path's is left as it is
+            # the first residual gate, the mixed result's in the solve's
+            # shared tail, reads a residual above the bound; the double
+            # path's is left as it is
             residual_max = es._residual_max
             calls = []
 
@@ -789,11 +799,35 @@ class TestMixedWindow:
             monkeypatch.setattr(scipy.linalg.lapack, *self.lapack_failure("chetrd", "nan"))
         else:
             monkeypatch.setattr(scipy.linalg.lapack, *self.lapack_failure(failure))
-        w, V, res = solve()
-        assert taken == [False]
+        w, V, res, B_s = solve()
+        # the gate fails only after _mixed_window has returned its pairs
+        assert taken == [failure == ("RESIDUAL_BOUND", None)]
         assert w.tobytes() == w_ref.tobytes()
         assert V.tobytes() == V_ref.tobytes()
-        assert res == res_ref
+        assert res == res_ref and B_s.tobytes() == B_ref.tobytes()
+
+    def test_a_weight_is_read_only(self, monkeypatch):
+        # One weight solved twice as the mixed N=3 genericity window and
+        # twice whole in double gives the same bits each time, and keeps
+        # its fields: the solve hands nothing to the weight or takes from it.
+        ms = build_mode_set(3, (1, 0, 0))
+        f = random_factor(11, 2, 0.3)
+        weight = build_deformed_operator(f, 0.05, ms).weight
+        fields = dict(vars(weight))
+        exp_bytes = weight.exp.values.tobytes()
+        taken = self.spy(monkeypatch)
+        for window in (genericity_window(ms), None):
+            first, again = (es.solve_gen_hermitian(ms.symbols, weight, subset_by_index=window)
+                            for _ in range(2))
+            for a, b in zip(first, again):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            assert vars(weight).keys() == fields.keys() == {"mode_set", "exp", "t"}
+            assert all(vars(weight)[name] is value for name, value in fields.items())
+            assert weight.exp.values.tobytes() == exp_bytes
+        assert taken == [True, True]
+        # the B_s a result keeps has the bits of a fresh gather
+        res = deformed_spectrum(f, 0.05, ms, keep_vectors=True, subset_by_index=(0, 99))
+        assert res.B_s.tobytes(order="F") == weight.B_s.tobytes(order="F")
 
     def test_entries_that_overflow_single_precision_fall_back(self, monkeypatch):
         # Symbols of 1e38 |kappa| overflow complex64 in C, not in double.
@@ -804,9 +838,9 @@ class TestMixedWindow:
             op = build_deformed_operator(f, 0.05, ms)
             return es.solve_gen_hermitian(1e38 * ms.symbols, op.weight, subset_by_index=window)
 
-        w_ref, V_ref, _ = self.in_double(monkeypatch, solve)
+        w_ref, V_ref, *_ = self.in_double(monkeypatch, solve)
         taken = self.spy(monkeypatch)
-        w, V, _ = solve()
+        w, V, *_ = solve()
         assert taken == [False]
         assert w.tobytes() == w_ref.tobytes() and V.tobytes() == V_ref.tobytes()
 
