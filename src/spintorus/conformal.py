@@ -37,7 +37,6 @@ from .torus_dirac import (
     apply_flat_dirac,
     build_mode_set,
     embed_field,
-    fft_bins,
     from_grid,
     to_grid,
 )
@@ -165,10 +164,17 @@ def cube_modes(radius):
 
 
 class CenteredCube:
-    """Fourier coefficients c(m) on a centred cube |m|_inf <= radius.
+    """Fourier coefficients c(m) of a real function on a centred cube
+    |m|_inf <= radius.
 
     ``values`` has shape ``(2 radius + 1,)^3`` and holds c(m) at index
     ``m + radius``; coefficients outside the cube are zero.
+
+    Invariant: c(-m) == conj(c(m)) for every m, compared as numbers (the
+    sign of a zero may differ).  ``ConformalFactor`` and ``exp_coeffs``
+    establish it by storing 0.5 (v(m) + conj(v(-m))), so nothing that reads
+    the cube symmetrizes again: every matrix [c(k_i - k_j)] gathered from it
+    is exactly Hermitian.
     """
 
     values: np.ndarray
@@ -194,25 +200,22 @@ class CenteredCube:
 
         One flat gather: m sits at ``values.reshape(-1)[ctr + off(m)]``, ctr
         the zero mode and off(m) = (m_1 side + m_2) side + m_3 linear in m,
-        so k_i - k'_j sits at ctr + off(k_i) - off(k'_j).  Differences outside
-        the cube, possible only when k and k' spread wider than the radius
-        along an axis, read 0.
+        so k_i - k'_j sits at ctr + off(k_i) - off(k'_j).  When k and k'
+        spread wider than the radius along an axis, the gather reads a copy
+        of the cube padded with zeros to their reach.
         """
-        r, flat = self.radius, self.values.reshape(-1)
-        side = 2 * r + 1
         k = np.asarray(k, dtype=np.int64)
         kc = k if cols is None else np.asarray(cols, dtype=np.int64)
+        # the largest |k_i - k'_j| along any axis
+        reach = max(np.max(k.max(axis=0) - kc.min(axis=0)), np.max(kc.max(axis=0) - k.min(axis=0)))
+        pad = max(int(reach) - self.radius, 0)
+        flat = (np.pad(self.values, pad) if pad else self.values).reshape(-1)
+        side = 2 * (self.radius + pad) + 1
 
         def off(m):
             return (m[:, 0] * side + m[:, 1]) * side + m[:, 2]
 
-        idx = flat.size // 2 + off(k)[:, None] - off(kc)[None, :]
-        # the largest |k_i - k'_j| along each axis
-        reach = np.maximum(k.max(axis=0) - kc.min(axis=0), kc.max(axis=0) - k.min(axis=0))
-        if np.all(reach <= r):
-            return flat[idx]
-        inside = np.all(np.abs(k[:, None] - kc[None]) <= r, axis=-1)
-        return np.where(inside, flat[np.where(inside, idx, 0)], 0.0)
+        return flat[flat.size // 2 + off(k)[:, None] - off(kc)[None, :]]
 
     def coeff(self, m):
         """c(m); 0 outside the cube."""
@@ -421,10 +424,11 @@ def exp_coeffs(factor, t, band):
     """Fourier coefficients of e^{tf} for |m|_inf <= band, from one FFT.
 
     e^{tf} is sampled on the grid of side ``exp_grid_size(band, degree,
-    |t| ||fhat||_1)``, whose aliasing error is certified a priori below
-    ``EXP_ALIAS_TOL * e^{-|t| ||fhat||_1}``; the bound is returned as
-    ``recon_error``.  Raises ValueError when the weight exceeds
-    ``EXP_WEIGHT_MAX``.
+    |t| ||fhat||_1)`` and its block read with ``from_grid``; the aliasing
+    error is certified a priori below ``EXP_ALIAS_TOL * e^{-|t|
+    ||fhat||_1}``, and the bound is returned as ``recon_error``.  The block
+    is symmetrized as ``CenteredCube`` requires.  Raises ValueError when the
+    weight exceeds ``EXP_WEIGHT_MAX``.
     """
     band = int(band)
     if band < 0:
@@ -439,8 +443,7 @@ def exp_coeffs(factor, t, band):
     weight = abs(t) * factor.l1_norm()
     G = exp_grid_size(band, d, weight)
     h = np.exp(t * factor.grid_values(G))
-    hhat = np.fft.fftn(h) / G**3
-    vals = hhat[fft_bins(cube_modes(band), G)].reshape(side, side, side)
+    vals = from_grid(h, cube_modes(band), G).reshape(side, side, side)
     # Zero the FFT roundoff dust, so that the support of the block (and the
     # sparsity of B) is the analytic one.
     vals[np.abs(vals) < 1e-15 * float(np.max(h))] = 0.0
@@ -457,26 +460,22 @@ def required_band(mode_set):
 GATHER_PANEL = 64
 
 
-def assemble_multiplication(mode_set, cube):
-    """Scalar block of the Galerkin matrix of multiplication by the function
-    whose Fourier coefficients ``cube`` holds (a ``CenteredCube``),
-    symmetrized: entry (i, j) is (V_ij + conj(V_ji)) / 2 for
-    V_ij = c(kappa_i - kappa_j) (``CenteredCube.lookup``).  The full matrix
-    acts on both spin components alike: it is ``kron_spin`` of this block.
+def assemble_multiplication(k, cube):
+    """Scalar block [c(k_i - k_j)] of the Galerkin matrix, on the integer
+    modes k of shape (n, 3), of multiplication by the function whose Fourier
+    coefficients ``cube`` holds (a ``CenteredCube``), one read per entry.
+    It is exactly Hermitian, since the cube is.  The full matrix acts on
+    both spin components alike: it is ``kron_spin`` of this block.
 
     The block is a new Fortran-ordered array, which LAPACK can factor in
     place (``eigensolver.inverse_factor``).  It is written ``GATHER_PANEL``
-    columns at a time, from the panels V[:, j0:j1] and V[j0:j1, :] of V, so
-    the gather needs no n x n index table or copy beside it; the entries are
-    those of the whole-V formula bit for bit."""
-    k = mode_set.k_values
+    columns at a time, each from one ``CenteredCube.lookup``, so the gather
+    needs no n x n index table beside it."""
     n = len(k)
     out = np.empty((n, n), dtype=np.complex128, order="F")
     for j0 in range(0, n, GATHER_PANEL):
         panel = slice(j0, j0 + GATHER_PANEL)
-        np.conjugate(cube.lookup(k[panel], k).T, out=out[:, panel])
-        out[:, panel] += cube.lookup(k, k[panel])
-    out *= 0.5
+        out[:, panel] = cube.lookup(k, k[panel])
     return out
 
 
@@ -491,7 +490,7 @@ def kron_spin(S):
 
 def factor_multiplication_matrix(factor, mode_set):
     """Exact Galerkin matrix of multiplication by the trig polynomial f."""
-    return kron_spin(assemble_multiplication(mode_set, factor))
+    return kron_spin(assemble_multiplication(mode_set.k_values, factor))
 
 
 @dataclass
@@ -522,7 +521,7 @@ class ScalarWeight:
     def B_s(self):
         if self.exp is None:
             return np.eye(self.mode_set.n_modes, dtype=np.complex128, order="F")
-        return assemble_multiplication(self.mode_set, self.exp)
+        return assemble_multiplication(self.mode_set.k_values, self.exp)
 
 
 def assemble_B(factor, t, mode_set):
@@ -639,9 +638,9 @@ def deformed_spectrum(factor, t, mode_set, tau_rel=None, keep_vectors=False, sub
     if tau_rel is None:
         tau_rel = cluster_tolerance(factor, t)
     op = build_deformed_operator(factor, t, mode_set)
-    identity_B = t == 0 or factor.is_zero
     w, V, residual_max, B_s = eigensolver.solve_gen_hermitian(
-        mode_set.symbols, None if identity_B else op.weight, subset_by_index=subset_by_index
+        mode_set.symbols, None if op.weight.exp is None else op.weight,
+        subset_by_index=subset_by_index,
     )
     meta = {
         "delta": list(mode_set.spin_structure.delta),

@@ -118,7 +118,7 @@ def _verify_split(cluster, factor, report, t):
     """
     position_tol = 5.0 * t**2
     # the clusters of the flat cluster's index window, isolated in its midpoint window
-    sub = deformed_cluster_values(factor, t, cluster, tau_rel=eigensolver.TAU_REL_SPLIT).clusters
+    sub = deformed_cluster_values(factor, t, cluster).clusters
     q = np.asarray(report.quaternionic_rates, dtype=float)
     tol_group = 1e-8 * max(1.0, abs(cluster.lam), float(np.max(np.abs(q))))
     groups = eigensolver.cluster_eigenvalues(np.sort(q), tau_abs=tol_group)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import eigensolver
 from .artifact import NOT_ARTIFACT, Artifact
-from .conformal import _solve_shells, cluster_tolerance
+from .conformal import _solve_shells, assemble_multiplication, cluster_tolerance
 from .errors import ClusterNotIsolatedError
 from .torus_dirac import SpinorField, apply_flat_dirac_coeffs, apply_J_coeffs, field_on_grid
 
@@ -141,15 +141,14 @@ def rate_single(lam, phi, factor):
 
 
 def _cluster_form(factor, mode_set, V):
-    """V^H F V, F the Galerkin matrix of multiplication by f, read only on the
-    modes where the columns of V are nonzero and symmetrized as in
-    ``conformal.assemble_multiplication``."""
+    """V^H F V, F the Galerkin matrix of multiplication by f, gathered by
+    ``conformal.assemble_multiplication`` only on the modes where the
+    columns of V are nonzero."""
     p = V.shape[1]
     W = V.reshape(mode_set.n_modes, 2, p)
     rows = np.any(W != 0, axis=(1, 2))
-    k, W = mode_set.k_values[rows], W[rows]
-    vals = factor.lookup(k)
-    FW = np.tensordot(0.5 * (vals + vals.conj().T), W, axes=(1, 0))
+    W = W[rows]
+    FW = np.tensordot(assemble_multiplication(mode_set.k_values[rows], factor), W, axes=(1, 0))
     return W.reshape(-1, p).conj().T @ FW.reshape(-1, p)
 
 
@@ -239,7 +238,7 @@ def flat_cluster_window(mode_set, lam):
     return lo, hi
 
 
-def deformed_cluster_values(factor, t, cluster, tau_rel=None):
+def deformed_cluster_values(factor, t, cluster):
     """The deformed spectrum descending from the flat cluster, as the
     ``SpectrumResult`` of its index window.
 
@@ -251,11 +250,9 @@ def deformed_cluster_values(factor, t, cluster, tau_rel=None):
     outside it, so that exactly ``cluster.p_c`` eigenvalues lie in the
     midpoint window; otherwise ClusterNotIsolatedError is raised (an edge
     that cuts a cluster grows the window into a neighbouring shell, which
-    fails the test).  The default tolerance is ``conformal.cluster_tolerance``.
+    fails the test).  The clustering tolerance is ``conformal.cluster_tolerance``.
     """
     ms = cluster.mode_set
-    if tau_rel is None:
-        tau_rel = cluster_tolerance(factor, t)
     c = flat_cluster_index(ms, cluster.lam)
     lo, hi = flat_cluster_window(ms, cluster.lam)
 
@@ -269,7 +266,8 @@ def deformed_cluster_values(factor, t, cluster, tau_rel=None):
             )
         return False, False
 
-    res, _ = _solve_shells(factor, [t], [tau_rel], ms, (c, c + 1), outgrown=outgrown)
+    res, _ = _solve_shells(factor, [t], [cluster_tolerance(factor, t)], ms, (c, c + 1),
+                           outgrown=outgrown)
     return res
 
 

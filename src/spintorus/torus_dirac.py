@@ -166,11 +166,6 @@ class ModeSet:
             self._flat_matrix = assemble_flat_dirac(self)
         return self._flat_matrix
 
-    @property
-    def first_nonnegative_index(self):
-        """Index of the first non-negative eigenvalue of every pencil (A, B), B > 0."""
-        return int(self.cluster_starts[np.searchsorted(self.flat_clusters[0], 0)])
-
     def same_modes(self, other):
         return self is other or (
             self.N == other.N and self.spin_structure == other.spin_structure

@@ -23,6 +23,11 @@ class ArrayWeight:
         return np.array(self.array, dtype=np.complex128, order="F")
 
 
+def first_nonnegative_index(mode_set):
+    """Index of the first non-negative eigenvalue of every pencil (A, B), B > 0."""
+    return int(mode_set.cluster_starts[np.searchsorted(mode_set.flat_clusters[0], 0)])
+
+
 def zero_field(mode_set):
     return SpinorField(mode_set, np.zeros((mode_set.n_modes, 2), dtype=np.complex128))
 

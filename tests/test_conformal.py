@@ -17,13 +17,14 @@ from spintorus.experiments import random_factor
 from spintorus.perturbation import deformed_cluster_values, extract_cluster
 from spintorus.torus_dirac import (
     ModeSet,
+    all_spin_structures,
     apply_flat_dirac,
     build_mode_set,
     closed_form_spectrum,
     random_field,
 )
 
-from helpers import record_solves
+from helpers import first_nonnegative_index, record_solves
 
 
 class TestConformalFactor:
@@ -135,7 +136,49 @@ class TestConformalFactor:
         assert g.dtype == np.float64
 
 
+_modes = st.tuples(*[st.integers(-2, 2)] * 3)
+# bounded floats include -0.0 and +0.0, whose signs conj flips
+_signed = st.floats(-2, 2, allow_nan=False)
+
+
+@st.composite
+def _one_sided_factors(draw):
+    """A factor from ``from_coeffs`` given at most one of each pair +-m."""
+    coeffs = {}
+    entries = draw(st.dictionaries(_modes, st.tuples(_signed, _signed), max_size=6))
+    for m, (re, im) in entries.items():
+        if m == (0, 0, 0):
+            coeffs[m] = complex(re, math.copysign(0.0, im))
+        elif tuple(-x for x in m) not in coeffs:
+            coeffs[m] = complex(re, im)
+    return cf.ConformalFactor.from_coeffs(2, coeffs)
+
+
+_random_factors = st.builds(random_factor, st.integers(0, 2**32 - 1), st.integers(1, 2),
+                            st.floats(0, 1))
+_exp_factors = st.one_of(_random_factors, st.builds(cf.ConformalFactor.cosine, _modes, _signed),
+                         st.builds(cf.ConformalFactor.constant, _signed))
+_cubes = st.one_of(
+    _one_sided_factors(),
+    st.builds(cf.ConformalFactor.cosine, _modes, _signed),
+    st.builds(cf.ConformalFactor.sine, _modes, _signed),
+    st.builds(cf.ConformalFactor.constant, _signed),
+    st.builds(lambda f, s: f.scaled(s), _one_sided_factors(), st.floats(1e-3, 10)),
+    st.builds(lambda f: cf.ConformalFactor.from_json_dict(f.to_json_dict()), _one_sided_factors()),
+    _random_factors,
+    st.builds(cf.exp_coeffs, _exp_factors, st.floats(-0.3, 0.3), st.integers(0, 4)),
+    st.builds(cf.exp_coeffs, _exp_factors, st.just(0.0), st.integers(0, 3)),
+)
+
+
 class TestCenteredCube:
+    @given(_cubes)
+    def test_every_constructor_makes_the_cube_hermitian(self, cube):
+        # c(-m) == conj(c(m)) for every m, compared as numbers: conj flips
+        # the sign of a zero imaginary part
+        v = cube.values
+        assert np.array_equal(v[::-1, ::-1, ::-1], np.conj(v))
+
     def test_items_lexicographic_and_round_trip(self):
         f = random_factor(4, 2, 0.3)
         modes = [m for m, _ in f.items()]
@@ -156,7 +199,7 @@ class TestCenteredCube:
         c = f if cube == "factor" else cf.exp_coeffs(f, 0.05, 3)
         r = c.radius
         assert c.values.shape == (2 * r + 1,) * 3
-        # modes spreading past the radius (masked gather) and within it (plain gather)
+        # modes spreading past the radius (padded cube) and within it (the cube itself)
         for k in (cf.cube_modes(r // 2 + 2) + [1, -2, 0], cf.cube_modes(r // 2)):
             looked = c.lookup(k)
             assert looked.shape == (len(k), len(k))
@@ -368,19 +411,21 @@ class TestAssembleB:
 
     @pytest.mark.parametrize("cube", ["exp", "factor"])
     def test_panelled_gather_is_bit_identical_to_whole_lookup(self, cube):
-        # B_s written a panel of columns at a time has the bits of
-        # (conj(V^T) + V) / 2 for the whole V = lookup(k).  n = 294 modes is
-        # above the panel width and not a multiple of it, and the mode set
-        # spreads wider than the degree-2 factor's cube.
-        ms = build_mode_set(3, (1, 0, 0))
-        assert ms.n_modes > cf.GATHER_PANEL and ms.n_modes % cf.GATHER_PANEL
+        # B_s written a panel of columns at a time has the bits of the whole
+        # V = lookup(k), and of the symmetrized (conj(V^T) + V) / 2, since
+        # the cube is Hermitian.  n = 64 to 294 modes is one panel or more,
+        # and the mode sets spread wider than the degree-2 factor's cube.
         f = random_factor(8, 2, 0.3)
-        c = cf.exp_coeffs(f, 0.05, cf.required_band(ms)) if cube == "exp" else f
-        assert (np.ptp(ms.k_values, axis=0).max() > c.radius) == (cube == "factor")
-        V = c.lookup(ms.k_values)
-        out = cf.assemble_multiplication(ms, c)
-        assert out.flags.f_contiguous
-        assert out.tobytes(order="F") == (0.5 * (V.conj().T + V)).tobytes(order="F")
+        for N, spin in [(2, s) for s in all_spin_structures()] + [(3, (1, 0, 0))]:
+            ms = build_mode_set(N, spin)
+            assert ms.n_modes >= cf.GATHER_PANEL
+            c = cf.exp_coeffs(f, 0.05, cf.required_band(ms)) if cube == "exp" else f
+            assert (np.ptp(ms.k_values, axis=0).max() > c.radius) == (cube == "factor")
+            V = c.lookup(ms.k_values)
+            out = cf.assemble_multiplication(ms.k_values, c)
+            assert out.flags.f_contiguous
+            assert out.tobytes(order="F") == V.tobytes(order="F")
+            assert out.tobytes(order="F") == (0.5 * (V.conj().T + V)).tobytes(order="F")
 
     def test_block_cholesky_failure_is_pd_error(self, monkeypatch):
         # assemble_B does not factor; the solve's factorization of B_s is
@@ -578,7 +623,7 @@ class TestStandardFormSolve:
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
     def test_windows_match_dense_oracle(self, N, delta):
         ms = build_mode_set(N, delta)
-        i0 = ms.first_nonnegative_index
+        i0 = first_nonnegative_index(ms)
         lo, hi = i0 - min(i0, 10), min(i0 + 19, ms.dim - 1)
         for seed in (71, 72):
             f = random_factor(seed, 2, 0.3)

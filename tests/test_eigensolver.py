@@ -28,7 +28,7 @@ from spintorus.torus_dirac import (
     spectrum_csv_rows,
 )
 
-from helpers import ArrayWeight
+from helpers import ArrayWeight, first_nonnegative_index
 
 
 def random_hermitian(rng, n):
@@ -442,7 +442,7 @@ class TestWindowedSolve:
     def test_sylvester_index_counts_negative_eigenvalues(self, spin):
         ms = build_mode_set(2, spin)
         res = deformed_spectrum(random_factor(3, 2, 0.3), 0.05, ms, keep_vectors=False)
-        i0 = ms.first_nonnegative_index
+        i0 = first_nonnegative_index(ms)
         assert int(np.sum(res.eigenvalues < -1e-8)) == i0
         assert res.eigenvalues[i0] > -1e-8
         if spin.trivial:
@@ -455,7 +455,7 @@ class TestWindowedSolve:
         ms = build_mode_set(2, (0, 1, 1))
         f = random_factor(5, 2, 0.3)
         full = deformed_spectrum(f, 0.05, ms, keep_vectors=False)
-        i0 = ms.first_nonnegative_index
+        i0 = first_nonnegative_index(ms)
         win = deformed_spectrum(
             f, 0.05, ms, keep_vectors=False, subset_by_index=(i0, i0 + 19)
         )

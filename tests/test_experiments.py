@@ -23,7 +23,7 @@ from spintorus.perturbation import (
 )
 from spintorus.torus_dirac import build_mode_set, closed_form_spectrum
 
-from helpers import record_solves
+from helpers import first_nonnegative_index, record_solves
 
 
 @pytest.fixture(scope="module")
@@ -333,14 +333,14 @@ class TestGenericityWindow:
         calls = record_solves(monkeypatch)
         f = ex.random_factor(2, 2, 0.3)
         ms = build_mode_set(3, (0, 0, 0))
-        i0 = ms.first_nonnegative_index
+        i0 = first_nonnegative_index(ms)
         ex.lowest_positive_clusters(f, 0.05, ms, 3)
         # the kernel and |kappa|^2 = 1, 2, 3 with 6, 12, 8 modes, plus one
         # eigenpair past each edge
         assert calls == [(i0 - 1, i0 + 2 + 6 + 12 + 8)]
         calls.clear()
         ms = build_mode_set(3, (1, 0, 0))
-        i0 = ms.first_nonnegative_index
+        i0 = first_nonnegative_index(ms)
         assert ex.lowest_positive_clusters(f, 0.05, ms, 0) == []
         assert calls == [(i0 - 1, i0)]
 
@@ -351,7 +351,7 @@ class TestGenericityWindow:
         ms = build_mode_set(2, (1, 0, 0))
         with pytest.raises(ValueError, match="m_clusters=40 reaches past the trustworthy"):
             ex.lowest_positive_clusters(ex.random_factor(2, 2, 0.3), 0.05, ms, 40)
-        i0 = ms.first_nonnegative_index
+        i0 = first_nonnegative_index(ms)
         assert calls == [(i0 - 1, i0 + 2 + 8 + 10)]
 
     def test_grows_while_the_next_eigenvalue_lies_inside(self, monkeypatch):

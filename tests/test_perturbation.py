@@ -14,7 +14,7 @@ from spintorus.conformal import (
     flat_spectrum,
 )
 from spintorus.errors import ClusterNotIsolatedError
-from spintorus.experiments import random_factor
+from spintorus.experiments import candidate_factors, random_factor
 from spintorus.torus_dirac import (
     all_spin_structures,
     apply_J_coeffs,
@@ -24,7 +24,7 @@ from spintorus.torus_dirac import (
     random_field,
 )
 
-from helpers import zero_field
+from helpers import first_nonnegative_index, zero_field
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +122,7 @@ class TestFlatClusters:
     def test_lattice_count_and_windows_inside_the_radius(self, spin, N):
         ms = build_mode_set(N, spin)
         keys, lams, mult_c = ms.flat_clusters
-        assert ms.first_nonnegative_index == mult_c[keys < 0].sum()
+        assert first_nonnegative_index(ms) == mult_c[keys < 0].sum()
         inside = np.abs(lams) <= N - 0.5
         signed = [(s * line.lam, line.mult_c) for line in closed_form_spectrum(spin, N - 0.5)
                   for s in ((1.0,) if line.lam == 0.0 else (-1.0, 1.0))]
@@ -295,6 +295,30 @@ class TestClusterForm:
                 P = -basis.lam * (V.conj().T @ F @ V)
                 P = 0.5 * (P + P.conj().T)
                 assert np.max(np.abs(pt.perturbation_matrix(basis, f).P - P)) <= 1e-14
+
+    @pytest.mark.parametrize("delta, lam", [((0, 0, 0), 1.0), ((1, 0, 0), 1.118033988749895)],
+                             ids=str)
+    def test_showcase_clusters_keep_the_bits_of_the_symmetrized_lookup(self, delta, lam):
+        # The cluster form before it gathered through assemble_multiplication
+        # read the shell's lookup and symmetrized it; the cube is Hermitian,
+        # so P keeps its bits for every single-frequency split candidate.
+        def symmetrized_form(factor, mode_set, V):
+            p = V.shape[1]
+            W = V.reshape(mode_set.n_modes, 2, p)
+            rows = np.any(W != 0, axis=(1, 2))
+            k, W = mode_set.k_values[rows], W[rows]
+            vals = factor.lookup(k)
+            FW = np.tensordot(0.5 * (vals + vals.conj().T), W, axes=(1, 0))
+            return W.reshape(-1, p).conj().T @ FW.reshape(-1, p)
+
+        cl = pt.extract_cluster(build_mode_set(3, delta), lam)
+        singles = list(candidate_factors(2, n_random=0))
+        assert len(singles) == 2 * 62
+        for f in singles:
+            form = symmetrized_form(f, cl.mode_set, cl.vectors)
+            assert pt._cluster_form(f, cl.mode_set, cl.vectors).tobytes() == form.tobytes()
+            P = -cl.lam * form
+            assert pt.perturbation_matrix(cl, f).P.tobytes() == (0.5 * (P + P.conj().T)).tobytes()
 
     def test_rate_single_of_a_full_field(self, shifted_ms, rng):
         f = random_factor(12, 2, 0.5)
