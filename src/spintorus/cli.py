@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 internal failure (a solver failure is reported as
 one ``error:`` line) or failed validation suite, 2 positive-definiteness
-failure of the deformation weight, 3 invalid input (usage error, bad config,
-malformed or non-finite factor or a factor JSON that is not an object,
+failure of the deformation weight or a weight e^{tf} that is not
+representable, 3 invalid input (usage error, bad config, malformed or
+non-finite factor, one whose deformed volume overflows, a factor JSON that
+is not an object or has a degree or mode that is not an integer,
 out-of-range cluster index, a cluster lambda off the flat spectrum or a
 cluster past the truncation radius N - 1/2, violated precondition, a
 truncation whose dense solve, a factor or degree whose sampling grids, a
@@ -49,6 +51,7 @@ from .conformal import (
     dense_memory_estimate,
     exp_grid_size,
     extrema_grid_size,
+    json_int,
     physical_memory,
     tracked_spectrum,
     trusted_spectrum,
@@ -280,7 +283,7 @@ class RunConfig:
         """The factor of a JSON document, its degree checked before it is built
         and its e^{tf} grid once its coefficients are known."""
         if isinstance(doc, dict) and "degree" in doc:
-            self.require_degree("degree", int(doc["degree"]))
+            self.require_degree("degree", json_int(doc["degree"], "degree"))
         factor = ConformalFactor.from_json_dict(doc, label=label)
         self.require_degree("degree", factor.degree, lambda d: factor.l1_norm())
         return factor
@@ -300,7 +303,7 @@ def _read_json(noun, build, path=None, text=None):
         raise ConfigError(f"cannot read {noun} {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{noun} is not valid JSON: {exc}") from exc
-    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: degree Infinity
+    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: a huge int coefficient
         raise ConfigError(f"{noun} has a malformed schema: {exc}") from exc
 
 
@@ -313,7 +316,9 @@ def _write_text(path, text):
 
 
 def dump_json(doc, path=None):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The JSON text of ``doc``, written to ``path`` when given; ValueError
+    when ``doc`` holds a NaN or an infinity, which JSON cannot encode."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path:
         _write_text(path, text)
     return text
@@ -542,8 +547,7 @@ def cmd_perturb(cfg):
     _write_artifact(cfg, lambda: {**report.to_json_dict(), "fd": fd.to_json_dict()})
     print(f"cluster lambda={cluster.lam} p_C={cluster.p_c} p_H={cluster.p_h}")
     print("rates:", " ".join(f"{r:.6e}" for r in report.rates))
-    if report.quaternionic_rates is not None:
-        print("quaternionic rates:", " ".join(f"{r:.6e}" for r in report.quaternionic_rates))
+    print("quaternionic rates:", " ".join(f"{r:.6e}" for r in report.quaternionic_rates))
     print(f"min gap: {report.min_gap:.6e}")
     print(f"{'t':>10}  {'max mismatch':>14}")
     for t, m in zip(fd.t_values, fd.mismatches):

@@ -142,6 +142,22 @@ def extrema_grid_size(degree):
     return max(64, 4 * degree + 4)
 
 
+def exp_scalar(x, what):
+    """e^x as ``np.exp`` gives it; ValueError, naming ``what``, where that overflows."""
+    with np.errstate(over="ignore"):
+        value = float(np.exp(x))
+    if math.isinf(value):
+        raise ValueError(f"{what} e^{x:.6g} overflows")
+    return value
+
+
+def json_int(value, what):
+    """value when it is a JSON integer (an int, not a bool); TypeError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"factor {what} must be an integer, got {value!r}")
+    return value
+
+
 def physical_memory():
     """Bytes of physical memory of this machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -244,14 +260,18 @@ class ConformalFactor(CenteredCube):
         if not np.all(np.isfinite(values)):
             raise ValueError("factor coefficients must be finite")
         flipped = np.conj(values[::-1, ::-1, ::-1])
-        viol = float(np.max(np.abs(values - flipped))) if values.size else 0.0
-        scale = max(1.0, float(np.max(np.abs(values)))) if values.size else 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            viol = float(np.max(np.abs(values - flipped))) if values.size else 0.0
+            scale = max(1.0, float(np.max(np.abs(values)))) if values.size else 1.0
+            symmetrized = 0.5 * (values + flipped)
         if viol > REALITY_TOL * scale:
             raise ValueError(
                 f"reality constraint violated: max |fhat(m) - conj(fhat(-m))| = {viol:.3e}"
             )
+        if not np.all(np.isfinite(symmetrized)):
+            raise ValueError("factor coefficients must be finite: fhat(m) + fhat(-m) overflows")
         self.degree = degree
-        self.values = 0.5 * (values + flipped)
+        self.values = symmetrized
         self.label = label
         self._grid_cache = {}
         self._extrema = None
@@ -371,15 +391,8 @@ class ConformalFactor(CenteredCube):
     def describe(self):
         if self.label:
             return self.label
-        if self.is_zero:
-            return "zero"
         nnz = int(np.count_nonzero(self.values))
         return f"poly:d={self.degree},nnz={nnz}"
-
-    def __eq__(self, other):
-        if not isinstance(other, ConformalFactor):
-            return NotImplemented
-        return self.degree == other.degree and np.array_equal(self.values, other.values)
 
     # -- serialization ------------------------------------------------
 
@@ -391,17 +404,19 @@ class ConformalFactor(CenteredCube):
 
     @classmethod
     def from_json_dict(cls, doc, label=None):
-        """Load the ``to_json_dict`` schema; a file lists both m and -m."""
+        """Load the ``to_json_dict`` schema; a file lists both m and -m, and
+        the degree and every mode entry are JSON integers."""
         if not isinstance(doc, dict):
             raise ValueError(f"a factor must be a JSON object, got {type(doc).__name__}")
         coeffs = {
-            tuple(int(x) for x in entry["m"]): float(entry["re"]) + 1j * float(entry["im"])
+            tuple(json_int(x, "mode entry") for x in entry["m"]):
+                float(entry["re"]) + 1j * float(entry["im"])
             for entry in doc.get("coeffs", [])
         }
         for m in coeffs:
             if tuple(-x for x in m) not in coeffs:
                 raise ValueError(f"reality constraint violated: mode {m} is listed without -m")
-        return cls.from_coeffs(doc["degree"], coeffs, label=label)
+        return cls.from_coeffs(json_int(doc["degree"], "degree"), coeffs, label=label)
 
 
 @dataclass
@@ -428,7 +443,8 @@ def exp_coeffs(factor, t, band):
     error is certified a priori below ``EXP_ALIAS_TOL * e^{-|t|
     ||fhat||_1}``, and the bound is returned as ``recon_error``.  The block
     is symmetrized as ``CenteredCube`` requires.  Raises ValueError when the
-    weight exceeds ``EXP_WEIGHT_MAX``.
+    weight exceeds ``EXP_WEIGHT_MAX``, or when e^{tc} of a constant f = c
+    overflows.
     """
     band = int(band)
     if band < 0:
@@ -436,7 +452,7 @@ def exp_coeffs(factor, t, band):
     side = 2 * band + 1
     if t == 0 or factor.is_constant:
         vals = np.zeros((side, side, side), dtype=np.complex128)
-        vals[band, band, band] = np.exp(t * factor.mean()) if t != 0 else 1.0
+        vals[band, band, band] = exp_scalar(t * factor.mean(), "e^{tf} =") if t != 0 else 1.0
         return ExpCoeffs(band, vals, 0.0)
 
     d = factor.degree
@@ -582,10 +598,12 @@ class DeformedOperator:
     def volume(self):
         """Total volume of the deformed metric, int e^{n t f} dmu: the mean of
         e^{n t f} on the grid that ``exp_grid_size`` certifies for its zero
-        coefficient (band 0, weight n |t| ||fhat||_1)."""
+        coefficient (band 0, weight n |t| ||fhat||_1).  ValueError where
+        that weight exceeds ``EXP_WEIGHT_MAX`` or e^{n t c} of a constant f = c
+        overflows."""
         nt, f = TORUS_DIM * self.t, self.factor
         if nt == 0 or f.is_constant:
-            return float(np.exp(nt * f.mean()))
+            return exp_scalar(nt * f.mean(), "the deformed volume")
         G = exp_grid_size(0, f.degree, abs(nt) * f.l1_norm())
         return float(np.mean(np.exp(nt * f.grid_values(G))))
 

@@ -116,9 +116,9 @@ class SpectrumResult(Artifact):
     clusters: list[ClusterInfo]
     residual_max: float
     meta: dict
+    mode_set: object = field(metadata=NOT_ARTIFACT)
     vectors: np.ndarray | None = field(default=None, metadata=NOT_ARTIFACT)
     B_s: np.ndarray | None = field(default=None, metadata=NOT_ARTIFACT)
-    mode_set: object = field(default=None, metadata=NOT_ARTIFACT)
 
 
 def canonicalize_phases(V):
@@ -623,7 +623,7 @@ def cluster_eigenvalues(values, tau_rel=0.0, tau_abs=0.0):
     return clusters
 
 
-def build_spectrum_result(w, V, residual_max, tau_rel, meta, mode_set=None, B_s=None):
+def build_spectrum_result(w, V, residual_max, tau_rel, meta, mode_set, B_s=None):
     clusters = cluster_eigenvalues(w, tau_rel)
     meta = dict(meta)
     meta["tau_rel"] = tau_rel
@@ -713,7 +713,7 @@ def _require_matchable(snap, n, mode_set):
         raise ValueError("snapshots have mismatched dimensions")
     if snap.vectors is None:
         raise ValueError("snapshots must retain eigenvectors for matching")
-    if snap.mode_set is not None and not (mode_set is None or mode_set.same_modes(snap.mode_set)):
+    if not mode_set.same_modes(snap.mode_set):
         raise ValueError("snapshots live on different mode sets")
 
 

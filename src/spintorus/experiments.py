@@ -41,6 +41,10 @@ from .torus_dirac import SpectrumLine, SpinStructure, build_mode_set
 
 #: Generalized eigenvalues below this absolute size count as kernel elements.
 KERNEL_TOL = 1e-8
+#: ``split_search`` verifies a candidate whose quaternionic rates separate by
+#: more than this, and tries this many random mixes after the single frequencies.
+SPLIT_GAP_THRESHOLD = 1e-3
+SPLIT_RANDOM_MIXES = 32
 
 
 def random_factor(seed, degree, amplitude, label=None):
@@ -80,15 +84,15 @@ def _half_space(degree):
     return [tuple(m) for m in modes[len(modes) // 2 :].tolist()]
 
 
-def candidate_factors(max_degree, n_random=32, seed=2024):
+def candidate_factors(max_degree, seed=2024):
     """Deterministic splitting candidates: single frequencies (by Euclidean
-    length, then lexicographically), then random mixes."""
+    length, then lexicographically), then ``SPLIT_RANDOM_MIXES`` random mixes."""
     by_length = sorted(_half_space(max_degree)[1:], key=lambda m: (sum(x * x for x in m), m))
     for m in by_length:
         yield ConformalFactor.cosine(m)
         yield ConformalFactor.sine(m)
     root = np.random.SeedSequence(seed)
-    for j, child in enumerate(root.spawn(n_random)):
+    for j, child in enumerate(root.spawn(SPLIT_RANDOM_MIXES)):
         yield random_factor(child, max_degree, 1.0, label=f"mix:{seed}:{j}")
 
 
@@ -134,21 +138,15 @@ def _verify_split(cluster, factor, report, t):
     return ok, post, max_ph, max_err
 
 
-def split_search(
-    cluster,
-    max_degree,
-    t_verify=0.05,
-    gap_threshold=1e-3,
-    n_random=32,
-    seed=2024,
-):
+def split_search(cluster, max_degree, t_verify=0.05, seed=2024):
     """Find a deformation profile that splits a degenerate cluster.
 
     Sweeps single cosine/sine frequencies up to ``max_degree`` (sorted by
-    frequency length) and then seeded random combinations, keeping the first
-    candidate whose quaternionic rates separate by more than
-    ``gap_threshold`` AND whose verification solve at ``t_verify`` shows
-    every descendant cluster with strictly smaller quaternionic multiplicity.
+    frequency length) and then seeded random combinations
+    (``candidate_factors``), keeping the first candidate whose quaternionic
+    rates separate by more than ``SPLIT_GAP_THRESHOLD`` AND whose
+    verification solve at ``t_verify`` shows every descendant cluster with
+    strictly smaller quaternionic multiplicity.
 
     Raises SplitSearchError, carrying the full rate table, if every candidate
     fails (the guarantee of splittability is only over all possible profiles;
@@ -158,11 +156,11 @@ def split_search(
         raise ValueError("cluster is already quaternionically simple")
     table = []
     tried = 0
-    for factor in candidate_factors(max_degree, n_random=n_random, seed=seed):
+    for factor in candidate_factors(max_degree, seed=seed):
         tried += 1
         report = perturbation_matrix(cluster, factor)
         table.append((factor.describe(), report.min_gap))
-        if report.quaternionic_rates is None or report.min_gap <= gap_threshold:
+        if report.min_gap <= SPLIT_GAP_THRESHOLD:
             continue
         try:
             ok, post, max_ph, max_err = _verify_split(cluster, factor, report, t_verify)

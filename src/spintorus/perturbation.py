@@ -13,8 +13,8 @@ eigenvalues of the Hermitian cluster matrix
 whose diagonal reduces to the single-vector formula; the matrix form is
 validated against finite differences of the deformed spectra rather than
 asserted.  Integrals are evaluated in Fourier space (finite convolution sums,
-exact for band-limited data); a grid-quadrature path exists purely as a
-cross-check oracle.
+exact for band-limited data).  Every cluster is a whole flat shell, which the
+quaternionic structure J maps to itself, so its rates come in equal pairs.
 
 The Fourier sums read only the modes where the basis is nonzero.  For a flat
 cluster that is its shell, so the cluster matrix costs p_c^2 coefficient
@@ -32,7 +32,7 @@ from . import eigensolver
 from .artifact import NOT_ARTIFACT, Artifact
 from .conformal import _solve_shells, assemble_multiplication, cluster_tolerance
 from .errors import ClusterNotIsolatedError
-from .torus_dirac import SpinorField, apply_flat_dirac_coeffs, apply_J_coeffs, field_on_grid
+from .torus_dirac import SpinorField, apply_flat_dirac_coeffs, apply_J_coeffs
 
 #: Tolerance for the quaternionic pairing of cluster-matrix eigenvalues.
 PAIR_TOL = 1e-8
@@ -43,14 +43,13 @@ class EigenCluster:
     """A degenerate eigenspace of the flat operator with an orthonormal basis.
 
     ``vectors`` has one basis vector per column (coefficient layout matching
-    ModeSet).  ``j_closed`` records whether the quaternionic structure maps
-    the span to itself, which forces even complex dimension.
+    ModeSet).  The quaternionic structure J maps the span to itself
+    (``validate_cluster``), which forces even complex dimension.
     """
 
     mode_set: object
     lam: float
     vectors: np.ndarray  # (dim, p_c)
-    j_closed: bool
 
     @property
     def p_c(self):
@@ -68,7 +67,8 @@ class EigenCluster:
 
 
 def validate_cluster(cluster):
-    """Check the basis invariants: orthonormality and flat eigen-residuals."""
+    """Check the basis invariants: orthonormality, flat eigen-residuals and a
+    span that J maps to itself."""
     V = cluster.vectors
     gram = V.conj().T @ V
     gerr = float(np.max(np.abs(gram - np.eye(cluster.p_c))))
@@ -80,6 +80,10 @@ def validate_cluster(cluster):
         raise ValueError(
             f"cluster residual {float(res.max()):.3e} exceeds {bound:.3e}"
         )
+    JV = apply_J_coeffs(cluster.mode_set, V)
+    jerr = float(np.max(np.abs(JV - V @ (V.conj().T @ JV))))
+    if jerr > 1e-8:
+        raise ValueError(f"cluster span is not closed under J: residual {jerr:.3e}")
 
 
 def flat_cluster_index(mode_set, lam):
@@ -119,10 +123,7 @@ def extract_cluster(mode_set, lam=None, index=None):
     V = np.zeros((mode_set.n_modes, 2) + U.shape[::2], dtype=np.complex128)
     V[sel, :, np.arange(len(sel))] = U
     V = eigensolver.canonicalize_phases(V.reshape(mode_set.dim, -1))
-    JV = apply_J_coeffs(mode_set, V)
-    proj = V @ (V.conj().T @ JV)
-    j_closed = float(np.max(np.abs(JV - proj))) <= 1e-8
-    cluster = EigenCluster(mode_set, float(lams[index]), V, j_closed)
+    cluster = EigenCluster(mode_set, float(lams[index]), V)
     validate_cluster(cluster)
     return cluster
 
@@ -160,7 +161,7 @@ class PerturbationReport(Artifact):
     f_ref: str
     P: np.ndarray = field(metadata=NOT_ARTIFACT)
     rates: np.ndarray
-    quaternionic_rates: np.ndarray | None
+    quaternionic_rates: np.ndarray
     min_gap: float
 
 
@@ -177,9 +178,9 @@ def perturbation_matrix(cluster, factor):
 
     Diagonal entries equal ``rate_single`` on the basis vectors; the rates
     (eigenvalues of P) are invariant under unitary changes of the cluster
-    basis.  For a J-closed cluster the rates pair up and the report carries
-    the quaternionic rate multiset and the minimal gap between distinct
-    quaternionic rates (0.0 when they all coincide).
+    basis.  J maps the cluster to itself, so the rates pair up, and the
+    report carries the quaternionic rate multiset and the minimal gap between
+    distinct quaternionic rates (0.0 when they all coincide).
     """
     if cluster.p_c == 0:
         raise ValueError("cluster is empty")
@@ -191,41 +192,19 @@ def perturbation_matrix(cluster, factor):
     P = 0.5 * (P + P.conj().T)
     rates = np.linalg.eigvalsh(P)
     tol = PAIR_TOL * max(1.0, abs(cluster.lam), float(np.max(np.abs(rates), initial=0.0)))
-    q_rates = None
-    if cluster.j_closed and cluster.p_c % 2 == 0:
-        pairs = rates.reshape(-1, 2)
-        worst = float(np.max(pairs[:, 1] - pairs[:, 0], initial=0.0))
-        if worst > tol:
-            raise RuntimeError(
-                f"rates of a J-closed cluster failed to pair: split {worst:.3e}"
-            )
-        q_rates = pairs.mean(axis=1)
-        min_gap = _distinct_min_gap(q_rates, tol)
-    else:
-        min_gap = _distinct_min_gap(rates, tol)
+    pairs = rates.reshape(-1, 2)
+    worst = float(np.max(pairs[:, 1] - pairs[:, 0], initial=0.0))
+    if worst > tol:
+        raise RuntimeError(f"rates of a J-closed cluster failed to pair: split {worst:.3e}")
+    q_rates = pairs.mean(axis=1)
     return PerturbationReport(
         lam=cluster.lam,
         f_ref=factor.describe(),
         P=P,
         rates=rates,
         quaternionic_rates=q_rates,
-        min_gap=min_gap,
+        min_gap=_distinct_min_gap(q_rates, tol),
     )
-
-
-def perturbation_matrix_quadrature(cluster, factor):
-    """Grid-quadrature cross-check of the cluster matrix (oracle path)."""
-    G = max(2 * (2 * cluster.mode_set.N + 1), 4 * factor.degree + 4)
-    fields = cluster.fields()
-    grids = [field_on_grid(phi, G) for phi in fields]
-    fg = factor.grid_values(G)
-    p = cluster.p_c
-    P = np.zeros((p, p), dtype=np.complex128)
-    for i in range(p):
-        for j in range(p):
-            gram = np.sum(grids[j] * np.conj(grids[i]), axis=-1)
-            P[i, j] = -cluster.lam * np.mean(fg * gram)
-    return 0.5 * (P + P.conj().T)
 
 
 def flat_cluster_window(mode_set, lam):

@@ -55,10 +55,6 @@ class SpinStructure:
         """The dual-lattice shift delta/2 as a float vector."""
         return np.asarray(self.delta, dtype=float) / 2.0
 
-    @property
-    def trivial(self):
-        return not any(self.delta)
-
     def __str__(self):
         return ",".join(str(d) for d in self.delta)
 
@@ -171,9 +167,6 @@ class ModeSet:
             self.N == other.N and self.spin_structure == other.spin_structure
         )
 
-    def __repr__(self):
-        return f"ModeSet(N={self.N}, delta={self.spin_structure})"
-
 
 def build_mode_set(N, spin_structure):
     """Build the truncated mode set for the given order and spin structure."""
@@ -207,12 +200,9 @@ class SpinorField:
         return float(np.linalg.norm(self.coeffs))
 
     def __add__(self, other):
-        _require_same_modes(self, other)
+        if not self.mode_set.same_modes(other.mode_set):
+            raise ValueError("fields live on different mode sets")
         return SpinorField(self.mode_set, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        _require_same_modes(self, other)
-        return SpinorField(self.mode_set, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
         return SpinorField(self.mode_set, self.coeffs * scalar)
@@ -222,22 +212,12 @@ class SpinorField:
     def __truediv__(self, scalar):
         return SpinorField(self.mode_set, self.coeffs / scalar)
 
-    def __neg__(self):
-        return SpinorField(self.mode_set, -self.coeffs)
 
-
-def _require_same_modes(a, b):
-    if not a.mode_set.same_modes(b.mode_set):
-        raise ValueError("fields live on different mode sets")
-
-
-def random_field(mode_set, rng, normalize=True):
-    """Gaussian random field; unit flat L^2 norm unless ``normalize=False``."""
+def random_field(mode_set, rng):
+    """Gaussian random field of unit flat L^2 norm."""
     c = rng.standard_normal((mode_set.n_modes, 2, 2)) @ np.array([1.0, 1.0j])
     phi = SpinorField(mode_set, c)
-    if normalize:
-        phi = phi / phi.norm()
-    return phi
+    return phi / phi.norm()
 
 
 def embed_field(phi, big_mode_set):

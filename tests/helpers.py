@@ -3,7 +3,7 @@
 import numpy as np
 
 from spintorus import conformal
-from spintorus.torus_dirac import SpinorField
+from spintorus.torus_dirac import SpinorField, field_on_grid
 
 
 class ArrayWeight:
@@ -60,3 +60,18 @@ def record_calls(monkeypatch, name, *modules):
     for module in modules:
         monkeypatch.setattr(module, name, recording)
     return calls
+
+
+def perturbation_matrix_quadrature(cluster, factor):
+    """Grid-quadrature cross-check of the cluster matrix
+    ``perturbation.perturbation_matrix`` reads from Fourier sums."""
+    G = max(2 * (2 * cluster.mode_set.N + 1), 4 * factor.degree + 4)
+    grids = [field_on_grid(phi, G) for phi in cluster.fields()]
+    fg = factor.grid_values(G)
+    p = cluster.p_c
+    P = np.zeros((p, p), dtype=np.complex128)
+    for i in range(p):
+        for j in range(p):
+            gram = np.sum(grids[j] * np.conj(grids[i]), axis=-1)
+            P[i, j] = -cluster.lam * np.mean(fg * gram)
+    return 0.5 * (P + P.conj().T)

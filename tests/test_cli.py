@@ -772,7 +772,67 @@ def test_infinite_factor_degree(capsys, tmp_path, flag, noun):
     source = doc if flag == "--f-json" else str(path)
     code, out, err = run(capsys, "spectrum", "--N", "1", "--t", "0.05", flag, source)
     assert_bad_input(code, out, err)
-    assert err.startswith(f"error: {noun} has a malformed schema: cannot convert float infinity")
+    assert err == f"error: {noun} has a malformed schema: factor degree must be an integer, got inf\n"
+
+
+class TestNonIntegerFactorJson:
+    """A degree or mode entry that is not a JSON integer is refused, not truncated."""
+
+    @pytest.mark.parametrize(
+        "doc, what, value",
+        [
+            ('{"degree": 2, "coeffs": [{"m": [1.5, 0, 0], "re": 0.1, "im": 0}, '
+             '{"m": [-1.5, 0, 0], "re": 0.1, "im": 0}]}', "mode entry", "1.5"),
+            ('{"degree": 1, "coeffs": [{"m": [true, 0, 0], "re": 0.1, "im": 0}, '
+             '{"m": [-1, 0, 0], "re": 0.1, "im": 0}]}', "mode entry", "True"),
+            ('{"degree": true, "coeffs": []}', "degree", "True"),
+            ('{"degree": 2.0, "coeffs": []}', "degree", "2.0"),
+        ],
+    )
+    def test_inline_and_file(self, capsys, tmp_path, doc, what, value):
+        path = tmp_path / "f.json"
+        path.write_text(doc)
+        for source, noun in ((["--f-json", doc], "inline factor"),
+                             (["--f-file", str(path)], "factor file")):
+            code, out, err = run(capsys, "spectrum", "--N", "1", "--t", "0.05", *source)
+            assert_bad_input(code, out, err)
+            assert err == (f"error: {noun} has a malformed schema: "
+                           f"factor {what} must be an integer, got {value}\n")
+
+
+class TestFactorsPastTheFloatRange:
+    """Factors whose weight, volume or symmetrized coefficients leave the float
+    range: one error line, no warning, no file."""
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            # e^{tc} = e^1000 overflows in B's coefficients
+            (("spectrum", "--N", "1", "--t", "0.05", "--f-const", "2e4"), 2,
+             "conformal weight for t=0.05 is not representable: e^{tf} = e^1000 overflows"),
+            # B's e^{tc} = e^250 fits, the volume's e^{3tc} does not
+            (("spectrum", "--N", "1", "--t", "0.05", "--f-const", "5000"), 3,
+             "the deformed volume e^750 overflows"),
+            # fhat(0) + conj(fhat(0)) = 2e308 overflows
+            (("spectrum", "--N", "1", "--t", "1e-300", "--f-const", "1e308"), 3,
+             "factor coefficients must be finite: fhat(m) + fhat(-m) overflows"),
+            (("perturb", "--delta", "1,0,0", "--N", "2", "--cluster-lambda", "1.118033988749895",
+              "--f-const", "1e308"), 3,
+             "factor coefficients must be finite: fhat(m) + fhat(-m) overflows"),
+        ],
+    )
+    def test_one_error_line(self, capsys, recwarn, tmp_path, argv, code, message):
+        out = tmp_path / "out.json"
+        got, msg, err = run(capsys, *argv, "--out", str(out))
+        assert (got, msg, err) == (code, "", f"error: {message}\n")
+        assert not out.exists()
+        assert not recwarn.list
+
+    def test_json_artifacts_hold_finite_numbers(self, tmp_path):
+        out = tmp_path / "out.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli.dump_json({"volume": math.inf}, str(out))
+        assert not out.exists()
 
 
 class TestHighDegreeFactors:

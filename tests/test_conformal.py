@@ -81,7 +81,7 @@ class TestConformalFactor:
         doc = f.to_json_dict()
         text = json.dumps(doc, sort_keys=True)
         back = cf.ConformalFactor.from_json_dict(json.loads(text))
-        assert back == f
+        assert back.degree == f.degree and np.array_equal(back.values, f.values)
         assert json.dumps(back.to_json_dict(), sort_keys=True) == text
 
     def test_loader_rejects_reality_violation(self):
@@ -184,7 +184,8 @@ class TestCenteredCube:
         modes = [m for m, _ in f.items()]
         assert modes == sorted(modes) and len(modes) == np.count_nonzero(f.values)
         assert all(v == f.coeff(m) != 0 for m, v in f.items())
-        assert cf.ConformalFactor.from_coeffs(f.degree, dict(f.items())) == f
+        back = cf.ConformalFactor.from_coeffs(f.degree, dict(f.items()))
+        assert back.degree == f.degree and np.array_equal(back.values, f.values)
 
     def test_cube_modes_order(self):
         modes = cf.cube_modes(2)

@@ -445,7 +445,7 @@ class TestWindowedSolve:
         i0 = first_nonnegative_index(ms)
         assert int(np.sum(res.eigenvalues < -1e-8)) == i0
         assert res.eigenvalues[i0] > -1e-8
-        if spin.trivial:
+        if spin.delta == (0, 0, 0):
             assert_allclose(res.eigenvalues[i0 : i0 + 2], 0.0, atol=1e-12)
             assert res.eigenvalues[i0 + 2] > 1e-8
         else:

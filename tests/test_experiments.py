@@ -38,8 +38,8 @@ class TestRandomFactor:
     def test_deterministic(self):
         f1 = ex.random_factor(42, 2, 0.3)
         f2 = ex.random_factor(42, 2, 0.3)
-        assert f1 == f2
-        assert ex.random_factor(43, 2, 0.3) != f1
+        assert f1.degree == f2.degree and f1.values.tobytes() == f2.values.tobytes()
+        assert ex.random_factor(43, 2, 0.3).values.tobytes() != f1.values.tobytes()
 
     def test_sup_norm_scaling(self):
         f = ex.random_factor(5, 2, 0.37)
@@ -92,8 +92,9 @@ class TestRandomFactor:
 
 
 class TestCandidateOrdering:
-    def test_single_frequencies_sorted_by_length(self):
-        cands = list(ex.candidate_factors(1, n_random=0))
+    def test_single_frequencies_sorted_by_length(self, monkeypatch):
+        monkeypatch.setattr(ex, "SPLIT_RANDOM_MIXES", 0)
+        cands = list(ex.candidate_factors(1))
         # 13 half-space representatives with |m|_inf <= 1, cos and sin each
         assert len(cands) == 26
         first = cands[0]
@@ -132,11 +133,11 @@ class TestSplitSearch:
         with pytest.raises(ValueError, match="simple"):
             ex.split_search(simple, 2)
 
-    def test_exhaustion_reports_rate_table(self, trivial_cluster):
+    def test_exhaustion_reports_rate_table(self, trivial_cluster, monkeypatch):
+        monkeypatch.setattr(ex, "SPLIT_RANDOM_MIXES", 0)
+        monkeypatch.setattr(ex, "SPLIT_GAP_THRESHOLD", 1e6)
         with pytest.raises(SplitSearchError) as err:
-            ex.split_search(
-                trivial_cluster, 1, n_random=0, gap_threshold=1e6
-            )
+            ex.split_search(trivial_cluster, 1)
         assert len(err.value.rate_table) == 26
 
     def test_certificate_round_trip(self, trivial_cluster):

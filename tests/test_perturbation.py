@@ -14,6 +14,7 @@ from spintorus.conformal import (
     flat_spectrum,
 )
 from spintorus.errors import ClusterNotIsolatedError
+from spintorus import experiments
 from spintorus.experiments import candidate_factors, random_factor
 from spintorus.torus_dirac import (
     all_spin_structures,
@@ -24,7 +25,7 @@ from spintorus.torus_dirac import (
     random_field,
 )
 
-from helpers import first_nonnegative_index, zero_field
+from helpers import first_nonnegative_index, perturbation_matrix_quadrature, zero_field
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,6 @@ class TestExtractCluster:
         cl = lambda_one_cluster
         assert cl.p_c == 6
         assert cl.p_h == 3
-        assert cl.j_closed
         gram = cl.vectors.conj().T @ cl.vectors
         assert np.max(np.abs(gram - np.eye(6))) < 1e-10
 
@@ -78,17 +78,15 @@ class TestExtractCluster:
             assert cl.lam == np.sign(info.lam) * np.sqrt(q) / 2.0
             assert abs(cl.lam - info.lam) <= 1e-12
             assert cl.p_c == info.mult_c
-            assert cl.j_closed
             X = dense.vectors[:, info.start : info.stop]
             assert np.max(np.abs(cl.vectors @ cl.vectors.conj().T - X @ X.conj().T)) <= 1e-12
-        if spin.trivial:
+        if spin.delta == (0, 0, 0):
             assert pt.extract_cluster(ms, lam=0.0).p_c == 2
 
     def test_columns_are_J_orthogonal(self, lambda_one_cluster, shifted_ms, rng):
         # <phi, J phi> = 0 for every field, so for the columns of a J-closed
         # cluster in the extracted basis and in a rotated one
         for cl in (lambda_one_cluster, pt.extract_cluster(shifted_ms, lam=1.118034)):
-            assert cl.j_closed
             Z = rng.standard_normal((cl.p_c, cl.p_c)) + 1j * rng.standard_normal((cl.p_c, cl.p_c))
             for V in (cl.vectors, cl.vectors @ np.linalg.qr(Z)[0].T):
                 JV = apply_J_coeffs(cl.mode_set, V)
@@ -100,7 +98,15 @@ class TestExtractCluster:
 
         monkeypatch.setattr(scipy.linalg, "eigh", no_eigh)
         cl = pt.extract_cluster(build_mode_set(3, (1, 0, 0)), lam=1.118034)
-        assert (cl.p_c, cl.j_closed) == (8, True)
+        assert cl.p_c == 8
+
+    def test_validate_cluster_requires_J_closure(self, shifted_ms):
+        # one column of a shell: J maps it to the -kappa mode, outside its span
+        cl = pt.extract_cluster(shifted_ms, lam=0.5)
+        pt.validate_cluster(cl)
+        single = pt.EigenCluster(shifted_ms, 0.5, cl.vectors[:, :1])
+        with pytest.raises(ValueError, match="not closed under J"):
+            pt.validate_cluster(single)
 
 
 class TestFlatClusters:
@@ -189,19 +195,9 @@ class TestPerturbationMatrix:
         assert_allclose(rep.rates, -c * np.ones(6), atol=1e-13)
         assert rep.min_gap == 0.0
 
-    def test_single_vector_cluster_reduces_to_rate(self, shifted_ms):
-        ms = shifted_ms
-        cl2 = pt.extract_cluster(ms, lam=0.5)
-        synthetic = pt.EigenCluster(ms, 0.5, cl2.vectors[:, :1], j_closed=False)
-        f = random_factor(4, 2, 0.5)
-        rep = pt.perturbation_matrix(synthetic, f)
-        assert rep.P.shape == (1, 1)
-        expected = pt.rate_single(0.5, synthetic.fields()[0], f)
-        assert abs(rep.rates[0] - expected) < 1e-13
-
     def test_empty_cluster_rejected(self, shifted_ms):
         ms = shifted_ms
-        empty = pt.EigenCluster(ms, 0.5, np.zeros((ms.dim, 0), dtype=complex), False)
+        empty = pt.EigenCluster(ms, 0.5, np.zeros((ms.dim, 0), dtype=complex))
         with pytest.raises(ValueError):
             pt.perturbation_matrix(empty, ConformalFactor.zero())
 
@@ -211,7 +207,7 @@ class TestPerturbationMatrix:
         # in-shell couplings see orthogonal helicity spinors)
         f = ConformalFactor.cosine((2, 0, 0))
         rep = pt.perturbation_matrix(lambda_one_cluster, f)
-        P2 = pt.perturbation_matrix_quadrature(lambda_one_cluster, f)
+        P2 = perturbation_matrix_quadrature(lambda_one_cluster, f)
         assert np.max(np.abs(rep.P - P2)) < 1e-10
         pairs = np.sort(rep.rates).reshape(-1, 2)
         assert np.max(pairs[:, 1] - pairs[:, 0]) < 1e-8
@@ -220,7 +216,7 @@ class TestPerturbationMatrix:
     def test_two_quadratures_agree_splitting_factor(self, lambda_one_cluster):
         f = ConformalFactor.cosine((1, -1, 0))
         rep = pt.perturbation_matrix(lambda_one_cluster, f)
-        P2 = pt.perturbation_matrix_quadrature(lambda_one_cluster, f)
+        P2 = perturbation_matrix_quadrature(lambda_one_cluster, f)
         assert np.max(np.abs(rep.P - P2)) < 1e-10
         assert rep.min_gap > 0.3
 
@@ -266,7 +262,7 @@ class TestUnitaryRotate:
         f = random_factor(6, 2, 0.5)
         rep0 = pt.perturbation_matrix(lambda_one_cluster, f)
         cl = lambda_one_cluster
-        rotated = pt.EigenCluster(cl.mode_set, cl.lam, cl.vectors @ U.T, cl.j_closed)
+        rotated = pt.EigenCluster(cl.mode_set, cl.lam, cl.vectors @ U.T)
         rep1 = pt.perturbation_matrix(rotated, f)
         assert_allclose(np.sort(rep0.rates), np.sort(rep1.rates), atol=1e-10)
         # P transforms by conjugation with conj(U)
@@ -289,7 +285,7 @@ class TestClusterForm:
             cl = pt.extract_cluster(ms, index=int(index))
             Z = rng.standard_normal((cl.p_c, cl.p_c)) + 1j * rng.standard_normal((cl.p_c, cl.p_c))
             U, _ = np.linalg.qr(Z)
-            rotated = pt.EigenCluster(ms, cl.lam, cl.vectors @ U.T, cl.j_closed)
+            rotated = pt.EigenCluster(ms, cl.lam, cl.vectors @ U.T)
             for basis in (cl, rotated):
                 V = basis.vectors
                 P = -basis.lam * (V.conj().T @ F @ V)
@@ -298,7 +294,8 @@ class TestClusterForm:
 
     @pytest.mark.parametrize("delta, lam", [((0, 0, 0), 1.0), ((1, 0, 0), 1.118033988749895)],
                              ids=str)
-    def test_showcase_clusters_keep_the_bits_of_the_symmetrized_lookup(self, delta, lam):
+    def test_showcase_clusters_keep_the_bits_of_the_symmetrized_lookup(self, delta, lam,
+                                                                        monkeypatch):
         # The cluster form before it gathered through assemble_multiplication
         # read the shell's lookup and symmetrized it; the cube is Hermitian,
         # so P keeps its bits for every single-frequency split candidate.
@@ -312,7 +309,8 @@ class TestClusterForm:
             return W.reshape(-1, p).conj().T @ FW.reshape(-1, p)
 
         cl = pt.extract_cluster(build_mode_set(3, delta), lam)
-        singles = list(candidate_factors(2, n_random=0))
+        monkeypatch.setattr(experiments, "SPLIT_RANDOM_MIXES", 0)
+        singles = list(candidate_factors(2))
         assert len(singles) == 2 * 62
         for f in singles:
             form = symmetrized_form(f, cl.mode_set, cl.vectors)

@@ -34,7 +34,6 @@ class TestSpinStructure:
 
     def test_shift(self):
         assert_allclose(td.SpinStructure((1, 0, 1)).shift, [0.5, 0.0, 0.5])
-        assert td.SpinStructure((0, 0, 0)).trivial
 
 
 class TestModeSet:
@@ -209,8 +208,6 @@ class TestFields:
         a = td.random_field(td.build_mode_set(1, (0, 0, 0)), rng)
         b = td.random_field(td.build_mode_set(2, (0, 0, 0)), rng)
         with pytest.raises(ValueError, match="different mode sets"):
-            a - b
-        with pytest.raises(ValueError, match="different mode sets"):
             a + b
 
     @pytest.mark.parametrize("delta", [(0, 0, 0), (1, 0, 1)])
@@ -261,7 +258,7 @@ class TestFields:
     def test_density_mean_is_norm(self, rng):
         # on G >= 2 (2N + 1) the product |phi|^2 is sampled without aliasing
         ms = td.build_mode_set(2, (1, 0, 0))
-        phi = td.random_field(ms, rng, normalize=False)
+        phi = 2.0 * td.random_field(ms, rng)
         rho = density(phi, 2 * (2 * ms.N + 1))
         assert abs(np.mean(rho) - phi.norm() ** 2) < 1e-12
 
