@@ -10,8 +10,11 @@ out-of-range cluster index, a cluster lambda off the flat spectrum or a
 cluster past the truncation radius N - 1/2, violated precondition, a
 truncation whose dense solve, a factor or degree whose sampling grids, a
 ``genericity --trials`` whose report or an ``oracle --lambda-max`` whose
-lattice enumeration would not fit in physical memory, an unreadable input
-file or an unwritable ``--out``), reported as one ``error:`` line.
+lattice enumeration would not fit in physical memory (``memory``), a factor
+whose bound on |t| ||fhat||_1 is past the weight at which its sampling grids
+can be sized, a ``perturb`` t grid at which the factor moves the cluster out
+of its midpoint window, an unreadable input file or an unwritable
+``--out``), reported as one ``error:`` line.
 
 Each subcommand takes only the flags it reads (``COMMANDS``); any other flag
 is a usage error.  Configuration can come from flags or a single JSON config
@@ -40,31 +43,28 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import eigensolver, validate
+from . import eigensolver, memory, validate
 from .artifact import to_json
 from .conformal import (
+    EXP_WEIGHT_MAX,
     ConformalFactor,
     cluster_tolerance,
     # Not called here: the t grid solves through tracked_spectrum.  The
     # benchmark's tracer self-test checks that it rebinds this by-name import.
     deformed_spectrum,  # noqa: F401
-    dense_memory_estimate,
-    exp_grid_size,
-    extrema_grid_size,
     json_int,
-    physical_memory,
     tracked_spectrum,
     trusted_spectrum,
 )
-from .errors import PositiveDefiniteError, SplitSearchError
+from .errors import ClusterNotIsolatedError, PositiveDefiniteError, SplitSearchError
 from .experiments import genericity_scan, random_factor, simplicity_certificate, split_search
 from .perturbation import extract_cluster, fd_check, perturbation_matrix
 from .torus_dirac import (
     TORUS_DIM,
-    ModeSet,
     SpinStructure,
     build_mode_set,
     closed_form_spectrum,
+    mode_set_dim,
     spectrum_csv_rows,
 )
 
@@ -76,70 +76,17 @@ EXIT_BAD_INPUT = 3
 
 #: The t at which split-search verifies a split when no t is given.
 DEFAULT_T_VERIFY = 0.05
-#: Peak bytes per point of the lattice cube that ``closed_form_spectrum``
-#: enumerates: the int64 keys, the ball mask, and the ball's keys and their
-#: sorted copy, 8 + 1 + 2 * 8 pi / 6 = 17.4 (tracemalloc: 16.4 at
-#: lambda_max = 40, 17.2 at 160).
-LATTICE_BYTES_PER_POINT = 18
-#: Peak bytes per point of the G^3 grid on which ``conformal.exp_coeffs``
-#: samples e^{tf}, factor grid cache included (tracemalloc: 56.0-56.3 at
-#: G = 54-216; at most 77 on grids of side 36 and below).
-EXP_GRID_BYTES_PER_POINT = 64
-#: Peak bytes of one row of a genericity report while the command writes it
-#: (the row, its JSON object and text, and its CSV row), plus those of each
-#: positive cluster in it (tracemalloc over 2000 and 8000 rows: 2925, 3575,
-#: 4777 and 6748 bytes a row with 1, 3, 6 and 12 clusters).
-GENERICITY_ROW_BYTES = 3000
-GENERICITY_CLUSTER_BYTES = 400
 
 
 class ConfigError(ValueError):
     pass
 
 
-def lattice_memory_estimate(lambda_max):
-    """Estimated peak bytes of ``closed_form_spectrum`` up to a finite lambda_max:
-    a cube of side 2 ceil(lambda_max) + 3 (a float, inf when out of range)."""
-    side = 2.0 * math.ceil(lambda_max) + 3
-    return LATTICE_BYTES_PER_POINT * side * side * side
-
-
-def exp_grid_memory_estimate(N, degree, weight=0.0):
-    """Estimated peak bytes of sampling a factor of this degree at order N,
-    with |t| ||fhat||_1 at most ``weight``, on the largest of its grids: that
-    of ``ConformalFactor.extrema``, the ``exp_coeffs`` grid of B (band 2N)
-    and that of the deformed volume (band 0, weight n t) (a degree past
-    2**40 fits nowhere and counts as 2**40; inf past ``EXP_WEIGHT_MAX``)."""
-    degree = min(degree, 2**40)
-    try:
-        side = float(max(
-            extrema_grid_size(degree),
-            exp_grid_size(2 * N, degree, weight),
-            exp_grid_size(0, degree, TORUS_DIM * weight),
-        ))
-    except ValueError:
-        return math.inf
-    return EXP_GRID_BYTES_PER_POINT * side * side * side
-
-
-def genericity_memory_estimate(trials, m_clusters, dim):
-    """Estimated peak bytes of a genericity report of ``trials`` rows, each
-    holding at most min(m_clusters, dim) clusters (dim eigenvalues in all)."""
-    return trials * (GENERICITY_ROW_BYTES + GENERICITY_CLUSTER_BYTES * min(m_clusters, dim))
-
-
-def random_l1_bound(amplitude):
-    """Bound on ||fhat||_1 of ``random_factor`` at degree d: its (2d + 1)^3
-    coefficients have l2 norm ||f||_2 <= |amplitude| (the mean of f^2 over the
-    sampling grid is exact), so by Cauchy-Schwarz l1 <= |amplitude| (2d + 1)^(3/2)."""
-    return lambda d: abs(amplitude) * (2.0 * min(d, 2**40) + 1.0) ** 1.5
-
-
 def require_memory(name, value, estimate, what):
     """Reject ``name=value`` when its estimated peak of ``estimate(value)`` bytes
     exceeds physical memory, naming the largest integer value that fits (the
     estimate grows with the value)."""
-    available = physical_memory()
+    available = memory.physical_memory()
     need = estimate(value)
     if need > available:
         fits, too_large = 0, math.ceil(value)
@@ -210,39 +157,48 @@ class RunConfig:
             )
         flags = COMMANDS[command][1].split()
         if "N" in flags:
-            require_memory(
-                "N", self.N, lambda n: dense_memory_estimate(n, self.delta), "for its dense solve"
-            )
+            require_memory("N", self.N, lambda n: memory.dense_memory_estimate(n, self.delta),
+                           "for its dense solve")
         if "trials" in flags:
-            dim = ModeSet(self.N, self.spin_structure()).dim
-            require_memory(
-                "trials", self.trials,
-                lambda n: genericity_memory_estimate(n, self.m_clusters, dim), "for its report",
-            )
+            dim = mode_set_dim(self.N, self.delta)
+            require_memory("trials", self.trials, lambda n: memory.genericity_memory_estimate(
+                n, self.m_clusters, dim), "for its report")
         if "degree" in flags:
-            self.require_degree("degree", self.degree, random_l1_bound(self.amplitude))
+            self.require_degree("degree", self.degree, memory.random_l1_bound(self.amplitude))
         if "max-degree" in flags:
             # split-search tries random mixes of amplitude 1 and unit cosines
-            self.require_degree("max-degree", self.max_degree, random_l1_bound(1.0))
+            self.require_degree("max-degree", self.max_degree, memory.random_l1_bound(1.0))
         # closed_form_spectrum rejects a lambda_max that is not finite
         if "lambda-max" in flags and math.isfinite(self.lambda_max):
-            require_memory(
-                "lambda-max", self.lambda_max, lattice_memory_estimate, "to enumerate its lattice"
-            )
+            require_memory("lambda-max", self.lambda_max, memory.lattice_memory_estimate,
+                           "to enumerate its lattice")
         return self
 
     def require_degree(self, name, degree, l1_bound=lambda d: 0.0):
         """Reject a factor degree whose sampling grids would not fit in physical
-        memory (see ``exp_grid_memory_estimate``).  ``l1_bound(d)`` bounds
-        ||fhat||_1 of the factor at degree d; the default 0 sizes the smallest
-        grids a factor of that degree needs."""
+        memory (see ``memory.exp_grid_memory_estimate``), or whose bound on
+        |t| ||fhat||_1 is past the weight at which they can be sized.
+        ``l1_bound(d)`` bounds ||fhat||_1 of the factor at degree d; the default
+        0 sizes the smallest grids a factor of that degree needs."""
         t_max = max([abs(self.t)] + [abs(t) for t in self.t_grid or []])
 
         def estimate(d):
             weight = t_max * l1_bound(d)
             # a factor with a non-finite amplitude is rejected when it is built
-            return exp_grid_memory_estimate(self.N, d, weight if math.isfinite(weight) else 0.0)
+            weight = weight if math.isfinite(weight) else 0.0
+            need = memory.exp_grid_memory_estimate(self.N, d, weight)
+            # grids past EXP_WEIGHT_MAX (inf) fit nowhere; where even the
+            # smallest grids of degree d do not fit, those name the need
+            smallest = memory.exp_grid_memory_estimate(self.N, d)
+            return smallest if need == math.inf and smallest > memory.physical_memory() else need
 
+        if estimate(degree) == math.inf:
+            raise ConfigError(
+                f"{name}={degree}: the factor's weight |t| ||fhat||_1 <= "
+                f"{t_max * l1_bound(degree):.3g} exceeds EXP_WEIGHT_MAX / n = "
+                f"{EXP_WEIGHT_MAX / TORUS_DIM:.3g}, past which the sampling grids of its "
+                "deformed volume e^{ntf} cannot be sized"
+            )
         require_memory(name, degree, estimate, "for its sampling grids")
 
     def spin_structure(self):
@@ -275,7 +231,7 @@ class RunConfig:
             if len(parts) != 3:
                 raise ConfigError("--f-random expects seed,degree,amplitude")
             seed, degree, amp = int(parts[0]), int(parts[1]), float(parts[2])
-            self.require_degree("degree", degree, random_l1_bound(amp))
+            self.require_degree("degree", degree, memory.random_l1_bound(amp))
             return random_factor(seed, degree, amp, label=f"random:{seed}:d={degree},a={amp!r}")
         raise ConfigError(f"unknown factor kind {kind!r}")
 
@@ -542,8 +498,11 @@ def cmd_perturb(cfg):
     factor = cfg.build_factor()
     cluster = _select_cluster(cfg, "perturb")
     report = perturbation_matrix(cluster, factor)
-    t_grid = cfg.t_grid or [1e-2, 1e-3]
-    fd = fd_check(cluster, factor, report, sorted(t_grid, reverse=True))
+    t_grid = sorted(cfg.t_grid or [1e-2, 1e-3], reverse=True)
+    try:
+        fd = fd_check(cluster, factor, report, t_grid)
+    except ClusterNotIsolatedError as exc:
+        raise ConfigError(f"the t grid {t_grid} is too coarse for this factor: {exc}") from exc
     _write_artifact(cfg, lambda: {**report.to_json_dict(), "fd": fd.to_json_dict()})
     print(f"cluster lambda={cluster.lam} p_C={cluster.p_c} p_H={cluster.p_h}")
     print("rates:", " ".join(f"{r:.6e}" for r in report.rates))

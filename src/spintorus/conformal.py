@@ -19,7 +19,6 @@ tested pointwise identity rather than by trust.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,7 +32,6 @@ from .torus_dirac import (
     TORUS_DIM,
     ModeSet,
     SpinorField,
-    SpinStructure,
     apply_flat_dirac,
     build_mode_set,
     embed_field,
@@ -63,18 +61,6 @@ EXP_WEIGHT_MAX = 100.0
 #: that bound exceeds 1 / eps, so B need not be positive definite in
 #: floating point.
 B_OSC_MAX = -math.log(np.finfo(float).eps)
-
-#: Peak memory of a dense solve in dim x dim complex matrices: peak RSS
-#: less the import baseline is at most 2.47 of them for every --N command at
-#: N=4 and 5 with the default tolerances (spectrum --t-grid at N=4, dim 1296,
-#: with two snapshots' vectors alive: 121 MB, 58 MB of it the import; 1.91 at
-#: N=5), and at most 1.76 for every single-t command (split-search at N=4).
-#: At N=5, where C's unwritten upper half stays out of memory, every
-#: single-t command reads 1.02-1.13.  4.0 leaves 62% headroom.  A spectrum
-#: --t-grid whose --tau-split grows the tracked window to the whole spectrum
-#: is not covered: it reads 7.24 at N=4 and 6.36 at N=5 (ROADMAP, dense
-#: memory).
-DENSE_MATRICES_AT_PEAK = 4.0
 
 
 def _fft_size(n):
@@ -156,19 +142,6 @@ def json_int(value, what):
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"factor {what} must be an integer, got {value!r}")
     return value
-
-
-def physical_memory():
-    """Bytes of physical memory of this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def dense_memory_estimate(N, delta):
-    """Estimated peak bytes of a dense solve at truncation order N."""
-    # ModeSet, not build_mode_set: sizing a run builds none of its mode sets,
-    # and the benchmark's tracer counts build_mode_set calls.
-    dim = ModeSet(N, SpinStructure(tuple(delta))).dim
-    return DENSE_MATRICES_AT_PEAK * dim**2 * 16
 
 
 def cube_modes(radius):
@@ -547,27 +520,25 @@ def assemble_B(factor, t, mode_set):
     (mode differences are always integer vectors), so only the exp_hat are
     computed here; the weight gathers B_s from them.  B_s is Hermitian, and
     positive definite exactly when B is, which the solve checks by factoring
-    it.  Emits a warning outside the accepted deformation range and raises
-    PositiveDefiniteError when the coefficients are not representable.
+    it.  Raises PositiveDefiniteError when the coefficients are not
+    representable, and otherwise warns outside the accepted deformation range.
     """
     spread = abs(t) * factor.oscillation()
+    try:
+        if spread > B_OSC_MAX:
+            raise ValueError(f"|t| * osc(f) = {spread:.3g} exceeds {B_OSC_MAX:.3g}")
+        exp = None if t == 0 or factor.is_zero else exp_coeffs(factor, t, required_band(mode_set))
+    except ValueError as exc:
+        # Treat it like the Cholesky failure it may become.
+        raise PositiveDefiniteError(
+            f"conformal weight for t={t} is not representable: {exc}"
+        ) from exc
     if spread > T_RANGE_LIMIT:
         warnings.warn(
             f"|t| * osc(f) = {spread:.3f} exceeds the accepted "
             f"range {T_RANGE_LIMIT}; first-order theory may be unreliable",
             stacklevel=2,
         )
-    if t == 0 or factor.is_zero:
-        return ScalarWeight(mode_set, None, t)
-    try:
-        if spread > B_OSC_MAX:
-            raise ValueError(f"|t| * osc(f) = {spread:.3g} exceeds {B_OSC_MAX:.3g}")
-        exp = exp_coeffs(factor, t, required_band(mode_set))
-    except ValueError as exc:
-        # Treat it like the Cholesky failure it may become.
-        raise PositiveDefiniteError(
-            f"conformal weight for t={t} is not representable: {exc}"
-        ) from exc
     return ScalarWeight(mode_set, exp, t)
 
 

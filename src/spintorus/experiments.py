@@ -30,12 +30,11 @@ from .conformal import (
     _trusted_shells,
     cluster_tolerance,
     cube_modes,
-    dense_memory_estimate,
-    physical_memory,
     trust_radius,
     trusted_spectrum,
 )
 from .errors import ClusterNotIsolatedError, PositiveDefiniteError, SplitSearchError
+from .memory import TRIAL_WORKER_BYTES, dense_memory_estimate, physical_memory
 from .perturbation import deformed_cluster_values, perturbation_matrix
 from .torus_dirac import SpectrumLine, SpinStructure, build_mode_set
 
@@ -306,18 +305,10 @@ def openblas_thread_controls():
     return controls
 
 
-#: Private bytes a pool worker holds beside its dense solve: the pages of
-#: the calling process it copies on write.  Measured as the workers' peak
-#: USS in genericity scans of 1 and 2 workers: 12.5-16.3 MB at N = 2 (dense
-#: estimate 2.4 MB); at N = 3, 4 and 5 a worker peaks at 18.7-23.7, 32-39
-#: and 70-75 MB, below this plus the dense estimate (45, 127 and 381 MB).
-TRIAL_WORKER_BYTES = 24 * 2**20
-
-
 def trial_workers(trials, N, delta):
     """Worker processes of a genericity scan: at most one per trial, per CPU
     this process may run on, and per worker of ``TRIAL_WORKER_BYTES`` plus
-    one dense solve (``conformal.dense_memory_estimate``) that fits in
+    one dense solve (``memory.dense_memory_estimate``) that fits in
     physical memory, and at least one."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = physical_memory() // (dense_memory_estimate(N, delta) + TRIAL_WORKER_BYTES)

@@ -64,6 +64,11 @@ def all_spin_structures():
     return [SpinStructure((a, b, c)) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
 
 
+def mode_set_dim(N, delta):
+    """Dimension of ``ModeSet(N, delta)``, two per mode: 2 prod_j (2N + 1 - delta_j)."""
+    return 2 * int(np.prod([2 * N + 1 - d for d in delta]))
+
+
 class ModeSet:
     """Negation-closed truncation of the shifted mode lattice Z^3 + delta/2.
 
@@ -116,7 +121,7 @@ class ModeSet:
         #: deformation (spectrum slicing; see Parlett, The Symmetric Eigenvalue Problem).
         self.cluster_starts = np.concatenate([[0], np.cumsum(mult_c)])
         self.n_modes = self.modes.shape[0]
-        self.dim = 2 * self.n_modes
+        self.dim = mode_set_dim(N, spin_structure.delta)
         self.neg_index = self.positions_of(-self.modes)
         if np.any(self.neg_index < 0):
             raise AssertionError("mode set is not closed under negation")

@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 
 import spintorus
-from spintorus import cli, conformal, perturbation, validate
+from spintorus import cli, conformal, memory, perturbation, torus_dirac, validate
 from spintorus.conformal import build_deformed_operator, trust_radius
 from spintorus.eigensolver import RESIDUAL_BOUND, cluster_eigenvalues
 from spintorus.experiments import random_factor
@@ -235,13 +235,18 @@ class TestSpectrum:
         )
         assert code == 3
 
-    def test_pd_failure_exit_code(self, capsys):
-        with pytest.warns(UserWarning):
-            code, _, err = run(
-                capsys, "spectrum", "--delta", "0,0,0", "--N", "1",
-                "--f-cos", "1,0,0", "--t", "25.0",
-            )
+    def test_pd_failure_exit_code(self, capsys, recwarn):
+        code, _, err = run(
+            capsys, "spectrum", "--delta", "0,0,0", "--N", "1",
+            "--f-cos", "1,0,0", "--t", "25.0",
+        )
         assert code == 2
+        assert not recwarn.list  # a refused weight gets no range warning
+
+    def test_accepted_weight_past_the_range_warns(self, capsys):
+        with pytest.warns(UserWarning, match="accepted range"):
+            code, _, _ = run(capsys, "spectrum", "--N", "1", "--t", "0.05", "--f-cos", "1,0,0,300")
+        assert code == 0
 
     def test_weight_factorization_failure_exit_code(self, capsys, monkeypatch):
         # The solve's factorization of B_s is the weight's
@@ -802,7 +807,8 @@ class TestNonIntegerFactorJson:
 
 class TestFactorsPastTheFloatRange:
     """Factors whose weight, volume or symmetrized coefficients leave the float
-    range: one error line, no warning, no file."""
+    range, or that move a cluster out of its window at a t of the FD grid: one
+    error line, no warning, no file."""
 
     @pytest.mark.parametrize(
         "argv, code, message",
@@ -819,6 +825,17 @@ class TestFactorsPastTheFloatRange:
             (("perturb", "--delta", "1,0,0", "--N", "2", "--cluster-lambda", "1.118033988749895",
               "--f-const", "1e308"), 3,
              "factor coefficients must be finite: fhat(m) + fhat(-m) overflows"),
+            # |t| osc(f) = 50 is past B_OSC_MAX (36), and so past T_RANGE_LIMIT (1)
+            (("spectrum", "--N", "1", "--t", "0.05", "--f-cos", "1,0,0,500"), 2,
+             "conformal weight for t=0.05 is not representable: |t| * osc(f) = 50 exceeds 36"),
+            # the default FD grid scales the cluster by e^{-50}, or splits it at
+            # t osc(f) = 0.6, inside T_RANGE_LIMIT
+            *[(("perturb", "--delta", "1,0,0", "--N", "2", "--cluster-lambda", "1.118033988749895",
+                *factor), 3,
+               "the t grid [0.01, 0.001] is too coarse for this factor: the 8 eigenvalues "
+               "descending from 1.118033988749895 at t=0.01 leave its midpoint window "
+               "(0.8090169943749475, 1.3090169943749475)")
+              for factor in (("--f-const", "5000"), ("--f-cos", "1,0,0,30"))],
         ],
     )
     def test_one_error_line(self, capsys, recwarn, tmp_path, argv, code, message):
@@ -887,7 +904,7 @@ class TestMemoryGuard:
 
     def test_estimate(self):
         # dim 9248 at N=8, delta=(1,0,0): 4 dense complex matrices
-        assert cli.dense_memory_estimate(8, (1, 0, 0)) == 4.0 * 9248**2 * 16
+        assert memory.dense_memory_estimate(8, (1, 0, 0)) == 4.0 * 9248**2 * 16
 
     @pytest.mark.parametrize("argv", [
         ["perturb", "--cluster-lambda", "1.118033988749895", "--f-random", "11,2,0.3"],
@@ -913,7 +930,7 @@ class TestMemoryGuard:
 
         base = peak_bytes("-c", "import spintorus.cli")
         peak = peak_bytes("-m", "spintorus.cli", argv[0], "--delta", "1,0,0", "--N", "4", *argv[1:])
-        assert peak - base <= cli.dense_memory_estimate(4, (1, 0, 0))
+        assert peak - base <= memory.dense_memory_estimate(4, (1, 0, 0))
 
     def test_too_large_n_names_a_smaller_one(self, four_gb):
         tracemalloc.start()
@@ -931,15 +948,23 @@ class TestMemoryGuard:
         assert err.startswith("error: N=8 ") and len(err.strip().splitlines()) == 1
         assert out == ""
 
+    def test_sizing_builds_no_mode_set(self, monkeypatch, seven_gb):
+        def no_mode_set(*args):
+            raise AssertionError("sizing built a ModeSet")
+
+        monkeypatch.setattr(torus_dirac.ModeSet, "__init__", no_mode_set)
+        for command in ("spectrum", "genericity", "split-search"):
+            cli.RunConfig(N=8, delta=(1, 0, 0), t=0.05).validate(command)
+
     def test_small_n_and_oracle_pass(self, seven_gb):
         assert cli.RunConfig(N=3, t=0.05).validate("spectrum").N == 3
         assert cli.RunConfig(N=8, t=0.0).validate("oracle").N == 8
 
     def test_lattice_estimate(self):
         # the cube of side 2 * 372 + 3 fits in 7 GiB, the next one does not
-        available = 7 * 2**30
-        assert cli.lattice_memory_estimate(0.5) == cli.LATTICE_BYTES_PER_POINT * 5**3
-        assert cli.lattice_memory_estimate(372) <= available < cli.lattice_memory_estimate(372.5)
+        available, estimate = 7 * 2**30, memory.lattice_memory_estimate
+        assert estimate(0.5) == memory.LATTICE_BYTES_PER_POINT * 5**3
+        assert estimate(372) <= available < estimate(372.5)
 
     @pytest.mark.parametrize("value", ["1e6", "1e300", "373"])
     def test_oracle_lambda_max_too_large(self, capsys, seven_gb, value):
@@ -957,15 +982,33 @@ class TestMemoryGuard:
     def test_exp_grid_estimate(self):
         # at N=1 and t=0 the extrema grid of side 4 d + 4 binds: side 488
         # (degree 121) fits in 7 GiB, side 492 does not
-        available, estimate = 7 * 2**30, cli.exp_grid_memory_estimate
-        assert estimate(1, 2) == cli.EXP_GRID_BYTES_PER_POINT * 64**3
+        available, estimate = 7 * 2**30, memory.exp_grid_memory_estimate
+        assert estimate(1, 2) == memory.EXP_GRID_BYTES_PER_POINT * 64**3
         assert estimate(1, 121) <= available < estimate(1, 122)
         assert estimate(1, 10**400) == estimate(1, 2**40)
         # a weight |t| ||fhat||_1 grows the e^{tf} grids past it: for the
         # degree-8 factor of `--f-random 1,8,0.3` at t = 0.05, 96 for B and
         # 128 for the volume, the mean of e^{3tf}
-        assert estimate(1, 8, 0.2146) == cli.EXP_GRID_BYTES_PER_POINT * 128**3
+        assert estimate(1, 8, 0.2146) == memory.EXP_GRID_BYTES_PER_POINT * 128**3
         assert estimate(1, 2, 1e3) == math.inf
+
+    @pytest.mark.parametrize("factor, bound", [
+        (["--f-cos", "1,0,0,1500"], "75"),  # exact: |t| ||fhat||_1 = 0.05 * 1500
+        (["--f-random", "1,2,1e5"], "5.59e+04"),  # 0.05 * 1e5 * 5^1.5
+    ])
+    def test_weight_past_the_limit(self, capsys, recwarn, seven_gb, factor, bound):
+        # B's grid could be sized, the deformed volume's e^{3tf} (weight 3x) not
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "spectrum", "--N", "1", "--t", "0.05", *factor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_bad_input(code, out, err)
+        assert f"weight |t| ||fhat||_1 <= {bound} exceeds EXP_WEIGHT_MAX / n = 33.3" in err
+        assert "inf" not in err and "GiB" not in err
+        assert not recwarn.list
+        assert peak < 2**24  # no grid was allocated
 
     def test_too_many_trials(self, capsys, monkeypatch, seven_gb):
         def no_scan(*args, **kwargs):
@@ -976,7 +1019,7 @@ class TestMemoryGuard:
                              "--trials", "1000000000")
         assert_bad_input(code, out, err)
         # 10^9 rows of 3 clusters, 4200 bytes each
-        fits = 7 * 2**30 // cli.genericity_memory_estimate(1, 3, 10**6)
+        fits = 7 * 2**30 // memory.genericity_memory_estimate(1, 3, 10**6)
         assert err.startswith("error: trials=1000000000 needs about 3911.6 GiB for its report")
         assert err.endswith(f"; use trials <= {fits}\n")
         assert multiprocessing.active_children() == []
@@ -1016,7 +1059,7 @@ class TestMemoryGuard:
             tracemalloc.stop()
         assert_bad_input(code, out, err)
         assert err.startswith(f"error: {name}=") and " needs about " in err
-        assert err.endswith(f"; use {name} <= {fits}\n")
+        assert err.endswith(f"; use {name} <= {fits}\n") and "inf" not in err
         assert peak < 2**24  # no factor cube and no grid were allocated
 
 

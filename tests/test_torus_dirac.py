@@ -75,6 +75,7 @@ class TestModeSet:
         for d in delta:
             expected *= 2 * N + 1 - d
         assert ms.n_modes == expected
+        assert ms.dim == 2 * ms.n_modes == td.mode_set_dim(N, delta)  # the closed form sizing reads
         pos = ms.positions_of(-ms.modes)
         assert np.all(pos >= 0)
         assert_allclose(ms.modes[ms.neg_index], -ms.modes)

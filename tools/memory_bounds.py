@@ -37,7 +37,7 @@ sys.path.insert(0, str(SRC))
 _PATH = os.environ.get("PYTHONPATH")
 ENV = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + _PATH if _PATH else ""))
 
-from spintorus import cli, conformal  # noqa: E402
+from spintorus import memory  # noqa: E402
 
 SPECTRUM = ["spectrum", "--delta", "1,0,0", "--f-random", "11,2,0.3"]
 TWICE = "import sys; from spintorus.cli import main; a = sys.argv[1:]; sys.exit(main(a) or main(a))"
@@ -51,7 +51,7 @@ def peak_above(base, argv):
 
 def main():
     base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    dense = cli.dense_memory_estimate(5, (1, 0, 0)) / conformal.DENSE_MATRICES_AT_PEAK
+    dense = memory.dense_matrix_bytes(5, (1, 0, 0))
     ok = True
     for name, argv, bound in (
         ("--t twice", [sys.executable, "-c", TWICE, *SPECTRUM, "--N", "5", "--t", "0.05"], 1.3),
