@@ -5,9 +5,9 @@ one ``error:`` line) or failed validation suite, 2 positive-definiteness
 failure of the deformation weight or a weight e^{tf} that is not
 representable, 3 invalid input (usage error, bad config, malformed or
 non-finite factor, one whose deformed volume overflows, a factor JSON that
-is not an object or has a degree or mode that is not an integer,
-out-of-range cluster index, a cluster lambda off the flat spectrum or a
-cluster past the truncation radius N - 1/2, violated precondition, a
+is not an object or has a degree or mode that is not an integer, a negative
+seed, out-of-range cluster index, a cluster lambda off the flat spectrum or
+a cluster past the truncation radius N - 1/2, violated precondition, a
 truncation whose dense solve, a factor or degree whose sampling grids, a
 ``genericity --trials`` whose report or an ``oracle --lambda-max`` whose
 lattice enumeration would not fit in physical memory (``memory``), a factor
@@ -48,7 +48,6 @@ from .artifact import to_json
 from .conformal import (
     EXP_WEIGHT_MAX,
     ConformalFactor,
-    cluster_tolerance,
     # Not called here: the t grid solves through tracked_spectrum.  The
     # benchmark's tracer self-test checks that it rebinds this by-name import.
     deformed_spectrum,  # noqa: F401
@@ -82,6 +81,18 @@ class ConfigError(ValueError):
     pass
 
 
+def largest_fit(value, estimate):
+    """The largest integer below ``value`` whose ``estimate`` fits in physical
+    memory, by bisection (the estimate grows with its argument); 0 where
+    none from 1 up does."""
+    available = memory.physical_memory()
+    fits, too_large = 0, math.ceil(value)
+    while too_large - fits > 1:
+        mid = (fits + too_large) // 2
+        fits, too_large = (mid, too_large) if estimate(mid) <= available else (fits, mid)
+    return fits
+
+
 def require_memory(name, value, estimate, what):
     """Reject ``name=value`` when its estimated peak of ``estimate(value)`` bytes
     exceeds physical memory, naming the largest integer value that fits (the
@@ -89,10 +100,7 @@ def require_memory(name, value, estimate, what):
     available = memory.physical_memory()
     need = estimate(value)
     if need > available:
-        fits, too_large = 0, math.ceil(value)
-        while too_large - fits > 1:
-            mid = (fits + too_large) // 2
-            fits, too_large = (mid, too_large) if estimate(mid) <= available else (fits, mid)
+        fits = largest_fit(value, estimate)
         hint = f"use {name} <= {fits}" if fits else f"no {name} fits"
         raise ConfigError(
             f"{name}={value} needs about {need / 2**30:.1f} GiB {what}, more than "
@@ -156,6 +164,8 @@ class RunConfig:
                 f"(without --t it is {DEFAULT_T_VERIFY})"
             )
         flags = COMMANDS[command][1].split()
+        if "seed" in flags and self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if "N" in flags:
             require_memory("N", self.N, lambda n: memory.dense_memory_estimate(n, self.delta),
                            "for its dense solve")
@@ -193,11 +203,13 @@ class RunConfig:
             return smallest if need == math.inf and smallest > memory.physical_memory() else need
 
         if estimate(degree) == math.inf:
+            fits = largest_fit(degree, estimate)
+            hint = f"; use {name} <= {fits}" if fits else ""
             raise ConfigError(
                 f"{name}={degree}: the factor's weight |t| ||fhat||_1 <= "
                 f"{t_max * l1_bound(degree):.3g} exceeds EXP_WEIGHT_MAX / n = "
                 f"{EXP_WEIGHT_MAX / TORUS_DIM:.3g}, past which the sampling grids of its "
-                "deformed volume e^{ntf} cannot be sized"
+                "deformed volume e^{ntf} cannot be sized" + hint
             )
         require_memory(name, degree, estimate, "for its sampling grids")
 
@@ -231,6 +243,8 @@ class RunConfig:
             if len(parts) != 3:
                 raise ConfigError("--f-random expects seed,degree,amplitude")
             seed, degree, amp = int(parts[0]), int(parts[1]), float(parts[2])
+            if seed < 0:
+                raise ConfigError(f"--f-random seed must be >= 0, got {seed}")
             self.require_degree("degree", degree, memory.random_l1_bound(amp))
             return random_factor(seed, degree, amp, label=f"random:{seed}:d={degree},a={amp!r}")
         raise ConfigError(f"unknown factor kind {kind!r}")
@@ -459,8 +473,7 @@ def cmd_spectrum(cfg):
             + (" (ambiguous matches present)" if family.ambiguous else "")
         )
         return EXIT_OK
-    tau_rel = cluster_tolerance(factor, cfg.t, cfg.tau_degenerate, cfg.tau_split)
-    res = trusted_spectrum(factor, cfg.t, ms, tau_rel=tau_rel)
+    res = trusted_spectrum(factor, cfg.t, ms, (cfg.tau_degenerate, cfg.tau_split))
     _write_artifact(cfg, res.to_json_dict, lambda: spectrum_csv_rows(res.clusters))
     print(f"delta={cfg.spin_structure()} N={cfg.N} t={cfg.t} f={factor.describe()}")
     print(f"{'lambda':>14}  {'mult_C':>6}  {'mult_H':>6}")
@@ -550,9 +563,8 @@ def cmd_genericity(cfg):
 
 def cmd_simplicity(cfg):
     factor = cfg.build_factor()
-    tau_rel = cluster_tolerance(factor, cfg.t, cfg.tau_degenerate, cfg.tau_split)
     report = simplicity_certificate(
-        cfg.spin_structure(), factor, cfg.t, cfg.k, cfg.N, tau_rel=tau_rel
+        cfg.spin_structure(), factor, cfg.t, cfg.k, cfg.N, (cfg.tau_degenerate, cfg.tau_split)
     )
     _write_artifact(cfg, report.to_json_dict)
     verdict = "passes" if report.passed else f"fails ({report.reason})"

@@ -585,11 +585,12 @@ def build_deformed_operator(factor, t, mode_set):
     return DeformedOperator(mode_set, float(t), factor, assemble_B(factor, t, mode_set))
 
 
-def cluster_tolerance(
-    factor, t, degenerate=eigensolver.TAU_REL_DEGENERATE, split=eigensolver.TAU_REL_SPLIT
-):
-    """Clustering tolerance for one deformation: ``degenerate`` when the weight
-    is trivial (t = 0 or f = 0), ``split`` otherwise."""
+def cluster_tolerance(factor, t, tolerances):
+    """The clustering tolerance tau of one deformation, from the (degenerate,
+    split) pair ``tolerances``: degenerate when the weight is trivial (t = 0
+    or f = 0), split otherwise.  Eigenvalues whose gap is within tau *
+    max(1, |lambda|) form one cluster (``eigensolver.cluster_eigenvalues``)."""
+    degenerate, split = tolerances
     return degenerate if t == 0 or factor.is_zero else split
 
 
@@ -604,12 +605,22 @@ def trust_radius(factor, t, N):
     return (N - 0.5) * float(np.exp(-abs(t) * factor.sup_abs()))
 
 
-def deformed_spectrum(factor, t, mode_set, tau_rel=None, keep_vectors=False, subset_by_index=None):
+def trusted_reach(factor, t, N, tolerances):
+    """(R, R + tau * max(1, R)): the trust radius R and the reach of the
+    trusted clusters, with tau = ``cluster_tolerance(factor, t, tolerances)``.
+    A cluster numerically equal to R (such as a flat shell at exactly N - 1/2)
+    counts as inside."""
+    radius = trust_radius(factor, t, N)
+    return radius, radius + cluster_tolerance(factor, t, tolerances) * max(1.0, radius)
+
+
+def deformed_spectrum(factor, t, mode_set, tolerances=eigensolver.TOLERANCES, keep_vectors=False,
+                      subset_by_index=None):
     """Solve the deformed eigenproblem and cluster the spectrum.
 
     At t = 0 the weight matrix is the exact identity and the flat spectrum is
-    reproduced exactly.  The default clustering tolerance is the degeneracy
-    tolerance at t = 0 and the split-detection tolerance otherwise.
+    reproduced exactly.  The clusters are formed at ``cluster_tolerance(factor,
+    t, tolerances)``, which ``meta["tau_rel"]`` records.
 
     With ``keep_vectors`` the result keeps the eigenvectors and, for a
     nontrivial weight, the scalar block B_s of B = B_s (x) I_2 that the
@@ -624,8 +635,6 @@ def deformed_spectrum(factor, t, mode_set, tau_rel=None, keep_vectors=False, sub
     one caller that passes a window, grows it until both edges fall on
     cluster boundaries.  Without a window the whole spectrum is solved.
     """
-    if tau_rel is None:
-        tau_rel = cluster_tolerance(factor, t)
     op = build_deformed_operator(factor, t, mode_set)
     w, V, residual_max, B_s = eigensolver.solve_gen_hermitian(
         mode_set.symbols, None if op.weight.exp is None else op.weight,
@@ -643,7 +652,7 @@ def deformed_spectrum(factor, t, mode_set, tau_rel=None, keep_vectors=False, sub
         w,
         V if keep_vectors else None,
         residual_max,
-        tau_rel,
+        cluster_tolerance(factor, t, tolerances),
         meta,
         mode_set=mode_set,
         B_s=B_s if keep_vectors else None,
@@ -654,14 +663,14 @@ class _Grow(Exception):
     """A window side must grow; ``args`` are the (below, above) flags."""
 
 
-def _solve_shells(factor, t_values, taus, mode_set, shells, read=next,
+def _solve_shells(factor, t_values, mode_set, shells, tolerances=eigensolver.TOLERANCES, read=next,
                   outgrown=lambda res, below, above: (False, False), keep_vectors=False):
     """``read`` of the solves over ``t_values`` of the flat clusters [a, b) =
     ``shells``, and their index window [lo, hi) = ``mode_set.cluster_starts[[a, b]]``.
 
-    Each t is solved, at its tolerance from ``taus``, on the window plus one
-    eigenpair past each edge that has a neighbour, and ``read`` consumes the
-    window results (vectors only with ``keep_vectors``) from a generator that
+    Each t is solved at ``tolerances`` on the window plus one eigenpair past
+    each edge that has a neighbour, and ``read`` consumes the window results
+    (vectors only with ``keep_vectors``) from a generator that
     solves one t per step.  A window result lets go of its B_s when the
     next is requested: curve matching reads B_s only of the later snapshot
     of a step.  A side is cut when the eigenvalue past its edge
@@ -678,13 +687,13 @@ def _solve_shells(factor, t_values, taus, mode_set, shells, read=next,
     def snapshots(lo, hi):
         first, stop = max(lo - 1, 0), min(hi + 1, mode_set.dim)
         i, j = lo - first, hi - first
-        for t, tau in zip(t_values, taus):
-            res = deformed_spectrum(factor, t, mode_set, tau_rel=tau, keep_vectors=keep_vectors,
+        for t in t_values:
+            res = deformed_spectrum(factor, t, mode_set, tolerances, keep_vectors=keep_vectors,
                                     subset_by_index=(first, stop - 1))
             w, V = res.eigenvalues, res.vectors
             window = eigensolver.build_spectrum_result(
                 w[i:j], None if V is None else np.ascontiguousarray(V[:, i:j]),
-                res.residual_max, tau, res.meta, mode_set=mode_set, B_s=res.B_s,
+                res.residual_max, res.meta["tau_rel"], res.meta, mode_set=mode_set, B_s=res.B_s,
             )
             bounds = {c.start for c in res.clusters} | {len(w)}
             below, above = outgrown(window, w[0] if i else None, w[-1] if j < len(w) else None)
@@ -711,29 +720,24 @@ def _trusted_shells(mode_set):
     return int(np.searchsorted(keys, -edge)), int(np.searchsorted(keys, edge, side="right"))
 
 
-def trusted_spectrum(factor, t, mode_set, tau_rel=None):
+def trusted_spectrum(factor, t, mode_set, tolerances=eigensolver.TOLERANCES):
     """The clusters with |lambda| <= ``trust_radius``, from an index-window solve.
 
     Solves the flat clusters with |lambda| <= N - 1/2, whose deformed
     eigenvalues cover every one with |lambda| <= R, and keeps the clusters
-    whose value is at most R + tol, where tol = ``tau_rel * max(1, R)`` is
-    the clustering tolerance at R: a cluster numerically equal to R (such as
-    a flat shell at exactly N - 1/2) counts as inside.  A side grows while it
-    is cut or the eigenvalue past its edge lies within R + tol (only when the
-    sampled sup|f| runs low; ``_solve_shells``).  So the clusters,
-    eigenvalues and multiplicities are those of the full solve restricted to
-    |lambda| <= R.  Eigenvectors are not kept; the residual bound holds on
-    every computed pair, and ``meta["trust_radius"]`` records R.
+    within the reach R + tau * max(1, R) (``trusted_reach``).  A side grows
+    while it is cut or the eigenvalue past its edge lies within the reach
+    (only when the sampled sup|f| runs low; ``_solve_shells``).  So the
+    clusters, eigenvalues and multiplicities are those of the full solve
+    restricted to |lambda| <= R.  Eigenvectors are not kept; the residual
+    bound holds on every computed pair, and ``meta["trust_radius"]`` records R.
     """
-    if tau_rel is None:
-        tau_rel = cluster_tolerance(factor, t)
-    radius = trust_radius(factor, t, mode_set.N)
-    reach = radius + tau_rel * max(1.0, radius)
+    radius, reach = trusted_reach(factor, t, mode_set.N, tolerances)
 
     def outgrown(res, below, above):
         return below is not None and below >= -reach, above is not None and above <= reach
 
-    res, _ = _solve_shells(factor, [t], [tau_rel], mode_set, _trusted_shells(mode_set),
+    res, _ = _solve_shells(factor, [t], mode_set, _trusted_shells(mode_set), tolerances,
                            outgrown=outgrown)
     kept = [c for c in res.clusters if abs(c.lam) <= reach]
     lo, hi = (kept[0].start, kept[-1].stop) if kept else (0, 0)
@@ -741,7 +745,7 @@ def trusted_spectrum(factor, t, mode_set, tau_rel=None):
         res.eigenvalues[lo:hi],
         None,
         res.residual_max,
-        tau_rel,
+        res.meta["tau_rel"],
         dict(res.meta, trust_radius=radius),
         mode_set=mode_set,
     )
@@ -752,12 +756,7 @@ def flat_spectrum(mode_set):
     return deformed_spectrum(ConformalFactor.zero(), 0.0, mode_set)
 
 
-def tracked_spectrum(
-    factor,
-    t_values,
-    mode_set,
-    tolerances=(eigensolver.TAU_REL_DEGENERATE, eigensolver.TAU_REL_SPLIT),
-):
+def tracked_spectrum(factor, t_values, mode_set, tolerances=eigensolver.TOLERANCES):
     """Eigenvalue curves over ``t_values`` on the trusted index window.
 
     The window holds the flat clusters with |lambda| <= N - 1/2, the same
@@ -768,19 +767,17 @@ def tracked_spectrum(
     wider than the gap to the next flat shell), that side grows by 1, 2, 4,
     ... flat shells and the grid restarts (``_solve_shells``).
 
-    ``tolerances`` are the (degenerate, split) clustering tolerances of
-    ``cluster_tolerance``.  The family records ``index_window``, the trust
-    radius R(t) at each t, and per trajectory whether it leaves R(t) by more
-    than a clustering tolerance at some t.
+    The family records ``index_window``, the trust radius R(t) at each t,
+    and per trajectory whether it leaves the reach of R(t) at some t
+    (``trusted_reach``).
     """
-    taus = [cluster_tolerance(factor, t, *tolerances) for t in t_values]
     family, window = _solve_shells(
-        factor, t_values, taus, mode_set, _trusted_shells(mode_set),
+        factor, t_values, mode_set, _trusted_shells(mode_set), tolerances,
         read=lambda snaps: eigensolver.match_curves(snaps, rate_bound=factor.sup_abs()),
         keep_vectors=True,
     )
-    radii = np.array([trust_radius(factor, t, mode_set.N) for t in t_values])
-    reach = radii + np.array(taus) * np.maximum(1.0, radii)
+    radii, reach = np.array([trusted_reach(factor, t, mode_set.N, tolerances)
+                             for t in t_values]).T
     leaves = np.any(np.abs(family.trajectories) > reach[None, :], axis=1)
     family.index_window = window
     family.trust_radius = radii.tolist()

@@ -83,6 +83,9 @@ TAU_REL_DEGENERATE = 1e-6
 #: Tighter tolerance for split detection at t > 0, so first-order splits of
 #: size ~ t * gap are resolved as distinct clusters.
 TAU_REL_SPLIT = 1e-9
+#: The default (degenerate, split) pair that every solve entry point takes;
+#: ``conformal.cluster_tolerance`` picks one of them for each (f, t).
+TOLERANCES = (TAU_REL_DEGENERATE, TAU_REL_SPLIT)
 #: Acceptable per-vector residual ||A x - lambda B x|| (with ||x||_B = 1).
 RESIDUAL_BOUND = 1e-9
 #: Curve matching: a step overlap below these flags a trajectory / makes the family ambiguous.

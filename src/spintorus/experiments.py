@@ -28,9 +28,8 @@ from .conformal import (
     ConformalFactor,
     _solve_shells,
     _trusted_shells,
-    cluster_tolerance,
     cube_modes,
-    trust_radius,
+    trusted_reach,
     trusted_spectrum,
 )
 from .errors import ClusterNotIsolatedError, PositiveDefiniteError, SplitSearchError
@@ -232,22 +231,19 @@ class GenericityReport(Artifact):
         return rows
 
 
-def lowest_positive_clusters(factor, t, mode_set, m_clusters, tau_rel=None):
+def lowest_positive_clusters(factor, t, mode_set, m_clusters, tolerances=eigensolver.TOLERANCES):
     """The first ``m_clusters`` positive clusters of the deformed spectrum.
 
     Solves the index window of the flat clusters from the kernel through the
     first ``m_clusters`` positive shells, and no shell past |lambda| = N -
     1/2 (``conformal._solve_shells``), so the clusters are those of a full
     solve.  The upper side grows while the window holds fewer than
-    ``m_clusters`` positive clusters and the eigenvalue past it lies within R
-    + tol, R = ``trust_radius`` and tol = ``tau_rel * max(1, R)``.  Raises
-    ValueError when the last cluster asked for lies past R + tol, where
+    ``m_clusters`` positive clusters and the eigenvalue past it lies within
+    the reach of the trust radius (``conformal.trusted_reach``).  Raises
+    ValueError when the last cluster asked for lies past the reach, where
     Galerkin eigenvalues are truncation artifacts.
     """
-    if tau_rel is None:
-        tau_rel = cluster_tolerance(factor, t)
-    radius = trust_radius(factor, t, mode_set.N)
-    reach = radius + tau_rel * max(1.0, radius)
+    radius, reach = trusted_reach(factor, t, mode_set.N, tolerances)
     keys = mode_set.flat_clusters[0]
     first, positive_first = np.searchsorted(keys, 0), np.searchsorted(keys, 0, side="right")
     shells = int(first), min(int(positive_first) + m_clusters, _trusted_shells(mode_set)[1])
@@ -258,7 +254,7 @@ def lowest_positive_clusters(factor, t, mode_set, m_clusters, tau_rel=None):
     def outgrown(res, below, above):
         return False, len(positive(res)) < m_clusters and above is not None and above <= reach
 
-    res, _ = _solve_shells(factor, [t], [tau_rel], mode_set, shells, outgrown=outgrown)
+    res, _ = _solve_shells(factor, [t], mode_set, shells, tolerances, outgrown=outgrown)
     top = positive(res)
     if len(top) < m_clusters or (top and top[-1].lam > reach):
         raise ValueError(
@@ -383,7 +379,7 @@ def genericity_scan(
     amplitude,
     seed,
     m_clusters=3,
-    tolerances=(eigensolver.TAU_REL_DEGENERATE, eigensolver.TAU_REL_SPLIT),
+    tolerances=eigensolver.TOLERANCES,
 ):
     """Monte Carlo over random factors: how often do the first ``m_clusters``
     positive clusters come out quaternionically simple?
@@ -397,8 +393,6 @@ def genericity_scan(
     the residual bound holds on all of them.  A trial whose
     ``m_clusters``-th positive cluster lies past the trust radius raises
     ValueError: truncation artifacts are not statistics.
-    ``tolerances`` is the (degenerate, split) pair of clustering tolerances,
-    resolved per trial by ``conformal.cluster_tolerance``.
     """
     trials = int(trials)
     if trials < 0:
@@ -426,9 +420,8 @@ def genericity_scan(
         # root.spawn(trials)[i], built from its index alone
         child = np.random.SeedSequence(root.entropy, spawn_key=(i,))
         factor = random_factor(child, degree, amplitude, label=label)
-        tau_rel = cluster_tolerance(factor, t, *tolerances)
         try:
-            top = lowest_positive_clusters(factor, t, ms, m_clusters, tau_rel=tau_rel)
+            top = lowest_positive_clusters(factor, t, ms, m_clusters, tolerances)
         except (PositiveDefiniteError, RuntimeError) as exc:
             return GenericityTrial(i, label, [], [], [], False, error=str(exc))
         mult_h = [c.mult_h for c in top]
@@ -475,7 +468,7 @@ def _enumerate_side(clusters, k):
     return values, mults
 
 
-def simplicity_certificate(delta, factor, t, k, N, tau_rel=None):
+def simplicity_certificate(delta, factor, t, k, N, tolerances=eigensolver.TOLERANCES):
     """Check that the lowest k eigenvalues on each side of zero are simple.
 
     Enumerates eigenvalues with quaternionic multiplicity; the certificate
@@ -493,7 +486,7 @@ def simplicity_certificate(delta, factor, t, k, N, tau_rel=None):
         raise ValueError("k must be >= 1")
     spin = delta if isinstance(delta, SpinStructure) else SpinStructure(tuple(delta))
     ms = build_mode_set(N, spin)
-    res = trusted_spectrum(factor, t, ms, tau_rel=tau_rel)
+    res = trusted_spectrum(factor, t, ms, tolerances)
     kernel_dim = int(np.sum(np.abs(res.eigenvalues) <= KERNEL_TOL))
     pos = [c for c in res.clusters if c.lam > KERNEL_TOL]
     neg = [c for c in reversed(res.clusters) if c.lam < -KERNEL_TOL]

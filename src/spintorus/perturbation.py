@@ -30,7 +30,7 @@ import numpy as np
 
 from . import eigensolver
 from .artifact import NOT_ARTIFACT, Artifact
-from .conformal import _solve_shells, assemble_multiplication, cluster_tolerance
+from .conformal import _solve_shells, assemble_multiplication
 from .errors import ClusterNotIsolatedError
 from .torus_dirac import SpinorField, apply_flat_dirac_coeffs, apply_J_coeffs
 
@@ -229,7 +229,8 @@ def deformed_cluster_values(factor, t, cluster):
     outside it, so that exactly ``cluster.p_c`` eigenvalues lie in the
     midpoint window; otherwise ClusterNotIsolatedError is raised (an edge
     that cuts a cluster grows the window into a neighbouring shell, which
-    fails the test).  The clustering tolerance is ``conformal.cluster_tolerance``.
+    fails the test).  The clusters are formed with the default pair
+    ``eigensolver.TOLERANCES``.
     """
     ms = cluster.mode_set
     c = flat_cluster_index(ms, cluster.lam)
@@ -245,7 +246,7 @@ def deformed_cluster_values(factor, t, cluster):
             )
         return False, False
 
-    res, _ = _solve_shells(factor, [t], [cluster_tolerance(factor, t)], ms, (c, c + 1),
+    res, _ = _solve_shells(factor, [t], ms, (c, c + 1), eigensolver.TOLERANCES,
                            outgrown=outgrown)
     return res
 

@@ -174,9 +174,10 @@ class TestSpectrum:
         seen = []
         solve = conformal.deformed_spectrum
 
-        def recording(factor, t, ms, tau_rel=None, **kwargs):
-            seen.append((t, tau_rel))
-            return solve(factor, t, ms, tau_rel=tau_rel, **kwargs)
+        def recording(factor, t, ms, tolerances, **kwargs):
+            res = solve(factor, t, ms, tolerances, **kwargs)
+            seen.append((t, res.meta["tau_rel"]))
+            return res
 
         # the t-grid snapshots are solved by conformal.tracked_spectrum
         monkeypatch.setattr(conformal, "deformed_spectrum", recording)
@@ -193,6 +194,20 @@ class TestSpectrum:
         )
         assert code == 0
         assert seen == [(0.1, 1e-5), (0.2, 1e-5)]
+
+    @pytest.mark.parametrize("args, tau, clusters", [
+        # 1e-2 merges the four split sub-clusters near sqrt(5)/2 into one
+        (["--f-random", "7,2,0.3", "--t", "0.05", "--tau-split", "1e-2"], 0.01, [8, 2, 2, 8]),
+        (["--t", "0", "--tau-degenerate", "1e-5"], 1e-5, [10, 8, 2, 2, 8, 10]),
+    ], ids=["split", "degenerate"])
+    def test_single_t_tolerances(self, capsys, tmp_path, args, tau, clusters):
+        out = tmp_path / "spec.json"
+        code, _, _ = run(capsys, "spectrum", "--delta", "1,0,0", "--N", "2", *args,
+                         "--out", str(out))
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["meta"]["tau_rel"] == tau
+        assert [c["mult_c"] for c in doc["clusters"]] == clusters
 
     def test_homothety_scaling(self, capsys, tmp_path):
         flat_out = tmp_path / "flat.json"
@@ -995,6 +1010,9 @@ class TestMemoryGuard:
     @pytest.mark.parametrize("factor, bound", [
         (["--f-cos", "1,0,0,1500"], "75"),  # exact: |t| ||fhat||_1 = 0.05 * 1500
         (["--f-random", "1,2,1e5"], "5.59e+04"),  # 0.05 * 1e5 * 5^1.5
+        (["--f-json", json.dumps({"degree": 1, "coeffs": [
+            {"m": [1, 0, 0], "re": 750, "im": 0}, {"m": [-1, 0, 0], "re": 750, "im": 0}]})],
+         "75"),
     ])
     def test_weight_past_the_limit(self, capsys, recwarn, seven_gb, factor, bound):
         # B's grid could be sized, the deformed volume's e^{3tf} (weight 3x) not
@@ -1007,8 +1025,26 @@ class TestMemoryGuard:
         assert_bad_input(code, out, err)
         assert f"weight |t| ||fhat||_1 <= {bound} exceeds EXP_WEIGHT_MAX / n = 33.3" in err
         assert "inf" not in err and "GiB" not in err
+        # no smaller degree brings the weight under the limit, so no hint
+        assert err.endswith("cannot be sized\n")
         assert not recwarn.list
         assert peak < 2**24  # no grid was allocated
+
+    @pytest.mark.parametrize("argv, name, fits", [
+        (["split-search", "--delta", "0,0,0", "--N", "2", "--cluster-lambda", "1.0",
+          "--max-degree", "50"], "max-degree", 8),
+        (["genericity", "--N", "1", "--trials", "1", "--t", "0.05", "--degree", "40",
+          "--amplitude", "3"], "degree", 5),
+        (["spectrum", "--N", "1", "--t", "0.05", "--f-random", "1,40,3"], "degree", 5),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_weight_past_the_limit_names_a_degree_that_fits(self, capsys, seven_gb, argv, name,
+                                                            fits):
+        # a random factor's weight bound falls with its degree: the refusal
+        # names the largest degree whose weight and grids both fit
+        code, out, err = run(capsys, *argv)
+        assert_bad_input(code, out, err)
+        assert err.startswith(f"error: {name}=") and "exceeds EXP_WEIGHT_MAX / n = 33.3" in err
+        assert err.endswith(f"cannot be sized; use {name} <= {fits}\n")
 
     def test_too_many_trials(self, capsys, monkeypatch, seven_gb):
         def no_scan(*args, **kwargs):
@@ -1093,6 +1129,29 @@ class TestUsageErrors:
         assert code == 3
         assert err.startswith("error: unrecognized arguments: ")
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ("validate --seed -1", "seed"),
+            ("split-search --delta 0,0,0 --N 2 --cluster-lambda 1.0 --max-degree 1 --seed -1",
+             "seed"),
+            ("genericity --N 2 --trials 2 --t 0.05 --seed -1", "seed"),
+            ("spectrum --N 1 --t 0.05 --f-random -1,2,0.3", "--f-random seed"),
+            ("simplicity --N 2 --k 1 --t 0.05 --f-random -1,2,0.3", "--f-random seed"),
+        ],
+        ids=["validate", "split-search", "genericity", "spectrum-f-random", "simplicity-f-random"],
+    )
+    def test_negative_seed(self, capsys, monkeypatch, argv, flag):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a run with a negative seed started")
+
+        for name in ("genericity_scan", "split_search", "random_factor"):
+            monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.setattr(validate, "run_all", no_work)
+        code, out, err = run(capsys, *argv.split())
+        assert_bad_input(code, out, err)
+        assert err == f"error: {flag} must be >= 0, got -1\n"
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -686,9 +686,9 @@ class TestTrustedSpectrum:
         assert cf.trust_radius(f, -0.05, 4) == 3.5 * np.exp(-0.05 * f.sup_abs())
 
     @staticmethod
-    def dense_trusted(factor, t, ms, tau_rel=None, radius=None):
+    def dense_trusted(factor, t, ms, tolerances=es.TOLERANCES, radius=None):
         """The full solve's clusters with |lambda| <= R + tol, and their eigenvalues."""
-        res = cf.deformed_spectrum(factor, t, ms, tau_rel=tau_rel)
+        res = cf.deformed_spectrum(factor, t, ms, tolerances)
         if radius is None:
             radius = cf.trust_radius(factor, t, ms.N)
         tau = res.meta["tau_rel"]
@@ -696,8 +696,8 @@ class TestTrustedSpectrum:
         lo, hi = (kept[0].start, kept[-1].stop) if kept else (0, 0)
         return kept, res.eigenvalues[lo:hi]
 
-    def assert_dense(self, res, factor, t, ms, tau_rel=None, radius=None):
-        kept, ref = self.dense_trusted(factor, t, ms, tau_rel, radius)
+    def assert_dense(self, res, factor, t, ms, tolerances=es.TOLERANCES, radius=None):
+        kept, ref = self.dense_trusted(factor, t, ms, tolerances, radius)
         assert [c.mult_c for c in res.clusters] == [c.mult_c for c in kept]
         assert res.eigenvalues.shape == ref.shape
         assert np.max(np.abs(res.eigenvalues - ref) / np.maximum(1.0, np.abs(ref)),
@@ -721,10 +721,11 @@ class TestTrustedSpectrum:
         # both edges are cut and grow until the clusters are whole
         ms, f = build_mode_set(3, (1, 0, 0)), random_factor(45, 2, 0.3)
         calls = record_solves(monkeypatch)
-        res = cf.trusted_spectrum(f, 0.05, ms, tau_rel=0.2)
+        wide = (es.TAU_REL_DEGENERATE, 0.2)
+        res = cf.trusted_spectrum(f, 0.05, ms, wide)
         assert len(calls) > 1
         assert calls[-1][0] < calls[0][0] and calls[-1][1] > calls[0][1]
-        self.assert_dense(res, f, 0.05, ms, tau_rel=0.2)
+        self.assert_dense(res, f, 0.05, ms, wide)
 
     def test_grows_past_the_trusted_shells_while_eigenvalues_lie_inside(self, monkeypatch):
         # a sampled sup|f| that ran low would put R past the eigenvalues of the
@@ -821,8 +822,7 @@ class TestTrackedSpectrum:
                 assert all(s.B_s is None for s in seen)
                 seen.append(snap)
 
-        cf._solve_shells(f, ts, [cf.cluster_tolerance(f, t) for t in ts], ms,
-                         cf._trusted_shells(ms), read=read, keep_vectors=True)
+        cf._solve_shells(f, ts, ms, cf._trusted_shells(ms), read=read, keep_vectors=True)
         assert len(seen) == len(ts) and len(gathers) == 2 * len(ts)
         assert seen[-1].B_s is None
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spintorus import conformal
 from spintorus import experiments as ex
 from spintorus.conformal import ConformalFactor, deformed_spectrum, trust_radius
 from spintorus.errors import SplitSearchError
@@ -358,7 +359,7 @@ class TestGenericityWindow:
     def test_grows_while_the_next_eigenvalue_lies_inside(self, monkeypatch):
         # a sampled sup|f| that ran low would put R past the trusted shells:
         # the window grows while the eigenvalue past it lies inside R + tol
-        monkeypatch.setattr(ex, "trust_radius", lambda factor, t, N: 2.9)
+        monkeypatch.setattr(conformal, "trust_radius", lambda factor, t, N: 2.9)
         calls = record_solves(monkeypatch)
         f = ex.random_factor(2, 2, 0.3)
         ms = build_mode_set(2, (1, 0, 0))
