@@ -512,6 +512,22 @@ class ScalarWeight:
             return np.eye(self.mode_set.n_modes, dtype=np.complex128, order="F")
         return assemble_multiplication(self.mode_set.k_values, self.exp)
 
+    @property
+    def bounds(self):
+        """(b_lo, b_hi) with b_lo I <= B_s <= b_hi I, by Gershgorin: every row
+        of B_s = [c(k_i - k_j)] has the diagonal c(0) and off-diagonal moduli
+        that sum to at most S = sum_{m != 0} |c(m)| over the cube, since
+        distinct columns read distinct m.  So b = c(0) -/+ S, each widened
+        outward by a rounding allowance for the sum."""
+        if self.exp is None:
+            return 1.0, 1.0
+        moduli = np.abs(self.exp.values).reshape(-1)
+        c0 = float(self.exp.values.reshape(-1)[moduli.size // 2].real)  # stored real
+        moduli[moduli.size // 2] = 0.0
+        S = float(moduli.sum())
+        slack = moduli.size * np.finfo(float).eps * (c0 + S)
+        return c0 - S - slack, c0 + S + slack
+
 
 def assemble_B(factor, t, mode_set):
     """Galerkin matrix B of multiplication by e^{tf}, as a ``ScalarWeight``.

@@ -1,69 +1,81 @@
-"""Dense Hermitian(-definite) eigensolver, degeneracy clustering, curve tracking.
+"""Hermitian(-definite) eigensolver, degeneracy clustering, curve tracking.
 
-One dim x dim matrix and one BLAS per solve.  The flat operator A is block
-diagonal over modes, and the solve reads it as its 2 x 2 mode symbols; the
-weight of a deformed solve is B = B_s (x) I_2, and the solve reads B_s from a
-read-only weight (``conformal.ScalarWeight``) that gathers it afresh on each
-read.  The stages of a deformed solve, n = dim / 2 the number of modes:
+The flat operator A is block diagonal over modes, and the solve reads it as
+its 2 x 2 mode symbols; the weight of a deformed solve is B = B_s (x) I_2,
+and the solve reads B_s from a read-only weight (``conformal.ScalarWeight``)
+that gathers it afresh on each read.  A deformed solve takes one of two
+eigensolve stages, n = dim / 2 the number of modes:
 
-- factor (``inverse_factor``): B_s is gathered a panel of columns at a time
-  into one Fortran-ordered n x n buffer, factored in place, B_s = L L^H (the
-  positive-definiteness check), and inverted in place to M = L^{-1};
-- reduction (``_reduce``): the lower triangle of the standard-form matrix
-  C = (M (x) I_2) A (M^H (x) I_2), all that the eigensolver reads, is built
-  from the symbols a panel of columns at a time into the one dim x dim
-  array of the solve, and M is freed.  From 32 MiB on, C lives in its own
-  mapping without huge pages, where its upper half never becomes resident;
-- eigensolve, one of two, each returning C-space vectors and L:
+- the shell-window stage (``_shell_window``), for an index window at
+  dim >= 400 whose block, the window extended by whole flat shells to
+  lambda = 0 (``_shell_block``), holds at most dim / 8 pairs: B_s is
+  gathered once, and a block Davidson method on the pencil (B A^{-1} B, B),
+  whose extremal eigenvalues 1/lambda are the block's, solves it from the
+  flat eigenvectors with no factorization; A^{-1} costs O(dim).  A
+  Gershgorin bound on B_s certifies that the pairs are exactly the window's
+  indices.  Any refusal or failure, the residual gate's included, falls
+  back to the double stage.  Median ``solve_gen_hermitian`` time of the
+  genericity window (of fewer positive shells where three do not fit),
+  then of wider windows near the block share, one BLAS thread on a 2-vCPU
+  Haswell VM, random factors of seeds 7-11 (7-9 at N = 5), t = 0.05:
+
+  | dim (N, delta) | window | block | shell window | ``zheevr``    |
+  |----------------|--------|-------|--------------|---------------|
+  | 432 (3, 111)   | 10     | 40    | 44.1 ms      | 59.3 ms       |
+  | 504 (3, 011)   | 22     | 40    | 49.6 ms      | 89.1 ms       |
+  | 588 (3, 100)   | 22     | 30    | 27.2 ms      | 99.8 ms       |
+  | 686 (3, 000)   | 30     | 40    | 51.1 ms      | 152.6 ms      |
+  | 1296 (4, 100)  | 22     | 30    | 71.4 ms      | 856 ms        |
+  | 2420 (5, 100)  | 22     | 30    | 184 ms       | 6.85 s        |
+  | 504 (3, 011)   | 50     | 60    | 64.8 ms (+)  | 71.0 ms       |
+  | 588 (3, 100)   | 46     | 62    | 69.2 ms (+)  | 98.9 ms       |
+  | 432 (3, 111)   | 34     | 64    | 60.2 ms (*)  | 45.2 ms       |
+
+  (+) the two stages alone, without the shared tail, seeds 11-13; (*) the
+  same, past the share (dim / 6.8), where the stage refuses.
+
+- the double stage (``_eigh_stage``), for full solves and larger windows:
+  - factor (``inverse_factor``): B_s is gathered a panel of columns at a
+    time into one Fortran-ordered n x n buffer, factored in place,
+    B_s = L L^H (the positive-definiteness check), and inverted in place to
+    M = L^{-1};
+  - reduction (``_reduce``): the lower triangle of the standard-form matrix
+    C = (M (x) I_2) A (M^H (x) I_2), all that the eigensolver reads, is
+    built from the symbols a panel of columns at a time into the one
+    dim x dim array of the solve, and M is freed.  From 32 MiB on, C lives
+    in its own mapping without huge pages, where its upper half never
+    becomes resident;
   - ``scipy.linalg.eigh`` on C, which it overwrites (``zheevr`` for a
-    window, ``zheevd`` for a full solve); then C is freed, and B_s is
-    gathered again and a copy factored to L (``_eigh_stage``);
-  - for a window of k <= dim / 16 pairs at dim >= 400, the mixed-precision
-    solve (``_mixed_window``): C is built in complex64 and reduced to a
-    tridiagonal T by ``chetrd``, T's window is solved and mapped back in
-    single precision, and one to three correction steps in double bring
-    every pair under the residual gate.  Any failure, the gate's included,
-    falls back to ``eigh``.  Median ``solve_gen_hermitian`` time of a window
-    at the middle of the spectrum (2-vCPU Haswell, random factors of seeds 7-20,
-    t = 0.05):
+    window, ``zheevd`` for a full solve); then C is freed, B_s is gathered
+    again and a copy factored to L, and one triangular solve by L maps the
+    vectors back.
 
-    | dim (N, delta) | k       | mixed          | ``zheevr``     |
-    |----------------|---------|----------------|----------------|
-    | 200 (2, 100)   | 12      | 7.0 ms         | 5.6 ms         |
-    | 250 (2, 000)   | 12      | 9.1 ms         | 9.4 ms         |
-    | 432 (3, 111)   | 12 / 22 | 22.4 / 36.7 ms | 27.9 / 41.7 ms |
-    | 504 (3, 011)   | 12 / 22 | 36.0 / 36.1 ms | 43.7 / 42.7 ms |
-    | 588 (3, 100)   | 22 / 36 | 50.0 / 68.6 ms | 60.7 / 78.7 ms |
-    | 588 (3, 100)   | 72      | 74.9 ms        | 67.3 ms        |
-    | 686 (3, 000)   | 22      | 65.0 ms        | 85.1 ms        |
-    | 1296 (4, 100)  | 22      | 315 ms         | 491 ms         |
+Both stages end in one tail: phases, and the residual gate on the original
+pencil (``_residual_max``) with the stage's B_s, which the solve returns for
+curve matching.
 
-- back-transformation, shared by both stages: one triangular solve by L
-  maps the vectors back;
-- phases and the residual gate on the original pencil (``_residual_max``),
-  with the B_s of ``eigh``'s stage, or one gathered now after the mixed
-  solve.  The solve returns this B_s for curve matching.
-
-Memory: no later stage outgrows the eigensolve's C and the window's vectors.
+Memory: the shell-window stage holds B_s, a quarter of C, and a subspace V
+and B V of at most twice the block's columns, dim / 4, each no larger than
+B_s: it makes no Cholesky factor and no dim x dim array.  In the double
+stage no later step outgrows the eigensolve's C and the window's vectors.
 M, B_s and L take a quarter of C each; M lives only through the reduction,
-and B_s and L only after the eigensolve (the mixed solve holds its complex64
-C, half of C, and L through its refinement).  So B_s is factored twice: a
+and B_s and L only after the eigensolve.  So B_s is factored twice: a
 second factorization costs n^3 / 3 complex multiply-adds, 1-2% of ``eigh``,
-and gives the same L from the same bits of B_s.  No dense A or B
-is formed, and the gather, the reduction and the residual gate work in
-column panels or in place: in a process that repeats solves, an n x n or
-vectors-sized temporary comes from the C heap, and its freed block stays
-resident into the next solve.
+and gives the same L from the same bits of B_s.  No dense A or B is formed,
+and the gather, the reduction and the residual gate work in column panels
+or in place: in a process that repeats solves, an n x n or vectors-sized
+temporary comes from the C heap, and its freed block stays resident into
+the next solve.
 
 Every dense product and factorization of the solve (the Cholesky
 factorizations, the triangular inverse, products and solves, ``eigh``, the
-mixed solve's LAPACK calls and the residual gate's B_s product through
-``blas_matmul``) runs on scipy's BLAS, and so do the overlap products of
-curve matching (``apply_weight``).  The numpy and scipy wheels each bundle
-their own OpenBLAS with its own thread pool, whose idle threads keep
-spinning for a while after a call; a solve that alternates between the two
-pools makes them compete for the cores, which cost about a third of the
-50-trial genericity scan on two vCPUs.
+shell-window stage's ``zheevd`` calls and its products, and the residual
+gate's B_s product through ``blas_matmul``) runs on scipy's BLAS, and so do
+the overlap products of curve matching (``apply_weight``).  The numpy and
+scipy wheels each bundle their own OpenBLAS with its own thread pool, whose
+idle threads keep spinning for a while after a call; a solve that alternates
+between the two pools makes them compete for the cores, which cost about a
+third of the 50-trial genericity scan on two vCPUs.
 """
 
 from __future__ import annotations
@@ -210,8 +222,8 @@ REDUCE_PANEL = 128
 OWN_MAPPING_BYTES = 32 << 20
 
 
-def _lower_buffer(dim, dtype=np.complex128):
-    """A zeroed Fortran-ordered dim x dim array of ``dtype`` for C.
+def _lower_buffer(dim):
+    """A zeroed Fortran-ordered complex dim x dim array for C.
 
     From ``OWN_MAPPING_BYTES`` on it lives in its own anonymous private
     mapping, advised against transparent huge pages, so that a page holding
@@ -223,28 +235,27 @@ def _lower_buffer(dim, dtype=np.complex128):
     (2-vCPU Haswell).  The mapping is unmapped with the last reference to
     the array.
     """
-    size = dim * dim * np.dtype(dtype).itemsize
+    size = dim * dim * np.dtype(np.complex128).itemsize
     if size < OWN_MAPPING_BYTES or not hasattr(mmap, "MADV_NOHUGEPAGE"):
-        return np.zeros((dim, dim), dtype=dtype, order="F")
+        return np.zeros((dim, dim), dtype=np.complex128, order="F")
     buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     with contextlib.suppress(OSError):  # a kernel without huge pages
         buf.madvise(mmap.MADV_NOHUGEPAGE)
-    return np.frombuffer(buf, dtype=dtype).reshape((dim, dim), order="F")
+    return np.frombuffer(buf, dtype=np.complex128).reshape((dim, dim), order="F")
 
 
-def _require_finite(block, dtype=np.complex128):
+def _require_finite(block):
     """The finiteness check that ``scipy.linalg.eigh`` makes by default, on
-    the part of C just computed, as it is stored in ``dtype``: an entry that
-    overflows complex64 counts as infinite."""
-    if not np.isfinite(block.astype(dtype, copy=False)).all():
+    the part of C just computed."""
+    if not np.isfinite(block).all():
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _reduce(symbols, M, dtype=np.complex128):
+def _reduce(symbols, M):
     """The lower triangle of C = (M (x) I_2) A (M^H (x) I_2) for
     A = blockdiag(``symbols``) and the lower triangular M = L^{-1}
-    (``inverse_factor``), in one Fortran-ordered dim x dim array of
-    ``dtype`` (``_lower_buffer``); for M = None, the whole of A.
+    (``inverse_factor``), in one Fortran-ordered dim x dim array
+    (``_lower_buffer``); for M = None, the whole of A.
 
     Spin block (a, b) of C, the entries C[2p + a, 2q + b], is M diag(s_ab) M^H
     for s_ab the (a, b) entries of the symbols.  It is built
@@ -255,20 +266,19 @@ def _reduce(symbols, M, dtype=np.complex128):
     for every Dirac symbol -sigma . kappa, the (1, 1) block is the negated
     (0, 0) block, which is exact under round-to-nearest; other symbols take
     a third trmm.  So a Dirac reduction costs n^3 complex multiply-adds, and
-    a general one 1.5 n^3.  The panels are computed in double; a complex64
-    C (the mixed-precision window solve) stores them rounded.
+    a general one 1.5 n^3.
 
-    ``eigh`` and ``chetrd`` read only the lower triangle, so only entries on
+    ``eigh`` reads only the lower triangle, so only entries on
     or below the diagonal are stored: the panel of modes [j0, j1) stores the
     rows p >= q of its (0, 0), (1, 0) and (1, 1) blocks, and of the (0, 1)
     block's rows [j0, j1), which mirror it, the columns q < p.  Every stored
     entry has the bits of the same formula computed on whole n x n blocks.
-    Each panel (and A's blocks for M = None) is checked to be finite, as it
-    is stored, when it is computed: ValueError otherwise, since ``eigh``
-    runs without its own check.
+    Each panel (and A's blocks for M = None) is checked to be finite when it
+    is computed: ValueError otherwise, since ``eigh`` runs without its own
+    check.
     """
     n = symbols.shape[0]
-    C = _lower_buffer(2 * n, dtype)
+    C = _lower_buffer(2 * n)
     if M is None:
         _require_finite(symbols)
         modes = np.arange(n)
@@ -291,7 +301,7 @@ def _reduce(symbols, M, dtype=np.complex128):
             np.conjugate(M[cols].T, out=P)
             P *= symbols[:, a, b, None]
             P = trmm(1.0, M, P, lower=1, overwrite_b=1)
-            _require_finite(P, dtype)
+            _require_finite(P)
             C[a::2, b::2][j1:, cols] = P[j1:]
             np.copyto(C[a::2, b::2][cols, cols], P[cols], where=square)
             if a != b:
@@ -351,30 +361,6 @@ def _residual_max(symbols, w, V, B_s):
     return float(norms.max()), float(np.maximum(1.0, np.abs(w).max()))
 
 
-#: Mixed-precision window solves (``_mixed_window``): a deformed solve of a
-#: window of k eigenpairs takes them when dim >= ``MIXED_MIN_DIM`` and
-#: k <= dim / ``MIXED_WINDOW_SHARE``.  Below the floor, and for larger
-#: windows, ``zheevr`` is faster (see the module docstring).
-MIXED_MIN_DIM = 400
-MIXED_WINDOW_SHARE = 16
-#: At most this many correction steps, each followed by a Rayleigh-Ritz step.
-MIXED_MAX_STEPS = 3
-#: Refinement stops when every C-space residual is at most this times
-#: max(1, |theta|), ten times below ``RESIDUAL_BOUND``.
-MIXED_RESIDUAL = 1e-10
-#: Ritz values within this relative distance share one shift of T.
-MIXED_SHIFT_RUN = 1e-5
-
-
-def _takes_mixed_path(dim, subset_by_index):
-    """Whether a deformed solve goes to ``_mixed_window``: an index window of
-    k eigenpairs with k <= dim / ``MIXED_WINDOW_SHARE``, dim >= ``MIXED_MIN_DIM``."""
-    if subset_by_index is None or dim < MIXED_MIN_DIM:
-        return False
-    lo, hi = subset_by_index
-    return 0 <= lo <= hi < dim and (hi - lo + 1) * MIXED_WINDOW_SHARE <= dim
-
-
 def _triangular_solve(L, S, trans_a=0):
     """L^{-1} S (``trans_a`` 0) or L^{-H} S (2) for the lower triangular L,
     in the buffer of S, a Fortran-ordered complex array (``_spin_sides``)."""
@@ -382,112 +368,248 @@ def _triangular_solve(L, S, trans_a=0):
     return trsm(1.0, L, S, lower=1, trans_a=trans_a, overwrite_b=1)
 
 
-def _apply_reduced(symbols, L, X):
-    """C X = (L^{-1} (x) I_2) A (L^{-H} (x) I_2) X in double, for mode-major
-    X: two triangular solves of side n with the spin components side by
-    side, around ``apply_symbols``."""
-    S = _triangular_solve(L, _spin_sides(X), trans_a=2)
-    return _mode_major(_triangular_solve(L, _spin_sides(apply_symbols(symbols, _mode_major(S)))))
+#: Shell-window solves (``_shell_window``): a deformed solve of an index
+#: window takes them at dim >= ``SHELL_MIN_DIM`` when the window's block
+#: (``_shell_block``) holds at most dim / ``SHELL_BLOCK_SHARE`` eigenpairs.
+#: Below the floor, and for larger blocks, ``zheevr`` is faster (see the
+#: module docstring).
+SHELL_MIN_DIM = 400
+SHELL_BLOCK_SHARE = 8
+#: At most this many Rayleigh-Ritz steps.
+SHELL_MAX_STEPS = 12
+#: The iteration stops when every residual ||A x - lambda B x|| is at most
+#: this times max(1, |lambda|), ten times below ``RESIDUAL_BOUND``.
+SHELL_RESIDUAL = 1e-10
+#: A direction whose B-Gram eigenvalue is at most this times the largest is
+#: dropped from the subspace as dependent.
+SHELL_DROP = 1e-10
+#: New columns whose B-Gram eigenvalues all exceed this times the largest
+#: take one round of B-orthonormalization, others a second.
+SHELL_WELL_CONDITIONED = 1e-2
 
 
-def _mixed_window(symbols, weight, lo, hi):
+def _shell_block(mode_set, lo, hi):
+    """The flat clusters [a, b) of the block of the index window [lo, hi]
+    (inclusive): the window's clusters, extended to whole flat clusters and
+    then to lambda = 0, so that the block's negative clusters run from the
+    window's lowest up to 0 and its positive ones from the first up to the
+    window's highest, with the zero cluster (the kernel) between them."""
+    keys, starts = mode_set.flat_clusters[0], mode_set.cluster_starts
+    a = min(np.searchsorted(starts, lo, side="right") - 1, np.searchsorted(keys, 0))
+    b = max(np.searchsorted(starts, hi, side="right"), np.searchsorted(keys, 0, side="right"))
+    return int(a), int(b)
+
+
+def _flat_directions(symbols, radius, modes, sign):
+    """The flat eigenvectors of eigenvalue sign |kappa| of ``modes``, one
+    column each of a mode-major 2n x p array: the column of the projector
+    (I + sign S / |kappa|) / 2 of the mode symbol S = -sigma . kappa
+    (S^2 = |kappa|^2 I) with the larger diagonal entry, normalized."""
+    p, cols = len(modes), np.arange(len(modes))
+    S = symbols[modes]
+    a = (sign * S[:, 0, 0].real < 0).astype(int)  # the larger diagonal entry
+    e = sign * S[cols, :, a] / radius[modes, None]
+    e[cols, a] += 1.0
+    e /= np.sqrt(2.0 * e[cols, a].real)[:, None]
+    V = np.zeros((symbols.shape[0], 2, p), dtype=np.complex128)
+    V[modes, :, cols] = e
+    return V.reshape(2 * len(symbols), p)
+
+
+def _shell_window(symbols, weight, lo, hi):
     """The eigensolve stage of the eigenpairs lo..hi of the deformed pencil
-    from a complex64 tridiagonalization refined in double: the Ritz values,
-    the refined vectors in C space as spin components side by side
-    (``_spin_sides``), L, and None for the B_s that the residual gate
-    gathers; None when any step fails, so that the caller solves in double.
+    by a certified block Davidson method on the free inverse: the
+    eigenvalues, their B-orthonormal mode-major vectors, None for the
+    factor, and B_s; None when the stage refuses or fails, so that the
+    caller solves in double.
 
-    C's lower triangle is built in complex64 (``_reduce``) and reduced to a
-    real tridiagonal T = Q^H C Q by ``chetrd``; the window of T comes from
-    ``sstebz`` and ``sstein`` in single precision, and Q maps it back
-    (``cunmqr`` on the reflectors that ``chetrd`` leaves in C).  B_s is
-    gathered and factored in place to L, and C is applied in double through
-    L (``_apply_reduced``).  A Rayleigh-Ritz step in double, on the k x k
-    pencil (X^H C X, X^H X), gives Ritz pairs (theta, x) and residuals
-    r = C x - theta x.  Until every residual is at most ``MIXED_RESIDUAL``
-    max(1, |theta|), a correction step solves (T - theta I) y = Q^H r in
-    double (``zgtsv``), one shift per run of Ritz values within
-    ``MIXED_SHIFT_RUN``, and sets x <- x - Q y: a Jacobi-Davidson correction
-    (Sleijpen & van der Vorst, SIAM J. Matrix Anal. Appl. 17, 1996) with the
-    single-precision T as its preconditioner, which needs no projection
-    because R is orthogonal to X after Rayleigh-Ritz.  Each step shrinks the
-    residual by about |C - Q T Q^H| / gap, and at most ``MIXED_MAX_STEPS``
-    steps are taken.  Then C is freed.
+    The stage solves the window's block (``_shell_block``), which reaches
+    from the window to lambda = 0, by Rayleigh-Ritz on the pencil
+    (B A^{-1} B, B), whose eigenvalues are mu = 1/lambda: the spectral
+    transformation at sigma = 0 (Ericsson & Ruhe, Math. Comp. 35, 1980),
+    whose inverse A^{-1} = S / |kappa|^2 per mode symbol S is free.  The
+    block's p_- negative eigenvalues are the bottom of this pencil and its
+    p_+ positive ones the top, so plain Rayleigh-Ritz has no spurious
+    interior values.  Needs ``weight.mode_set``, whose flat clusters name
+    the block and whose symbols must be ``symbols``, and ``weight.bounds``
+    (b_lo, b_hi) with b_lo I <= B_s <= b_hi I.
 
-    Every product runs on scipy's BLAS and LAPACK.  Through the refinement
-    only the complex64 C, half of the double path's C, and L, a quarter of
-    it, are held; the gate gathers B_s a third time rather than have it held
-    beside them, which costs about 2 ms at N = 3 and keeps the scan's peak
-    RSS below the double path's.
+    - Kernel: the kappa = 0 mode (delta = (0,0,0)) is the exact kernel of A
+      at every t.  Its two B-orthonormal vectors are returned with
+      lambda = 0.0, and every other subspace vector is kept B-orthogonal to
+      them; on that complement the pseudo-inverse A^+ (zero on kappa = 0)
+      gives the same Ritz pairs as A^{-1} does without a kernel.
+    - Subspace: it starts from the flat eigenvectors of the block's
+      directions (``_flat_directions``).  Each step B-orthonormalizes the
+      new columns against the old ones and among themselves (projection,
+      then an eigendecomposition of their Gram, repeated once for nearly
+      dependent columns), with B V one gemm of B_s on the new columns only
+      (``apply_weight``).
+    - Step: the projected matrix (B V)^H A^+ (B V) is solved by ``zheevd``,
+      the p_- lowest and p_+ highest Ritz values are kept, and
+      r = A x - lambda B x.  Until every residual is at most
+      ``SHELL_RESIDUAL`` max(1, |lambda|), the subspace restarts on the Ritz
+      vectors and the flat-preconditioned corrections -(A - lambda c_0)^{-1} r
+      of the unconverged ones (c_0 the diagonal of B_s), taken on the flat
+      eigendirections outside the block, a 2 x 2 per mode: a block Davidson
+      method (Crouzeix, Philippe & Sadkane, SIAM J. Sci. Comput. 15, 1994).
+      At most ``SHELL_MAX_STEPS`` steps are taken.
+    - Certificate: by Ostrowski's theorem each deformed eigenvalue is its
+      flat one scaled by a factor in [1/b_hi, 1/b_lo], so when the block's
+      outermost positive shell |lambda| = s and the next one out, s', have
+      s b_hi < s' b_lo, the interval (0, s' / b_hi) holds exactly the
+      block's p_+ positive eigenvalues; and likewise below zero.  By Kahan's
+      theorem (Parlett, The Symmetric Eigenvalue Problem, sec. 11.5) the
+      returned Ritz values lie within eta = ||B^{-1/2} R|| of as many
+      distinct eigenvalues, eta bounded by ||R||_F / sqrt(b_lo) and the
+      B-orthonormality defect of the vectors.  Every Ritz value must lie
+      inside its interval by eta; then they approximate exactly the block's
+      eigenvalues, in order, and the window is a slice of them.
+
+    Refused: below ``SHELL_MIN_DIM``, a block of more than dim /
+    ``SHELL_BLOCK_SHARE`` pairs, b_lo <= 0, a failed bound, no convergence,
+    a LAPACK failure or a value that is not finite.  No Cholesky factor and
+    no array larger than B_s is made: the subspace holds at most twice the
+    block's columns.
     """
-    lapack = scipy.linalg.lapack
-    M = inverse_factor(weight.B_s, str(weight))
-    try:
-        C = _reduce(symbols, M, np.complex64)
-    except ValueError:  # an entry that overflows complex64, or a NaN
+    mode_set = getattr(weight, "mode_set", None)
+    if (mode_set is None or mode_set.dim < SHELL_MIN_DIM or not 0 <= lo <= hi < mode_set.dim
+            or not np.array_equal(symbols, mode_set.symbols)):
         return None
-    del M
-    dim, k = C.shape[0], hi - lo + 1
-    lwork = int(lapack.chetrd_lwork(dim, lower=1)[0].real)
-    C, d, e, tau, info = lapack.chetrd(C, lower=1, lwork=lwork, overwrite_a=1)
-    if info or not (np.isfinite(d).all() and np.isfinite(e).all()):
+    keys, starts = mode_set.flat_clusters[0], mode_set.cluster_starts
+    a, b = _shell_block(mode_set, lo, hi)
+    if (starts[b] - starts[a]) * SHELL_BLOCK_SHARE > mode_set.dim:
         return None
-    found, theta, block, split, info = lapack.sstebz(d, e, 2, 0.0, 0.0, lo + 1, hi + 1, 0.0, "B")
-    if info or found != k:
+    b_lo, b_hi = weight.bounds
+    if not b_lo > 0:
         return None
-    Z, info = lapack.sstein(d, e, theta[:k], block, split)
-    if info:
-        return None
-    # Q's reflectors in the rows 1.. of C: a view from C's second entry with
-    # C's leading dimension, of which cunmqr reads the first dim - 1 rows.
-    reflectors = C.reshape(-1, order="F")[1 : 1 + dim * (dim - 1)].reshape(
-        (dim, dim - 1), order="F"
-    )
-    Y = Z.astype(np.complex64, order="F")
-    del Z
-    lwork = int(lapack.cunmqr("L", "N", reflectors, tau, Y[1:], -1)[1][0].real)
-
-    def apply_q(Y, trans):
-        """Q Y (``trans`` "N") or Q^H Y ("C") in place, for complex64 Y."""
-        Y[1:], _, info = lapack.cunmqr("L", trans, reflectors, tau, Y[1:], lwork)
-        return info == 0
-
-    if not apply_q(Y, "N"):
-        return None
-    d, e = d.astype(np.float64), e.astype(np.complex128)
-    L = cholesky_pd(weight.B_s)
-    X = Y.astype(np.complex128)
-    for step in range(MIXED_MAX_STEPS + 1):
-        CX = _apply_reduced(symbols, L, X)
-        Xh = X.conj().T
-        w, U, info = lapack.zhegv(blas_matmul(Xh, CX), blas_matmul(Xh, X),
-                                  overwrite_a=1, overwrite_b=1)
-        if info:
+    # Per side (negative, positive): the number of the block's eigenvalues,
+    # the largest shell key among them, and the bound on |lambda| whose open
+    # interval from 0 holds exactly those eigenvalues.
+    flat = np.sqrt(np.abs(keys)) / 2.0
+    z0, z1 = np.searchsorted(keys, 0), np.searchsorted(keys, 0, side="right")
+    sides = []
+    for edge, beyond, count in ((a, a - 1, starts[z0] - starts[a]),
+                                (b - 1, b, starts[b] - starts[z1])):
+        if count == 0:
+            sides.append((0, 0, np.inf))
+            continue
+        next_out = flat[beyond] if 0 <= beyond < len(keys) else np.inf
+        if not flat[edge] * b_hi < next_out * b_lo:
             return None
-        X, R = blas_matmul(X, U), blas_matmul(CX, U)
-        R -= X * w
+        sides.append((int(count), abs(int(keys[edge])), next_out / b_hi))
+    (p_neg, q_neg, lim_neg), (p_pos, q_pos, lim_pos) = sides
+    if p_neg + p_pos == 0:  # the kernel alone: no window that _solve_shells pads
+        return None
+
+    n, dim = mode_set.n_modes, mode_set.dim
+    q = mode_set.shell_keys
+    radius = np.sqrt(q) / 2.0
+    safe = np.where(q > 0, radius, 1.0)
+    free_inverse = symbols / (safe * safe)[:, None, None]  # A^+: the kernel's symbol is 0
+    kernel = np.flatnonzero(q == 0)
+    zheevd = scipy.linalg.lapack.zheevd
+    B_s = weight.B_s
+    c0 = float(B_s[0, 0].real)
+
+    def extend(X, BX, T):
+        """T', B T' for a B-orthonormal basis T' of the part of T that is
+        B-orthogonal to X and to the kernel; None on a failure.  A second
+        round of projection and orthonormalization follows only when the
+        first met nearly dependent columns."""
+        T = T / np.linalg.norm(T, axis=0)
+        BT = apply_weight(B_s, T)
+        for m in kernel:
+            # the B-orthogonal projection off span{e_m (x) C^2}, whose Gram is c0 I
+            Y = BT[2 * m : 2 * m + 2] / c0
+            T[2 * m : 2 * m + 2] -= Y
+            BT.reshape(n, 2, -1)[...] -= B_s[:, m, None, None] * Y
+            BT[2 * m : 2 * m + 2] = 0.0
+        for _ in range(2):
+            if X.shape[1]:
+                C = blas_matmul(BX.conj().T, T)
+                T -= blas_matmul(X, C)
+                BT -= blas_matmul(BX, C)
+            d, U, info = zheevd(blas_matmul(T.conj().T, BT))
+            if info or not np.isfinite(d).all() or not d[-1] > 0:
+                return None
+            keep = d > SHELL_DROP * d[-1]
+            U = U[:, keep] / np.sqrt(d[keep])
+            T, BT = blas_matmul(T, U), blas_matmul(BT, U)
+            if d[keep][0] > SHELL_WELL_CONDITIONED * d[-1]:
+                break
+        return T, BT
+
+    outside_pos, outside_neg = q > q_pos, q > q_neg  # the kernel is neither
+
+    def correction(R, lam):
+        """-(A - lambda c0)^{-1} r on the flat eigendirections outside the
+        block, for the columns r of R and their Ritz values lambda."""
+        R = R.reshape(n, 2, -1)
+        up = 0.5 * (R + apply_symbols(symbols, R) / safe[:, None, None])  # along +|kappa|
+        T = np.zeros_like(R)
+        for part, sign, outside in ((up, 1.0, outside_pos), (R - up, -1.0, outside_neg)):
+            scale = np.divide(-1.0, sign * radius[:, None] - lam * c0,
+                              out=np.zeros((n, len(lam))), where=outside[:, None])
+            T += part * scale[:, None, :]
+        return T.reshape(dim, -1)
+
+    start = np.hstack([_flat_directions(symbols, radius, np.flatnonzero((q > 0) & (q <= q_neg)), -1.0),
+                       _flat_directions(symbols, radius, np.flatnonzero((q > 0) & (q <= q_pos)), 1.0)])
+    X = BX = np.empty((dim, 0), dtype=np.complex128)
+    mu = np.empty(0)
+    T = start
+    for _ in range(SHELL_MAX_STEPS):
+        extended = extend(X, BX, T)
+        if extended is None:
+            return None
+        T, BT = extended
+        V, BV = np.hstack([X, T]), np.hstack([BX, BT])
+        if V.shape[1] < p_neg + p_pos:
+            return None
+        # The projected matrix: X^H B A^+ B X = diag(mu) for the Ritz vectors
+        # X, and the columns of T; zheevd reads the upper triangle.
+        H = np.zeros((V.shape[1], V.shape[1]), dtype=np.complex128, order="F")
+        H[np.arange(len(mu)), np.arange(len(mu))] = mu
+        H[:, len(mu):] = blas_matmul(BV.conj().T, apply_symbols(free_inverse, BT))
+        mu, C, info = zheevd(H, overwrite_a=1)
+        if info or not np.isfinite(mu).all():
+            return None
+        kept = np.r_[0:p_neg, len(mu) - p_pos : len(mu)]
+        mu, C = mu[kept], C[:, kept]
+        if not (np.all(mu[:p_neg] < 0) and np.all(mu[p_neg:] > 0)):
+            return None
+        lam = 1.0 / mu
+        X, BX = blas_matmul(V, C), blas_matmul(BV, C)
+        R = apply_symbols(symbols, X) - BX * lam
         norms = np.linalg.norm(R, axis=0)
         if not np.isfinite(norms).all():
             return None
-        if np.all(norms <= MIXED_RESIDUAL * np.maximum(1.0, np.abs(w))):
+        open_ = norms > SHELL_RESIDUAL * np.maximum(1.0, np.abs(lam))
+        if not open_.any():
             break
-        if step == MIXED_MAX_STEPS:
-            return None
-        Y = R.astype(np.complex64, order="F")
-        if not apply_q(Y, "C"):
-            return None
-        gaps = np.diff(w) > MIXED_SHIFT_RUN * np.maximum(1.0, np.abs(w[1:]))
-        edges = [0, *(np.flatnonzero(gaps) + 1), k]
-        for j0, j1 in zip(edges[:-1], edges[1:]):
-            *_, y, info = lapack.zgtsv(e, d - w[j0:j1].mean(), e, Y[:, j0:j1])
-            if info:
-                return None
-            Y[:, j0:j1] = y
-        if not apply_q(Y, "N"):
-            return None
-        X -= Y
-    del C, reflectors, Y, CX, R
-    return w, _spin_sides(X), L, None
+        T = correction(R[:, open_], lam[open_])
+    else:
+        return None
+    del V, BV, T
+    # Kahan's bound for the B-orthonormalized X G^{-1/2}, G = X^H B X.  The
+    # Frobenius norms are summed here: np.linalg.norm would take them with
+    # numpy's BLAS (see the module docstring).
+    defect = float(np.sqrt(np.sum(np.abs(blas_matmul(X.conj().T, BX) - np.eye(len(lam))) ** 2)))
+    if not defect < 0.5:
+        return None
+    eta = (float(np.sqrt(np.sum(norms**2))) / np.sqrt(b_lo * (1.0 - defect))
+           + 2.0 * np.sqrt(1.0 + defect) * (1.0 / np.sqrt(1.0 - defect) - 1.0) * np.abs(lam).max())
+    neg, pos = lam[:p_neg], lam[p_neg:]
+    if not (np.all(neg - eta > -lim_neg) and np.all(neg + eta < 0)
+            and np.all(pos - eta > 0) and np.all(pos + eta < lim_pos)):
+        return None
+    for m in kernel:  # the exact kernel, B-orthonormal
+        K = np.zeros((dim, 2), dtype=np.complex128)
+        K[2 * m, 0] = K[2 * m + 1, 1] = 1.0 / np.sqrt(c0)
+        X, lam = np.hstack([X, K]), np.concatenate([lam, [0.0, 0.0]])
+    order = np.argsort(lam, kind="stable")[lo - starts[a] : hi - starts[a] + 1]
+    return lam[order], np.ascontiguousarray(X[:, order]), None, B_s
 
 
 def _eigh_stage(symbols, weight, subset_by_index):
@@ -536,14 +658,16 @@ def solve_gen_hermitian(symbols, weight=None, subset_by_index=None):
     length 2n (``torus_dirac.ModeSet``): B_s on both spin components.
     ``weight`` (``conformal.ScalarWeight``) has B_s's ``shape``, gathers a
     new Fortran-ordered complex B_s on each read of ``B_s`` and names itself
-    in errors (``str``); None is B = I.  With B_s = L L^H the pencil is
-    reduced to the standard problem C y = lambda y,
+    in errors (``str``); None is B = I.  One eigensolve stage gives the
+    pairs.  An index window first goes to ``_shell_window``, which needs
+    the weight's ``mode_set`` and ``bounds`` and solves without a
+    factorization when the window's block is small; the window goes to
+    ``_eigh_stage`` when it refuses or fails at any step, the residual gate
+    included, and every other solve goes there at once.  That stage reduces
+    the pencil with B_s = L L^H to the standard problem C y = lambda y,
     C = (L^{-1} (x) I_2) A (L^{-H} (x) I_2), and x = (L^{-H} (x) I_2) y
     (Golub & Van Loan, Matrix Computations, sec. 8.7); factoring a gather of
-    B_s (``inverse_factor``) is the positive-definiteness check.  One
-    eigensolve stage gives the pairs of C and L: ``_mixed_window`` for a
-    small window (``_takes_mixed_path``), and ``_eigh_stage`` otherwise or
-    when that fails at any step, the residual gate included.
+    B_s (``inverse_factor``) is the positive-definiteness check.
 
     Returns ascending eigenvalues, B-orthonormal eigenvectors with phases
     canonicalized in place, the largest per-vector residual
@@ -565,9 +689,9 @@ def solve_gen_hermitian(symbols, weight=None, subset_by_index=None):
         raise ValueError(f"symbols must have shape (n, 2, 2), got {symbols.shape}")
     if weight is not None and weight.shape != (n, n):
         raise ValueError(f"B_s must be {n} x {n} for {n} mode symbols, got {weight.shape}")
-    takes_mixed = weight is not None and _takes_mixed_path(2 * n, subset_by_index)
-    for mixed in (True, False) if takes_mixed else (False,):
-        solved = (_mixed_window(symbols, weight, *subset_by_index) if mixed
+    shell = weight is not None and subset_by_index is not None
+    for iterative in (True, False) if shell else (False,):
+        solved = (_shell_window(symbols, weight, *subset_by_index) if iterative
                   else _eigh_stage(symbols, weight, subset_by_index))
         if solved is None:
             continue
@@ -578,13 +702,11 @@ def solve_gen_hermitian(symbols, weight=None, subset_by_index=None):
             _triangular_solve(L, V, trans_a=2)
             del L
             V = _mode_major(V)
-        if B_s is None and weight is not None:  # gathered only now after a mixed solve
-            B_s = weight.B_s
         canonicalize_phases(V)
         residual_max, scale = _residual_max(symbols, w, V, B_s)
         if residual_max <= RESIDUAL_BOUND * scale:
             return w, V, residual_max, B_s
-        if not mixed:
+        if not iterative:
             raise RuntimeError(
                 f"eigensolver residual {residual_max:.3e} exceeds bound "
                 f"{RESIDUAL_BOUND:.3e} * {scale:.3e}"

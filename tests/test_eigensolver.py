@@ -130,8 +130,8 @@ class TestSolve:
         # B_s once with scipy.linalg.cholesky, keeps L through eigh, maps
         # the vectors back with trsm and takes the residual of all columns
         # at once gives the same bits.  At N=3 C is built, and the residual
-        # taken, in several panels; the window of 60 pairs is above
-        # dim / MIXED_WINDOW_SHARE, so it is solved in double.
+        # taken, in several panels; the window of 60 pairs far below zero
+        # has a block of most of the spectrum, so it is solved in double.
         ms = build_mode_set(N, (1, 0, 0))
         op = build_deformed_operator(random_factor(11, 2, 0.3), 0.05, ms)
         B_s = np.ascontiguousarray(op.weight.B_s)
@@ -197,18 +197,13 @@ class TestSolve:
         assert C.flags.f_contiguous
         assert np.tril(C).tobytes(order="F") == np.tril(C_ref).tobytes(order="F")
 
-    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["double", "single"])
-    def test_reduction_stores_only_the_lower_triangle(self, dtype):
+    def test_reduction_stores_only_the_lower_triangle(self):
         # Not even inside a panel's diagonal square is an entry above the
-        # diagonal written; a complex64 C holds the double C's entries
-        # rounded.  n = 294 modes spans three panels.
+        # diagonal written.  n = 294 modes spans three panels.
         ms = build_mode_set(3, (1, 0, 0))
-        M = inverse_of_weight(ms)
-        C = es._reduce(ms.symbols, M, dtype)
-        assert C.dtype == dtype and C.flags.f_contiguous
+        C = es._reduce(ms.symbols, inverse_of_weight(ms))
+        assert C.dtype == np.complex128 and C.flags.f_contiguous
         assert not np.triu(C, 1).any()
-        lower = np.tril(es._reduce(ms.symbols, M)).astype(dtype)
-        assert C.tobytes(order="F") == lower.tobytes(order="F")
 
     def test_non_finite_reduction_is_refused_before_eigh(self, rng, monkeypatch):
         # eigh runs without its finiteness check, so the reduction makes it:
@@ -668,70 +663,129 @@ def genericity_window(ms, m_clusters=3):
     return int(starts[a]) - 1, int(starts[b])
 
 
+def fd_window(ms, lam):
+    """The index window that ``perturbation.deformed_cluster_values`` solves
+    for the flat cluster at ``lam`` > 0: the cluster and one eigenpair past
+    each edge (inclusive bounds)."""
+    keys, starts = ms.flat_clusters[0], ms.cluster_starts
+    c = int(np.searchsorted(keys, round(4 * lam * lam)))
+    return int(starts[c]) - 1, int(starts[c + 1])
+
+
 class TestMixedWindow:
-    """Small deformed windows solved in single precision and refined in double."""
+    """Deformed index windows: solved by the certified block Davidson stage
+    on the free inverse (``_shell_window``), or left to the double path.
+    The class keeps the name of the mixed-precision window solve that the
+    stage replaced, so that its test ids stay the same."""
 
     @staticmethod
     def spy(monkeypatch):
-        """A list that records, per call of ``_mixed_window``, whether it
+        """A list that records, per call of ``_shell_window``, whether it
         returned a result (True) or left the solve to the double path."""
         taken = []
-        mixed = es._mixed_window
+        stage = es._shell_window
 
         def spy(*args):
-            out = mixed(*args)
+            out = stage(*args)
             taken.append(out is not None)
             return out
 
-        monkeypatch.setattr(es, "_mixed_window", spy)
+        monkeypatch.setattr(es, "_shell_window", spy)
         return taken
 
     @staticmethod
     def in_double(monkeypatch, solve):
-        """``solve()`` with the mixed path switched off."""
+        """``solve()`` with the shell-window stage switched off."""
         with monkeypatch.context() as m:
-            m.setattr(es, "MIXED_MIN_DIM", sys.maxsize)
+            m.setattr(es, "_shell_window", lambda *args: None)
             return solve()
 
-    def assert_agrees(self, mixed, double):
-        w, w_ref = mixed.eigenvalues, double.eigenvalues
+    def assert_agrees(self, shell, double):
+        w, w_ref = shell.eigenvalues, double.eigenvalues
         assert np.all(np.abs(w - w_ref) <= 1e-13 * np.maximum(1.0, np.abs(w_ref)))
-        assert [c.mult_c for c in mixed.clusters] == [c.mult_c for c in double.clusters]
+        assert [c.mult_c for c in shell.clusters] == [c.mult_c for c in double.clusters]
 
-    def test_path_applies_to_small_windows_from_the_dim_floor(self):
-        assert es.MIXED_MIN_DIM > 250  # N = 2 stays on the double path
-        assert es._takes_mixed_path(432, (200, 226))  # 27 <= 432 / 16
-        assert not es._takes_mixed_path(432, (200, 227))
-        assert not es._takes_mixed_path(es.MIXED_MIN_DIM - 2, (0, 3))
-        assert not es._takes_mixed_path(588, None)  # a full solve
-        assert not es._takes_mixed_path(588, (300, 290))  # left to eigh to refuse
+    def test_path_applies_to_small_windows_from_the_dim_floor(self, monkeypatch):
+        # N = 2 stays on the double path.  At N = 3 the stage takes the
+        # genericity window, whose block holds 30 pairs, from the dim floor
+        # up and while 30 * SHELL_BLOCK_SHARE <= dim = 588.
+        assert es.SHELL_MIN_DIM > max(build_mode_set(2, s).dim for s in all_spin_structures())
+        ms = build_mode_set(3, (1, 0, 0))
+        weight = build_deformed_operator(random_factor(11, 2, 0.3), 0.05, ms).weight
+        window = genericity_window(ms)
+        a, b = es._shell_block(ms, *window)
+        assert ms.cluster_starts[b] - ms.cluster_starts[a] == 30
+
+        def taken(**constants):
+            with monkeypatch.context() as m:
+                for name, value in constants.items():
+                    m.setattr(es, name, value)
+                return es._shell_window(ms.symbols, weight, *window) is not None
+
+        assert taken(SHELL_MIN_DIM=ms.dim) and not taken(SHELL_MIN_DIM=ms.dim + 1)
+        assert taken(SHELL_BLOCK_SHARE=19) and not taken(SHELL_BLOCK_SHARE=20)
+        # 60 pairs far below zero: the block is most of the spectrum
+        assert es._shell_window(ms.symbols, weight, 0, 59) is None
+        assert es._shell_window(ms.symbols, weight, 300, 290) is None  # left to eigh to refuse
+
+    def test_block_reaches_from_the_window_to_zero(self):
+        ms = build_mode_set(3, (1, 0, 0))
+        keys, starts = ms.flat_clusters[0], ms.cluster_starts
+        z = int(np.searchsorted(keys, 0))  # the first positive cluster; no kernel
+        # the genericity window: from the last negative eigenvalue through
+        # the first pair of the fourth positive shell
+        assert es._shell_block(ms, *genericity_window(ms)) == (z - 1, z + 4)
+        # a window inside the second positive shell, and one of negative
+        # eigenvalues: each side's shells down to zero
+        assert es._shell_block(ms, int(starts[z + 1]) + 1, int(starts[z + 1]) + 2) == (z, z + 2)
+        assert es._shell_block(ms, int(starts[z - 3]), int(starts[z - 2])) == (z - 3, z)
+        kernel = build_mode_set(3, (0, 0, 0))
+        k = int(np.searchsorted(kernel.flat_clusters[0], 0))
+        assert kernel.flat_clusters[0][k] == 0
+        assert es._shell_block(kernel, *fd_window(kernel, 1.0)) == (k, k + 3)
+
+    def test_gershgorin_bounds_bracket_the_weight(self):
+        ms = build_mode_set(2, (1, 0, 0))
+        for f, t in ((random_factor(11, 2, 0.3), 0.05), (ConformalFactor.cosine((1, 0, 0)), 0.3)):
+            weight = build_deformed_operator(f, t, ms).weight
+            b_lo, b_hi = weight.bounds
+            ev = np.linalg.eigvalsh(weight.B_s)
+            assert 0 < b_lo <= ev[0] and ev[-1] <= b_hi
+            assert b_lo == pytest.approx(2 * weight.B_s[0, 0].real - b_hi)
 
     @pytest.mark.parametrize("spin", all_spin_structures(), ids=str)
     def test_sweep_agrees_with_double(self, spin, monkeypatch):
-        # The genericity window at N = 3 (of fewer positive shells where
-        # three hold more than dim / 16 pairs) for four random factors and
-        # two single cosines, at t = 0.05 and 0.3: every solve takes the
-        # mixed path, its eigenvalues agree with zheevr to 1e-13 relative,
-        # and the clusters at tau = 1e-9 have the same multiplicities.
+        # The genericity window at N = 3 (of fewer positive shells where the
+        # block of three holds more than dim / 8 pairs) for four random
+        # factors and two single cosines at t = 0.05: every solve takes the
+        # stage, its eigenvalues agree with zheevr to 1e-13 relative, and
+        # the clusters at tau = 1e-9 have the same multiplicities.
         ms = build_mode_set(3, spin)
+        starts = ms.cluster_starts
+
+        def block_size(window):
+            a, b = es._shell_block(ms, *window)
+            return int(starts[b] - starts[a])
+
         window = next(w for w in (genericity_window(ms, m) for m in (3, 2, 1))
-                      if (w[1] - w[0] + 1) * es.MIXED_WINDOW_SHARE <= ms.dim)
+                      if block_size(w) * es.SHELL_BLOCK_SHARE <= ms.dim)
         factors = [random_factor(seed, 2, 0.3) for seed in (3, 5, 7, 11)]
         factors += [ConformalFactor.cosine((0, 1, -1)), ConformalFactor.cosine((1, 0, 0))]
         taken = self.spy(monkeypatch)
         for f in factors:
-            for t in (0.05, 0.3):
-                def solve(f=f, t=t):
-                    return deformed_spectrum(f, t, ms, subset_by_index=window)
+            def solve(f=f):
+                return deformed_spectrum(f, 0.05, ms, subset_by_index=window)
 
-                self.assert_agrees(solve(), self.in_double(monkeypatch, solve))
-        assert taken == [True] * len(factors) * 2
+            self.assert_agrees(solve(), self.in_double(monkeypatch, solve))
+        assert taken == [True] * len(factors)
 
     @pytest.mark.parametrize("t", [0.05, 0.3])
     def test_window_edges_cutting_kramers_pairs_and_split_shells(self, t, monkeypatch):
         # Windows that start and end inside a Kramers pair, inside a flat
         # shell that t splits, and the benchmark's genericity window of its
-        # trial 26, whose split shells lie 4e-4 apart.
+        # trial 26, whose split shells lie 4e-4 apart: at t = 0.05 the stage
+        # takes each of them, at t = 0.3 its certificate refuses them, and
+        # both agree with zheevr.
         ms = build_mode_set(3, (1, 0, 0))
         starts = ms.cluster_starts
         shell = int(np.searchsorted(starts, ms.dim // 2))
@@ -746,31 +800,83 @@ class TestMixedWindow:
                     return deformed_spectrum(f, t, ms, subset_by_index=window)
 
                 self.assert_agrees(solve(), self.in_double(monkeypatch, solve))
-        assert all(taken) and len(taken) == 6
+        assert taken == [t == 0.05] * 6
+
+    def test_refused_at_large_t_with_the_bits_of_the_double_path(self, monkeypatch):
+        # At t = 0.3 b_hi / b_lo is too wide for the flat shells to stay
+        # apart, so the certificate refuses before any iteration.
+        ms = build_mode_set(3, (1, 0, 0))
+        f, window = random_factor(11, 2, 0.3), genericity_window(ms)
+
+        def solve():
+            return es.solve_gen_hermitian(
+                ms.symbols, build_deformed_operator(f, 0.3, ms).weight, subset_by_index=window)
+
+        ref = self.in_double(monkeypatch, solve)
+        taken = self.spy(monkeypatch)
+        out = solve()
+        assert taken == [False]
+        for a, b in zip(out, ref):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.parametrize("t", [0.05, 1e-2, 1e-3])
+    def test_kernel_is_deflated_exactly(self, t, monkeypatch):
+        # delta = (0,0,0): the kappa = 0 modes are the kernel of A at every
+        # t.  The genericity window returns them at exactly 0.0, and its
+        # other pairs and those of the lambda = 1 window of the FD check
+        # agree with a dense solve of the pencil.
+        ms = build_mode_set(3, (0, 0, 0))
+        f = random_factor(11, 2, 0.3)
+        op = build_deformed_operator(f, t, ms)
+        dense = scipy.linalg.eigh(op.A, op.B, eigvals_only=True)
+        taken = self.spy(monkeypatch)
+        for window in (genericity_window(ms), fd_window(ms, 1.0)):
+            w, V, res, B_s = es.solve_gen_hermitian(ms.symbols, op.weight, subset_by_index=window)
+            ref = dense[window[0] : window[1] + 1]
+            assert np.all(np.abs(w - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+            assert res <= es.RESIDUAL_BOUND * max(1.0, np.abs(w).max())
+        assert taken == [True, True]
+        w, V, _, _ = es.solve_gen_hermitian(ms.symbols, op.weight,
+                                            subset_by_index=genericity_window(ms))
+        zero = np.flatnonzero(w == 0.0)
+        assert len(zero) == 2 and np.all(np.abs(np.delete(w, zero)) > 0.4)
+        # B-orthonormal vectors supported on the kappa = 0 mode
+        i0 = int(np.flatnonzero(ms.shell_keys == 0)[0])
+        support = np.zeros(ms.dim, dtype=bool)
+        support[2 * i0 : 2 * i0 + 2] = True
+        assert not V[~support][:, zero].any()
+        assert_allclose(V[:, zero].conj().T @ op.B @ V[:, zero], np.eye(2), atol=1e-15)
+
+    def test_n4_genericity_window_agrees_with_dense(self, monkeypatch):
+        ms = build_mode_set(4, (1, 0, 0))
+        op = build_deformed_operator(random_factor(11, 2, 0.3), 0.05, ms)
+        window = genericity_window(ms)
+        taken = self.spy(monkeypatch)
+        w, _, res, _ = es.solve_gen_hermitian(ms.symbols, op.weight, subset_by_index=window)
+        ref = scipy.linalg.eigh(op.A, op.B, eigvals_only=True, subset_by_index=window)
+        assert taken == [True]
+        assert np.all(np.abs(w - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
     @staticmethod
-    def lapack_failure(name, what="info"):
-        """A patch for ``scipy.linalg.lapack.<name>`` that reports failure:
-        info = 1, or a NaN in its first output."""
-        real = getattr(scipy.linalg.lapack, name)
+    def zheevd_failure(what):
+        """A patch for ``scipy.linalg.lapack.zheevd`` that reports failure:
+        info = 1, or NaN eigenvalues."""
+        real = scipy.linalg.lapack.zheevd
 
         def failing(*args, **kwargs):
-            out = list(real(*args, **kwargs))
+            w, v, info = real(*args, **kwargs)
             if what == "info":
-                out[-1] = 1
-            else:
-                out[0] = np.full_like(out[0], np.nan)
-            return tuple(out)
+                return w, v, 1
+            return np.full_like(w, np.nan), v, info
 
-        return name, failing
+        return failing
 
     @pytest.mark.parametrize("failure", [
-        ("MIXED_RESIDUAL", 0.0),  # the refinement never converges
-        ("RESIDUAL_BOUND", None),  # the mixed result fails the pencil gate
-        "chetrd", "sstein", "cunmqr", "zhegv", "zgtsv", "nan",
-    ], ids=["no-convergence", "pencil-gate", "chetrd", "sstein", "cunmqr", "zhegv", "zgtsv",
-            "nan"])
+        "zheevd", "nan", "no-convergence", "certificate", "b_lo", "pencil-gate",
+    ])
     def test_failure_falls_back_to_the_bits_of_the_double_path(self, failure, monkeypatch):
+        from spintorus.conformal import ScalarWeight
+
         ms = build_mode_set(3, (1, 0, 0))
         f, window = random_factor(11, 2, 0.3), genericity_window(ms)
 
@@ -780,10 +886,24 @@ class TestMixedWindow:
 
         w_ref, V_ref, res_ref, B_ref = self.in_double(monkeypatch, solve)
         taken = self.spy(monkeypatch)
-        if failure == ("RESIDUAL_BOUND", None):
-            # the first residual gate, the mixed result's in the solve's
-            # shared tail, reads a residual above the bound; the double
-            # path's is left as it is
+        bounds = ScalarWeight.bounds.fget
+        if failure in ("zheevd", "nan"):
+            monkeypatch.setattr(scipy.linalg.lapack, "zheevd",
+                                self.zheevd_failure("info" if failure == "zheevd" else "nan"))
+        elif failure == "no-convergence":
+            # the step cap is reached before every residual is small
+            monkeypatch.setattr(es, "SHELL_MAX_STEPS", 1)
+        elif failure == "certificate":
+            # b_hi / b_lo = 1.5 lets the 1.118 and 1.5 shells overlap
+            monkeypatch.setattr(ScalarWeight, "bounds", property(
+                lambda self: (bounds(self)[0], 1.5 * bounds(self)[0])))
+        elif failure == "b_lo":
+            monkeypatch.setattr(ScalarWeight, "bounds", property(
+                lambda self: (0.0, bounds(self)[1])))
+        else:
+            # the first residual gate, the stage's in the solve's shared
+            # tail, reads a residual above the bound; the double path's is
+            # left as it is
             residual_max = es._residual_max
             calls = []
 
@@ -793,23 +913,34 @@ class TestMixedWindow:
                 return (res + 1.0 if len(calls) == 1 else res), scale
 
             monkeypatch.setattr(es, "_residual_max", failing_gate)
-        elif isinstance(failure, tuple):
-            monkeypatch.setattr(es, *failure)
-        elif failure == "nan":
-            monkeypatch.setattr(scipy.linalg.lapack, *self.lapack_failure("chetrd", "nan"))
-        else:
-            monkeypatch.setattr(scipy.linalg.lapack, *self.lapack_failure(failure))
         w, V, res, B_s = solve()
-        # the gate fails only after _mixed_window has returned its pairs
-        assert taken == [failure == ("RESIDUAL_BOUND", None)]
+        # the gate fails only after _shell_window has returned its pairs
+        assert taken == [failure == "pencil-gate"]
         assert w.tobytes() == w_ref.tobytes()
         assert V.tobytes() == V_ref.tobytes()
         assert res == res_ref and B_s.tobytes() == B_ref.tobytes()
 
+    def test_indefinite_weight_raises_through_the_double_path(self, monkeypatch):
+        # A weight with b_lo <= 0 that is not positive definite: the stage
+        # refuses, and the double path's Cholesky names the weight.
+        from spintorus.conformal import ExpCoeffs, ScalarWeight
+
+        ms = build_mode_set(3, (1, 0, 0))
+        band = 2 * ms.N
+        values = np.zeros((2 * band + 1,) * 3, dtype=complex)
+        values[band, band, band] = 1.0
+        values[band + 1, band, band] = values[band - 1, band, band] = 0.9
+        weight = ScalarWeight(ms, ExpCoeffs(band, values, 0.0), 0.05)
+        assert weight.bounds[0] < 0
+        taken = self.spy(monkeypatch)
+        with pytest.raises(PositiveDefiniteError, match="Galerkin weight for t=0.05"):
+            es.solve_gen_hermitian(ms.symbols, weight, subset_by_index=genericity_window(ms))
+        assert taken == [False]
+
     def test_a_weight_is_read_only(self, monkeypatch):
-        # One weight solved twice as the mixed N=3 genericity window and
-        # twice whole in double gives the same bits each time, and keeps
-        # its fields: the solve hands nothing to the weight or takes from it.
+        # One weight solved twice as the N=3 genericity window and twice
+        # whole in double gives the same bits each time, and keeps its
+        # fields: the solve hands nothing to the weight or takes from it.
         ms = build_mode_set(3, (1, 0, 0))
         f = random_factor(11, 2, 0.3)
         weight = build_deformed_operator(f, 0.05, ms).weight
@@ -825,29 +956,29 @@ class TestMixedWindow:
             assert all(vars(weight)[name] is value for name, value in fields.items())
             assert weight.exp.values.tobytes() == exp_bytes
         assert taken == [True, True]
-        # the B_s a result keeps has the bits of a fresh gather
-        res = deformed_spectrum(f, 0.05, ms, keep_vectors=True, subset_by_index=(0, 99))
+        # the B_s a result of the stage keeps has the bits of a fresh gather
+        res = deformed_spectrum(f, 0.05, ms, keep_vectors=True,
+                                subset_by_index=genericity_window(ms))
+        assert taken[-1]
         assert res.B_s.tobytes(order="F") == weight.B_s.tobytes(order="F")
 
-    def test_entries_that_overflow_single_precision_fall_back(self, monkeypatch):
-        # Symbols of 1e38 |kappa| overflow complex64 in C, not in double.
+    def test_other_symbols_stay_in_double(self, monkeypatch):
+        # The stage reads the weight's mode set for its shells, so symbols
+        # other than that mode set's are solved in double.
         ms = build_mode_set(3, (1, 0, 0))
-        f, window = random_factor(11, 2, 0.3), genericity_window(ms)
-
-        def solve():
-            op = build_deformed_operator(f, 0.05, ms)
-            return es.solve_gen_hermitian(1e38 * ms.symbols, op.weight, subset_by_index=window)
-
-        w_ref, V_ref, *_ = self.in_double(monkeypatch, solve)
+        op = build_deformed_operator(random_factor(11, 2, 0.3), 0.05, ms)
         taken = self.spy(monkeypatch)
-        w, V, *_ = solve()
-        assert taken == [False]
-        assert w.tobytes() == w_ref.tobytes() and V.tobytes() == V_ref.tobytes()
+        w, *_ = es.solve_gen_hermitian(2.0 * ms.symbols, op.weight,
+                                       subset_by_index=genericity_window(ms))
+        w_ref, *_ = es.solve_gen_hermitian(ms.symbols, op.weight,
+                                           subset_by_index=genericity_window(ms))
+        assert taken == [False, True]
+        assert_allclose(w, 2.0 * w_ref, rtol=1e-13)
 
     def test_trusted_and_tracked_windows_stay_in_double(self, monkeypatch):
         # The trusted window (single-t spectrum), t-grids, the wide t-grid
         # whose window grows to the whole spectrum, and simplicity never
-        # reach the mixed path; the genericity window does.
+        # reach the stage; the genericity window does.
         from spintorus.conformal import tracked_spectrum, trusted_spectrum
         from spintorus.experiments import lowest_positive_clusters, simplicity_certificate
 
@@ -858,9 +989,16 @@ class TestMixedWindow:
         assert taken == [True]
 
         def forbidden(*args):
-            raise AssertionError("mixed path taken")
+            raise AssertionError("shell-window stage reached")
 
-        monkeypatch.setattr(es, "_mixed_window", forbidden)
+        # offered but refused by the block share, before any work
+        def refused(symbols, weight, lo, hi):
+            a, b = es._shell_block(ms, lo, hi)
+            assert (ms.cluster_starts[b] - ms.cluster_starts[a]) * es.SHELL_BLOCK_SHARE > ms.dim
+            return None
+
+        monkeypatch.setattr(es, "_shell_window", refused)
+        monkeypatch.setattr(es, "_flat_directions", forbidden)
         assert len(trusted_spectrum(f, 0.05, ms).eigenvalues) > 0
         assert tracked_spectrum(f, [0.0, 0.05, 0.1], ms).index_window != [0, ms.dim]
         wide = tracked_spectrum(f, [0.0, 0.05, 0.1], ms, tolerances=(1e-6, 0.2))

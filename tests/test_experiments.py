@@ -216,7 +216,7 @@ class TestGenericityScan:
         assert rows[0][0] == "trial"
         assert len(rows) == 3
 
-    # N = 3 windows of a few pairs take the mixed-precision window solve
+    # N = 3 genericity windows take the shell-window stage
     SCAN = dict(delta=(1, 0, 0), trials=3, t=0.05, N=3, degree=2, amplitude=0.3, seed=11)
 
     def test_bytes_do_not_depend_on_the_worker_count(self, monkeypatch):
