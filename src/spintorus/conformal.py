@@ -35,7 +35,9 @@ from .torus_dirac import (
     apply_flat_dirac,
     build_mode_set,
     embed_field,
+    flat_eigenvectors,
     from_grid,
+    mode_major,
     to_grid,
 )
 
@@ -519,8 +521,6 @@ class ScalarWeight:
         that sum to at most S = sum_{m != 0} |c(m)| over the cube, since
         distinct columns read distinct m.  So b = c(0) -/+ S, each widened
         outward by a rounding allowance for the sum."""
-        if self.exp is None:
-            return 1.0, 1.0
         moduli = np.abs(self.exp.values).reshape(-1)
         c0 = float(self.exp.values.reshape(-1)[moduli.size // 2].real)  # stored real
         moduli[moduli.size // 2] = 0.0
@@ -634,9 +634,11 @@ def deformed_spectrum(factor, t, mode_set, tolerances=eigensolver.TOLERANCES, ke
                       subset_by_index=None):
     """Solve the deformed eigenproblem and cluster the spectrum.
 
-    At t = 0 the weight matrix is the exact identity and the flat spectrum is
-    reproduced exactly.  The clusters are formed at ``cluster_tolerance(factor,
-    t, tolerances)``, which ``meta["tau_rel"]`` records.
+    A trivial weight (t = 0 or f = 0) is the exact identity, and the flat
+    spectrum is reproduced exactly, in closed form (``_flat_pairs``); other
+    weights go to ``eigensolver.solve_gen_hermitian``.  The clusters are
+    formed at ``cluster_tolerance(factor, t, tolerances)``, which
+    ``meta["tau_rel"]`` records.
 
     With ``keep_vectors`` the result keeps the eigenvectors and, for a
     nontrivial weight, the scalar block B_s of B = B_s (x) I_2 that the
@@ -652,10 +654,11 @@ def deformed_spectrum(factor, t, mode_set, tolerances=eigensolver.TOLERANCES, ke
     cluster boundaries.  Without a window the whole spectrum is solved.
     """
     op = build_deformed_operator(factor, t, mode_set)
-    w, V, residual_max, B_s = eigensolver.solve_gen_hermitian(
-        mode_set.symbols, None if op.weight.exp is None else op.weight,
-        subset_by_index=subset_by_index,
-    )
+    if op.weight.exp is None:
+        w, V, residual_max, B_s = *_flat_pairs(mode_set, subset_by_index, keep_vectors), None
+    else:
+        w, V, residual_max, B_s = eigensolver.solve_gen_hermitian(mode_set.symbols, op.weight,
+                                                                  subset_by_index=subset_by_index)
     meta = {
         "delta": list(mode_set.spin_structure.delta),
         "N": mode_set.N,
@@ -673,6 +676,28 @@ def deformed_spectrum(factor, t, mode_set, tolerances=eigensolver.TOLERANCES, ke
         mode_set=mode_set,
         B_s=B_s if keep_vectors else None,
     )
+
+
+def _flat_pairs(mode_set, subset_by_index, keep_vectors):
+    """(w, V, residual_max) of the pairs lo..hi (all without a window) of the
+    flat pencil (A, I) in closed form: a pair per mode and sign
+    (``flat_eigenvectors``) in the order of the signed shell keys -q, q, so w
+    is ``ModeSet.flat_clusters``' sign sqrt(q) / 2 by multiplicity.  Their u get
+    canonical phases and pass the gate ||S u - lambda u|| <= ``RESIDUAL_BOUND``
+    max(1, |lambda|) (RuntimeError otherwise); V only with ``keep_vectors``."""
+    lo, hi = (0, mode_set.dim - 1) if subset_by_index is None else subset_by_index
+    n, q = mode_set.n_modes, mode_set.shell_keys
+    slots = np.argsort(np.concatenate([-q, q]), kind="stable")[lo : hi + 1]
+    w, modes = np.repeat(*mode_set.flat_clusters[1:])[lo : hi + 1], slots % n
+    U = flat_eigenvectors(mode_set, modes, np.where(slots < n, -1.0, 1.0))
+    eigensolver.canonicalize_phases(U.T)
+    R = np.einsum("pab,pb->pa", mode_set.symbols[modes], U) - w[:, None] * U
+    residual_max = float(np.linalg.norm(R, axis=1).max(initial=0.0))
+    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
+    if not residual_max <= eigensolver.RESIDUAL_BOUND * scale:
+        raise RuntimeError(f"flat residual {residual_max:.3e} exceeds bound "
+                           f"{eigensolver.RESIDUAL_BOUND:.3e} * {scale:.3e}")
+    return w, mode_major(mode_set, modes, U) if keep_vectors else None, residual_max
 
 
 class _Grow(Exception):
@@ -768,7 +793,7 @@ def trusted_spectrum(factor, t, mode_set, tolerances=eigensolver.TOLERANCES):
 
 
 def flat_spectrum(mode_set):
-    """Eigenvalues and clusters of the undeformed operator, from a dense solve."""
+    """Eigenvalues and clusters of the undeformed operator, in closed form."""
     return deformed_spectrum(ConformalFactor.zero(), 0.0, mode_set)
 
 

@@ -3,7 +3,9 @@
 The flat operator A is block diagonal over modes, and the solve reads it as
 its 2 x 2 mode symbols; the weight of a deformed solve is B = B_s (x) I_2,
 and the solve reads B_s from a read-only weight (``conformal.ScalarWeight``)
-that gathers it afresh on each read.  A deformed solve takes one of two
+that gathers it afresh on each read; there is no B = I case, the flat
+pencil (t = 0 or f = 0) being solved in closed form by
+``conformal.deformed_spectrum``.  A deformed solve takes one of two
 eigensolve stages, n = dim / 2 the number of modes:
 
 - the shell-window stage (``_shell_window``), for an index window at
@@ -89,6 +91,7 @@ import scipy.linalg
 
 from .artifact import NOT_ARTIFACT, Artifact
 from .errors import PositiveDefiniteError
+from .torus_dirac import apply_symbols, flat_eigenvectors, mode_major
 
 #: Relative gap tolerance used to detect true degeneracies at t = 0.
 TAU_REL_DEGENERATE = 1e-6
@@ -121,10 +124,10 @@ class SpectrumResult(Artifact):
     """Sorted spectrum of one (A, B) solve with clustering and metadata.
 
     ``vectors`` are B-orthonormal columns with canonical phases; ``B_s``, the
-    scalar block of the weight B = B_s (x) I_2 (None for B = I), is kept with
-    them so curve matching can score eigenvector overlaps in the deformed
-    inner product.  Serialized artifacts carry only eigenvalues, clusters,
-    the residual bound and metadata.
+    scalar block of the weight B = B_s (x) I_2 (None for the flat pencil,
+    whose B is I), is kept with them so curve matching can score eigenvector
+    overlaps in the deformed inner product.  Serialized artifacts carry only
+    eigenvalues, clusters, the residual bound and metadata.
     """
 
     eigenvalues: np.ndarray
@@ -204,13 +207,6 @@ def inverse_factor(B_s, what="weight matrix"):
     return M
 
 
-def apply_symbols(symbols, V):
-    """A V for mode-major V (one vector or stacked columns), A the block
-    diagonal matrix whose 2 x 2 diagonal blocks are ``symbols`` (n, 2, 2)."""
-    n = symbols.shape[0]
-    return np.einsum("mab,mbp->map", symbols, V.reshape(n, 2, -1)).reshape(V.shape)
-
-
 #: Columns per panel of the work array in ``_reduce`` and of the residual
 #: gate in ``solve_gen_hermitian``.
 REDUCE_PANEL = 128
@@ -255,7 +251,7 @@ def _reduce(symbols, M):
     """The lower triangle of C = (M (x) I_2) A (M^H (x) I_2) for
     A = blockdiag(``symbols``) and the lower triangular M = L^{-1}
     (``inverse_factor``), in one Fortran-ordered dim x dim array
-    (``_lower_buffer``); for M = None, the whole of A.
+    (``_lower_buffer``).
 
     Spin block (a, b) of C, the entries C[2p + a, 2q + b], is M diag(s_ab) M^H
     for s_ab the (a, b) entries of the symbols.  It is built
@@ -273,19 +269,11 @@ def _reduce(symbols, M):
     rows p >= q of its (0, 0), (1, 0) and (1, 1) blocks, and of the (0, 1)
     block's rows [j0, j1), which mirror it, the columns q < p.  Every stored
     entry has the bits of the same formula computed on whole n x n blocks.
-    Each panel (and A's blocks for M = None) is checked to be finite when it
-    is computed: ValueError otherwise, since ``eigh`` runs without its own
-    check.
+    Each panel is checked to be finite when it is computed: ValueError
+    otherwise, since ``eigh`` runs without its own check.
     """
     n = symbols.shape[0]
     C = _lower_buffer(2 * n)
-    if M is None:
-        _require_finite(symbols)
-        modes = np.arange(n)
-        for a in (0, 1):
-            for b in (0, 1):
-                C[2 * modes + a, 2 * modes + b] = symbols[:, a, b]
-        return C
     negate = np.array_equal(symbols[:, 1, 1], -symbols[:, 0, 0])
     blocks = ((0, 0), (1, 0)) if negate else ((0, 0), (1, 1), (1, 0))
     W = np.empty((n, min(n, REDUCE_PANEL)), dtype=np.complex128, order="F")
@@ -341,22 +329,18 @@ def _residual_max(symbols, w, V, B_s):
     B x lambda is one gemm G = B_s [V_0 V_1], the spin components side by
     side (one gemm, not panels of it, keeps the bits), scaled in place; A x,
     the subtraction and the column norms take ``REDUCE_PANEL`` columns at a
-    time.  B_s = None is B = I.
+    time.
     """
     n, k = symbols.shape[0], V.shape[1]
-    if B_s is not None:
-        G = blas_matmul(B_s, V.reshape(n, 2 * k))
-        G *= np.tile(w, 2)
+    G = blas_matmul(B_s, V.reshape(n, 2 * k))
+    G *= np.tile(w, 2)
     norms = np.empty(k)
     for j0 in range(0, k, REDUCE_PANEL):
         cols = slice(j0, min(j0 + REDUCE_PANEL, k))
         R = apply_symbols(symbols, V[:, cols])
-        if B_s is None:
-            R -= V[:, cols] * w[cols]
-        else:
-            R_spin = R.reshape(n, 2, -1)
-            R_spin[:, 0] -= G[:, cols]
-            R_spin[:, 1] -= G[:, k:][:, cols]
+        R_spin = R.reshape(n, 2, -1)
+        R_spin[:, 0] -= G[:, cols]
+        R_spin[:, 1] -= G[:, k:][:, cols]
         norms[cols] = np.linalg.norm(R, axis=0)
     return float(norms.max()), float(np.maximum(1.0, np.abs(w).max()))
 
@@ -400,22 +384,6 @@ def _shell_block(mode_set, lo, hi):
     return int(a), int(b)
 
 
-def _flat_directions(symbols, radius, modes, sign):
-    """The flat eigenvectors of eigenvalue sign |kappa| of ``modes``, one
-    column each of a mode-major 2n x p array: the column of the projector
-    (I + sign S / |kappa|) / 2 of the mode symbol S = -sigma . kappa
-    (S^2 = |kappa|^2 I) with the larger diagonal entry, normalized."""
-    p, cols = len(modes), np.arange(len(modes))
-    S = symbols[modes]
-    a = (sign * S[:, 0, 0].real < 0).astype(int)  # the larger diagonal entry
-    e = sign * S[cols, :, a] / radius[modes, None]
-    e[cols, a] += 1.0
-    e /= np.sqrt(2.0 * e[cols, a].real)[:, None]
-    V = np.zeros((symbols.shape[0], 2, p), dtype=np.complex128)
-    V[modes, :, cols] = e
-    return V.reshape(2 * len(symbols), p)
-
-
 def _shell_window(symbols, weight, lo, hi):
     """The eigensolve stage of the eigenpairs lo..hi of the deformed pencil
     by a certified block Davidson method on the free inverse: the
@@ -440,11 +408,11 @@ def _shell_window(symbols, weight, lo, hi):
       them; on that complement the pseudo-inverse A^+ (zero on kappa = 0)
       gives the same Ritz pairs as A^{-1} does without a kernel.
     - Subspace: it starts from the flat eigenvectors of the block's
-      directions (``_flat_directions``).  Each step B-orthonormalizes the
-      new columns against the old ones and among themselves (projection,
-      then an eigendecomposition of their Gram, repeated once for nearly
-      dependent columns), with B V one gemm of B_s on the new columns only
-      (``apply_weight``).
+      directions (``torus_dirac.flat_eigenvectors``).  Each step
+      B-orthonormalizes the new columns against the old ones and among
+      themselves (projection, then an eigendecomposition of their Gram,
+      repeated once for nearly dependent columns), with B V one gemm of B_s
+      on the new columns only (``apply_weight``).
     - Step: the projected matrix (B V)^H A^+ (B V) is solved by ``zheevd``,
       the p_- lowest and p_+ highest Ritz values are kept, and
       r = A x - lambda B x.  Until every residual is at most
@@ -554,8 +522,9 @@ def _shell_window(symbols, weight, lo, hi):
             T += part * scale[:, None, :]
         return T.reshape(dim, -1)
 
-    start = np.hstack([_flat_directions(symbols, radius, np.flatnonzero((q > 0) & (q <= q_neg)), -1.0),
-                       _flat_directions(symbols, radius, np.flatnonzero((q > 0) & (q <= q_pos)), 1.0)])
+    sides = [np.flatnonzero((q > 0) & (q <= q_side)) for q_side in (q_neg, q_pos)]
+    modes, signs = np.concatenate(sides), np.repeat([-1.0, 1.0], [len(m) for m in sides])
+    start = mode_major(mode_set, modes, flat_eigenvectors(mode_set, modes, signs))
     X = BX = np.empty((dim, 0), dtype=np.complex128)
     mu = np.empty(0)
     T = start
@@ -605,9 +574,8 @@ def _shell_window(symbols, weight, lo, hi):
             and np.all(pos - eta > 0) and np.all(pos + eta < lim_pos)):
         return None
     for m in kernel:  # the exact kernel, B-orthonormal
-        K = np.zeros((dim, 2), dtype=np.complex128)
-        K[2 * m, 0] = K[2 * m + 1, 1] = 1.0 / np.sqrt(c0)
-        X, lam = np.hstack([X, K]), np.concatenate([lam, [0.0, 0.0]])
+        K = mode_major(mode_set, [m, m], flat_eigenvectors(mode_set, [m, m], [-1.0, 1.0]))
+        X, lam = np.hstack([X, K / np.sqrt(c0)]), np.concatenate([lam, [0.0, 0.0]])
     order = np.argsort(lam, kind="stable")[lo - starts[a] : hi - starts[a] + 1]
     return lam[order], np.ascontiguousarray(X[:, order]), None, B_s
 
@@ -616,12 +584,12 @@ def _eigh_stage(symbols, weight, subset_by_index):
     """The double eigensolve stage: ``scipy.linalg.eigh`` on the lower
     triangle of C, built with M = L^{-1} by ``_reduce``, which checks it for
     finiteness; M is freed before ``eigh`` overwrites C, and C after it.
-    Returns the eigenvalues and the vectors, and for a weight the vectors'
-    spin components side by side (``_spin_sides``), L and B_s: the vectors
-    are copied and freed before B_s is gathered again and a copy factored to
-    L, so no stage after ``eigh`` holds more than C and the window's vectors.
+    Returns the eigenvalues, the vectors' spin components side by side
+    (``_spin_sides``), L and B_s: the vectors are copied and freed before
+    B_s is gathered again and a copy factored to L, so no stage after
+    ``eigh`` holds more than C and the window's vectors.
     """
-    M = None if weight is None else inverse_factor(weight.B_s, str(weight))
+    M = inverse_factor(weight.B_s, str(weight))
     C = _reduce(symbols, M)
     del M
     # A full solve of the reduced pencil uses divide and conquer, as the
@@ -629,27 +597,20 @@ def _eigh_stage(symbols, weight, subset_by_index):
     # checked C's finiteness as it built it: eigh's own check would read all
     # of C, the half that _reduce leaves unwritten included, through a
     # dim x dim temporary.
-    full = weight is not None and subset_by_index is None
     try:
-        w, V = scipy.linalg.eigh(
-            C,
-            subset_by_index=subset_by_index,
-            overwrite_a=True,
-            check_finite=False,
-            driver="evd" if full else None,
-        )
+        w, V = scipy.linalg.eigh(C, subset_by_index=subset_by_index, overwrite_a=True,
+                                 check_finite=False,
+                                 driver="evd" if subset_by_index is None else None)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed: {exc}") from exc
     del C
-    if weight is None:
-        return w, V, None, None
     S = _spin_sides(V)
     del V
     B_s = weight.B_s
     return w, S, cholesky_pd(B_s.copy(order="F")), B_s
 
 
-def solve_gen_hermitian(symbols, weight=None, subset_by_index=None):
+def solve_gen_hermitian(symbols, weight, subset_by_index=None):
     """Solve A x = lambda B x for A = blockdiag(``symbols``) and B = B_s (x) I_2.
 
     A, the flat operator, is given by its 2 x 2 Hermitian diagonal blocks
@@ -658,10 +619,11 @@ def solve_gen_hermitian(symbols, weight=None, subset_by_index=None):
     length 2n (``torus_dirac.ModeSet``): B_s on both spin components.
     ``weight`` (``conformal.ScalarWeight``) has B_s's ``shape``, gathers a
     new Fortran-ordered complex B_s on each read of ``B_s`` and names itself
-    in errors (``str``); None is B = I.  One eigensolve stage gives the
-    pairs.  An index window first goes to ``_shell_window``, which needs
-    the weight's ``mode_set`` and ``bounds`` and solves without a
-    factorization when the window's block is small; the window goes to
+    in errors (``str``); there is no B = I case (the flat pencil is solved
+    in closed form by ``conformal.deformed_spectrum``).  One eigensolve
+    stage gives the pairs.  An index window first goes to ``_shell_window``,
+    which needs the weight's ``mode_set`` and ``bounds`` and solves without
+    a factorization when the window's block is small; the window goes to
     ``_eigh_stage`` when it refuses or fails at any step, the residual gate
     included, and every other solve goes there at once.  That stage reduces
     the pencil with B_s = L L^H to the standard problem C y = lambda y,
@@ -673,7 +635,7 @@ def solve_gen_hermitian(symbols, weight=None, subset_by_index=None):
     canonicalized in place, the largest per-vector residual
     ``||A x - lambda B x||_2`` (with ``||x||_B = 1``) on the original pencil,
     A applied through the symbols and B through B_s (``_residual_max``), and
-    that B_s (None for B = I).  The residual must stay below
+    that B_s.  The residual must stay below
     ``RESIDUAL_BOUND * max(1, max |lambda|)``; a NaN residual or eigenvalue
     fails the bound.  ``subset_by_index`` (inclusive ``[lo, hi]``) restricts
     the solve to a window of eigenpairs; ``eigh`` gets it unchanged.
@@ -687,10 +649,9 @@ def solve_gen_hermitian(symbols, weight=None, subset_by_index=None):
     n = symbols.shape[0]
     if symbols.shape != (n, 2, 2):
         raise ValueError(f"symbols must have shape (n, 2, 2), got {symbols.shape}")
-    if weight is not None and weight.shape != (n, n):
+    if weight.shape != (n, n):
         raise ValueError(f"B_s must be {n} x {n} for {n} mode symbols, got {weight.shape}")
-    shell = weight is not None and subset_by_index is not None
-    for iterative in (True, False) if shell else (False,):
+    for iterative in (True, False) if subset_by_index is not None else (False,):
         solved = (_shell_window(symbols, weight, *subset_by_index) if iterative
                   else _eigh_stage(symbols, weight, subset_by_index))
         if solved is None:
@@ -852,10 +813,11 @@ def match_curves(snapshots, rate_bound=None):
 
     Greedy matching on the overlap matrix, with an optimal-assignment
     fallback when the greedy pairing leaves an overlap below the ambiguity
-    threshold.  Trajectories are ordered by their value at the first
-    snapshot.  Low-overlap steps flag the trajectory; a step where even the
-    optimal assignment stays below ``AMBIGUOUS_OVERLAP`` marks the whole
-    family ambiguous (reported, never fatal).
+    threshold.  Trajectories are ordered by their whole row, first value
+    first, so that a tie inside a degenerate shell does not fall to the slot
+    order of the shell's basis.  Low-overlap steps flag the trajectory; a
+    step where even the optimal assignment stays below ``AMBIGUOUS_OVERLAP``
+    marks the whole family ambiguous (reported, never fatal).
 
     ``rate_bound`` (typically sup|f|) enables a continuity check: a step with
     |delta lambda| beyond twice the first-order estimate
@@ -901,7 +863,7 @@ def match_curves(snapshots, rate_bound=None):
         scale = np.maximum(1.0, np.abs(traj[:, :-1]))
         bound = 2.0 * scale * rate_bound * dt[None, :] + 1e-8
         flagged |= np.any(np.abs(np.diff(traj, axis=1)) > bound, axis=1)
-    order = np.argsort(traj[:, 0], kind="stable")
+    order = np.lexsort(traj.T[::-1])
     return CurveFamily(
         t_values=t_values,
         trajectories=traj[order],

@@ -30,9 +30,9 @@ import numpy as np
 
 from . import eigensolver
 from .artifact import NOT_ARTIFACT, Artifact
-from .conformal import _solve_shells, assemble_multiplication
+from .conformal import _flat_pairs, _solve_shells, assemble_multiplication
 from .errors import ClusterNotIsolatedError
-from .torus_dirac import SpinorField, apply_flat_dirac_coeffs, apply_J_coeffs
+from .torus_dirac import SpinorField, apply_J_coeffs, apply_symbols
 
 #: Tolerance for the quaternionic pairing of cluster-matrix eigenvalues.
 PAIR_TOL = 1e-8
@@ -74,7 +74,7 @@ def validate_cluster(cluster):
     gerr = float(np.max(np.abs(gram - np.eye(cluster.p_c))))
     if gerr > 1e-10:
         raise ValueError(f"cluster basis not orthonormal: Gram error {gerr:.3e}")
-    res = np.linalg.norm(apply_flat_dirac_coeffs(cluster.mode_set, V) - cluster.lam * V, axis=0)
+    res = np.linalg.norm(apply_symbols(cluster.mode_set.symbols, V) - cluster.lam * V, axis=0)
     bound = 1e-9 * max(1.0, abs(cluster.lam))
     if res.size and float(res.max()) > bound:
         raise ValueError(
@@ -108,7 +108,8 @@ def extract_cluster(mode_set, lam=None, index=None):
     The cluster is entry ``index`` of ``mode_set.flat_clusters`` (or the one
     at lam); each mode of its shell gives the column e_kappa (x) u, u the
     eigenvector of its symbol -sigma . kappa for that sign (the zero mode
-    gives both columns)."""
+    gives both columns): the cluster's index window of the closed-form flat
+    solve (``conformal._flat_pairs``)."""
     keys, lams, _ = mode_set.flat_clusters
     if index is None:
         if lam is None:
@@ -116,13 +117,8 @@ def extract_cluster(mode_set, lam=None, index=None):
         index = flat_cluster_index(mode_set, lam)
     elif not 0 <= index < len(keys):
         raise ValueError(f"cluster index {index} out of range (0..{len(keys) - 1})")
-    key = keys[index]
-    sel = np.flatnonzero(mode_set.shell_keys == abs(key))
-    _, U = np.linalg.eigh(mode_set.symbols[sel])  # columns: -|kappa|, +|kappa|
-    U = U if key == 0 else U[:, :, [int(key > 0)]]
-    V = np.zeros((mode_set.n_modes, 2) + U.shape[::2], dtype=np.complex128)
-    V[sel, :, np.arange(len(sel))] = U
-    V = eigensolver.canonicalize_phases(V.reshape(mode_set.dim, -1))
+    start, stop = mode_set.cluster_starts[index : index + 2]
+    _, V, _ = _flat_pairs(mode_set, (start, stop - 1), keep_vectors=True)
     cluster = EigenCluster(mode_set, float(lams[index]), V)
     validate_cluster(cluster)
     return cluster

@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eigensolver import apply_symbols
 from .spinor_algebra import apply_J, dirac_symbol
 
 #: Dimension of the torus.  A few conformal formulas carry the dimension n
@@ -235,15 +234,44 @@ def embed_field(phi, big_mode_set):
     return SpinorField(big_mode_set, out)
 
 
-def apply_flat_dirac_coeffs(mode_set, V):
-    """Flat Dirac operator mode by mode, u_kappa -> -sigma.kappa u_kappa, on
-    coefficients in any layout ``apply_J_coeffs`` takes (stacked columns too)."""
-    return apply_symbols(mode_set.symbols, np.asarray(V))
+def apply_symbols(symbols, V):
+    """A V for mode-major V (one vector, stacked columns or (n, 2)
+    coefficients), A = blockdiag(``symbols``) of shape (n, 2, 2)."""
+    n = symbols.shape[0]
+    return np.einsum("mab,mbp->map", symbols, V.reshape(n, 2, -1)).reshape(V.shape)
+
+
+def flat_eigenvectors(mode_set, modes, signs):
+    """The flat eigenvectors of eigenvalue sign |kappa| of ``modes`` (indices)
+    and their ``signs`` (+/-1 each), as the rows u of a p x 2 array:
+    the vector is e_kappa (x) u (``mode_major``).  For kappa != 0, u is the
+    normalized column of the projector (I + sign S / |kappa|) / 2 of the
+    symbol S = -sigma . kappa (S^2 = |kappa|^2 I) with the larger diagonal
+    entry; the kernel mode kappa = 0 gives e_0 for sign -1, e_1 for +1."""
+    modes = np.asarray(modes, dtype=np.int64)
+    q, signs = mode_set.shell_keys[modes], np.asarray(signs)
+    U = np.zeros((len(modes), 2), dtype=np.complex128)
+    U[q == 0, (signs[q == 0] > 0).astype(int)] = 1.0
+    m, sign = q > 0, signs[q > 0, None]
+    S, cols = mode_set.symbols[modes[m]], np.arange(np.count_nonzero(m))
+    a = (sign[:, 0] * S[:, 0, 0].real < 0).astype(int)  # the larger diagonal entry
+    e = sign * S[cols, :, a] / (np.sqrt(q[m]) / 2.0)[:, None]
+    e[cols, a] += 1.0
+    e /= np.sqrt(2.0 * e[cols, a].real)[:, None]
+    U[m] = e
+    return U
+
+
+def mode_major(mode_set, modes, U):
+    """The mode-major dim x p array whose column j is e_{modes[j]} (x) U[j]."""
+    V = np.zeros((mode_set.n_modes, 2, len(modes)), dtype=np.complex128)
+    V[modes, :, np.arange(len(modes))] = U
+    return V.reshape(mode_set.dim, len(modes))
 
 
 def apply_flat_dirac(phi):
-    """Flat Dirac operator on fields (see ``apply_flat_dirac_coeffs``)."""
-    return SpinorField(phi.mode_set, apply_flat_dirac_coeffs(phi.mode_set, phi.coeffs))
+    """Flat Dirac operator on fields, mode by mode: u_kappa -> -sigma.kappa u_kappa."""
+    return SpinorField(phi.mode_set, apply_symbols(phi.mode_set.symbols, phi.coeffs))
 
 
 def assemble_flat_dirac(mode_set):

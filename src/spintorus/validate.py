@@ -9,7 +9,9 @@ run these checks at their full sizes; ``run_all`` runs them at small sizes.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
+from . import eigensolver
 from . import spinor_algebra as sa
 from .conformal import ConformalFactor, deformed_spectrum, flat_spectrum, substitution_identity_error
 from .experiments import random_factor
@@ -23,13 +25,12 @@ def _require(ok, message):
 
 
 def check_oracle_equality(N, tol=1e-12):
-    """Flat clusters with |lambda| <= N - 1/2 equal the lattice count, all 8 spin structures."""
+    """Flat clusters with |lambda| <= N - 1/2 equal the lattice count, all 8
+    spin structures, both in closed form and from an unstructured dense solve."""
     radius = N - 0.5 + 1e-9
     worst = 0.0
     for spin in all_spin_structures():
         ms = build_mode_set(N, spin)
-        res = flat_spectrum(ms)
-        got = [(c.lam, c.mult_c, c.mult_h) for c in res.clusters if abs(c.lam) <= radius]
         expected = []
         for line in closed_form_spectrum(spin, radius):
             signs = (1.0,) if line.lam == 0.0 else (-1.0, 1.0)
@@ -40,24 +41,34 @@ def check_oracle_equality(N, tol=1e-12):
         table = list(zip(lams[inside].tolist(), mult_c[inside].tolist()))
         _require(table == [(el, ec) for el, ec, _ in expected],
                  f"flat cluster table differs from the lattice count for delta={spin}")
-        _require(len(got) == len(expected), f"cluster count mismatch for delta={spin}")
-        for (gl, gc, gh), (el, ec, eh) in zip(got, expected):
-            _require(abs(gl - el) <= tol, f"eigenvalue {gl} vs {el} for delta={spin}")
-            _require((gc, gh) == (ec, eh), f"multiplicity at {el} for delta={spin}")
-            worst = max(worst, abs(gl - el))
+        for how, clusters in (("closed form", flat_spectrum(ms).clusters),
+                              ("dense solve", _dense_flat_clusters(ms))):
+            got = [(c.lam, c.mult_c, c.mult_h) for c in clusters if abs(c.lam) <= radius]
+            _require(len(got) == len(expected), f"{how}: cluster count mismatch for delta={spin}")
+            for (gl, gc, gh), (el, ec, eh) in zip(got, expected):
+                _require(abs(gl - el) <= tol, f"{how}: eigenvalue {gl} vs {el} for delta={spin}")
+                _require((gc, gh) == (ec, eh), f"{how}: multiplicity at {el} for delta={spin}")
+                worst = max(worst, abs(gl - el))
     return f"8 spin structures at N={N}, worst eigenvalue error {worst:.2e}"
 
 
+def _dense_flat_clusters(ms):
+    """The clusters of the unstructured dense solve of the flat operator."""
+    w = scipy.linalg.eigvalsh(ms.flat_matrix)
+    return eigensolver.cluster_eigenvalues(w, eigensolver.TAU_REL_DEGENERATE)
+
+
 def check_kramers_pairing(seed, runs):
-    """Even complex multiplicities: 16 flat runs, then random deformed ones up to ``runs``."""
+    """Even complex multiplicities: 16 flat runs of a dense solve, then random
+    deformed ones up to ``runs``."""
     rng = np.random.default_rng(seed)
     done = 0
     violations = []
     for spin in all_spin_structures():
         for N in (1, 2):
-            res = flat_spectrum(build_mode_set(N, spin))
             done += 1
-            violations += [c for c in res.clusters if not c.kramers_ok]
+            clusters = _dense_flat_clusters(build_mode_set(N, spin))
+            violations += [c for c in clusters if not c.kramers_ok]
     while done < runs:
         spin = all_spin_structures()[rng.integers(0, 8)]
         ms = build_mode_set(2, spin)

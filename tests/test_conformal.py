@@ -19,6 +19,7 @@ from spintorus.torus_dirac import (
     ModeSet,
     all_spin_structures,
     apply_flat_dirac,
+    apply_J_coeffs,
     build_mode_set,
     closed_form_spectrum,
     random_field,
@@ -608,6 +609,42 @@ class TestDeformedSpectrum:
         wr = cf.deformed_spectrum(refl, 0.05, ms, keep_vectors=False).eigenvalues
         assert np.max(np.abs(w + wr[::-1])) < 1e-9
         assert np.max(np.abs(w + w[::-1])) > 1e-5  # genuinely asymmetric
+
+    def test_trivial_weights_reach_no_dense_solve(self, monkeypatch, capsys):
+        # t = 0 and f = 0 are solved in closed form: flat_spectrum,
+        # spectrum --t 0, the t = 0 snapshot of a t-grid and --f-const 0 at
+        # t = 0.05 call neither the double stage nor scipy's eigh, which the
+        # grid's t > 0 snapshots call once each.
+        from spintorus.cli import main
+
+        stages, eighs = [], []
+        stage, eigh = es._eigh_stage, scipy.linalg.eigh
+        monkeypatch.setattr(es, "_eigh_stage",
+                            lambda s, weight, w: stages.append(weight.t) or stage(s, weight, w))
+        monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **k: eighs.append(1) or eigh(*a, **k))
+        assert len(cf.flat_spectrum(build_mode_set(3, (1, 0, 0))).eigenvalues) == 588
+        spectrum = ["spectrum", "--delta", "1,0,0", "--N", "2"]
+        for args in (["--t", "0"], ["--f-const", "0", "--t", "0.05"],
+                     ["--f-cos", "1,0,0", "--t-grid", "0,0.01,0.02"]):
+            assert main(spectrum + args) == 0
+        assert stages == [0.01, 0.02] and len(eighs) == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("spin", all_spin_structures(), ids=str)
+    def test_pencil_is_j_invariant(self, spin):
+        # J is a signed permutation P composed with conjugation, so
+        # J M J^{-1} = P conj(M) P^T involves no rounding: for a random factor
+        # it equals A and B exactly.  Every closed-form flat shell passes
+        # validate_cluster, so its span is J-closed.
+        from spintorus.perturbation import EigenCluster, validate_cluster
+
+        ms = build_mode_set(2, spin)
+        op = cf.build_deformed_operator(random_factor(11, 2, 0.3), 0.05, ms)
+        for M in (op.A, op.B):
+            assert np.array_equal(apply_J_coeffs(ms, apply_J_coeffs(ms, M).conj().T).T, M)
+        flat = cf.deformed_spectrum(cf.ConformalFactor.zero(), 0.0, ms, keep_vectors=True)
+        for c in flat.clusters:
+            validate_cluster(EigenCluster(ms, c.lam, flat.vectors[:, c.start : c.stop]))
 
     def test_b_orthonormal_vectors(self):
         ms = build_mode_set(1, (1, 1, 0))

@@ -80,8 +80,9 @@ def mapping_rss(address):
 
 class TestSolve:
     def test_plain_hermitian(self, rng):
+        # B = I: the solve has no weightless case, so an identity weight
         S = random_symbols(rng, 6)
-        w, V, _, _ = es.solve_gen_hermitian(S)
+        w, V, _, _ = es.solve_gen_hermitian(S, ArrayWeight(np.eye(6)))
         assert_allclose(np.sort(np.linalg.eigvalsh(block_diag(S))), w, atol=1e-10)
         assert_allclose(V.conj().T @ V, np.eye(12), atol=1e-10)
 
@@ -171,7 +172,6 @@ class TestSolve:
         Minv = kron2(np.linalg.inv(L))
         # only the lower triangle, all that eigh reads, is written
         assert_allclose(C, np.tril(Minv @ block_diag(S) @ Minv.conj().T), atol=1e-13)
-        assert es._reduce(S, None).tobytes(order="F") == block_diag(S).tobytes(order="F")
 
     @pytest.mark.parametrize("symbols", ["dirac", "random"])
     def test_panelled_reduction_is_bit_identical_to_whole_blocks(self, rng, symbols):
@@ -208,24 +208,27 @@ class TestSolve:
     def test_non_finite_reduction_is_refused_before_eigh(self, rng, monkeypatch):
         # eigh runs without its finiteness check, so the reduction makes it:
         # a NaN in M = L^{-1} raises eigh's ValueError (exit code 3 in the
-        # CLI), and eigh is never called; so does an infinite symbol without
-        # a weight.  n = 150 modes spans two panels.
+        # CLI), and eigh is never called; so does an infinite symbol with a
+        # finite weight.  n = 150 modes spans two panels.
         n = 150
         S = random_symbols(rng, n)
         M = scipy.linalg.lapack.ztrtri(
             scipy.linalg.cholesky(random_spd(rng, n), lower=True), lower=1
         )[0]
         M[140, 130] = np.nan
-        monkeypatch.setattr(es, "inverse_factor", lambda B_s, what="": M)
 
         def eigh(*args, **kwargs):
             raise AssertionError("eigh called")
 
         monkeypatch.setattr(scipy.linalg, "eigh", eigh)
-        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-            es.solve_gen_hermitian(S, ArrayWeight(random_spd(rng, n)))
-        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-            es.solve_gen_hermitian(np.where(np.arange(n)[:, None, None] == 7, np.inf, S))
+        with monkeypatch.context() as m:
+            m.setattr(es, "inverse_factor", lambda B_s, what="": M)
+            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+                es.solve_gen_hermitian(S, ArrayWeight(random_spd(rng, n)))
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"), \
+                np.errstate(invalid="ignore"):
+            es.solve_gen_hermitian(np.where(np.arange(n)[:, None, None] == 7, np.inf, S),
+                                   ArrayWeight(random_spd(rng, n)))
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux") or mmap.PAGESIZE > 4096,
@@ -252,15 +255,32 @@ class TestSolve:
         assert resident_share() <= 0.7
 
     @pytest.mark.parametrize("spin", [(0, 0, 0), (1, 0, 0)], ids=str)
-    def test_t_zero_is_bit_identical_to_dense_eigh(self, spin):
+    def test_t_zero_closed_form_agrees_with_dense_eigh(self, spin):
+        # The flat pencil is solved in closed form: whole and in windows
+        # that cut shells, its eigenvalues agree with dense eigh of A to
+        # 1e-13 relative with the same multiplicities, the kernel is exactly
+        # 0.0, the vectors are orthonormal (B = I) eigenvectors, and
+        # residual_max is their largest residual.
         ms = build_mode_set(2, spin)
-        w_ref, V_ref = scipy.linalg.eigh(assemble_flat_dirac(ms))
-        w, V, _, _ = es.solve_gen_hermitian(ms.symbols)
-        assert w.tobytes() == w_ref.tobytes()
-        assert V.tobytes() == es.canonicalize_phases(V_ref).tobytes()
-        res = deformed_spectrum(ConformalFactor.zero(), 0.0, ms, keep_vectors=True)
-        assert res.eigenvalues.tobytes() == w_ref.tobytes()
-        assert res.vectors.tobytes() == V.tobytes()
+        A = assemble_flat_dirac(ms)
+        w_ref = scipy.linalg.eigvalsh(A)
+        i0 = first_nonnegative_index(ms)
+        for window in (None, (i0 - 3, i0 + 12), (0, 4), (ms.dim - 7, ms.dim - 1)):
+            lo, hi = window or (0, ms.dim - 1)
+            res = deformed_spectrum(ConformalFactor.zero(), 0.0, ms, keep_vectors=True,
+                                    subset_by_index=window)
+            w, V, ref = res.eigenvalues, res.vectors, w_ref[lo : hi + 1]
+            assert np.all(np.abs(w - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+            assert ([c.mult_c for c in res.clusters]
+                    == [c.mult_c for c in es.cluster_eigenvalues(ref, es.TAU_REL_DEGENERATE)])
+            assert res.B_s is None
+            assert_allclose(V.conj().T @ V, np.eye(hi - lo + 1), atol=1e-15)
+            residuals = np.linalg.norm(A @ V - V * w, axis=0)
+            assert res.residual_max == pytest.approx(residuals.max(), abs=1e-15)
+            assert res.residual_max <= es.RESIDUAL_BOUND * max(1.0, np.abs(w).max())
+        w = deformed_spectrum(ConformalFactor.zero(), 0.0, ms).eigenvalues
+        assert np.count_nonzero(w == 0.0) == (2 if spin == (0, 0, 0) else 0)
+        assert np.count_nonzero(np.abs(w) < 0.4) == np.count_nonzero(w == 0.0)
 
     def test_phase_canonicalization(self, rng):
         V = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
@@ -402,7 +422,7 @@ class TestSolverErrors:
             return w, V
 
         monkeypatch.setattr(scipy.linalg, "eigh", nan_pair)
-        weight = ArrayWeight(random_spd(rng, 4)) if weighted else None
+        weight = ArrayWeight(random_spd(rng, 4) if weighted else np.eye(4))
         with pytest.raises(RuntimeError, match="residual nan"), np.errstate(invalid="ignore"):
             es.solve_gen_hermitian(random_symbols(rng, 4), weight)
 
@@ -589,6 +609,24 @@ class TestCurveMatching:
         rates = np.sort(perturbation_matrix(cluster, factor).rates)
         # 5% of the natural first-order scale |lambda| * sup|f|
         assert np.max(np.abs(slopes - rates)) <= 0.05 * factor.sup_abs()
+
+    def test_t_zero_basis_leaves_trajectories_unchanged(self, rng):
+        # Trajectories are ordered by their whole row, so the basis that a
+        # t = 0 snapshot holds inside each degenerate shell, where its
+        # trajectories tie, does not reach them: a random unitary rotation
+        # inside every shell leaves them bit-identical.
+        ms = build_mode_set(2, (1, 0, 0))
+        f = random_factor(11, 2, 0.3)
+        snaps = [deformed_spectrum(f, t, ms, keep_vectors=True) for t in (0.0, 0.02, 0.04)]
+        rotated = deformed_spectrum(f, 0.0, ms, keep_vectors=True)
+        for c in rotated.clusters:
+            p = c.stop - c.start
+            Q, _ = np.linalg.qr(rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
+            rotated.vectors[:, c.start : c.stop] = rotated.vectors[:, c.start : c.stop] @ Q
+        assert max(c.mult_c for c in rotated.clusters) > 2
+        fam, again = (es.match_curves([first, *snaps[1:]]) for first in (snaps[0], rotated))
+        assert not fam.ambiguous and not again.ambiguous
+        assert fam.trajectories.tobytes() == again.trajectories.tobytes()
 
     def test_dimension_mismatch(self):
         a, b = (
@@ -998,7 +1036,7 @@ class TestMixedWindow:
             return None
 
         monkeypatch.setattr(es, "_shell_window", refused)
-        monkeypatch.setattr(es, "_flat_directions", forbidden)
+        monkeypatch.setattr(es, "flat_eigenvectors", forbidden)
         assert len(trusted_spectrum(f, 0.05, ms).eigenvalues) > 0
         assert tracked_spectrum(f, [0.0, 0.05, 0.1], ms).index_window != [0, ms.dim]
         wide = tracked_spectrum(f, [0.0, 0.05, 0.1], ms, tolerances=(1e-6, 0.2))
