@@ -54,6 +54,9 @@ REALITY_TOL = 1e-14
 #: min e^{tf} and so for the smallest eigenvalue of B.
 EXP_ALIAS_TOL = 1e-15
 
+#: ``exp_coeffs`` zeroes coefficients below this times the largest sample of e^{tf}.
+EXP_DUST = 1e-15
+
 #: Largest weight |t| ||fhat||_1 whose e^{tf} coefficients are certified; at
 #: it the grid side is already about 380 times the factor's degree.
 EXP_WEIGHT_MAX = 100.0
@@ -128,6 +131,15 @@ def exp_grid_size(band, degree, weight=0.0):
 def extrema_grid_size(degree):
     """Side of the grid on which ``ConformalFactor.extrema`` samples f."""
     return max(64, 4 * degree + 4)
+
+
+def fft_rounding(G):
+    """Allowance for the rounding of one output of a G^3 FFT, relative to the
+    l1 norm of its input (its mean modulus for the forward FFT, which divides
+    by G^3): 3 (G + 2) eps, twice the componentwise bound of three naive
+    length-G DFTs (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sec. 3.1), which a fast transform's O(log G) rounding is below."""
+    return 3 * (G + 2) * np.finfo(float).eps
 
 
 def exp_scalar(x, what):
@@ -337,6 +349,19 @@ class ConformalFactor(CenteredCube):
             self._extrema = (float(g.min()), float(g.max()))
         return self._extrema
 
+    def certified_range(self):
+        """[f_lo, f_hi], which holds every value of f: the extrema sampled on
+        ``extrema``'s grid of side G, widened by (3 pi^2 / 2 G^2) sum_m |m|^2
+        |fhat(m)| and the samples' FFT rounding, and rounded outward.  At an
+        extremum the gradient vanishes, the Hessian has norm at most sum_m
+        |m|^2 |fhat(m)|, and a grid point lies within sqrt(3) pi / G."""
+        lo, hi = self.extrema()
+        G = extrema_grid_size(self.degree)
+        m2 = np.sum(cube_modes(self.degree) ** 2, axis=1)
+        curvature = float(m2 @ np.abs(self.values).reshape(-1))
+        widen = 1.5 * (math.pi / G) ** 2 * curvature + fft_rounding(G) * self.l1_norm()
+        return math.nextafter(lo - widen, -math.inf), math.nextafter(hi + widen, math.inf)
+
     def oscillation(self):
         lo, hi = self.extrema()
         return hi - lo
@@ -401,13 +426,14 @@ class ExpCoeffs(CenteredCube):
     ``recon_error`` is the certified bound on their summed aliasing error
     (see ``exp_grid_size``): the coefficients differ from the exact ones by
     at most this much in l1, so the Galerkin matrix built from them differs
-    from the exact one by at most this much in the 2-norm, FFT roundoff
-    aside.
+    from the exact one by at most this much in the 2-norm, rounding aside;
+    ``round_error`` bounds the l1 error that rounding adds (``exp_coeffs``).
     """
 
     band_used: int
     values: np.ndarray  # (2 b + 1,)^3
     recon_error: float
+    round_error: float
 
 
 def exp_coeffs(factor, t, band):
@@ -420,26 +446,36 @@ def exp_coeffs(factor, t, band):
     is symmetrized as ``CenteredCube`` requires.  Raises ValueError when the
     weight exceeds ``EXP_WEIGHT_MAX``, or when e^{tc} of a constant f = c
     overflows.
+
+    ``round_error`` sums over the block a bound on each coefficient's
+    rounding: max h, h the samples, times the samples' relative error (|t|
+    ``fft_rounding(G)`` ||fhat||_1 from f's FFT, (|t| ||fhat||_1 + 2) eps
+    from t f and exp), ``fft_rounding(G)`` of the forward FFT, the zeroed
+    dust, and eps of the symmetrization.
     """
     band = int(band)
     if band < 0:
         raise ValueError("band must be >= 0")
     side = 2 * band + 1
+    eps = np.finfo(float).eps
     if t == 0 or factor.is_constant:
         vals = np.zeros((side, side, side), dtype=np.complex128)
-        vals[band, band, band] = exp_scalar(t * factor.mean(), "e^{tf} =") if t != 0 else 1.0
-        return ExpCoeffs(band, vals, 0.0)
+        x = t * factor.mean()
+        vals[band, band, band] = value = exp_scalar(x, "e^{tf} =")
+        return ExpCoeffs(band, vals, 0.0, (abs(x) + 2) * eps * value)
 
     d = factor.degree
     weight = abs(t) * factor.l1_norm()
     G = exp_grid_size(band, d, weight)
     h = np.exp(t * factor.grid_values(G))
+    h_max = float(np.max(h))
     vals = from_grid(h, cube_modes(band), G).reshape(side, side, side)
     # Zero the FFT roundoff dust, so that the support of the block (and the
     # sparsity of B) is the analytic one.
-    vals[np.abs(vals) < 1e-15 * float(np.max(h))] = 0.0
+    vals[np.abs(vals) < EXP_DUST * h_max] = 0.0
     vals = 0.5 * (vals + np.conj(vals[::-1, ::-1, ::-1]))
-    return ExpCoeffs(band, vals, exp_tail(weight, -(-(G - band) // d)))
+    rounding = vals.size * h_max * (fft_rounding(G) * (1 + weight) + (weight + 3) * eps + EXP_DUST)
+    return ExpCoeffs(band, vals, exp_tail(weight, -(-(G - band) // d)), rounding)
 
 
 def required_band(mode_set):
@@ -493,11 +529,14 @@ class ScalarWeight:
     Read-only: ``B_s`` gathers a fresh Fortran-ordered B_s on each read, which
     the solve (``eigensolver.solve_gen_hermitian``) factors in place, and
     ``str`` names the weight, with its ``t``, in the solve's errors.
+    ``f_range`` is f's ``ConformalFactor.certified_range``, which ``bounds``
+    reads.
     """
 
     mode_set: ModeSet
     exp: ExpCoeffs | None
     t: float
+    f_range: tuple[float, float]
 
     def __str__(self):
         return f"Galerkin weight for t={self.t}"
@@ -516,17 +555,20 @@ class ScalarWeight:
 
     @property
     def bounds(self):
-        """(b_lo, b_hi) with b_lo I <= B_s <= b_hi I, by Gershgorin: every row
-        of B_s = [c(k_i - k_j)] has the diagonal c(0) and off-diagonal moduli
-        that sum to at most S = sum_{m != 0} |c(m)| over the cube, since
-        distinct columns read distinct m.  So b = c(0) -/+ S, each widened
-        outward by a rounding allowance for the sum."""
-        moduli = np.abs(self.exp.values).reshape(-1)
-        c0 = float(self.exp.values.reshape(-1)[moduli.size // 2].real)  # stored real
-        moduli[moduli.size // 2] = 0.0
-        S = float(moduli.sum())
-        slack = moduli.size * np.finfo(float).eps * (c0 + S)
-        return c0 - S - slack, c0 + S + slack
+        """(b_lo, b_hi) with b_lo I <= B_s <= b_hi I: e^{t [f_lo, f_hi]} (the
+        ends swapped for t < 0), widened by the l1 error of the block,
+        ``recon_error`` + ``round_error``.  B_s reads e^{tf}'s coefficients
+        only at mode differences, all inside the band, so with exact ones
+        x^H B_s x = int e^{tf} |psi|^2 for the field psi of x, and B_s lies
+        between min and max e^{tf}; the stored block moves B_s by at most its
+        l1 error in the 2-norm, since distinct columns of a row read distinct
+        m.  The relative margin (|t f| + 4) eps covers the rounding of t f,
+        of exp and of the widening; a b_hi that overflows is inf."""
+        eps, slack = np.finfo(float).eps, self.exp.recon_error + self.exp.round_error
+        x = np.sort([self.t * f for f in self.f_range])
+        with np.errstate(over="ignore"):
+            e = np.exp(x) * (1 + np.array([-1.0, 1.0]) * (np.abs(x) + 4) * eps)
+        return float(e[0] - slack), float(e[1] + slack)
 
 
 def assemble_B(factor, t, mode_set):
@@ -555,7 +597,7 @@ def assemble_B(factor, t, mode_set):
             f"range {T_RANGE_LIMIT}; first-order theory may be unreliable",
             stacklevel=2,
         )
-    return ScalarWeight(mode_set, exp, t)
+    return ScalarWeight(mode_set, exp, t, factor.certified_range())
 
 
 @dataclass

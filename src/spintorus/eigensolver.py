@@ -13,10 +13,11 @@ eigensolve stages, n = dim / 2 the number of modes:
   lambda = 0 (``_shell_block``), holds at most dim / 8 pairs: B_s is
   gathered once, and a block Davidson method on the pencil (B A^{-1} B, B),
   whose extremal eigenvalues 1/lambda are the block's, solves it from the
-  flat eigenvectors with no factorization; A^{-1} costs O(dim).  A
-  Gershgorin bound on B_s certifies that the pairs are exactly the window's
-  indices.  Any refusal or failure, the residual gate's included, falls
-  back to the double stage.  Median ``solve_gen_hermitian`` time of the
+  flat eigenvectors with no factorization; A^{-1} costs O(dim).  Bounds
+  on B_s from the certified range of f certify that the pairs are exactly
+  the window's indices (up to t = 0.2 for the N = 3 genericity window).
+  Any refusal or failure, the residual gate's included, falls back to the
+  double stage.  Median ``solve_gen_hermitian`` time of the
   genericity window (of fewer positive shells where three do not fit),
   then of wider windows near the block share, one BLAS thread on a 2-vCPU
   Haswell VM, random factors of seeds 7-11 (7-9 at N = 5), t = 0.05:
@@ -422,11 +423,13 @@ def _shell_window(symbols, weight, lo, hi):
       eigendirections outside the block, a 2 x 2 per mode: a block Davidson
       method (Crouzeix, Philippe & Sadkane, SIAM J. Sci. Comput. 15, 1994).
       At most ``SHELL_MAX_STEPS`` steps are taken.
-    - Certificate: by Ostrowski's theorem each deformed eigenvalue is its
-      flat one scaled by a factor in [1/b_hi, 1/b_lo], so when the block's
-      outermost positive shell |lambda| = s and the next one out, s', have
-      s b_hi < s' b_lo, the interval (0, s' / b_hi) holds exactly the
-      block's p_+ positive eigenvalues; and likewise below zero.  By Kahan's
+    - Certificate: b_lo and b_hi are e^{tf}'s certified range, widened by
+      the block's l1 error (``ScalarWeight.bounds``); by Ostrowski's theorem
+      each deformed eigenvalue is its flat one scaled by a factor in
+      [1/b_hi, 1/b_lo], so when the block's outermost positive shell
+      |lambda| = s and the next one out, s', have s b_hi < s' b_lo, the
+      interval (0, s' / b_hi) holds exactly the block's p_+ positive
+      eigenvalues; and likewise below zero.  By Kahan's
       theorem (Parlett, The Symmetric Eigenvalue Problem, sec. 11.5) the
       returned Ritz values lie within eta = ||B^{-1/2} R|| of as many
       distinct eigenvalues, eta bounded by ||R||_F / sqrt(b_lo) and the
@@ -681,8 +684,9 @@ def cluster_eigenvalues(values, tau_rel=0.0, tau_abs=0.0):
     Consecutive values belong to the same cluster when their gap is at most
     ``tau_abs + tau_rel * max(1, |value|)``: spectra use the relative
     tolerance, first-order rates an absolute one.  Returns ClusterInfo
-    entries whose ``lam`` is the member mean; odd complex multiplicity is
-    flagged (``kramers_ok=False``) rather than raised.
+    entries whose ``lam`` is the member mean (their value when they are
+    bit-equal, which a mean may round away from); odd complex multiplicity
+    is flagged (``kramers_ok=False``) rather than raised.
     """
     values = np.asarray(values, dtype=float)
     if np.any(np.diff(values) < 0):
@@ -697,7 +701,7 @@ def cluster_eigenvalues(values, tau_rel=0.0, tau_abs=0.0):
             mult_c = len(members)
             clusters.append(
                 ClusterInfo(
-                    lam=float(members.mean()),
+                    lam=float(members[0] if members[0] == members[-1] else members.mean()),
                     mult_c=mult_c,
                     mult_h=mult_c // 2,
                     start=start,

@@ -66,6 +66,41 @@ class TestConformalFactor:
                         )
             assert abs(g[tuple(row)] - val) < 1e-12
 
+    def test_certified_range_holds_every_value(self, rng):
+        # The range holds f on a grid of side 128 and, for the factors of
+        # degree <= 2, at 10^5 random points evaluated from the coefficients.
+        factors = [random_factor(seed, 2, 0.3) for seed in (3, 7, 11)]
+        factors += [cf.ConformalFactor.cosine((1, -1, 0)), cf.ConformalFactor.sine((0, 2, 1), 0.7),
+                    random_factor(11, 8, 0.3), cf.ConformalFactor.constant(0.3),
+                    cf.ConformalFactor.zero()]
+        # the random points, then the grid of side 8, where the evaluation
+        # is checked against grid_values
+        grid = 2 * np.pi * np.indices((8, 8, 8)).reshape(3, -1).T / 8
+        x = np.vstack([rng.uniform(0.0, 2 * np.pi, size=(100_000, 3)), grid])
+        for f in factors:
+            lo, hi = f.certified_range()
+            g = f.grid_values(128)
+            assert lo <= g.min() and g.max() <= hi
+            assert lo <= f.extrema()[0] and f.extrema()[1] <= hi
+            if f.degree > 2:
+                continue
+            # sum_m fhat(m) e^{i m_1 x_1} e^{i m_2 x_2} e^{i m_3 x_3}, one axis at a time
+            e1, e2, e3 = np.exp(1j * x.T[:, :, None] * np.arange(-f.degree, f.degree + 1))
+            values = np.einsum("pa,pb,pc,abc->p", e1, e2, e3, f.values, optimize=True).real
+            assert_allclose(values[-512:], f.grid_values(8).reshape(-1), atol=1e-14)
+            assert lo <= values.min() and values.max() <= hi
+
+    def test_certified_range_widens_by_the_curvature(self):
+        # cos(x_1): sum_m |m|^2 |fhat(m)| = 1 on extrema's grid of side 64,
+        # which holds the extrema -1 and 1
+        f = cf.ConformalFactor.cosine((1, 0, 0))
+        lo, hi = f.certified_range()
+        widen = 1.5 * (np.pi / 64) ** 2 + cf.fft_rounding(64)
+        assert f.extrema() == (-1.0, 1.0)
+        assert lo == math.nextafter(-1.0 - widen, -math.inf)
+        assert hi == math.nextafter(1.0 + widen, math.inf)
+        assert cf.ConformalFactor.zero().certified_range() == (-5e-324, 5e-324)
+
     def test_reality_violation_rejected(self):
         vals = np.zeros((3, 3, 3), dtype=complex)
         vals[2, 1, 1] = 1.0  # m = (1,0,0) with no conjugate partner

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import mmap
 import sys
@@ -516,6 +517,21 @@ class TestClustering:
         }
         assert got == expected
 
+    def test_bit_equal_members_give_their_value(self):
+        # the mean of 36 copies rounds one ulp above them (the sqrt(18) shell
+        # of delta = (0,0,0) at N = 5); members that differ keep their mean
+        lam = 4.242640687119285
+        assert np.full(36, lam).mean() != lam
+        assert es.cluster_eigenvalues(np.full(36, lam), 1e-6)[0].lam == lam
+        assert es.cluster_eigenvalues([1.0, 1.0 + 2e-9], 1e-6)[0].lam == 1.0 + 1e-9
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+    def test_flat_clusters_are_the_flat_lines_bit_for_bit(self, N):
+        for spin in all_spin_structures():
+            ms = build_mode_set(N, spin)
+            lams = [c.lam for c in flat_spectrum(ms).clusters]
+            assert lams == ms.flat_clusters[1].tolist()
+
     def test_requires_sorted(self):
         with pytest.raises(ValueError):
             es.cluster_eigenvalues([2.0, 1.0], 1e-6)
@@ -782,22 +798,33 @@ class TestMixedWindow:
         assert kernel.flat_clusters[0][k] == 0
         assert es._shell_block(kernel, *fd_window(kernel, 1.0)) == (k, k + 3)
 
-    def test_gershgorin_bounds_bracket_the_weight(self):
-        ms = build_mode_set(2, (1, 0, 0))
-        for f, t in ((random_factor(11, 2, 0.3), 0.05), (ConformalFactor.cosine((1, 0, 0)), 0.3)):
-            weight = build_deformed_operator(f, t, ms).weight
-            b_lo, b_hi = weight.bounds
-            ev = np.linalg.eigvalsh(weight.B_s)
-            assert 0 < b_lo <= ev[0] and ev[-1] <= b_hi
-            assert b_lo == pytest.approx(2 * weight.B_s[0, 0].real - b_hi)
+    def test_range_bounds_bracket_the_weight(self):
+        # The spectrum of B_s lies in [b_lo, b_hi], e^{tf}'s certified range
+        # widened by the block's l1 error, at N = 3 for every spin structure,
+        # t of both signs up to 0.3, random factors of three seeds, a cosine
+        # and a factor of degree 8 > 2N.  The block depends on f and t only,
+        # so each spin structure reads the weight of the first one.
+        factors = [random_factor(seed, 2, 0.3) for seed in (3, 7, 11)]
+        factors += [ConformalFactor.cosine((1, -1, 0)), random_factor(11, 8, 0.3)]
+        mode_sets = [build_mode_set(3, spin) for spin in all_spin_structures()]
+        for f in factors:
+            for t in (-0.05, 0.05, 0.1, 0.2, 0.3):
+                weight = build_deformed_operator(f, t, mode_sets[0]).weight
+                for ms in mode_sets:
+                    w = dataclasses.replace(weight, mode_set=ms)
+                    b_lo, b_hi = w.bounds
+                    ev = np.linalg.eigvalsh(w.B_s)
+                    assert 0 < b_lo <= ev[0] and ev[-1] <= b_hi
 
     @pytest.mark.parametrize("spin", all_spin_structures(), ids=str)
     def test_sweep_agrees_with_double(self, spin, monkeypatch):
         # The genericity window at N = 3 (of fewer positive shells where the
         # block of three holds more than dim / 8 pairs) for four random
-        # factors and two single cosines at t = 0.05: every solve takes the
-        # stage, its eigenvalues agree with zheevr to 1e-13 relative, and
-        # the clusters at tau = 1e-9 have the same multiplicities.
+        # factors of sup|f| = 0.3 and two unit cosines at t = 0.05 and 0.15.
+        # Every solve takes the stage, except the cosines' at t = 0.15, whose
+        # e^{0.3} exceeds every block's edge ratio (at most 1.32).  The
+        # eigenvalues agree with zheevr to 1e-13 relative, and the clusters
+        # at tau = 1e-9 have the same multiplicities.
         ms = build_mode_set(3, spin)
         starts = ms.cluster_starts
 
@@ -810,20 +837,23 @@ class TestMixedWindow:
         factors = [random_factor(seed, 2, 0.3) for seed in (3, 5, 7, 11)]
         factors += [ConformalFactor.cosine((0, 1, -1)), ConformalFactor.cosine((1, 0, 0))]
         taken = self.spy(monkeypatch)
-        for f in factors:
-            def solve(f=f):
-                return deformed_spectrum(f, 0.05, ms, subset_by_index=window)
+        for t in (0.05, 0.15):
+            for f in factors:
+                def solve(f=f, t=t):
+                    return deformed_spectrum(f, t, ms, subset_by_index=window)
 
-            self.assert_agrees(solve(), self.in_double(monkeypatch, solve))
-        assert taken == [True] * len(factors)
+                self.assert_agrees(solve(), self.in_double(monkeypatch, solve))
+        assert taken == [True] * 6 + [True] * 4 + [False] * 2
 
     @pytest.mark.parametrize("t", [0.05, 0.3])
     def test_window_edges_cutting_kramers_pairs_and_split_shells(self, t, monkeypatch):
         # Windows that start and end inside a Kramers pair, inside a flat
         # shell that t splits, and the benchmark's genericity window of its
         # trial 26, whose split shells lie 4e-4 apart: at t = 0.05 the stage
-        # takes each of them, at t = 0.3 its certificate refuses them, and
-        # both agree with zheevr.
+        # takes each of them; at t = 0.3 its certificate takes the
+        # split-shell window, whose block ends at the 1.118 shells (the next
+        # are 1.5), and refuses the others, whose block ends at 1.803 (the
+        # next are 2.062); and all agree with zheevr.
         ms = build_mode_set(3, (1, 0, 0))
         starts = ms.cluster_starts
         shell = int(np.searchsorted(starts, ms.dim // 2))
@@ -838,7 +868,7 @@ class TestMixedWindow:
                     return deformed_spectrum(f, t, ms, subset_by_index=window)
 
                 self.assert_agrees(solve(), self.in_double(monkeypatch, solve))
-        assert taken == [t == 0.05] * 6
+        assert taken == ([True] * 3 if t == 0.05 else [False, True, False]) * 2
 
     def test_refused_at_large_t_with_the_bits_of_the_double_path(self, monkeypatch):
         # At t = 0.3 b_hi / b_lo is too wide for the flat shells to stay
@@ -959,8 +989,9 @@ class TestMixedWindow:
         assert res == res_ref and B_s.tobytes() == B_ref.tobytes()
 
     def test_indefinite_weight_raises_through_the_double_path(self, monkeypatch):
-        # A weight with b_lo <= 0 that is not positive definite: the stage
-        # refuses, and the double path's Cholesky names the weight.
+        # A weight with b_lo <= 0 that is not positive definite: the block
+        # 1 + 1.8 cos(x_1) of e^{tf} for f = 0, off by its l1 error 1.8.  The
+        # stage refuses, and the double path's Cholesky names the weight.
         from spintorus.conformal import ExpCoeffs, ScalarWeight
 
         ms = build_mode_set(3, (1, 0, 0))
@@ -968,7 +999,7 @@ class TestMixedWindow:
         values = np.zeros((2 * band + 1,) * 3, dtype=complex)
         values[band, band, band] = 1.0
         values[band + 1, band, band] = values[band - 1, band, band] = 0.9
-        weight = ScalarWeight(ms, ExpCoeffs(band, values, 0.0), 0.05)
+        weight = ScalarWeight(ms, ExpCoeffs(band, values, 1.8, 0.0), 0.05, (0.0, 0.0))
         assert weight.bounds[0] < 0
         taken = self.spy(monkeypatch)
         with pytest.raises(PositiveDefiniteError, match="Galerkin weight for t=0.05"):
@@ -990,7 +1021,7 @@ class TestMixedWindow:
                             for _ in range(2))
             for a, b in zip(first, again):
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-            assert vars(weight).keys() == fields.keys() == {"mode_set", "exp", "t"}
+            assert vars(weight).keys() == fields.keys() == {"mode_set", "exp", "t", "f_range"}
             assert all(vars(weight)[name] is value for name, value in fields.items())
             assert weight.exp.values.tobytes() == exp_bytes
         assert taken == [True, True]
